@@ -27,13 +27,12 @@ from math import factorial
 from .cartan import (
     Form,
     MultiVector,
-    algebroid_d,
     contract,
     deRham_d,
-    jacobiator,
     lie_derivative,
 )
 from .core.linalg import rank_kernel, solve
+from .core.signs import koszul_sign
 from .core.series import WindowOverflow
 from .poly import Poly, monomials_upto
 
@@ -270,31 +269,21 @@ def _pair_single(sd, i, j):
 
 
 def _pair_det(sd, I, J):
-    """Determinant extension of the covector pairing to increasing tuples."""
-    k = len(I)
-    if k == 0:
-        return Fraction(1)
-    rows = [[Fraction(_pair_single(sd, a, b)) for b in J] for a in I]
-    det = Fraction(1)
-    for col in range(k):
-        piv = None
-        for r in range(col, k):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
+    """Determinant extension of the covector pairing to increasing tuples.
+
+    Each coordinate covector pairs to +-1 with exactly one other, so the
+    pairing matrix is a signed permutation matrix, or has a zero row when a
+    partner of I is missing from J.
+    """
+    det = 1
+    perm = []
+    for a in I:
+        b = a + sd.n if a < sd.n else a - sd.n
+        if b not in J:
             return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, k):
-            if rows[r][col]:
-                f = rows[r][col] * inv
-                for c in range(col, k):
-                    rows[r][c] -= f * rows[col][c]
-    return det
+        det *= _pair_single(sd, a, b)
+        perm.append(J.index(b))
+    return Fraction(det * koszul_sign(tuple(perm), [1] * len(I)))
 
 
 def _complement_sign(I, nvars):
@@ -644,76 +633,3 @@ def spectral_degeneration_probe(pi, cap, nt):
         )
         rows.append(ProbeRow(J, dims[J], hom, pred))
     return ProbeTable(rows, nt, cap)
-
-
-# ---------------------------------------------------------------------------
-# algebroid inputs, validated but not pushed further
-# ---------------------------------------------------------------------------
-
-class AlgebroidReport:
-    __slots__ = ("pairing_inverse", "pi0", "poisson")
-
-    def __init__(self, pairing_inverse, pi0, poisson):
-        self.pairing_inverse = pairing_inverse
-        self.pi0 = pi0
-        self.poisson = poisson
-
-    def __repr__(self):
-        tag = "poisson" if self.poisson else "NOT poisson"
-        return f"AlgebroidReport({tag}, pi0={self.pi0!r})"
-
-
-def _invert_constant_matrix(M):
-    r = len(M)
-    aug = [row[:] + [Fraction(1 if i == j else 0) for j in range(r)] for i, row in enumerate(M)]
-    for col in range(r):
-        piv = None
-        for i in range(col, r):
-            if aug[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(r):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[r:] for row in aug]
-
-
-def algebroid_pipeline_stub(E, omega):
-    """Validate a frame pairing and emit its dual bivector on the base.
-
-    Checks: degree 2, closedness in the frame calculus, constant coefficients,
-    nondegeneracy.  The dual bivector is pushed to the base through the anchor
-    and its Jacobi obstruction reported.  Nothing downstream is computed.
-    """
-    if omega.k != 2:
-        raise ValueError("the pairing must have degree 2")
-    if not algebroid_d(E, omega).is_zero():
-        raise ValueError("the pairing is not closed on the frame")
-    r = E.rank
-    M = [[Fraction(0)] * r for _ in range(r)]
-    for (a, b), p in omega.c.items():
-        if p != Poly.const(E.nvars, p.constant_term()):
-            raise ValueError("only constant frame pairings are inverted here")
-        M[a][b] = p.constant_term()
-        M[b][a] = -p.constant_term()
-    inv = _invert_constant_matrix(M)
-    if inv is None:
-        raise ValueError("the pairing is degenerate on the frame")
-    # dual bivector convention: matrix of pi0 = -(matrix of omega)^(-1),
-    # so the tangent frame with pairing dx^dy dualizes to +dx-frame^dy-frame
-    W = [[-v for v in row] for row in inv]
-    pi = MultiVector(E.nvars, 2)
-    for a in range(r):
-        for b in range(a + 1, r):
-            if not W[a][b]:
-                continue
-            ra = MultiVector(E.nvars, 1, {(i,): p for i, p in enumerate(E.anchor[a]) if not p.is_zero()})
-            rb = MultiVector(E.nvars, 1, {(i,): p for i, p in enumerate(E.anchor[b]) if not p.is_zero()})
-            pi = pi + W[a][b] * ra.wedge(rb)
-    return AlgebroidReport(W, pi, jacobiator(pi).is_zero())

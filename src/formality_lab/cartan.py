@@ -15,7 +15,7 @@ partial derivatives do not descend to the capped quotient.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from math import factorial
 
 from .poly import Poly
@@ -33,16 +33,6 @@ def _merge_sign(left, right):
     inv = sum(1 for a in left for b in right if a > b)
     merged = tuple(sorted(left + right))
     return (-1 if inv % 2 else 1, merged)
-
-
-def _sort_tuple_sign(tup):
-    """Sort an arbitrary index tuple, tracking the anticommutation sign."""
-    if len(set(tup)) != len(tup):
-        return None
-    inv = sum(
-        1 for a in range(len(tup)) for b in range(a + 1, len(tup)) if tup[a] > tup[b]
-    )
-    return (-1 if inv % 2 else 1, tuple(sorted(tup)))
 
 
 def _remove_index(key, i):
@@ -406,171 +396,3 @@ def connes_mu_chain(model, ch):
         entries = [model.basis_poly(i) for i in tup]
         total = total + coeff * connes_mu(entries)
     return total
-
-
-# -- Lie algebroids ------------------------------------------------------------------
-
-class Algebroid:
-    """Trivialized algebroid: rank-r frame over polynomial functions.
-
-    anchor[i] is the coefficient list of the vector field rho(e_i);
-    brackets[(i, j)] (i < j) lists the frame coefficients of [e_i, e_j].
-    """
-
-    def __init__(self, nvars, rank, anchor, brackets=None):
-        self.nvars = nvars
-        self.rank = rank
-        if len(anchor) != rank or any(len(row) != nvars for row in anchor):
-            raise ValueError("anchor must be rank x nvars")
-        self.anchor = [
-            [p if isinstance(p, Poly) else Poly.const(nvars, p) for p in row]
-            for row in anchor
-        ]
-        self.brackets = {}
-        if brackets:
-            for (i, j), coeffs in brackets.items():
-                if not 0 <= i < j < rank:
-                    raise ValueError("bracket keys must have i < j")
-                if len(coeffs) != rank:
-                    raise ValueError("bracket value must list all frame coefficients")
-                coeffs = [
-                    p if isinstance(p, Poly) else Poly.const(nvars, p) for p in coeffs
-                ]
-                if any(not p.is_zero() for p in coeffs):
-                    self.brackets[(i, j)] = coeffs
-
-    @classmethod
-    def tangent(cls, nvars):
-        """The tangent algebroid in the coordinate frame."""
-        anchor = [
-            [Poly.const(nvars, 1 if i == j else 0) for j in range(nvars)]
-            for i in range(nvars)
-        ]
-        return cls(nvars, nvars, anchor)
-
-    def anchor_apply(self, i, f):
-        out = Poly.zero(self.nvars)
-        for j, p in enumerate(self.anchor[i]):
-            if not p.is_zero():
-                out = out + p * f.diff(j)
-        return out
-
-    def bracket_frame(self, i, j):
-        """[e_i, e_j] as a frame coefficient list (antisymmetry built in)."""
-        zero = [Poly.zero(self.nvars) for _ in range(self.rank)]
-        if i == j:
-            return zero
-        if i < j:
-            return list(self.brackets.get((i, j), zero))
-        flipped = self.brackets.get((j, i))
-        if flipped is None:
-            return zero
-        return [-p for p in flipped]
-
-    def check_anchor_is_lie_map(self):
-        """rho([e_i,e_j]) = [rho(e_i), rho(e_j)] as vector fields."""
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                br = self.bracket_frame(i, j)
-                lhs = [Poly.zero(self.nvars) for _ in range(self.nvars)]
-                for l, coeff in enumerate(br):
-                    if coeff.is_zero():
-                        continue
-                    for v in range(self.nvars):
-                        lhs[v] = lhs[v] + coeff * self.anchor[l][v]
-                for v in range(self.nvars):
-                    rhs = Poly.zero(self.nvars)
-                    for w in range(self.nvars):
-                        rhs = rhs + self.anchor[i][w] * self.anchor[j][v].diff(w)
-                        rhs = rhs - self.anchor[j][w] * self.anchor[i][v].diff(w)
-                    if lhs[v] != rhs:
-                        return False
-        return True
-
-    def check_jacobi(self):
-        """[[e_i,e_j],e_k] + cyclic = 0, expanding function coefficients
-        with the anchor Leibniz rule."""
-        def bracket_section(coeffs, k):
-            # [sum_l c_l e_l, e_k] = sum_l (c_l [e_l,e_k] - rho(e_k)(c_l) e_l)
-            out = [Poly.zero(self.nvars) for _ in range(self.rank)]
-            for l, c in enumerate(coeffs):
-                if c.is_zero():
-                    continue
-                for m, b in enumerate(self.bracket_frame(l, k)):
-                    if not b.is_zero():
-                        out[m] = out[m] + c * b
-                out[l] = out[l] - self.anchor_apply(k, c)
-            return out
-
-        for i in range(self.rank):
-            for j in range(self.rank):
-                for k in range(self.rank):
-                    total = [Poly.zero(self.nvars) for _ in range(self.rank)]
-                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        part = bracket_section(self.bracket_frame(a, b), c)
-                        for m in range(self.rank):
-                            total[m] = total[m] + part[m]
-                    if any(not p.is_zero() for p in total):
-                        return False
-        return True
-
-
-class EForm(_Exterior):
-    """Form on an algebroid frame: indices run over 0..rank-1, coefficients
-    are polynomial functions on the base (nvars variables)."""
-
-    # nvars here is the RANK for index bounds; the base variable count rides
-    # on the coefficients.  Construct through eform() to keep that straight.
-
-
-def eform(algebroid, k, coeffs=None):
-    f = EForm(algebroid.rank, k)
-    if coeffs:
-        for key, p in coeffs.items():
-            key = tuple(key)
-            if len(key) != k or list(key) != sorted(set(key)):
-                raise ValueError(f"index tuple {key!r} not strictly increasing")
-            if not isinstance(p, Poly):
-                p = Poly.const(algebroid.nvars, p)
-            if p.n != algebroid.nvars:
-                raise ValueError("coefficient variable count mismatch")
-            if not p.is_zero():
-                f.c[key] = p
-    return f
-
-
-def algebroid_d(E, omega):
-    """Frame-wise de Rham differential:
-
-    (d w)(e_{K_0},..,e_{K_m}) = sum_a (-1)^a rho(e_{K_a}) w(.. no a ..)
-                              + sum_{a<b} (-1)^(a+b) w([e_{K_a},e_{K_b}], ..)
-    """
-    m = omega.k
-    out = EForm(E.rank, m + 1)
-    for K in combinations(range(E.rank), m + 1):
-        val = Poly.zero(E.nvars)
-        for a in range(m + 1):
-            rest = K[:a] + K[a + 1 :]
-            c = omega.c.get(rest)
-            if c is not None:
-                term = E.anchor_apply(K[a], c)
-                val = val + term if a % 2 == 0 else val - term
-        for a in range(m + 1):
-            for b in range(a + 1, m + 1):
-                br = E.bracket_frame(K[a], K[b])
-                rest = tuple(x for t, x in enumerate(K) if t not in (a, b))
-                for l, coeff in enumerate(br):
-                    if coeff.is_zero():
-                        continue
-                    srt = _sort_tuple_sign((l,) + rest)
-                    if srt is None:
-                        continue
-                    ssign, stup = srt
-                    c = omega.c.get(stup)
-                    if c is None:
-                        continue
-                    sign = -1 if (a + b) % 2 else 1
-                    val = val + (sign * ssign) * (coeff * c)
-        if not val.is_zero():
-            out.c[K] = val
-    return out

@@ -1,11 +1,11 @@
-from .signs import koszul_sign, sort_with_sign, unshuffle_sign, decalage_sign
+from .signs import koszul_sign, unshuffle_sign, decalage_sign
 from .series import FormalSeries, WindowOverflow, series_mul
-from .basis import GradedBasis, vec, vadd_into, vscale, vsub
-from .linalg import LinearMap, rank_kernel, solve, betti_numbers
+from .basis import vec, vadd_into
+from .linalg import rank_kernel, solve
 
 __all__ = [
-    "koszul_sign", "sort_with_sign", "unshuffle_sign", "decalage_sign",
+    "koszul_sign", "unshuffle_sign", "decalage_sign",
     "FormalSeries", "WindowOverflow", "series_mul",
-    "GradedBasis", "vec", "vadd_into", "vscale", "vsub",
-    "LinearMap", "rank_kernel", "solve", "betti_numbers",
+    "vec", "vadd_into",
+    "rank_kernel", "solve",
 ]

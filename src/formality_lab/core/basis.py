@@ -1,4 +1,4 @@
-"""Finite graded bases and sparse vectors over them.
+"""Sparse vectors over finite bases.
 
 Vectors are plain dicts label -> Fraction with no stored zeros; the helper
 functions keep that invariant so equality of dicts is equality of vectors.
@@ -8,34 +8,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-
-class GradedBasis:
-    """An ordered list of hashable labels with integer degrees."""
-
-    __slots__ = ("labels", "degrees", "index")
-
-    def __init__(self, labels, degrees):
-        labels = tuple(labels)
-        degrees = tuple(degrees)
-        if len(labels) != len(degrees):
-            raise ValueError("labels and degrees differ in length")
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate basis label")
-        self.labels = labels
-        self.degrees = degrees
-        self.index = {lab: i for i, lab in enumerate(labels)}
-
-    def __len__(self):
-        return len(self.labels)
-
-    def degree_of(self, label):
-        return self.degrees[self.index[label]]
-
-    def __repr__(self):
-        return f"GradedBasis({len(self.labels)} labels)"
-
-
-# -- sparse vector helpers (dict label -> Fraction, zero-free) -------------
 
 def vec(*pairs):
     out = {}
@@ -59,13 +31,3 @@ def vadd_into(acc, other, scale=1):
             acc.pop(lab, None)
     return acc
 
-
-def vscale(v, scale):
-    if scale == 0:
-        return {}
-    return {lab: scale * val for lab, val in v.items()}
-
-
-def vsub(a, b):
-    out = dict(a)
-    return vadd_into(out, b, -1)

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on sparse rows (dict col -> Fraction).  Elimination
-normalizes each stored row to coprime integer entries, so pivoting is
-integer arithmetic with a single exact division per elimination step; no
-floating point exists anywhere.
+Everything here works on sparse rows (dict col -> Fraction).  One forward
+eliminator serves both entry points.  It normalizes each stored row to
+coprime integer entries, so pivoting is integer arithmetic with a single
+exact division per elimination step; no floating point exists anywhere.
 """
 
 from __future__ import annotations
@@ -27,112 +27,31 @@ def _normalize_row(row):
     return {c: Fraction(sign * v.numerator * (den // v.denominator), g) for c, v in row.items()}
 
 
-class LinearMap:
-    """A sparse matrix between two finite bases.
-
-    ``entries[(i, j)]`` is the coefficient of codomain label i in the image
-    of domain label j.  Bases are GradedBasis instances (or anything with
-    ``labels`` / ``index``).
-    """
-
-    __slots__ = ("domain", "codomain", "entries")
-
-    def __init__(self, domain, codomain, entries=None):
-        self.domain = domain
-        self.codomain = codomain
-        self.entries = {}
-        if entries:
-            for (i, j), v in entries.items():
-                if not isinstance(v, Fraction):
-                    v = Fraction(v)
-                if v:
-                    if i not in codomain.index or j not in domain.index:
-                        raise ValueError(f"entry ({i!r}, {j!r}) outside bases")
-                    self.entries[(i, j)] = v
-
-    def apply(self, v):
-        out = {}
-        for lab, val in v.items():
-            j = lab
-            for (i, jj), m in self.entries.items():
-                if jj == j:
-                    w = out.get(i, Fraction(0)) + m * val
-                    if w:
-                        out[i] = w
-                    else:
-                        out.pop(i, None)
-        return out
-
-    def columns(self):
-        """Sparse columns as dict domain-label -> dict codomain-label -> value."""
-        cols = {}
-        for (i, j), v in self.entries.items():
-            cols.setdefault(j, {})[i] = v
-        return cols
-
-    def rows_by_index(self):
-        """Rows over integer column indices, one per codomain label."""
-        rows = {}
-        dom_index = self.domain.index
-        for (i, j), v in self.entries.items():
-            rows.setdefault(i, {})[dom_index[j]] = v
-        return list(rows.values())
-
-
 def rank_kernel(rows, ncols):
-    """Exact (rank, kernel basis) of a sparse rational matrix.
+    """Forward elimination of a sparse rational matrix: (rank, pivots).
 
-    ``rows``: iterable of dict col-index -> Fraction.  The kernel basis
-    vectors come out with the free coordinate set to 1, denominators
-    cleared, ordered by their free column.
+    ``rows``: iterable of dict col-index -> Fraction (ints are accepted).
+    ``pivots`` maps each pivot column to its echelon row, normalized by
+    ``_normalize_row``; the pivot is the row's minimum column.  The rows
+    are not back-substituted.
     """
-    pivots = {}  # col -> reduced row (pivot coefficient 1 after division)
+    pivots = {}
     for raw in rows:
         row = {c: (v if isinstance(v, Fraction) else Fraction(v)) for c, v in raw.items() if v}
         while row:
             c = min(row)
-            if c in pivots:
-                piv = pivots[c]
-                factor = row[c] / piv[c]
-                for cc, vv in piv.items():
-                    w = row.get(cc, Fraction(0)) - factor * vv
-                    if w:
-                        row[cc] = w
-                    else:
-                        row.pop(cc, None)
-            else:
+            piv = pivots.get(c)
+            if piv is None:
                 pivots[c] = _normalize_row(row)
                 break
-    rank = len(pivots)
-    # back-substitute to reduced echelon form for clean kernel vectors
-    for c in sorted(pivots, reverse=True):
-        piv = pivots[c]
-        for c2, row2 in pivots.items():
-            if c2 == c or c not in row2:
-                continue
-            factor = row2[c] / piv[c]
+            factor = row[c] / piv[c]
             for cc, vv in piv.items():
-                w = row2.get(cc, Fraction(0)) - factor * vv
+                w = row.get(cc, 0) - factor * vv
                 if w:
-                    row2[cc] = w
+                    row[cc] = w
                 else:
-                    row2.pop(cc, None)
-    kernel = []
-    pivot_cols = set(pivots)
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        v = {free: Fraction(1)}
-        for c, row in pivots.items():
-            if free in row:
-                v[c] = -row[free] / row[c]
-        den = 1
-        for x in v.values():
-            den = den * x.denominator // gcd(den, x.denominator)
-        v = {c: Fraction(x.numerator * (den // x.denominator)) for c, x in v.items()}
-        kernel.append(v)
-    kernel.sort(key=lambda v: min(v))
-    return rank, kernel
+                    row.pop(cc, None)
+    return len(pivots), pivots
 
 
 def solve(rows, rhs, ncols):
@@ -141,66 +60,15 @@ def solve(rows, rhs, ncols):
     ``rows`` is a list of sparse rows; ``rhs`` aligns with it.  Free
     variables are set to zero.
     """
-    aug = []
-    RHS = ncols  # sentinel column for the right-hand side
-    for row, b in zip(rows, rhs):
-        r = {c: (v if isinstance(v, Fraction) else Fraction(v)) for c, v in row.items() if v}
-        if not isinstance(b, Fraction):
-            b = Fraction(b)
-        if b:
-            r[RHS] = b
-        if r:
-            aug.append(r)
-    pivots = {}
-    for row in aug:
-        row = dict(row)
-        while row:
-            c = min(row)
-            if c in pivots:
-                piv = pivots[c]
-                factor = row[c] / piv[c]
-                for cc, vv in piv.items():
-                    w = row.get(cc, Fraction(0)) - factor * vv
-                    if w:
-                        row[cc] = w
-                    else:
-                        row.pop(cc, None)
-            else:
-                if c == RHS:
-                    return None  # 0 = nonzero
-                pivots[c] = row
-                break
-    for c in sorted(pivots, reverse=True):
-        piv = pivots[c]
-        for c2, row2 in pivots.items():
-            if c2 == c or c not in row2:
-                continue
-            factor = row2[c] / piv[c]
-            for cc, vv in piv.items():
-                w = row2.get(cc, Fraction(0)) - factor * vv
-                if w:
-                    row2[cc] = w
-                else:
-                    row2.pop(cc, None)
+    # column ncols of the augmented rows holds the right-hand side
+    aug = [{**row, ncols: b} if b else row for row, b in zip(rows, rhs)]
+    _, pivots = rank_kernel(aug, ncols + 1)
+    if ncols in pivots:
+        return None  # 0 = nonzero
     x = {}
-    for c, row in pivots.items():
-        v = row.get(RHS, Fraction(0)) / row[c]
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        v = row.get(ncols, 0) - sum(a * x[cc] for cc, a in row.items() if cc in x)
         if v:
-            x[c] = v
-    return x
-
-
-def betti_numbers(dims, ranks):
-    """Betti numbers of a finite complex from dims and differential ranks.
-
-    ``dims``: dimensions of C_0 .. C_N.  ``ranks[i]``: rank of the
-    differential C_i -> C_{i+1}.  For a chain complex (differentials going
-    down) pass the spaces in reversed order.  betti_i = dim ker - rank in.
-    """
-    n = len(dims)
-    out = []
-    for i in range(n):
-        r_out = ranks[i] if i < len(ranks) else 0
-        r_in = ranks[i - 1] if i > 0 else 0
-        out.append(dims[i] - r_out - r_in)
-    return out
+            x[c] = v / row[c]
+    return {c: x[c] for c in pivots if c in x}  # pivot order: callers iterate x

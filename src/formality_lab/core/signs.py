@@ -35,18 +35,6 @@ def koszul_sign(perm, degrees, shift=0):
     return sign
 
 
-def sort_with_sign(keys, degrees, shift=0):
-    """Stable-sort ``keys`` ascending, tracking the Koszul sign of the move.
-
-    Returns (sorted_keys, sign).  ``degrees`` are aligned with ``keys``.
-    Equal keys are never moved past each other (stable), so the sign is
-    well defined even with repeats.
-    """
-    order = sorted(range(len(keys)), key=lambda i: (keys[i], i))
-    sign = koszul_sign(tuple(order), tuple(degrees), shift)
-    return tuple(keys[i] for i in order), sign
-
-
 def unshuffle_sign(n, subset, degrees, shift=0):
     """Sign moving objects at ``subset`` positions to the front.
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import product as _cartesian
 from math import factorial
 
+from .core.linalg import solve
 from .poly import Poly
 
 
@@ -289,8 +290,6 @@ def delta_primitive(target):
     multi-index), which the differential preserves, so each linear solve
     stays small.
     """
-    from .core.linalg import solve as _solve
-
     if target.arity < 2:
         raise ValueError("target arity must be at least 2")
     nv = target.nvars
@@ -316,7 +315,7 @@ def delta_primitive(target):
         for ek in eq_list:
             rows.append({j: images[j][ek] for j in range(len(basis)) if ek in images[j]})
             rhs.append(rhs_terms.get(ek, Fraction(0)))
-        sol = _solve(rows, rhs, len(basis))
+        sol = solve(rows, rhs, len(basis))
         if sol is None:
             return None
         for j, val in sol.items():

@@ -907,13 +907,13 @@ def _exp_contract(args, manifest, where):
         isinstance(w, str) for w in weights
     ):
         raise ManifestError(f"{where}: weights must be a list of strings")
+    for z in weights:
+        if z not in ah._Z_TOKENS:
+            raise ManifestError(f"{where}: unknown weight token {z!r}")
     t = _Tally()
     for n in range(1, max_n + 1):
         for z in weights:
-            try:
-                rep = ah.exp_contract_identity(n, z)
-            except ValueError as e:
-                raise ManifestError(f"{where}: {e}")
+            rep = ah.exp_contract_identity(n, z)
             t.ok(
                 rep.ok,
                 lambda n=n, z=z: f"identity fails at n={n}, weight {z}",

@@ -17,11 +17,9 @@ from formality_lab.manifest import parse_manifest
 from formality_lab.poly import Poly
 from formality_lab.suites import OPS
 
-MANIFEST = str(
-    pathlib.Path(__file__).resolve().parent.parent
-    / "manifests"
-    / "core-identities.yaml"
-)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MANIFEST = str(ROOT / "manifests" / "core-identities.yaml")
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def _run(op, args=None):
@@ -173,8 +171,19 @@ def test_criterion_13_deterministic_reports(tmp_path):
          "--out", str(second)],
     )
     identical = first.read_bytes() == second.read_bytes()
+    golden = first.read_bytes() == (GOLDEN / "core-identities.json").read_bytes()
     doc = json.loads(first.read_text())
     all_pass = doc["counts"]["fail"] == 0 and doc["counts"]["pass"] == len(
         doc["jobs"]
     )
-    _report(13, rc1 == 0 and rc2 == 0 and identical and all_pass)
+    _report(13, rc1 == 0 and rc2 == 0 and identical and golden and all_pass)
+
+
+def test_demo_report_matches_golden(tmp_path):
+    out = tmp_path / "demo.json"
+    rc = main(
+        ["run", str(ROOT / "manifests" / "demo.yaml"), "--format", "structured",
+         "--out", str(out)],
+    )
+    assert rc == 0
+    assert out.read_bytes() == (GOLDEN / "demo.json").read_bytes()

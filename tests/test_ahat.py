@@ -1,12 +1,14 @@
 """Flat-model transport: weighted forms, duality star, pipeline, probes."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
 
 from formality_lab import ahat as ah
 from formality_lab import cartan as ct
+from formality_lab.core.signs import koszul_sign
 from formality_lab.core.series import WindowOverflow
 from formality_lab.poly import Poly, monomials_upto
 
@@ -53,6 +55,20 @@ def test_duality_star_basics():
     sd = ah.SymplecticData(1)
     assert ah.symplectic_star(sd, one_form(2, 0)) == one_form(2, 0)
     assert ah.symplectic_star(sd, one_form(2, 1)) == one_form(2, 1)
+
+
+def test_pair_det_is_the_leibniz_determinant():
+    for n in (1, 2, 3):
+        sd = ah.SymplecticData(n)
+        for k in range(sd.nvars + 1):
+            for I in combinations(range(sd.nvars), k):
+                for J in combinations(range(sd.nvars), k):
+                    det = sum(
+                        koszul_sign(p, [1] * k)
+                        * prod(ah._pair_single(sd, I[i], J[p[i]]) for i in range(k))
+                        for p in permutations(range(k))
+                    )
+                    assert ah._pair_det(sd, I, J) == det
 
 
 def test_star_of_degree_above_top_is_zero():
@@ -304,35 +320,3 @@ def test_probe_rejects_cap_unstable_transport():
     quad = ct.MultiVector(2, 2, {(0, 1): Poly.monomial(2, (2, 0))})
     with pytest.raises(ValueError):
         ah.spectral_degeneration_probe(quad, 2, 2)
-
-
-def test_pairing_stub_on_the_tangent_plane():
-    E = ct.Algebroid.tangent(2)
-    rep = ah.algebroid_pipeline_stub(E, ct.eform(E, 2, {(0, 1): 1}))
-    assert rep.poisson
-    assert rep.pi0 == ct.MultiVector(2, 2, {(0, 1): Poly.const(2, 1)})
-    assert rep.pairing_inverse == [[0, 1], [-1, 0]]
-
-
-def test_pairing_stub_on_a_foliation():
-    E = ct.Algebroid(3, 2, [[1, 0, 0], [0, 1, 0]])
-    rep = ah.algebroid_pipeline_stub(E, ct.eform(E, 2, {(0, 1): 1}))
-    assert rep.poisson
-    assert rep.pi0 == ct.MultiVector(3, 2, {(0, 1): Poly.const(3, 1)})
-
-
-def test_pairing_stub_input_validation():
-    E = ct.Algebroid.tangent(2)
-    with pytest.raises(ValueError):  # wrong degree
-        ah.algebroid_pipeline_stub(E, ct.eform(E, 1, {(0,): 1}))
-    E3 = ct.Algebroid.tangent(3)
-    not_closed = ct.eform(E3, 2, {(0, 1): Poly.var(3, 2)})
-    with pytest.raises(ValueError):
-        ah.algebroid_pipeline_stub(E3, not_closed)
-    closed_not_constant = ct.eform(
-        E, 2, {(0, 1): Poly.const(2, 1) + Poly.var(2, 0)})
-    with pytest.raises(ValueError):  # only constant pairings are inverted
-        ah.algebroid_pipeline_stub(E, closed_not_constant)
-    E4 = ct.Algebroid.tangent(4)
-    with pytest.raises(ValueError):  # degenerate
-        ah.algebroid_pipeline_stub(E4, ct.eform(E4, 2, {(0, 1): 1}))

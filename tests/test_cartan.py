@@ -5,19 +5,14 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-import pytest
-
-from formality_lab.poly import Poly, monomials_upto
+from formality_lab.poly import Poly
 from formality_lab.cartan import (
-    Algebroid,
     Form,
     MultiVector,
-    algebroid_d,
     connes_mu,
     connes_mu_chain,
     contract,
     deRham_d,
-    eform,
     hkr,
     jacobiator,
     lie_derivative,
@@ -483,78 +478,3 @@ def test_capped_chain_breaks_mu_boundary_identity():
     y4 = model.index[(0, 4)]
     ch = Chain.elementary(A, (one, y, y4))  # total degree 5 > cap
     assert not connes_mu_chain(model, chain_b(ch)).is_zero()
-
-
-# ---------------------------------------------------------------- algebroids
-
-
-def test_tangent_algebroid_checks():
-    T = Algebroid.tangent(2)
-    assert T.check_anchor_is_lie_map()
-    assert T.check_jacobi()
-
-
-def test_tangent_algebroid_d_is_de_rham():
-    T = Algebroid.tangent(2)
-    for k in (0, 1):
-        keys = [()] if k == 0 else [(0,), (1,)]
-        for key in keys:
-            for mono in monomials_upto(2, 2):
-                w = eform(T, k, {key: Poly.monomial(2, mono, 1)})
-                ref = deRham_d(Form(2, k, {key: Poly.monomial(2, mono, 1)}))
-                assert dict(algebroid_d(T, w).c) == dict(ref.c)
-
-
-def _rotation_algebroid():
-    x, y, z = (Poly.var(3, i) for i in range(3))
-    zero = Poly.zero(3)
-    one = Poly.const(3, 1)
-    return Algebroid(
-        3,
-        3,
-        anchor=[[zero, -z, y], [z, zero, -x], [-y, x, zero]],
-        brackets={
-            (0, 1): [zero, zero, -one],
-            (0, 2): [zero, one, zero],
-            (1, 2): [-one, zero, zero],
-        },
-    )
-
-
-def test_rotation_algebroid_checks():
-    rot = _rotation_algebroid()
-    assert rot.check_anchor_is_lie_map()
-    assert rot.check_jacobi()
-
-
-def test_rotation_algebroid_d_squared_zero():
-    rng = random.Random(21)
-    rot = _rotation_algebroid()
-    for k in (0, 1):
-        for key in combinations(range(3), k):
-            w = eform(rot, k, {key: rand_poly(rng, 3, 2)})
-            assert algebroid_d(rot, algebroid_d(rot, w)).is_zero()
-
-
-def test_inconsistent_bracket_table_is_caught():
-    # flipping one structure constant breaks the anchor compatibility
-    x, y, z = (Poly.var(3, i) for i in range(3))
-    zero = Poly.zero(3)
-    one = Poly.const(3, 1)
-    bad = Algebroid(
-        3,
-        3,
-        anchor=[[zero, -z, y], [z, zero, -x], [-y, x, zero]],
-        brackets={
-            (0, 1): [zero, zero, one],
-            (0, 2): [zero, one, zero],
-            (1, 2): [-one, zero, zero],
-        },
-    )
-    assert not bad.check_anchor_is_lie_map()
-
-
-def test_eform_rejects_bad_keys():
-    T = Algebroid.tangent(2)
-    with pytest.raises(ValueError):
-        eform(T, 2, {(1, 0): Poly.const(2, 1)})

@@ -248,6 +248,30 @@ def test_job_runtime_error_becomes_failing_outcome(tmp_path, capsys):
     assert "refused" in out and "cap" in out
 
 
+def test_series_window_overflow_fails_the_job(tmp_path, capsys):
+    # the exp-contract series window is fixed, so a wider model u-window
+    # does not save max-n 5; the overflow is a job failure, not a
+    # manifest error
+    text = (
+        "model: {u-window: [-12, 12]}\n"
+        "jobs:\n"
+        "  - {op: exp-contract, name: e5, max-n: 5}\n"
+    )
+    rc = main(["run", _write(tmp_path, text), "--format", "structured"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert [(j["name"], j["status"]) for j in doc["jobs"]] == [("e5", "fail")]
+    assert "window overflow" in doc["jobs"][0]["summary"]
+
+
+def test_unknown_weight_token_exits_two(tmp_path, capsys):
+    text = "jobs:\n  - {op: exp-contract, name: q, weights: [q]}\n"
+    rc = main(["run", _write(tmp_path, text)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "unknown weight token 'q'" in err
+
+
 def test_text_report_carries_ledger_hash(tmp_path, capsys):
     main(["run", _write(tmp_path, "jobs: []\n")])
     out = capsys.readouterr().out

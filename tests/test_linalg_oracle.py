@@ -1,0 +1,221 @@
+"""The sparse eliminator against the kernel it replaced, on seeded systems.
+
+``_old_rank_kernel`` and ``_old_solve`` are the previous ``core.linalg``
+code, kept verbatim as the reference: two elimination loops, full
+back-substitution and a kernel basis.  The current kernel must give the
+same rank, and ``solve`` the same solution (or ``None``) on every system.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+from formality_lab.core.linalg import rank_kernel, solve
+
+
+# -- reference: the previous core.linalg, verbatim ----------------------------
+
+def _normalize_row(row):
+    """Scale a sparse row to coprime integers with a positive leading entry."""
+    if not row:
+        return row
+    den = 1
+    for v in row.values():
+        den = den * v.denominator // gcd(den, v.denominator)
+    g = 0
+    for v in row.values():
+        g = gcd(g, abs(v.numerator * (den // v.denominator)))
+    lead = min(row)
+    sign = 1 if row[lead] > 0 else -1
+    return {c: Fraction(sign * v.numerator * (den // v.denominator), g) for c, v in row.items()}
+
+
+def _old_rank_kernel(rows, ncols):
+    """Exact (rank, kernel basis) of a sparse rational matrix.
+
+    ``rows``: iterable of dict col-index -> Fraction.  The kernel basis
+    vectors come out with the free coordinate set to 1, denominators
+    cleared, ordered by their free column.
+    """
+    pivots = {}  # col -> reduced row (pivot coefficient 1 after division)
+    for raw in rows:
+        row = {c: (v if isinstance(v, Fraction) else Fraction(v)) for c, v in raw.items() if v}
+        while row:
+            c = min(row)
+            if c in pivots:
+                piv = pivots[c]
+                factor = row[c] / piv[c]
+                for cc, vv in piv.items():
+                    w = row.get(cc, Fraction(0)) - factor * vv
+                    if w:
+                        row[cc] = w
+                    else:
+                        row.pop(cc, None)
+            else:
+                pivots[c] = _normalize_row(row)
+                break
+    rank = len(pivots)
+    # back-substitute to reduced echelon form for clean kernel vectors
+    for c in sorted(pivots, reverse=True):
+        piv = pivots[c]
+        for c2, row2 in pivots.items():
+            if c2 == c or c not in row2:
+                continue
+            factor = row2[c] / piv[c]
+            for cc, vv in piv.items():
+                w = row2.get(cc, Fraction(0)) - factor * vv
+                if w:
+                    row2[cc] = w
+                else:
+                    row2.pop(cc, None)
+    kernel = []
+    pivot_cols = set(pivots)
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        v = {free: Fraction(1)}
+        for c, row in pivots.items():
+            if free in row:
+                v[c] = -row[free] / row[c]
+        den = 1
+        for x in v.values():
+            den = den * x.denominator // gcd(den, x.denominator)
+        v = {c: Fraction(x.numerator * (den // x.denominator)) for c, x in v.items()}
+        kernel.append(v)
+    kernel.sort(key=lambda v: min(v))
+    return rank, kernel
+
+
+def _old_solve(rows, rhs, ncols):
+    """One exact solution x of (rows) x = rhs, or None if inconsistent.
+
+    ``rows`` is a list of sparse rows; ``rhs`` aligns with it.  Free
+    variables are set to zero.
+    """
+    aug = []
+    RHS = ncols  # sentinel column for the right-hand side
+    for row, b in zip(rows, rhs):
+        r = {c: (v if isinstance(v, Fraction) else Fraction(v)) for c, v in row.items() if v}
+        if not isinstance(b, Fraction):
+            b = Fraction(b)
+        if b:
+            r[RHS] = b
+        if r:
+            aug.append(r)
+    pivots = {}
+    for row in aug:
+        row = dict(row)
+        while row:
+            c = min(row)
+            if c in pivots:
+                piv = pivots[c]
+                factor = row[c] / piv[c]
+                for cc, vv in piv.items():
+                    w = row.get(cc, Fraction(0)) - factor * vv
+                    if w:
+                        row[cc] = w
+                    else:
+                        row.pop(cc, None)
+            else:
+                if c == RHS:
+                    return None  # 0 = nonzero
+                pivots[c] = row
+                break
+    for c in sorted(pivots, reverse=True):
+        piv = pivots[c]
+        for c2, row2 in pivots.items():
+            if c2 == c or c not in row2:
+                continue
+            factor = row2[c] / piv[c]
+            for cc, vv in piv.items():
+                w = row2.get(cc, Fraction(0)) - factor * vv
+                if w:
+                    row2[cc] = w
+                else:
+                    row2.pop(cc, None)
+    x = {}
+    for c, row in pivots.items():
+        v = row.get(RHS, Fraction(0)) / row[c]
+        if v:
+            x[c] = v
+    return x
+
+
+# -- seeded systems -------------------------------------------------------------
+
+def _entry(rng):
+    """A small nonzero rational, an int about a third of the time."""
+    num = rng.choice([-3, -2, -1, 1, 2, 3, 5, 7])
+    if rng.random() < 0.35:
+        return num
+    return Fraction(num, rng.choice([1, 2, 3, 4, 6, 9]))
+
+
+def _combine(rng, rows):
+    """A random rational combination of some of ``rows`` (a dependent row)."""
+    out = {}
+    for row in rng.sample(rows, min(len(rows), rng.randint(1, 3))):
+        k = Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2, 5]))
+        for c, v in row.items():
+            out[c] = out.get(c, 0) + k * v
+    return {c: v for c, v in out.items() if v}
+
+
+def _system(rng):
+    """(rows, rhs, ncols): sparse, often rank deficient, sometimes with
+    duplicated, empty or explicit-zero rows."""
+    ncols = rng.randint(0, 9)
+    nrows = rng.randint(0, 10)
+    density = rng.choice([0.15, 0.3, 0.6])
+    rows = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if rows and roll < 0.2:
+            rows.append(dict(rng.choice(rows)))
+        elif rows and roll < 0.4:
+            rows.append(_combine(rng, rows))
+        elif roll < 0.5:
+            rows.append({} if rng.random() < 0.5 else {0: 0} if ncols else {})
+        else:
+            rows.append({c: _entry(rng) for c in range(ncols) if rng.random() < density})
+    if rng.random() < 0.5:
+        # consistent by construction: rhs = rows . x0
+        x0 = {c: _entry(rng) for c in range(ncols) if rng.random() < 0.5}
+        rhs = [sum((v * x0.get(c, 0) for c, v in row.items()), Fraction(0)) for row in rows]
+    else:
+        rhs = [_entry(rng) if rng.random() < 0.6 else rng.choice([0, Fraction(0)])
+               for _ in rows]
+    return rows, rhs, ncols
+
+
+def _copy(rows):
+    return [dict(r) for r in rows]
+
+
+def test_rank_and_solve_match_reference_on_seeded_systems():
+    rng = random.Random(20260418)
+    inconsistent = 0
+    for _ in range(1500):
+        rows, rhs, ncols = _system(rng)
+        snapshot = _copy(rows)
+        rank, _ = rank_kernel(_copy(rows), ncols)
+        assert rank == _old_rank_kernel(_copy(rows), ncols)[0], (rows, ncols)
+        want = _old_solve(_copy(rows), list(rhs), ncols)
+        got = solve(rows, list(rhs), ncols)
+        assert rows == snapshot, "solve changed its input rows"
+        assert got == want, (rows, rhs, ncols)
+        if want is None:
+            inconsistent += 1
+        else:
+            for row, b in zip(rows, rhs):
+                assert sum((v * got.get(c, 0) for c, v in row.items()), Fraction(0)) == b
+    # both branches are exercised in bulk
+    assert 300 < inconsistent < 1200
+
+
+def test_zero_matrix_and_empty_systems_match_reference():
+    for ncols in (0, 1, 4):
+        for rows in ([], [{}], [{}, {}], [{c: 0 for c in range(ncols)}]):
+            assert rank_kernel(_copy(rows), ncols)[0] == _old_rank_kernel(_copy(rows), ncols)[0] == 0
+            for rhs in ([0] * len(rows), [Fraction(1)] * len(rows)):
+                assert solve(_copy(rows), rhs, ncols) == _old_solve(_copy(rows), rhs, ncols)
