@@ -31,6 +31,7 @@ from .cartan import (
     deRham_d,
     lie_derivative,
 )
+from .core.basis import add_term
 from .core.linalg import rank_kernel, solve
 from .core.signs import koszul_sign
 from .core.series import WindowOverflow
@@ -99,19 +100,11 @@ class SeriesForm:
         return out
 
     def _add(self, kt, ku, form):
-        if form.is_zero():
-            return
-        if kt > self.twin[1]:
+        if not form or kt > self.twin[1]:
             return
         if kt < self.twin[0] or not self.uwin[0] <= ku <= self.uwin[1]:
             raise WindowOverflow(f"t^{kt} u^{ku} left the window")
-        key = (kt, ku, form.k)
-        cur = self.parts.get(key)
-        s = form if cur is None else cur + form
-        if s.is_zero():
-            self.parts.pop(key, None)
-        else:
-            self.parts[key] = s
+        add_term(self.parts, (kt, ku, form.k), form)
 
     def _windows(self, other):
         if self.nvars != other.nvars or self.twin != other.twin or self.uwin != other.uwin:
@@ -137,7 +130,7 @@ class SeriesForm:
         out = SeriesForm.zero(self.nvars, self.twin, self.uwin)
         for key, form in self.parts.items():
             s = scalar * form
-            if not s.is_zero():
+            if s:
                 out.parts[key] = s
         return out
 
@@ -151,8 +144,11 @@ class SeriesForm:
             and self.parts == other.parts
         )
 
+    def __bool__(self):
+        return bool(self.parts)
+
     def is_zero(self):
-        return not self.parts
+        return not self
 
     def shift(self, dt, du, coeff=1):
         """Multiply by coeff * t^dt u^du."""
@@ -242,7 +238,7 @@ def contract_exp(sd, alpha, dt, du, sign=1):
     for (kt, ku, _), form in alpha.parts.items():
         m = 0
         cur = form
-        while not cur.is_zero():
+        while cur:
             coeff = Fraction(sign ** m, factorial(m))
             out._add(kt + m * dt, ku + m * du, coeff * cur)
             cur = sd.contract(cur)
@@ -321,13 +317,7 @@ def symplectic_star(sd, form):
                 continue
             sign, Ic = _complement_sign(I, sd.nvars)
             # alpha = dz_I forces the Ic coefficient: sign * coeff = lam * vcoeff
-            term = (lam * vcoeff / sign) * c
-            cur = out.c.get(Ic)
-            s = term if cur is None else cur + term
-            if s.is_zero():
-                out.c.pop(Ic, None)
-            else:
-                out.c[Ic] = s
+            add_term(out.c, Ic, (lam * vcoeff / sign) * c)
     return out
 
 
@@ -473,13 +463,7 @@ def d_primitive(form, cap=None):
     out = Form(nvars, form.k - 1)
     for j, v in x.items():
         key, e = cols[j]
-        cur = out.c.get(key)
-        term = Poly.monomial(nvars, e, v)
-        s = term if cur is None else cur + term
-        if s.is_zero():
-            out.c.pop(key, None)
-        else:
-            out.c[key] = s
+        add_term(out.c, key, Poly.monomial(nvars, e, v))
     return out
 
 
@@ -596,8 +580,8 @@ def _graded_ranks(nvars, cap, nt, image):
                         Jp, pos = index[(jj, fkey, ee)]
                         if Jp != J + 1:
                             raise ValueError("image is not grade-raising")
-                        row[pos] = row.get(pos, Fraction(0)) + v
-            rows.append({p: v for p, v in row.items() if v})
+                        add_term(row, pos, v)
+            rows.append(row)
         rank, _ = rank_kernel(rows, ncols)
         ranks[J] = rank
     return dims, ranks

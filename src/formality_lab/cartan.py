@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
+from .core.basis import add_term, rational
 from .poly import Poly
 from .polydiff import PolyDiffOperator
 
@@ -64,13 +65,7 @@ class _Exterior:
                     raise ValueError(f"index out of range in {key!r}")
                 if not isinstance(p, Poly):
                     p = Poly.const(nvars, p)
-                if not p.is_zero():
-                    q = self.c.get(key)
-                    s = p if q is None else q + p
-                    if s.is_zero():
-                        self.c.pop(key, None)
-                    else:
-                        self.c[key] = s
+                add_term(self.c, key, p)
 
     @classmethod
     def zero(cls, nvars, k):
@@ -84,11 +79,11 @@ class _Exterior:
         # a zero element is degree-agnostic: over-contracting produces
         # degree-0 zeros that must still combine with honest degrees
         if self.k != other.k:
-            if self.is_zero() and type(self) is type(other) and self.nvars == other.nvars:
+            if not self and type(self) is type(other) and self.nvars == other.nvars:
                 out = type(other)(other.nvars, other.k)
                 out.c = dict(other.c)
                 return out
-            if other.is_zero() and type(self) is type(other) and self.nvars == other.nvars:
+            if not other and type(self) is type(other) and self.nvars == other.nvars:
                 out = type(self)(self.nvars, self.k)
                 out.c = dict(self.c)
                 return out
@@ -96,12 +91,7 @@ class _Exterior:
         out = type(self)(self.nvars, self.k)
         out.c = dict(self.c)
         for key, p in other.c.items():
-            q = out.c.get(key)
-            s = p if q is None else q + p
-            if s.is_zero():
-                out.c.pop(key, None)
-            else:
-                out.c[key] = s
+            add_term(out.c, key, p)
         return out
 
     def __neg__(self):
@@ -117,10 +107,10 @@ class _Exterior:
         if isinstance(scalar, Poly):
             for key, p in self.c.items():
                 s = scalar * p
-                if not s.is_zero():
+                if s:
                     out.c[key] = s
             return out
-        scalar = scalar if isinstance(scalar, Fraction) else Fraction(scalar)
+        scalar = rational(scalar)
         if scalar:
             out.c = {key: scalar * p for key, p in self.c.items()}
         return out
@@ -130,8 +120,11 @@ class _Exterior:
             return NotImplemented
         return self.nvars == other.nvars and self.k == other.k and self.c == other.c
 
+    def __bool__(self):
+        return bool(self.c)
+
     def is_zero(self):
-        return not self.c
+        return not self
 
     def wedge(self, other):
         if type(self) is not type(other) or self.nvars != other.nvars:
@@ -143,15 +136,7 @@ class _Exterior:
                 if ms is None:
                     continue
                 sign, merged = ms
-                term = sign * (pa * pb)
-                if term.is_zero():
-                    continue
-                q = out.c.get(merged)
-                s = term if q is None else q + term
-                if s.is_zero():
-                    out.c.pop(merged, None)
-                else:
-                    out.c[merged] = s
+                add_term(out.c, merged, sign * (pa * pb))
         return out
 
     def __repr__(self):
@@ -206,21 +191,13 @@ def _half_bracket(A, B):
             sa, ka2 = rem
             for kb, pb in B.c.items():
                 dpb = pb.diff(i)
-                if dpb.is_zero():
+                if not dpb:
                     continue
                 ms = _merge_sign(ka2, kb)
                 if ms is None:
                     continue
                 sign, merged = ms
-                term = (sa * sign) * (pa * dpb)
-                if term.is_zero():
-                    continue
-                q = out.c.get(merged)
-                s = term if q is None else q + term
-                if s.is_zero():
-                    out.c.pop(merged, None)
-                else:
-                    out.c[merged] = s
+                add_term(out.c, merged, (sa * sign) * (pa * dpb))
     return out
 
 
@@ -277,19 +254,13 @@ def deRham_d(alpha):
     for key, p in alpha.c.items():
         for i in range(n):
             dp = p.diff(i)
-            if dp.is_zero():
+            if not dp:
                 continue
             ms = _merge_sign((i,), key)
             if ms is None:
                 continue
             sign, merged = ms
-            term = sign * dp
-            q = out.c.get(merged)
-            s = term if q is None else q + term
-            if s.is_zero():
-                out.c.pop(merged, None)
-            else:
-                out.c[merged] = s
+            add_term(out.c, merged, sign * dp)
     return out
 
 
@@ -315,15 +286,7 @@ def contract(mv, alpha):
                 sign *= s
             if dead:
                 continue
-            term = sign * (pv * pf)
-            if term.is_zero():
-                continue
-            q = out.c.get(key)
-            s2 = term if q is None else q + term
-            if s2.is_zero():
-                out.c.pop(key, None)
-            else:
-                out.c[key] = s2
+            add_term(out.c, key, sign * (pv * pf))
     return out
 
 
@@ -361,13 +324,7 @@ def hkr(mv):
                 e = [0] * n
                 e[key[perm[b]]] = 1
                 tkey.append(tuple(e))
-            tkey = tuple(tkey)
-            q = terms.get(tkey)
-            s = sgn * p if q is None else q + sgn * p
-            if s.is_zero():
-                terms.pop(tkey, None)
-            else:
-                terms[tkey] = s
+            add_term(terms, tuple(tkey), sgn * p)
     op = PolyDiffOperator(n, k)
     op.terms = terms
     return op

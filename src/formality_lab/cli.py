@@ -2,7 +2,8 @@
 
 One subcommand: ``formality-lab run <manifest>``.  The manifest is the
 single source of truth for a batch of checks; the flags only control
-output format, parallelism, and where the report goes.
+output format and where the report goes.  Jobs run one after another in
+declaration order.
 
 Exit codes: 0 all pass-type jobs pass, 1 any check failure, 2 on usage,
 parse, or resolution errors.
@@ -10,7 +11,6 @@ parse, or resolution errors.
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .core.series import WindowOverflow
 from .manifest import ManifestError, load_manifest
@@ -47,7 +47,8 @@ def _build_parser():
         type=_positive_int,
         default=1,
         metavar="N",
-        help="number of jobs to run concurrently (default: 1)",
+        help="accepted for compatibility; has no effect (jobs run in "
+        "declaration order)",
     )
     run.add_argument(
         "--out",
@@ -92,24 +93,11 @@ def main(argv=None):
         print(f"formality-lab: {e}", file=sys.stderr)
         return 2
 
-    outcomes = [None] * len(mf.jobs)
-    errors = [None] * len(mf.jobs)
-
-    def worker(i):
+    outcomes = []
+    for job in mf.jobs:
         try:
-            outcomes[i] = _execute(mf.jobs[i], mf)
+            outcomes.append(_execute(job, mf))
         except ManifestError as e:
-            errors[i] = e
-
-    if ns.jobs > 1 and len(mf.jobs) > 1:
-        with ThreadPoolExecutor(max_workers=ns.jobs) as pool:
-            list(pool.map(worker, range(len(mf.jobs))))
-    else:
-        for i in range(len(mf.jobs)):
-            worker(i)
-
-    for e in errors:
-        if e is not None:
             print(f"formality-lab: {e}", file=sys.stderr)
             return 2
 

@@ -13,17 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .basis import add_term, rational
+
 
 class WindowOverflow(ValueError):
     """A u-exponent left the declared window with a nonzero coefficient."""
-
-
-def _as_fraction(v):
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError(f"expected exact rational, got {type(v).__name__}")
 
 
 class FormalSeries:
@@ -41,8 +35,8 @@ class FormalSeries:
         self.c = {}
         if coeffs:
             for (kt, ku), v in coeffs.items():
-                v = _as_fraction(v)
-                if v == 0:
+                v = rational(v)
+                if not v:
                     continue
                 if kt < 0:
                     raise ValueError("negative t-exponent")
@@ -50,8 +44,7 @@ class FormalSeries:
                     continue  # silent: t-truncation is an ideal
                 if not (ulo <= ku <= uhi):
                     raise WindowOverflow(f"u^{ku} outside window [{ulo}, {uhi}]")
-                self.c[(kt, ku)] = self.c.get((kt, ku), Fraction(0)) + v
-            self.c = {k: v for k, v in self.c.items() if v != 0}
+                add_term(self.c, (kt, ku), v)
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -60,11 +53,11 @@ class FormalSeries:
 
     @classmethod
     def scalar(cls, v, nt, u_window=(0, 0)):
-        return cls({(0, 0): _as_fraction(v)}, nt=nt, u_window=u_window)
+        return cls({(0, 0): v}, nt=nt, u_window=u_window)
 
     @classmethod
     def monomial(cls, kt, ku, nt, u_window=(0, 0), coeff=1):
-        return cls({(kt, ku): _as_fraction(coeff)}, nt=nt, u_window=u_window)
+        return cls({(kt, ku): coeff}, nt=nt, u_window=u_window)
 
     # -- helpers ---------------------------------------------------------
     def _check_compatible(self, other):
@@ -74,21 +67,19 @@ class FormalSeries:
     def coeff(self, kt, ku):
         return self.c.get((kt, ku), Fraction(0))
 
+    def __bool__(self):
+        return bool(self.c)
+
     def is_zero(self):
-        return not self.c
+        return not self
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
         self._check_compatible(other)
-        out = dict(self.c)
-        for k, v in other.c.items():
-            w = out.get(k, Fraction(0)) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
         s = FormalSeries.zero(self.nt, (self.ulo, self.uhi))
-        s.c = out
+        s.c = dict(self.c)
+        for k, v in other.c.items():
+            add_term(s.c, k, v)
         return s
 
     def __neg__(self):
@@ -100,7 +91,7 @@ class FormalSeries:
         return self + (-other)
 
     def __rmul__(self, scalar):
-        v = _as_fraction(scalar)
+        v = rational(scalar)
         s = FormalSeries.zero(self.nt, (self.ulo, self.uhi))
         if v:
             s.c = {k: v * w for k, w in self.c.items()}
@@ -142,13 +133,10 @@ def series_mul(a, b):
             kt = ta + tb
             if kt > a.nt:
                 continue
-            key = (kt, ua + ub)
-            acc[key] = acc.get(key, Fraction(0)) + va * vb
-    out = FormalSeries.zero(a.nt, (a.ulo, a.uhi))
-    for (kt, ku), v in acc.items():
-        if v == 0:
-            continue
+            add_term(acc, (kt, ua + ub), va * vb)
+    for _, ku in acc:
         if not (a.ulo <= ku <= a.uhi):
             raise WindowOverflow(f"u^{ku} outside window [{a.ulo}, {a.uhi}]")
-        out.c[(kt, ku)] = v
+    out = FormalSeries.zero(a.nt, (a.ulo, a.uhi))
+    out.c = acc
     return out

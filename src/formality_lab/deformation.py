@@ -18,6 +18,7 @@ from math import factorial
 from . import polydiff as pd
 from .algebras import FunctionModel
 from .cartan import MultiVector, hkr, poisson_bracket
+from .core.basis import add_term
 from .core.series import FormalSeries
 from .linfty import MCElement
 from .poly import Poly, monomials_upto
@@ -77,20 +78,12 @@ class StarProduct:
                 base = ka + kb
                 if base > self.nt:
                     continue
-                prod0 = fa * fb
-                if not prod0.is_zero():
-                    cur = out.get(base)
-                    out[base] = prod0 if cur is None else cur + prod0
+                add_term(out, base, fa * fb)
                 for m, op in self.ops.items():
                     k = base + m
-                    if k > self.nt:
-                        continue
-                    v = op.apply([fa, fb])
-                    if v.is_zero():
-                        continue
-                    cur = out.get(k)
-                    out[k] = v if cur is None else cur + v
-        return {k: v for k, v in out.items() if not v.is_zero()}
+                    if k <= self.nt:
+                        add_term(out, k, op.apply([fa, fb]))
+        return out
 
 
 def moyal(pi, nt, model=None):
@@ -127,13 +120,7 @@ def moyal(pi, nt, model=None):
                 alpha[i] += 1
                 beta[j] += 1
                 coeff *= v
-            key = (tuple(alpha), tuple(beta))
-            cur = op.terms.get(key)
-            tot = (cur.constant_term() if cur else Fraction(0)) + coeff
-            if tot:
-                op.terms[key] = Poly.const(n, tot)
-            else:
-                op.terms.pop(key, None)
+            add_term(op.terms, (tuple(alpha), tuple(beta)), Poly.const(n, coeff))
         if op.terms:
             ops[m] = op
     return StarProduct(model, ops, nt)

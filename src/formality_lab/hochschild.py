@@ -16,8 +16,17 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as _cartesian
 
-from .core.basis import vadd_into
+from .core.basis import add_term, rational, vadd_into, vec
 from .core.linalg import rank_kernel
+
+
+def _add_vec(table, key, v, scale=1):
+    """table[key] += scale * v for a table of sparse vectors, dropping the
+    key when its vector cancels."""
+    acc = table.setdefault(key, {})
+    vadd_into(acc, v, scale)
+    if not acc:
+        del table[key]
 
 
 class Cochain:
@@ -37,12 +46,7 @@ class Cochain:
                 tup = tuple(tup)
                 if len(tup) != arity or any(not 0 <= i < dim for i in tup):
                     raise ValueError(f"bad input tuple {tup!r}")
-                vv = {k: Fraction(c) for k, c in v.items() if Fraction(c) != 0}
-                if vv:
-                    acc = self.table.setdefault(tup, {})
-                    vadd_into(acc, vv)
-                    if not acc:
-                        del self.table[tup]
+                _add_vec(self.table, tup, vec(*v.items()))
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -67,7 +71,7 @@ class Cochain:
     @classmethod
     def element(cls, algebra, vector):
         c = cls(algebra, 0)
-        vv = {k: Fraction(v) for k, v in vector.items() if Fraction(v) != 0}
+        vv = vec(*vector.items())
         if vv:
             c.table[()] = vv
         return c
@@ -86,10 +90,7 @@ class Cochain:
         out = Cochain(self.algebra, self.arity)
         out.table = {t: dict(v) for t, v in self.table.items()}
         for t, v in other.table.items():
-            acc = out.table.setdefault(t, {})
-            vadd_into(acc, v)
-            if not acc:
-                del out.table[t]
+            _add_vec(out.table, t, v)
         return out
 
     def __neg__(self):
@@ -101,7 +102,7 @@ class Cochain:
         return self + (-other)
 
     def __rmul__(self, scalar):
-        scalar = scalar if isinstance(scalar, Fraction) else Fraction(scalar)
+        scalar = rational(scalar)
         out = Cochain(self.algebra, self.arity)
         if scalar:
             out.table = {
@@ -118,8 +119,11 @@ class Cochain:
             and self.table == other.table
         )
 
+    def __bool__(self):
+        return bool(self.table)
+
     def is_zero(self):
-        return not self.table
+        return not self
 
     def __repr__(self):
         return f"Cochain(arity={self.arity}, {len(self.table)} entries)"
@@ -173,11 +177,7 @@ class Cochain:
                 c = evec.get(k)
                 if not c:
                     continue
-                key = dtup[:pos] + etup + dtup[pos + 1 :]
-                acc = out.table.setdefault(key, {})
-                vadd_into(acc, dvec, c)
-                if not acc:
-                    del out.table[key]
+                _add_vec(out.table, dtup[:pos] + etup + dtup[pos + 1 :], dvec, c)
         return out
 
 
@@ -218,11 +218,7 @@ def cup(D, E):
             prod = A.mul(dvec, evec)
             if not prod:
                 continue
-            key = dtup + etup
-            acc = out.table.setdefault(key, {})
-            vadd_into(acc, prod, sign)
-            if not acc:
-                del out.table[key]
+            _add_vec(out.table, dtup + etup, prod, sign)
     return out
 
 
@@ -281,12 +277,7 @@ class Chain:
                 tup = tuple(tup)
                 if len(tup) != n + 1 or any(not 0 <= i < dim for i in tup):
                     raise ValueError(f"bad chain tuple {tup!r}")
-                v = Fraction(v)
-                w = self.c.get(tup, Fraction(0)) + v
-                if w:
-                    self.c[tup] = w
-                else:
-                    self.c.pop(tup, None)
+                add_term(self.c, tup, rational(v))
 
     @classmethod
     def elementary(cls, algebra, tup):
@@ -301,11 +292,7 @@ class Chain:
         out = Chain(self.algebra, self.n)
         out.c = dict(self.c)
         for t, v in other.c.items():
-            w = out.c.get(t, Fraction(0)) + v
-            if w:
-                out.c[t] = w
-            else:
-                out.c.pop(t, None)
+            add_term(out.c, t, v)
         return out
 
     def __neg__(self):
@@ -317,7 +304,7 @@ class Chain:
         return self + (-other)
 
     def __rmul__(self, scalar):
-        scalar = scalar if isinstance(scalar, Fraction) else Fraction(scalar)
+        scalar = rational(scalar)
         out = Chain(self.algebra, self.n)
         if scalar:
             out.c = {t: scalar * v for t, v in self.c.items()}
@@ -328,8 +315,11 @@ class Chain:
             return NotImplemented
         return self.algebra is other.algebra and self.n == other.n and self.c == other.c
 
+    def __bool__(self):
+        return bool(self.c)
+
     def is_zero(self):
-        return not self.c
+        return not self
 
     def normalized(self):
         """Kill terms with the unit in a reducible slot (positions 1..n)."""
@@ -358,23 +348,13 @@ def chain_b(ch):
             sign = -1 if i % 2 else 1
             key_head, key_tail = tup[:i], tup[i + 2 :]
             for k, v in prod.items():
-                key = key_head + (k,) + key_tail
-                w = out.c.get(key, Fraction(0)) + sign * coeff * v
-                if w:
-                    out.c[key] = w
-                else:
-                    out.c.pop(key, None)
+                add_term(out.c, key_head + (k,) + key_tail, sign * coeff * v)
         prod = A.table.get((tup[n], tup[0]))
         if prod:
             sign = -1 if n % 2 else 1
             tail = tup[1:n]
             for k, v in prod.items():
-                key = (k,) + tail
-                w = out.c.get(key, Fraction(0)) + sign * coeff * v
-                if w:
-                    out.c[key] = w
-                else:
-                    out.c.pop(key, None)
+                add_term(out.c, (k,) + tail, sign * coeff * v)
     return out
 
 
@@ -395,12 +375,7 @@ def connes_B(ch):
             if ui in rotated:
                 continue
             sign = -1 if (n * i) % 2 else 1
-            key = (ui,) + rotated
-            w = out.c.get(key, Fraction(0)) + sign * coeff
-            if w:
-                out.c[key] = w
-            else:
-                out.c.pop(key, None)
+            add_term(out.c, (ui,) + rotated, sign * coeff)
     return out
 
 
@@ -429,12 +404,7 @@ def lie_action(D, ch):
             sign = -1 if ((d - 1) * (i + 1)) % 2 else 1
             head, tail = tup[: i + 1], tup[i + d + 1 :]
             for k, v in val.items():
-                key = head + (k,) + tail
-                w = out.c.get(key, Fraction(0)) + sign * coeff * v
-                if w:
-                    out.c[key] = w
-                else:
-                    out.c.pop(key, None)
+                add_term(out.c, head + (k,) + tail, sign * coeff * v)
         for j in range(max(n - d + 1, 0), n + 1):
             args = tup[j + 1 : n + 1] + tup[0 : d + j - n]
             val = D.table.get(args)
@@ -443,12 +413,7 @@ def lie_action(D, ch):
             sign = -1 if (n * (j + 1)) % 2 else 1
             rest = tup[d + j - n : j + 1]
             for k, v in val.items():
-                key = (k,) + rest
-                w = out.c.get(key, Fraction(0)) + sign * coeff * v
-                if w:
-                    out.c[key] = w
-                else:
-                    out.c.pop(key, None)
+                add_term(out.c, (k,) + rest, sign * coeff * v)
     return out
 
 
@@ -461,15 +426,9 @@ def cyclic_differential(parts):
     out = {}
     for k, ch in parts.items():
         if ch.n >= 1:
-            bpart = chain_b(ch).normalized()
-            if not bpart.is_zero():
-                acc = out.get(k)
-                out[k] = bpart if acc is None else acc + bpart
-        Bpart = connes_B(ch)
-        if not Bpart.is_zero():
-            acc = out.get(k + 1)
-            out[k + 1] = Bpart if acc is None else acc + Bpart
-    return {k: v for k, v in out.items() if not v.is_zero()}
+            add_term(out, k, chain_b(ch).normalized())
+        add_term(out, k + 1, connes_B(ch))
+    return out
 
 
 # -- homology -----------------------------------------------------------------

@@ -8,8 +8,9 @@ with the suspension sign from core.signs.decalage_sign, so the identities
 take the pure shifted-Koszul form: a differential graded Lie algebra
 packaged as (l1, l2) passes with no manual sign threading.
 
-Elements are anything with +, scalar *, ==, is_zero (cochains, chains,
-multivectors, forms, operator tables, epsilon pairs).
+Elements are anything with +, scalar *, ==, is_zero and a truth value
+that is False exactly on zero (cochains, chains, multivectors, forms,
+operator tables, epsilon pairs).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from .core.basis import add_term
 from .core.signs import decalage_sign, unshuffle_sign
 
 
@@ -455,8 +457,11 @@ class MCElement:
             if k <= nt and v is not None and not v.is_zero():
                 self.parts[k] = v
 
+    def __bool__(self):
+        return bool(self.parts)
+
     def is_zero(self):
-        return not self.parts
+        return not self
 
     def __eq__(self, other):
         return (
@@ -470,12 +475,7 @@ class MCElement:
             raise ValueError("order caps differ")
         out = dict(self.parts)
         for k, v in other.parts.items():
-            cur = out.get(k)
-            s = v if cur is None else cur + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            add_term(out, k, v)
         return MCElement(out, self.nt)
 
     def __rmul__(self, scalar):
@@ -493,14 +493,8 @@ def _series_bracket(S, n, series_list, nt):
         if k > nt:
             continue
         val = S.apply(n, [series_list[i].parts[combo[i]] for i in range(n)])
-        if val is None or val.is_zero():
-            continue
-        cur = out.get(k)
-        s = val if cur is None else cur + val
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
+        if val is not None:
+            add_term(out, k, val)
     return out
 
 
@@ -520,13 +514,7 @@ def mc_residual(S, pi, max_arity=None):
             continue
         contrib = _series_bracket(S, n, [pi] * n, pi.nt)
         for k, v in contrib.items():
-            v = Fraction(1, fact) * v
-            cur = total.get(k)
-            s = v if cur is None else cur + v
-            if s.is_zero():
-                total.pop(k, None)
-            else:
-                total[k] = s
+            add_term(total, k, Fraction(1, fact) * v)
     return total
 
 
@@ -552,14 +540,8 @@ def gauge(S, X, pi):
                 if k > nt:
                     continue
                 val = S.apply(2, [vx, v2])
-                if val is None or val.is_zero():
-                    continue
-                cur = out.get(k)
-                s = val if cur is None else cur + val
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+                if val is not None:
+                    add_term(out, k, val)
         return out
 
     # ad_X(differential + pi) = [X, pi] - l1(X)
@@ -569,14 +551,8 @@ def gauge(S, X, pi):
             if kx > nt:
                 continue
             dv = S.apply(1, [vx])
-            if dv is None or dv.is_zero():
-                continue
-            cur = current.get(kx)
-            s = (-1) * dv if cur is None else cur - dv
-            if s.is_zero():
-                current.pop(kx, None)
-            else:
-                current[kx] = s
+            if dv is not None:
+                add_term(current, kx, (-1) * dv)
 
     total = dict(pi.parts)
     fact = 1
@@ -584,13 +560,7 @@ def gauge(S, X, pi):
     while current:
         coeff = Fraction(1, fact)
         for k, v in current.items():
-            add = coeff * v
-            cur = total.get(k)
-            s = add if cur is None else cur + add
-            if s.is_zero():
-                total.pop(k, None)
-            else:
-                total[k] = s
+            add_term(total, k, coeff * v)
         j += 1
         fact *= j
         # every ad_X raises the minimal order by at least one
@@ -621,22 +591,10 @@ def mc_pushforward(f, pi):
             if k > nt:
                 continue
             val = f.apply(n, [pi.parts[c] for c in combo])
-            if val is None or val.is_zero():
-                continue
-            cur = contrib.get(k)
-            s = val if cur is None else cur + val
-            if s.is_zero():
-                contrib.pop(k, None)
-            else:
-                contrib[k] = s
+            if val is not None:
+                add_term(contrib, k, val)
         for k, v in contrib.items():
-            v = Fraction(1, fct) * v
-            cur = total.get(k)
-            s = v if cur is None else cur + v
-            if s.is_zero():
-                total.pop(k, None)
-            else:
-                total[k] = s
+            add_term(total, k, Fraction(1, fct) * v)
     return MCElement(total, nt)
 
 
@@ -656,8 +614,11 @@ class EpsilonElement:
         self.tail = None if (tail is None or tail.is_zero()) else tail
         self.degree = degree
 
+    def __bool__(self):
+        return self.body is not None or self.tail is not None
+
     def is_zero(self):
-        return self.body is None and self.tail is None
+        return not self
 
     def __eq__(self, other):
         if not isinstance(other, EpsilonElement):

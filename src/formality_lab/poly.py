@@ -10,9 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as _cartesian
 
-
-def _frac(v):
-    return v if isinstance(v, Fraction) else Fraction(v)
+from .core.basis import add_term, rational
 
 
 class Poly:
@@ -23,14 +21,13 @@ class Poly:
         self.c = {}
         if coeffs:
             for e, v in coeffs.items():
-                v = _frac(v)
-                if v == 0:
+                v = rational(v)
+                if not v:
                     continue
                 e = tuple(e)
                 if len(e) != n or any(k < 0 for k in e):
                     raise ValueError(f"bad exponent tuple {e!r} for {n} variables")
-                self.c[e] = self.c.get(e, Fraction(0)) + v
-            self.c = {e: v for e, v in self.c.items() if v}
+                add_term(self.c, e, v)
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -39,7 +36,7 @@ class Poly:
 
     @classmethod
     def const(cls, n, v):
-        return cls(n, {(0,) * n: _frac(v)})
+        return cls(n, {(0,) * n: v})
 
     @classmethod
     def var(cls, n, i):
@@ -49,11 +46,14 @@ class Poly:
 
     @classmethod
     def monomial(cls, n, exps, coeff=1):
-        return cls(n, {tuple(exps): _frac(coeff)})
+        return cls(n, {tuple(exps): coeff})
 
     # -- predicates & access ----------------------------------------------
+    def __bool__(self):
+        return bool(self.c)
+
     def is_zero(self):
-        return not self.c
+        return not self
 
     def total_degree(self):
         """Max total degree; -1 for the zero polynomial."""
@@ -75,15 +75,10 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.c)
-        for e, v in other.c.items():
-            w = out.get(e, Fraction(0)) + v
-            if w:
-                out[e] = w
-            else:
-                out.pop(e, None)
         p = Poly.zero(self.n)
-        p.c = out
+        p.c = dict(self.c)
+        for e, v in other.c.items():
+            add_term(p.c, e, v)
         return p
 
     def __neg__(self):
@@ -95,7 +90,7 @@ class Poly:
         return self + (-other)
 
     def __rmul__(self, scalar):
-        v = _frac(scalar)
+        v = rational(scalar)
         p = Poly.zero(self.n)
         if v:
             p.c = {e: v * w for e, w in self.c.items()}
@@ -108,12 +103,7 @@ class Poly:
         out = {}
         for e1, v1 in self.c.items():
             for e2, v2 in other.c.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                w = out.get(e, Fraction(0)) + v1 * v2
-                if w:
-                    out[e] = w
-                else:
-                    out.pop(e, None)
+                add_term(out, tuple(a + b for a, b in zip(e1, e2)), v1 * v2)
         p = Poly.zero(self.n)
         p.c = out
         return p
@@ -144,7 +134,7 @@ class Poly:
         for i, k in enumerate(alpha):
             for _ in range(k):
                 p = p.diff(i)
-                if p.is_zero():
+                if not p:
                     return p
         return p
 
@@ -157,7 +147,7 @@ class Poly:
     def eval(self, point):
         if len(point) != self.n:
             raise ValueError("point dimension mismatch")
-        point = [_frac(x) for x in point]
+        point = [rational(x) for x in point]
         total = Fraction(0)
         for e, v in self.c.items():
             w = v

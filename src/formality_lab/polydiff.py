@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import product as _cartesian
 from math import factorial
 
+from .core.basis import add_term, rational
 from .core.linalg import solve
 from .poly import Poly
 
@@ -52,17 +53,6 @@ def _leibniz_splits(alpha, parts):
         yield split, weight
 
 
-def _add_term(terms, key, poly):
-    if key in terms:
-        s = terms[key] + poly
-        if s.is_zero():
-            del terms[key]
-        else:
-            terms[key] = s
-    elif not poly.is_zero():
-        terms[key] = poly
-
-
 class PolyDiffOperator:
     """terms[(T_1, .., T_n)] = coefficient polynomial (zero-free dict)."""
 
@@ -86,7 +76,7 @@ class PolyDiffOperator:
                     poly = Poly.const(nvars, poly)
                 if poly.n != nvars:
                     raise ValueError("coefficient variable count mismatch")
-                _add_term(self.terms, key, poly)
+                add_term(self.terms, key, poly)
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -110,7 +100,7 @@ class PolyDiffOperator:
     def element(cls, poly):
         """An arity-0 cochain: the polynomial itself."""
         op = cls(poly.n, 0)
-        if not poly.is_zero():
+        if poly:
             op.terms[()] = poly
         return op
 
@@ -129,7 +119,7 @@ class PolyDiffOperator:
         out = PolyDiffOperator(self.nvars, self.arity)
         out.terms = dict(self.terms)
         for key, poly in other.terms.items():
-            _add_term(out.terms, key, poly)
+            add_term(out.terms, key, poly)
         return out
 
     def __neg__(self):
@@ -141,7 +131,7 @@ class PolyDiffOperator:
         return self + (-other)
 
     def __rmul__(self, scalar):
-        scalar = scalar if isinstance(scalar, Fraction) else Fraction(scalar)
+        scalar = rational(scalar)
         out = PolyDiffOperator(self.nvars, self.arity)
         if scalar:
             out.terms = {k: scalar * p for k, p in self.terms.items()}
@@ -156,8 +146,11 @@ class PolyDiffOperator:
             and self.terms == other.terms
         )
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def is_zero(self):
-        return not self.terms
+        return not self
 
     def __repr__(self):
         return (
@@ -173,7 +166,7 @@ class PolyDiffOperator:
         for key, c in self.terms.items():
             p = c
             for alpha, a in zip(key, args):
-                if p.is_zero():
+                if not p:
                     break
                 p = p * a.diff_multi(alpha)
             total = total + p
@@ -195,14 +188,14 @@ class PolyDiffOperator:
             for betas, e in other.terms.items():
                 for split, weight in _leibniz_splits(alpha, m + 1):
                     coeff = weight * (c * e.diff_multi(split[0]))
-                    if coeff.is_zero():
+                    if not coeff:
                         continue
                     mids = tuple(
                         tuple(b + s for b, s in zip(beta, spl))
                         for beta, spl in zip(betas, split[1:])
                     )
                     key = alphas[:pos] + mids + alphas[pos + 1 :]
-                    _add_term(out.terms, key, coeff)
+                    add_term(out.terms, key, coeff)
         return out
 
 
@@ -240,7 +233,7 @@ def cup(D, E):
     out = PolyDiffOperator(D.nvars, n + m)
     for alphas, c in D.terms.items():
         for betas, e in E.terms.items():
-            _add_term(out.terms, alphas + betas, sign * (c * e))
+            add_term(out.terms, alphas + betas, sign * (c * e))
     return out
 
 
@@ -320,7 +313,7 @@ def delta_primitive(target):
             return None
         for j, val in sol.items():
             if val:
-                _add_term(result.terms, basis[j], Poly.monomial(nv, mono, val))
+                add_term(result.terms, basis[j], Poly.monomial(nv, mono, val))
     return result
 
 

@@ -21,6 +21,7 @@ from formality_lab.cartan import (
     schouten,
 )
 from formality_lab import hochschild, polydiff
+from formality_lab.core.basis import add_term
 from formality_lab.algebras import FunctionModel, jet_algebra
 from formality_lab.hochschild import Chain, chain_b, connes_B, from_polydiff
 from formality_lab.polydiff import bracket, cup, delta, delta_primitive
@@ -352,7 +353,7 @@ def test_delta_primitive_roundtrip():
         for _ in range(3):
             a1 = tuple(rng.randint(0, 2) for _ in range(2))
             a2 = tuple(rng.randint(0, 2) for _ in range(2))
-            polydiff._add_term(X.terms, (a1, a2), rand_poly(rng, 2, 2))
+            add_term(X.terms, (a1, a2), rand_poly(rng, 2, 2))
         T = delta(X)
         if T.is_zero():
             continue

@@ -9,7 +9,7 @@ from formality_lab.core.signs import (
     decalage_sign,
 )
 from formality_lab.core.series import FormalSeries, WindowOverflow, series_mul
-from formality_lab.core.basis import vec, vadd_into
+from formality_lab.core.basis import add_term, vec, vadd_into
 from formality_lab.core.linalg import rank_kernel, solve
 
 
@@ -150,6 +150,13 @@ def test_vec_helpers():
     acc = dict(v)
     vadd_into(acc, w)
     assert acc == {"a": 1}
+    add_term(acc, "b", Fraction(0))
+    assert acc == {"a": 1}
+    add_term(acc, "a", Fraction(-1, 2))
+    add_term(acc, "b", Fraction(1, 2))
+    assert acc == {"a": Fraction(1, 2), "b": Fraction(1, 2)}
+    add_term(acc, "a", Fraction(-1, 2))
+    assert acc == {"b": Fraction(1, 2)}
 
 
 # -- linear algebra -------------------------------------------------------------
