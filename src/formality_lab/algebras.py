@@ -27,7 +27,7 @@ class StructureAlgebra:
         for (i, j), v in table.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise ValueError(f"table key {(i, j)} out of range")
-            entry = {k: Fraction(c) for k, c in v.items() if Fraction(c) != 0}
+            entry = vec(*v.items())
             for k in entry:
                 if not 0 <= k < self.dim:
                     raise ValueError(f"table value index {k} out of range")
@@ -35,7 +35,7 @@ class StructureAlgebra:
                 self.table[(i, j)] = entry
         if unit_vector is None:
             unit_vector = self._solve_unit()
-        self.unit = {k: Fraction(c) for k, c in unit_vector.items() if Fraction(c) != 0}
+        self.unit = vec(*unit_vector.items())
         # index of the unit when it is literally a basis element
         self.unit_index = None
         if len(self.unit) == 1:

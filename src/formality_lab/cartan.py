@@ -111,7 +111,11 @@ class _Exterior:
                     out.c[key] = s
             return out
         scalar = rational(scalar)
-        if scalar:
+        if scalar == -1:
+            return -self
+        if scalar == 1:
+            out.c = dict(self.c)
+        elif scalar:
             out.c = {key: scalar * p for key, p in self.c.items()}
         return out
 

@@ -98,7 +98,7 @@ class FormalSeries:
         return s
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, FormalSeries):
             return self.__rmul__(other)
         return series_mul(self, other)
 

@@ -18,7 +18,7 @@ from math import factorial
 from . import polydiff as pd
 from .algebras import FunctionModel
 from .cartan import MultiVector, hkr, poisson_bracket
-from .core.basis import add_term
+from .core.basis import add_term, rational
 from .core.series import FormalSeries
 from .linfty import MCElement
 from .poly import Poly, monomials_upto
@@ -96,14 +96,15 @@ def moyal(pi, nt, model=None):
     for row in pi:
         if len(row) != n:
             raise ValueError("matrix must be square")
+    pi = [[rational(v) for v in row] for row in pi]
     for i in range(n):
         for j in range(n):
-            if Fraction(pi[i][j]) != -Fraction(pi[j][i]):
+            if pi[i][j] != -pi[j][i]:
                 raise ValueError("matrix must be antisymmetric")
     if model is None:
         model = FunctionModel(n, 4)
     entries = [
-        (i, j, Fraction(pi[i][j]))
+        (i, j, pi[i][j])
         for i in range(n)
         for j in range(n)
         if pi[i][j]

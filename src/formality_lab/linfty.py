@@ -16,7 +16,7 @@ operator tables, epsilon pairs).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .core.basis import add_term
 from .core.signs import decalage_sign, unshuffle_sign
@@ -484,11 +484,9 @@ class MCElement:
 
 def _series_bracket(S, n, series_list, nt):
     """Order-by-order n-ary bracket of formal series elements."""
-    from itertools import product as _prod
-
     out = {}
     orders = [sorted(s.parts) for s in series_list]
-    for combo in _prod(*orders):
+    for combo in product(*orders):
         k = sum(combo)
         if k > nt:
             continue
@@ -583,10 +581,8 @@ def mc_pushforward(f, pi):
         if n > nt:
             continue
         contrib = {}
-        from itertools import product as _prod
-
         orders = [sorted(pi.parts)] * n
-        for combo in _prod(*orders):
+        for combo in product(*orders):
             k = sum(combo)
             if k > nt:
                 continue
@@ -755,40 +751,49 @@ def epsilon_extend(degree, mul, bracket, generators=()):
     return E
 
 
-def check_gerstenhaber(A, max_triples=None):
+def check_gerstenhaber(A):
     """Verify the graded-commutative / odd-Lie / Leibniz laws on the
     generators of A, plus the square-zero and bracket-generating laws of
     delta when A has one.  Returns a CheckReport whose witnesses are
-    (law, generator names, residual)."""
-    deg = A.degree
+    (law, generator names, residual).
+
+    Every pairwise product and bracket of generators is computed once, into
+    the N x N tables P and B, and the pair and triple laws read them."""
     mul = A.mul
     brk = A.bracket
     delta = getattr(A, "delta", None)
     gens = A.generators
+    names = [name for name, _ in gens]
+    elems = [g for _, g in gens]
+    degs = [A.degree(g) for g in elems]
+    P = [[mul(x, y) for y in elems] for x in elems]
+    B = [[brk(x, y) for y in elems] for x in elems]
     witnesses = []
     checked = 0
 
     def sgn(e):
         return -1 if e % 2 else 1
 
-    for i, (nx, x) in enumerate(gens):
-        for ny, y in gens[i:]:
-            dx, dy = deg(x), deg(y)
+    n = len(gens)
+    for i in range(n):
+        nx, x, dx = names[i], elems[i], degs[i]
+        for j in range(i, n):
+            ny, y, dy = names[j], elems[j], degs[j]
             checked += 1
-            r = mul(x, y) - sgn(dx * dy) * mul(y, x)
+            r = P[i][j] - sgn(dx * dy) * P[j][i]
             if not r.is_zero():
                 witnesses.append(("commutativity", (nx, ny), r))
             checked += 1
-            r = brk(x, y) + sgn((dx - 1) * (dy - 1)) * brk(y, x)
+            r = B[i][j] + sgn((dx - 1) * (dy - 1)) * B[j][i]
             if not r.is_zero():
                 witnesses.append(("antisymmetry", (nx, ny), r))
             if delta is not None:
                 checked += 1
                 r = (
-                    delta(mul(x, y))
+                    delta(P[i][j])
                     - mul(delta(x), y)
                     - sgn(dx) * mul(x, delta(y))
-                    - sgn(dx) * brk(x, y)
+                    - sgn(dx) * B[i][j]
                 )
                 if not r.is_zero():
                     witnesses.append(("second-order-delta", (nx, ny), r))
@@ -800,37 +805,28 @@ def check_gerstenhaber(A, max_triples=None):
             if not r.is_zero():
                 witnesses.append(("delta-squared", (nx,), r))
 
-    triples = [
-        (i, j, k)
-        for i in range(len(gens))
-        for j in range(len(gens))
-        for k in range(len(gens))
-    ]
-    if max_triples is not None:
-        triples = triples[:max_triples]
-    for i, j, k in triples:
-        nx, x = gens[i]
-        ny, y = gens[j]
-        nz, z = gens[k]
-        dx, dy, dz = deg(x), deg(y), deg(z)
+    for i, j, k in product(range(n), repeat=3):
+        x, y, z = elems[i], elems[j], elems[k]
+        dx, dy, dz = degs[i], degs[j], degs[k]
+        label = (names[i], names[j], names[k])
         checked += 1
-        r = mul(mul(x, y), z) - mul(x, mul(y, z))
+        r = mul(P[i][j], z) - mul(x, P[j][k])
         if not r.is_zero():
-            witnesses.append(("associativity", (nx, ny, nz), r))
+            witnesses.append(("associativity", label, r))
         checked += 1
         r = (
-            brk(x, mul(y, z))
-            - mul(brk(x, y), z)
-            - sgn((dx - 1) * dy) * mul(y, brk(x, z))
+            brk(x, P[j][k])
+            - mul(B[i][j], z)
+            - sgn((dx - 1) * dy) * mul(y, B[i][k])
         )
         if not r.is_zero():
-            witnesses.append(("bracket-leibniz", (nx, ny, nz), r))
+            witnesses.append(("bracket-leibniz", label, r))
         checked += 1
         r = (
-            sgn((dx - 1) * (dz - 1)) * brk(brk(x, y), z)
-            + sgn((dy - 1) * (dx - 1)) * brk(brk(y, z), x)
-            + sgn((dz - 1) * (dy - 1)) * brk(brk(z, x), y)
+            sgn((dx - 1) * (dz - 1)) * brk(B[i][j], z)
+            + sgn((dy - 1) * (dx - 1)) * brk(B[j][k], x)
+            + sgn((dz - 1) * (dy - 1)) * brk(B[k][i], y)
         )
         if not r.is_zero():
-            witnesses.append(("jacobi", (nx, ny, nz), r))
+            witnesses.append(("jacobi", label, r))
     return CheckReport(checked, witnesses, 3)

@@ -91,13 +91,17 @@ class Poly:
 
     def __rmul__(self, scalar):
         v = rational(scalar)
+        if v == -1:
+            return -self
         p = Poly.zero(self.n)
-        if v:
+        if v == 1:
+            p.c = dict(self.c)
+        elif v:
             p.c = {e: v * w for e, w in self.c.items()}
         return p
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             return self.__rmul__(other)
         self._check(other)
         out = {}

@@ -16,10 +16,11 @@ from formality_lab import cartan as ct
 from formality_lab import hochschild as hh
 from formality_lab import linfty as lf
 from formality_lab import polydiff as pd
-from formality_lab.algebras import dual_numbers, trunc_poly_algebra
+from formality_lab.algebras import StructureAlgebra, dual_numbers, trunc_poly_algebra
 from formality_lab.cartan import Form, MultiVector
 from formality_lab.core.basis import rational
 from formality_lab.core.series import FormalSeries
+from formality_lab.deformation import moyal
 from formality_lab.hochschild import Chain, Cochain
 from formality_lab.poly import Poly
 from formality_lab.polydiff import PolyDiffOperator
@@ -122,6 +123,7 @@ FLOATS = {
     "Poly.const": lambda: Poly.const(1, 0.1),
     "Poly.monomial": lambda: Poly.monomial(1, (2,), 0.1),
     "0.5 * Poly": lambda: 0.5 * Poly.var(1, 0),
+    "Poly * 0.5": lambda: Poly.var(1, 0) * 0.5,
     "MultiVector": lambda: MultiVector(2, 1, {(0,): 0.5}),
     "0.5 * MultiVector": lambda: 0.5 * FIELD,
     "Chain": lambda: Chain(A, 0, {(0,): 0.5}),
@@ -133,6 +135,10 @@ FLOATS = {
     "FormalSeries": lambda: FormalSeries({(0, 0): 0.5}, nt=2),
     "FormalSeries.scalar": lambda: FormalSeries.scalar(0.5, 2),
     "0.5 * FormalSeries": lambda: 0.5 * FormalSeries.scalar(1, 2),
+    "FormalSeries * 0.5": lambda: FormalSeries.scalar(1, 2) * 0.5,
+    "moyal": lambda: moyal([[0, 0.1], [-0.1, 0]], 1),
+    "StructureAlgebra table": lambda: StructureAlgebra(["e"], {(0, 0): {0: 0.5}}, {0: 1}),
+    "StructureAlgebra unit": lambda: StructureAlgebra(["e"], {(0, 0): {0: 1}}, {0: 1.0}),
 }
 
 

@@ -8,7 +8,8 @@ Inside ``_parent_arithmetic()`` the polynomial and exterior sums and
 products run on those bodies, so the reference never touches
 ``core.basis.add_term``.  On seeded inputs with exact cancellations the
 current code must give the same coefficient dicts, with every scalar a
-``Fraction``.
+``Fraction``.  The scalars 1 and -1, which copy or negate coefficients
+instead of multiplying them, are held to the general product the same way.
 """
 
 import random
@@ -260,3 +261,46 @@ def test_schouten_matches_reference():
     for n, o in zip(new, old):
         _assert_same_exterior(n, o)
     assert not new[0].c and not new[1].c
+
+
+# -- the unit scalars ------------------------------------------------------------
+
+def _scaled_by_multiplying(x, v):
+    """The general scalar path: every coefficient times the Fraction v."""
+    v = Fraction(v)
+    if isinstance(x, Poly):
+        p = Poly.zero(x.n)
+        p.c = {e: v * w for e, w in x.c.items()}
+        return p
+    out = type(x)(x.nvars, x.k)
+    out.c = {key: _scaled_by_multiplying(p, v) for key, p in x.c.items()}
+    return out
+
+
+def _snapshot(x):
+    if isinstance(x, Poly):
+        return dict(x.c)
+    return {key: dict(p.c) for key, p in x.c.items()}
+
+
+def test_unit_scalars_match_the_general_product():
+    # 1 and -1 copy or negate the coefficients instead of multiplying them
+    rng = random.Random(20263)
+    samples = [_poly(rng) for _ in range(30)]
+    for cls in (MultiVector, Form):
+        samples += [_exterior(rng, cls, rng.randint(0, 3)) for _ in range(15)]
+    assert all(x.c for x in samples)
+    for x in samples:
+        before = _snapshot(x)
+        for s in (1, -1, Fraction(1), Fraction(-1)):
+            want = _scaled_by_multiplying(x, s)
+            y = s * x
+            if isinstance(x, Poly):
+                _assert_same_poly(y, want)
+                _assert_same_poly(x * s, want)
+            else:
+                _assert_same_exterior(y, want)
+            # the result owns its coefficient dict
+            assert y.c is not x.c
+            y.c.clear()
+            assert _snapshot(x) == before
