@@ -316,8 +316,9 @@ def symplectic_star(sd, form):
             if not lam:
                 continue
             sign, Ic = _complement_sign(I, sd.nvars)
-            # alpha = dz_I forces the Ic coefficient: sign * coeff = lam * vcoeff
-            add_term(out.c, Ic, (lam * vcoeff / sign) * c)
+            # alpha = dz_I forces the Ic coefficient: sign * coeff = lam * vcoeff,
+            # and sign is +-1, so dividing by it is multiplying by it
+            add_term(out.c, Ic, (lam * vcoeff * sign) * c)
     return out
 
 

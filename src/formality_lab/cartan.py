@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from operator import add
 
 from .core.basis import add_term, rational
 from .poly import Poly
@@ -133,15 +134,7 @@ class _Exterior:
     def wedge(self, other):
         if type(self) is not type(other) or self.nvars != other.nvars:
             raise ValueError("mismatched wedge factors")
-        out = type(self)(self.nvars, self.k + other.k)
-        for ka, pa in self.c.items():
-            for kb, pb in other.c.items():
-                ms = _merge_sign(ka, kb)
-                if ms is None:
-                    continue
-                sign, merged = ms
-                add_term(out.c, merged, sign * (pa * pb))
-        return out
+        return _monomial_pairs(self, other, _wedge_rule, type(self), self.k + other.k)
 
     def __repr__(self):
         return f"{type(self).__name__}(k={self.k}, {len(self.c)} terms)"
@@ -181,27 +174,69 @@ def pairing(mv, form):
     return total
 
 
+# -- the monomial-pair kernel of wedge and Schouten ---------------------------------
+
+def _monomial_pairs(A, B, rule, cls, k):
+    """sum over term pairs of c_a * c_b * (frame_fa x^ea  op  frame_fb x^eb).
+
+    ``rule(fa, fb)`` gives, once per frame pair, the integer result of the
+    bilinear operation on unit frames as ``(merged, sign, i, side)``
+    entries: ``sign * frame_merged * x^(ea + eb)``, times ``eb[i]`` and with
+    ``x_i`` removed when ``side`` is 1 (d/dx_i of the right monomial), or
+    ``ea[i]`` when ``side`` is 0; ``i`` is None for no derivative.  Products
+    of coefficients accumulate flat under each merged frame with
+    ``add_term``; no intermediate ``Poly`` is built.
+    """
+    acc = {}
+    for fa, pa in A.c.items():
+        for fb, pb in B.c.items():
+            for merged, sign, i, side in rule(fa, fb):
+                terms = acc.setdefault(merged, {})
+                for ea, ca in pa.c.items():
+                    for eb, cb in pb.c.items():
+                        if i is None:
+                            add_term(terms, tuple(map(add, ea, eb)), sign * (ca * cb))
+                            continue
+                        m = eb[i] if side else ea[i]
+                        if not m:
+                            continue
+                        e = list(map(add, ea, eb))
+                        e[i] -= 1
+                        add_term(terms, tuple(e), (sign * m) * (ca * cb))
+    out = cls(A.nvars, k)
+    for merged, terms in acc.items():
+        if terms:
+            p = Poly.zero(A.nvars)
+            p.c = terms
+            out.c[merged] = p
+    return out
+
+
+def _wedge_rule(fa, fb):
+    ms = _merge_sign(fa, fb)
+    return () if ms is None else ((ms[1], ms[0], None, 0),)
+
+
 # -- Schouten bracket via the odd-symbol encoding ------------------------------
 
-def _half_bracket(A, B):
-    """sum_i (odd derivative of A by frame_i) wedge (d/dx_i of B's coefficients)."""
-    n = A.nvars
-    out = MultiVector(n, A.k + B.k - 1)
-    for i in range(n):
-        for ka, pa in A.c.items():
-            rem = _remove_index(ka, i)
-            if rem is None:
+def _schouten_rule(ka, kb):
+    """Unit-frame entries of [frame_ka x^ea, frame_kb x^eb] for ``_monomial_pairs``.
+
+    The first half is sum_i (odd derivative of the left frame by frame_i)
+    wedge (d/dx_i of the right monomial); the second half swaps the roles.
+    """
+    # sa: the (-1)^(a-1) of the first half; sw: the swap
+    # (d_ksi B)^(d_x A) -> (d_x A)^(d_ksi B), degrees (b-1) and a
+    sa = -1 if (len(ka) - 1) % 2 else 1
+    sw = -1 if ((len(kb) - 1) * len(ka)) % 2 else 1
+    out = []
+    for left, right, outer, side in ((ka, kb, sa, 1), (kb, ka, -sw, 0)):
+        for pos, i in enumerate(left):
+            ms = _merge_sign(left[:pos] + left[pos + 1 :], right)
+            if ms is None:
                 continue
-            sa, ka2 = rem
-            for kb, pb in B.c.items():
-                dpb = pb.diff(i)
-                if not dpb:
-                    continue
-                ms = _merge_sign(ka2, kb)
-                if ms is None:
-                    continue
-                sign, merged = ms
-                add_term(out.c, merged, (sa * sign) * (pa * dpb))
+            sign, merged = ms
+            out.append((merged, outer * (-sign if pos % 2 else sign), i, side))
     return out
 
 
@@ -221,15 +256,7 @@ def schouten(A, B):
         raise ValueError("variable counts differ")
     if A.k == 0 and B.k == 0:
         return MultiVector.zero(A.nvars, 0)
-    first = _half_bracket(A, B)
-    second = _half_bracket(B, A)
-    # second term rewritten: sum_i (d_x_i A)^(d_frame_i B) equals
-    # (-1)^((a-1)(b-1)) * _half_bracket(B, A) up to the factor-swap sign,
-    # so work directly with the two raw halves and calibrated signs.
-    sa = -1 if (A.k - 1) % 2 else 1
-    # swap (d_ksi B)^(d_x A) -> (d_x A)^(d_ksi B): degrees (B.k-1) and A.k
-    sw = -1 if ((B.k - 1) * A.k) % 2 else 1
-    return sa * first - sw * second
+    return _monomial_pairs(A, B, _schouten_rule, MultiVector, A.k + B.k - 1)
 
 
 def jacobiator(pi):

@@ -14,8 +14,9 @@ import hashlib
 
 LEDGER = (
     ("exact-arithmetic",
-     "All scalars are Fraction rationals; there are no floats and no "
-     "tolerances anywhere in the package."),
+     "All scalars are exact rationals: an int when the value is integral, "
+     "a Fraction otherwise; there are no floats and no tolerances anywhere "
+     "in the package."),
     ("suspension-signs",
      "Graded symmetry signs are computed on degrees shifted down by one "
      "(core.signs, shift 1); unshuffle sums dress raw multilinear tables "

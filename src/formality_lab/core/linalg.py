@@ -44,7 +44,7 @@ def rank_kernel(rows, ncols):
             if piv is None:
                 pivots[c] = _normalize_row(row)
                 break
-            factor = row[c] / piv[c]
+            factor = row[c] / piv[c]  # Fractions both: never an int / int float
             for cc, vv in piv.items():
                 w = row.get(cc, 0) - factor * vv
                 if w:
@@ -70,5 +70,5 @@ def solve(rows, rhs, ncols):
         row = pivots[c]
         v = row.get(ncols, 0) - sum(a * x[cc] for cc, a in row.items() if cc in x)
         if v:
-            x[c] = v / row[c]
+            x[c] = v / row[c]  # row[c] is a Fraction from _normalize_row
     return {c: x[c] for c in pivots if c in x}  # pivot order: callers iterate x

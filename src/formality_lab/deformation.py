@@ -144,24 +144,25 @@ class StarReport:
 def check_associativity(s, degree=None):
     """(f*g)*h - f*(g*h) on all monomial triples up to ``degree``.
 
-    Witnesses are (exponent triple, t-order, defect polynomial).
+    Witnesses are (exponent triple, t-order, defect polynomial).  Every
+    pairwise product f*g is built once per call, in an N x N table, and
+    serves as both f*g and g*h.
     """
     if degree is None:
         degree = s.model.cap
     n = s.model.nvars
     monos = monomials_upto(n, degree)
+    series = [{0: Poly.monomial(n, e)} for e in monos]
+    pair = [[s.star_series(f, g) for g in series] for f in series]
     witnesses = []
     checked = 0
-    for ea in monos:
-        fa = {0: Poly.monomial(n, ea)}
-        for eb in monos:
-            fb = Poly.monomial(n, eb)
-            ab = s.star_series(fa, {0: fb})
-            for ec in monos:
-                fc = {0: Poly.monomial(n, ec)}
-                bc = s.star_series({0: fb}, fc)
-                lhs = s.star_series(ab, fc)
-                rhs = s.star_series(fa, bc)
+    for ia, ea in enumerate(monos):
+        fa = series[ia]
+        for ib, eb in enumerate(monos):
+            ab = pair[ia][ib]
+            for ic, ec in enumerate(monos):
+                lhs = s.star_series(ab, series[ic])
+                rhs = s.star_series(fa, pair[ib][ic])
                 checked += 1
                 for k in sorted(set(lhs) | set(rhs)):
                     d = lhs.get(k, Poly.zero(n)) - rhs.get(k, Poly.zero(n))

@@ -1,13 +1,13 @@
 """Sparse multivariate polynomials over the rationals.
 
-Terms are a dict from exponent tuples to Fractions with no stored zeros.
+Terms are a dict from exponent tuples to exact scalars (``int`` or
+``Fraction``, see ``core.basis``) with no stored zeros.
 Nothing here ever truncates: the degree-capped quotient lives in
 ``algebras.FunctionModel``, which wraps these with a truncating product.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as _cartesian
 
 from .core.basis import add_term, rational
@@ -60,10 +60,10 @@ class Poly:
         return max((sum(e) for e in self.c), default=-1)
 
     def constant_term(self):
-        return self.c.get((0,) * self.n, Fraction(0))
+        return self.c.get((0,) * self.n, 0)
 
     def coeff(self, exps):
-        return self.c.get(tuple(exps), Fraction(0))
+        return self.c.get(tuple(exps), 0)
 
     def terms_sorted(self):
         return sorted(self.c.items())
@@ -152,7 +152,7 @@ class Poly:
         if len(point) != self.n:
             raise ValueError("point dimension mismatch")
         point = [rational(x) for x in point]
-        total = Fraction(0)
+        total = 0
         for e, v in self.c.items():
             w = v
             for x, k in zip(point, e):

@@ -816,7 +816,10 @@ def _mc_star(args, manifest, where):
                     f"residual != associator on monomials {ea}, {eb}, {ec}"
                 ),
             )
-    return t.outcome("flatness/associativity suite", {"star": label})
+    return t.outcome(
+        "flatness/associativity suite",
+        {"star": label, "associativity-triples": rep.checked},
+    )
 
 
 @_op("gerstenhaber-suite", keys=())

@@ -149,8 +149,19 @@ def test_floats_are_rejected(name):
 
 
 def test_rational_takes_only_exact_scalars():
-    assert rational(3) == Fraction(3) and type(rational(3)) is Fraction
+    # int when integral, Fraction otherwise, never Fraction(n, 1)
+    for v, want in ((3, 3), (Fraction(3), 3), (Fraction(-6, 2), -3), (True, 1)):
+        assert rational(v) == want and type(rational(v)) is int
     assert rational(Fraction(1, 3)) == Fraction(1, 3)
+    assert type(rational(Fraction(1, 3))) is Fraction
     for bad in (0.5, "1/2", None):
         with pytest.raises(TypeError):
             rational(bad)
+
+
+def test_int_and_fraction_coefficients_are_one_value():
+    p, q = Poly.const(2, 1), Poly.const(2, 1)
+    q.c = {(0, 0): Fraction(1)}  # as a product like Fraction(1, 2) * 2 stores it
+    assert p == q and hash(p) == hash(q)
+    assert type(p.constant_term()) is int and type(q.constant_term()) is Fraction
+    assert p.coeff((1, 0)) == 0 and type(p.coeff((1, 0))) is int

@@ -1,15 +1,23 @@
-"""The shared accumulate-and-drop-zeros helper against the loops it replaced.
+"""The shared accumulate-and-drop-zeros helper and the monomial-pair kernel
+against the loops they replaced.
 
-The ``_parent_*`` functions and ``_half_bracket`` below are the previous
-bodies of ``Poly.__add__``, ``Poly.__mul__``, ``_Exterior.__add__``,
-``_Exterior.wedge``, ``cartan._half_bracket`` and ``cartan.schouten``,
-kept verbatim as the reference: each writes its own get/add/pop loop.
-Inside ``_parent_arithmetic()`` the polynomial and exterior sums and
-products run on those bodies, so the reference never touches
-``core.basis.add_term``.  On seeded inputs with exact cancellations the
-current code must give the same coefficient dicts, with every scalar a
-``Fraction``.  The scalars 1 and -1, which copy or negate coefficients
-instead of multiplying them, are held to the general product the same way.
+The ``_parent_*`` functions and ``_half_bracket`` below are the bodies of
+``Poly.__add__``, ``Poly.__mul__``, ``_Exterior.__add__``,
+``_Exterior.wedge``, ``cartan._half_bracket`` and ``cartan.schouten``
+from before ``core.basis.add_term``, kept verbatim as the reference: each
+writes its own get/add/pop loop.  Inside ``_parent_arithmetic()`` the
+polynomial and exterior sums and products run on those bodies, so the
+reference never touches ``core.basis.add_term``.  On seeded inputs with
+exact cancellations the current code must give the same coefficient dicts.
+Scalars are compared by value; each is an ``int`` or a ``Fraction``
+(``core.basis.rational`` never returns ``Fraction(n, 1)``, but a product
+such as ``Fraction(1, 2) * 2`` may store one).  The scalars 1 and -1,
+which copy or negate coefficients instead of multiplying them, are held to
+the general product the same way.
+
+The ``_poly_product_*`` functions are the wedge and Schouten bodies from
+just before the monomial-pair kernel, verbatim: every monomial pair goes
+through ``Poly.__mul__`` and ``Poly.diff``.  They are the kernel's oracle.
 """
 
 import random
@@ -19,6 +27,7 @@ from itertools import combinations
 
 from formality_lab import cartan
 from formality_lab.cartan import Form, MultiVector, _Exterior, _merge_sign, _remove_index
+from formality_lab.core.basis import add_term
 from formality_lab.poly import Poly
 
 NV = 3
@@ -135,6 +144,58 @@ def _half_bracket(A, B):
     return out
 
 
+def _poly_product_wedge(self, other):
+    if type(self) is not type(other) or self.nvars != other.nvars:
+        raise ValueError("mismatched wedge factors")
+    out = type(self)(self.nvars, self.k + other.k)
+    for ka, pa in self.c.items():
+        for kb, pb in other.c.items():
+            ms = _merge_sign(ka, kb)
+            if ms is None:
+                continue
+            sign, merged = ms
+            add_term(out.c, merged, sign * (pa * pb))
+    return out
+
+
+def _poly_product_half_bracket(A, B):
+    """sum_i (odd derivative of A by frame_i) wedge (d/dx_i of B's coefficients)."""
+    n = A.nvars
+    out = MultiVector(n, A.k + B.k - 1)
+    for i in range(n):
+        for ka, pa in A.c.items():
+            rem = _remove_index(ka, i)
+            if rem is None:
+                continue
+            sa, ka2 = rem
+            for kb, pb in B.c.items():
+                dpb = pb.diff(i)
+                if not dpb:
+                    continue
+                ms = _merge_sign(ka2, kb)
+                if ms is None:
+                    continue
+                sign, merged = ms
+                add_term(out.c, merged, (sa * sign) * (pa * dpb))
+    return out
+
+
+def _poly_product_schouten(A, B):
+    if A.nvars != B.nvars:
+        raise ValueError("variable counts differ")
+    if A.k == 0 and B.k == 0:
+        return MultiVector.zero(A.nvars, 0)
+    first = _poly_product_half_bracket(A, B)
+    second = _poly_product_half_bracket(B, A)
+    # second term rewritten: sum_i (d_x_i A)^(d_frame_i B) equals
+    # (-1)^((a-1)(b-1)) * _half_bracket(B, A) up to the factor-swap sign,
+    # so work directly with the two raw halves and calibrated signs.
+    sa = -1 if (A.k - 1) % 2 else 1
+    # swap (d_ksi B)^(d_x A) -> (d_x A)^(d_ksi B): degrees (B.k-1) and A.k
+    sw = -1 if ((B.k - 1) * A.k) % 2 else 1
+    return sa * first - sw * second
+
+
 def _parent_schouten(A, B):
     if A.nvars != B.nvars:
         raise ValueError("variable counts differ")
@@ -197,7 +258,7 @@ def _poly_pairs(rng, count):
 def _assert_same_poly(new, old):
     assert type(new) is Poly and type(old) is Poly
     assert new.c == old.c
-    assert all(type(v) is Fraction for v in new.c.values())
+    assert all(type(v) in (int, Fraction) for v in new.c.values())
 
 
 def _assert_same_exterior(new, old):
@@ -304,3 +365,66 @@ def test_unit_scalars_match_the_general_product():
             assert y.c is not x.c
             y.c.clear()
             assert _snapshot(x) == before
+
+
+# -- the monomial-pair kernel against the Poly-product bodies ----------------------
+
+def _mixed_coeff(rng):
+    """An int or a Fraction, about half each, zero included."""
+    if rng.random() < 0.5:
+        return rng.randint(-3, 3)
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def _mixed_exterior(rng, cls, n, k, nterms=3):
+    keys = list(combinations(range(n), k))
+    coeffs = {}
+    for _ in range(nterms):
+        coeffs[rng.choice(keys)] = Poly(n, {
+            tuple(rng.randint(0, 2) for _ in range(n)): _mixed_coeff(rng)
+            for _ in range(3)
+        })
+    return cls(n, k, coeffs)
+
+
+def _kernel_cases(rng, cls):
+    """Seeded operand pairs in 1 to 4 variables, with cancelling pairs."""
+    cases = []
+    for n in (1, 2, 3, 4):
+        for _ in range(12):
+            ka, kb = rng.randint(0, n), rng.randint(0, n)
+            a = _mixed_exterior(rng, cls, n, ka)
+            b = _mixed_exterior(rng, cls, n, kb)
+            cases.append((a, b))
+            c = _mixed_exterior(rng, cls, n, ka)
+            cases.append((a + c, a - c))
+            x = _mixed_exterior(rng, cls, n, 1)
+            cases.append((x, x))
+            cases.append((_mixed_exterior(rng, cls, n, 0), _mixed_exterior(rng, cls, n, 0)))
+    return cases
+
+
+def test_kernel_wedge_matches_poly_product_wedge():
+    rng = random.Random(20264)
+    for cls in (Form, MultiVector):
+        cases = _kernel_cases(rng, cls)
+        for a, b in cases:
+            _assert_same_exterior(a.wedge(b), _poly_product_wedge(a, b))
+        # alpha ^ alpha = 0 for 1-forms and vector fields
+        assert all(not a.wedge(b) for a, b in cases if a is b)
+
+
+def test_kernel_schouten_matches_poly_product_schouten():
+    rng = random.Random(20265)
+    cases = _kernel_cases(rng, MultiVector)
+    assert any(a.k == 0 and b.k == 0 and a and b for a, b in cases)
+    for a, b in cases:
+        got = cartan.schouten(a, b)
+        _assert_same_exterior(got, _poly_product_schouten(a, b))
+        if a.k == 0 and b.k == 0:
+            assert not got  # functions bracket to zero
+        if a is b:
+            assert not got  # [X, X] = 0 for a vector field
+    # mixed int and Fraction coefficients did reach the kernel
+    values = [v for a, b in cases for x in (a, b) for p in x.c.values() for v in p.c.values()]
+    assert {int, Fraction} <= {type(v) for v in values}
