@@ -184,7 +184,7 @@ def _monomial_pairs(A, B, rule, cls, k):
     entries: ``sign * frame_merged * x^(ea + eb)``, times ``eb[i]`` and with
     ``x_i`` removed when ``side`` is 1 (d/dx_i of the right monomial), or
     ``ea[i]`` when ``side`` is 0; ``i`` is None for no derivative.  Products
-    of coefficients accumulate flat under each merged frame with
+    of coefficients accumulate in one exponent dict per merged frame with
     ``add_term``; no intermediate ``Poly`` is built.
     """
     acc = {}

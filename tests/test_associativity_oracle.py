@@ -42,9 +42,9 @@ def _untabled_check_associativity(s, degree=None):
     return StarReport(checked, witnesses)
 
 
-def _assert_same_report(s, degree=None):
-    new = df.check_associativity(s, degree)
-    old = _untabled_check_associativity(s, degree)
+def _assert_same_report(s):
+    new = df.check_associativity(s)
+    old = _untabled_check_associativity(s)
     assert new.checked == old.checked
     assert new.witnesses == old.witnesses
     return new
