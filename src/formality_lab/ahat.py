@@ -185,14 +185,6 @@ def diff_td_uL(sd, alpha):
     return alpha.map_form(deRham_d, dt=1) + alpha.map_form(sd.lie, du=1)
 
 
-def diff_tL_ud(sd, alpha):
-    return alpha.map_form(sd.lie, dt=1) + alpha.map_form(deRham_d, du=1)
-
-
-def diff_ud(sd, alpha):
-    return alpha.map_form(deRham_d, du=1)
-
-
 def _parity_dress(alpha, fn, dt, du):
     """Apply fn weighted by (-1)^(deg+1) on each homogeneous part."""
     out = SeriesForm.zero(alpha.nvars, alpha.twin, alpha.uwin)
@@ -220,15 +212,6 @@ def diff_ud_dressed(sd, alpha):
     return _parity_dress(alpha, deRham_d, 0, 1)
 
 
-def brylinski_d(sd, alpha, mode="full"):
-    """The twisted differential: mode "lie" is t*L alone, "full" is t*L + u*d."""
-    if mode == "lie":
-        return alpha.map_form(sd.lie, dt=1)
-    if mode == "full":
-        return diff_tL_ud(sd, alpha)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def contract_exp(sd, alpha, dt, du, sign=1):
     """exp(sign * t^dt u^du * i) with the pipeline contraction.
 
@@ -244,11 +227,6 @@ def contract_exp(sd, alpha, dt, du, sign=1):
             cur = sd.contract(cur)
             m += 1
     return out
-
-
-def untwist(sd, alpha, inverse=False):
-    """exp(-(t/u) i), conjugating t*L + u*d into u*d; inverse flips the sign."""
-    return contract_exp(sd, alpha, dt=1, du=-1, sign=1 if inverse else -1)
 
 
 # ---------------------------------------------------------------------------

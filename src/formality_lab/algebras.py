@@ -60,9 +60,6 @@ class StructureAlgebra:
             raise ValueError("algebra has no unit")
         return u
 
-    def basis_vector(self, i):
-        return vec((i, 1))
-
     def mul(self, v, w):
         out = {}
         for i, a in v.items():
@@ -81,31 +78,6 @@ class StructureAlgebra:
         if self.unit_index is None:
             raise ValueError("unit is not a basis element; pick a unit-adapted basis")
         return [i for i in range(self.dim) if i != self.unit_index]
-
-    def strip_unit(self, v):
-        """Project a vector to the span of the non-unit basis elements."""
-        ui = self.unit_index
-        if ui is None:
-            raise ValueError("unit is not a basis element")
-        return {i: c for i, c in v.items() if i != ui}
-
-    def check_associative(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.table.get((i, j), {})
-                for k in range(self.dim):
-                    left = self.mul(ij, vec((k, 1)))
-                    right = self.mul(vec((i, 1)), self.table.get((j, k), {}))
-                    if left != right:
-                        return False
-        return True
-
-    def check_unital(self):
-        for i in range(self.dim):
-            b = vec((i, 1))
-            if self.mul(self.unit, b) != b or self.mul(b, self.unit) != b:
-                return False
-        return True
 
 
 # -- specific algebras -------------------------------------------------------
@@ -194,23 +166,8 @@ class FunctionModel:
     def mul(self, p, q):
         return (p * q).truncate(self.cap)
 
-    def project(self, p):
-        return p.truncate(self.cap)
-
     def basis_poly(self, i):
         return Poly.monomial(self.nvars, self.monomials[i])
-
-    def poly_to_vec(self, p):
-        if p.n != self.nvars:
-            raise ValueError("variable count mismatch")
-        out = {}
-        for e, v in p.c.items():
-            if sum(e) <= self.cap:
-                out[self.index[e]] = v
-        return out
-
-    def vec_to_poly(self, v):
-        return Poly(self.nvars, {self.monomials[i]: c for i, c in v.items()})
 
     def _label(self, e):
         if not any(e):

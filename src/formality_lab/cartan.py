@@ -147,10 +147,6 @@ class MultiVector(_Exterior):
     def function(cls, poly):
         return cls(poly.n, 0, {(): poly})
 
-    @classmethod
-    def coordinate_field(cls, nvars, i):
-        return cls(nvars, 1, {(i,): Poly.const(nvars, 1)})
-
 
 class Form(_Exterior):
     """Sum of c_I(x) * dx^I with I strictly increasing."""

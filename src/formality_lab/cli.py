@@ -59,6 +59,25 @@ def _build_parser():
     return parser
 
 
+def _raised_at(exc):
+    """``module.function:line`` of the innermost package frame ``exc``
+    passed through.  No file path, so the report reads the same on every
+    machine."""
+    where = None
+    tb = exc.__traceback__
+    while tb is not None:
+        module = tb.tb_frame.f_globals.get("__name__", "")
+        if module.startswith("formality_lab."):
+            where = f"{module}.{tb.tb_frame.f_code.co_name}:{tb.tb_lineno}"
+        tb = tb.tb_next
+    return where
+
+
+def _raised(exc, summary):
+    witness = f"{type(exc).__name__} at {_raised_at(exc)}: {exc}"
+    return JobOutcome("fail", summary, {}, [witness])
+
+
 def _execute(job, mf):
     """One job to one outcome; math failures become fail outcomes, while
     reference/configuration errors propagate as ManifestError."""
@@ -67,16 +86,9 @@ def _execute(job, mf):
     except ManifestError:
         raise
     except WindowOverflow as e:
-        return JobOutcome(
-            "fail", f"{job.op}: series window overflow", {}, [str(e)]
-        )
+        return _raised(e, f"{job.op}: series window overflow")
     except Exception as e:
-        return JobOutcome(
-            "fail",
-            f"{job.op}: {type(e).__name__}",
-            {},
-            [f"{type(e).__name__}: {e}"],
-        )
+        return _raised(e, f"{job.op}: {type(e).__name__}")
 
 
 def main(argv=None):

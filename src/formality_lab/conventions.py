@@ -58,8 +58,7 @@ LEDGER = (
      "explicit primitives."),
     ("mc-normalization",
      "The curvature of a degree-one series sums [pi,...,pi]_n / n!; flat "
-     "elements are its zeros, and the gauge flow exponentiates the "
-     "degree-zero action order by order."),
+     "elements are its zeros."),
     ("star-corrections",
      "Star products store corrections per order with no hidden factorials; "
      "the constant-coefficient exponential product puts 1/m! times the "
@@ -67,9 +66,7 @@ LEDGER = (
      "doubles the upper-triangular matrix entry."),
     ("star-complex-home",
      "A star product's correction tower is read as a flat element of the "
-     "untruncated operator complex; conjugating by exp(t W) moves the "
-     "first correction by minus delta(W) and equals the gauge flow "
-     "along W."),
+     "untruncated operator complex."),
     ("bv-extension",
      "The square-zero extension multiplies the odd generator on the "
      "right; its derivation defect generates the bracket with the sign "

@@ -24,11 +24,6 @@ from .linfty import MCElement
 from .poly import Poly, monomials_upto
 
 
-def _identity_operator(nvars):
-    z = (0,) * nvars
-    return pd.PolyDiffOperator(nvars, 1, {(z,): Poly.const(nvars, 1)})
-
-
 def _vanishes_on_unit(op):
     """True when every term differentiates every slot at least once."""
     z = (0,) * op.nvars
@@ -200,116 +195,9 @@ def leading_poisson(s):
     return out
 
 
-class Equivalence:
-    """Series of arity-1 operators; identity at order zero, unit-preserving."""
-
-    def __init__(self, nvars, ops, nt):
-        self.nvars = nvars
-        self.nt = nt
-        self.ops = {}
-        for m, op in ops.items():
-            if not 1 <= m <= nt:
-                if m > nt:
-                    continue
-                raise ValueError("correction orders start at 1")
-            if op.nvars != nvars or op.arity != 1:
-                raise ValueError("equivalences are arity-1 on the base variables")
-            if not _vanishes_on_unit(op):
-                raise ValueError(f"order-{m} term does not kill the unit")
-            if op.terms:
-                self.ops[m] = op
-
-    def order(self, m):
-        if m == 0:
-            return _identity_operator(self.nvars)
-        return self.ops.get(m)
-
-    def compose(self, other):
-        if self.nvars != other.nvars or self.nt != other.nt:
-            raise ValueError("shapes differ")
-        ops = {}
-        for m in range(1, self.nt + 1):
-            acc = None
-            for i in range(m + 1):
-                a = self.order(i)
-                b = other.order(m - i)
-                if a is None or b is None:
-                    continue
-                term = a.insert(b, 0)
-                acc = term if acc is None else acc + term
-            if acc is not None and acc.terms:
-                ops[m] = acc
-        return Equivalence(self.nvars, ops, self.nt)
-
-    def inverse(self):
-        inv = {0: _identity_operator(self.nvars)}
-        for m in range(1, self.nt + 1):
-            acc = None
-            for i in range(1, m + 1):
-                a = self.ops.get(i)
-                b = inv.get(m - i)
-                if a is None or b is None or not b.terms:
-                    continue
-                term = a.insert(b, 0)
-                acc = term if acc is None else acc + term
-            inv[m] = -acc if acc is not None else pd.PolyDiffOperator.zero(self.nvars, 1)
-        return Equivalence(self.nvars, {m: op for m, op in inv.items() if m >= 1}, self.nt)
-
-    def apply_poly(self, f):
-        """T(f) as {order: polynomial}."""
-        out = {0: f}
-        for m, op in self.ops.items():
-            v = op.apply([f])
-            if not v.is_zero():
-                out[m] = v
-        return out
-
-
-def apply_equivalence(T, s):
-    """The conjugated product (a,b) -> T(inv(a) * inv(b)), order by order."""
-    if T.nvars != s.model.nvars:
-        raise ValueError("variable counts differ")
-    nt = s.nt
-    if T.nt != nt:
-        raise ValueError("order caps differ")
-    inv = T.inverse()
-
-    def star_order(j):
-        if j == 0:
-            return pd.PolyDiffOperator.multiplication(s.model.nvars)
-        return s.correction(j)
-
-    ops = {}
-    for m in range(1, nt + 1):
-        acc = None
-        for i in range(m + 1):
-            Ti = T.order(i)
-            if Ti is None:
-                continue
-            for j in range(m - i + 1):
-                Pj = star_order(j)
-                if Pj is None:
-                    continue
-                for k in range(m - i - j + 1):
-                    Ik = inv.order(k)
-                    Il = inv.order(m - i - j - k)
-                    if Ik is None or Il is None or not Ik.terms or not Il.terms:
-                        continue
-                    term = Ti.insert(Pj.insert(Ik, 0).insert(Il, 1), 0)
-                    acc = term if acc is None else acc + term
-        if acc is not None and acc.terms:
-            ops[m] = acc
-    return StarProduct(s.model, ops, nt)
-
-
 def star_to_mc(s):
     """The correction series as a degree-1 element of the operator complex."""
     return MCElement(dict(s.ops), s.nt)
-
-
-def mc_to_star(mc, model):
-    """Inverse packaging; round-trips with star_to_mc."""
-    return StarProduct(model, dict(mc.parts), mc.nt)
 
 
 class TraceCandidate:

@@ -62,13 +62,6 @@ class Cochain:
         return c
 
     @classmethod
-    def identity(cls, algebra):
-        c = cls(algebra, 1)
-        for i in range(algebra.dim):
-            c.table[(i,)] = {i: Fraction(1)}
-        return c
-
-    @classmethod
     def element(cls, algebra, vector):
         c = cls(algebra, 0)
         vv = vec(*vector.items())
@@ -242,22 +235,6 @@ def basis_cochains(algebra, arity, reduced=False):
     return out
 
 
-def from_polydiff(op, model, algebra):
-    """Tabulate a polydifferential operator on the degree-capped model.
-
-    ``model`` is the FunctionModel whose monomials index ``algebra``
-    (see ``algebras.jet_algebra``); evaluation truncates at the cap.
-    """
-    C = Cochain.zero(algebra, op.arity)
-    for tup in _cartesian(range(model.dim), repeat=op.arity):
-        args = [model.basis_poly(i) for i in tup]
-        val = op.apply(args).truncate(model.cap)
-        v = model.poly_to_vec(val)
-        if v:
-            C.table[tup] = v
-    return C
-
-
 # -- chains ---------------------------------------------------------------------
 
 class Chain:
@@ -414,20 +391,6 @@ def lie_action(D, ch):
             rest = tup[d + j - n : j + 1]
             for k, v in val.items():
                 add_term(out.c, (k,) + rest, sign * coeff * v)
-    return out
-
-
-def cyclic_differential(parts):
-    """Apply b + uB to a finite u-polynomial of reduced chains.
-
-    ``parts`` maps u-power -> Chain; the result does too.  Chains are kept
-    in reduced form throughout.
-    """
-    out = {}
-    for k, ch in parts.items():
-        if ch.n >= 1:
-            add_term(out, k, chain_b(ch).normalized())
-        add_term(out, k + 1, connes_B(ch))
     return out
 
 

@@ -1,8 +1,8 @@
 """Strong-homotopy structure checkers on finite bracket tables.
 
 A structure is a degree function plus a table of n-ary brackets; the
-generalized Jacobi, morphism, and module identities are evaluated
-directly on supplied element tuples.  Brackets are the "natural" ones
+generalized Jacobi and module identities are evaluated directly on
+supplied element tuples.  Brackets are the "natural" ones
 (differential, binary bracket, ...), and every application is dressed
 with the suspension sign from core.signs.decalage_sign, so the identities
 take the pure shifted-Koszul form: a differential graded Lie algebra
@@ -121,127 +121,6 @@ def check_linfty(S, max_arity=3, tuples=None):
     return CheckReport(checked, witnesses, max_arity)
 
 
-# ------------------------------------------------------------------ morphisms
-
-
-class LInftyMorphism:
-    """maps[n] : n source elements -> target element, degree 1-n."""
-
-    def __init__(self, source, target, maps):
-        self.source = source
-        self.target = target
-        self.maps = dict(maps)
-
-    def apply(self, n, args):
-        fn = self.maps.get(n)
-        if fn is None:
-            return None
-        return fn(list(args))
-
-
-def ordered_partitions(indices, k):
-    """All ordered k-tuples of disjoint increasing blocks covering indices."""
-    indices = tuple(indices)
-    if k == 0:
-        if not indices:
-            yield ()
-        return
-    if k == 1:
-        if indices:
-            yield (indices,)
-        return
-    n = len(indices)
-    for size in range(1, n - k + 2):
-        for block in combinations(indices, size):
-            remaining = tuple(i for i in indices if i not in block)
-            for tail in ordered_partitions(remaining, k - 1):
-                yield (block,) + tail
-
-
-def morphism_residual(f, elements):
-    """Difference of the two sides of the morphism identity on one tuple."""
-    S, T = f.source, f.target
-    n = len(elements)
-    degs = [S.degree(x) for x in elements]
-
-    lhs = None
-    for p in range(1, n + 1):
-        if p not in S.brackets:
-            continue
-        for I in combinations(range(n), p):
-            block = [elements[i] for i in I]
-            inner = S.apply(p, block)
-            if inner is None or inner.is_zero():
-                continue
-            rest_idx = [i for i in range(n) if i not in I]
-            eps = unshuffle_sign(n, I, degs, shift=1)
-            th_in = decalage_sign([degs[i] for i in I])
-            ideg = sum(degs[i] for i in I) + 2 - p
-            outer_degs = [ideg] + [degs[i] for i in rest_idx]
-            th_out = decalage_sign(outer_degs)
-            term = f.apply(len(rest_idx) + 1, [inner] + [elements[i] for i in rest_idx])
-            lhs = _accumulate(lhs, eps * th_in * th_out, term)
-
-    rhs = None
-    for k in range(1, n + 1):
-        if k not in T.brackets:
-            continue
-        inv_k = Fraction(1, 1)
-        for j in range(2, k + 1):
-            inv_k /= j
-        for blocks in ordered_partitions(range(n), k):
-            perm = [i for b in blocks for i in b]
-            eps = _perm_sign_shifted(perm, degs)
-            coeff = eps * inv_k
-            args = []
-            arg_degs = []
-            dead = False
-            for b in blocks:
-                fb = f.apply(len(b), [elements[i] for i in b])
-                if fb is None or fb.is_zero():
-                    dead = True
-                    break
-                coeff *= decalage_sign([degs[i] for i in b])
-                args.append(fb)
-                arg_degs.append(sum(degs[i] for i in b) + 1 - len(b))
-            if dead:
-                continue
-            coeff *= decalage_sign(arg_degs)
-            rhs = _accumulate(rhs, coeff, T.apply(k, args))
-
-    if lhs is None:
-        return rhs if rhs is None else (-1) * rhs
-    if rhs is None:
-        return lhs
-    return lhs - rhs
-
-
-def _perm_sign_shifted(perm, degs):
-    """Koszul sign (shift 1) of rearranging 0..n-1 into ``perm``."""
-    from .core.signs import koszul_sign
-
-    return koszul_sign(tuple(perm), tuple(degs), shift=1)
-
-
-def check_morphism(f, max_arity=3, tuples=None):
-    from itertools import combinations_with_replacement
-
-    witnesses = []
-    checked = 0
-    if tuples is None:
-        tuples = []
-        for n in range(1, max_arity + 1):
-            tuples.extend(combinations_with_replacement(f.source.generators, n))
-    for tup in tuples:
-        names = [t[0] for t in tup]
-        elems = [t[1] for t in tup]
-        res = morphism_residual(f, elems)
-        checked += 1
-        if res is not None and not res.is_zero():
-            witnesses.append((tuple(names), len(elems), res))
-    return CheckReport(checked, witnesses, max_arity)
-
-
 # ------------------------------------------------------------------ modules
 
 
@@ -343,104 +222,6 @@ def check_module(M, max_arity=2, tuples=None, module_samples=None):
     return CheckReport(checked, witnesses, max_arity)
 
 
-class LInftyModuleMorphism:
-    """maps[q] : (q algebra elements, M element) -> N element, degree -q."""
-
-    def __init__(self, source_module, target_module, maps):
-        if source_module.structure is not target_module.structure:
-            raise ValueError("modules must share the algebra structure")
-        self.source = source_module
-        self.target = target_module
-        self.maps = dict(maps)
-
-    def apply(self, q, xs, m):
-        fn = self.maps.get(q)
-        if fn is None:
-            return None
-        return fn(list(xs), m)
-
-
-def module_morphism_residual(phi, elements, m):
-    S = phi.source.structure
-    M, N = phi.source, phi.target
-    n = len(elements)
-    degs = [S.degree(x) for x in elements]
-    mdeg = M.mdegree(m)
-    acc = None
-
-    # bracket into the morphism
-    for p in range(1, n + 1):
-        if p not in S.brackets:
-            continue
-        for I in combinations(range(n), p):
-            inner = S.apply(p, [elements[i] for i in I])
-            if inner is None or inner.is_zero():
-                continue
-            rest_idx = [i for i in range(n) if i not in I]
-            eps = unshuffle_sign(n, I, degs, shift=1)
-            th_in = decalage_sign([degs[i] for i in I])
-            ideg = sum(degs[i] for i in I) + 2 - p
-            th_out = decalage_sign([ideg] + [degs[i] for i in rest_idx] + [mdeg])
-            term = phi.apply(
-                len(rest_idx) + 1, [inner] + [elements[i] for i in rest_idx], m
-            )
-            acc = _accumulate(acc, eps * th_in * th_out, term)
-
-    # source action, then morphism (odd inner operator passes the front)
-    for q in range(0, n + 1):
-        for J in combinations(range(n), q):
-            rest_idx = [i for i in range(n) if i not in J]
-            inner = M.act(q, [elements[i] for i in J], m)
-            if inner is None or inner.is_zero():
-                continue
-            eps = unshuffle_sign(n, tuple(rest_idx), degs, shift=1)
-            pass_sign = -1 if sum(degs[i] - 1 for i in rest_idx) % 2 else 1
-            th_in = decalage_sign([degs[i] for i in J] + [mdeg])
-            inner_mdeg = sum(degs[i] for i in J) + mdeg + 1 - q
-            th_out = decalage_sign([degs[i] for i in rest_idx] + [inner_mdeg])
-            term = phi.apply(len(rest_idx), [elements[i] for i in rest_idx], inner)
-            acc = _accumulate(acc, eps * pass_sign * th_in * th_out, term)
-
-    # morphism, then target action (the morphism is even: no pass sign)
-    for q in range(0, n + 1):
-        for J in combinations(range(n), q):
-            rest_idx = [i for i in range(n) if i not in J]
-            inner = phi.apply(q, [elements[i] for i in J], m)
-            if inner is None or inner.is_zero():
-                continue
-            eps = unshuffle_sign(n, tuple(rest_idx), degs, shift=1)
-            th_in = decalage_sign([degs[i] for i in J] + [mdeg])
-            inner_mdeg = sum(degs[i] for i in J) + mdeg - q
-            th_out = decalage_sign([degs[i] for i in rest_idx] + [inner_mdeg])
-            term = N.act(len(rest_idx), [elements[i] for i in rest_idx], inner)
-            acc = _accumulate(acc, -eps * th_in * th_out, term)
-
-    return acc
-
-
-def check_module_morphism(phi, max_arity=2, tuples=None, module_samples=None):
-    from itertools import combinations_with_replacement
-
-    witnesses = []
-    checked = 0
-    if tuples is None:
-        gens = phi.source.structure.generators
-        tuples = []
-        for n in range(0, max_arity + 1):
-            tuples.extend(combinations_with_replacement(gens, n))
-    if module_samples is None:
-        module_samples = phi.source.samples
-    for tup in tuples:
-        names = [t[0] for t in tup]
-        elems = [t[1] for t in tup]
-        for mname, melem in module_samples:
-            res = module_morphism_residual(phi, elems, melem)
-            checked += 1
-            if res is not None and not res.is_zero():
-                witnesses.append((tuple(names + [mname]), len(elems), res))
-    return CheckReport(checked, witnesses, max_arity)
-
-
 # ------------------------------------------------------------------ Maurer-Cartan
 
 
@@ -514,84 +295,6 @@ def mc_residual(S, pi, max_arity=None):
         for k, v in contrib.items():
             add_term(total, k, Fraction(1, fact) * v)
     return total
-
-
-def gauge(S, X, pi):
-    """Gauge transport of a flat element along a degree-0 series X.
-
-    Computes the series whose sum with the differential equals the
-    conjugate exp(ad_X)(differential + pi); the differential's own
-    contribution enters through -l1(X) at the first step.  Strict
-    (two-bracket) structures only.
-    """
-    if any(n > 2 for n in S.brackets):
-        raise ValueError("gauge transport implemented for strict structures only")
-    nt = pi.nt
-    if X.nt != nt:
-        raise ValueError("order caps differ")
-
-    def ad_X(series_parts):
-        out = {}
-        for kx, vx in X.parts.items():
-            for k2, v2 in series_parts.items():
-                k = kx + k2
-                if k > nt:
-                    continue
-                val = S.apply(2, [vx, v2])
-                if val is not None:
-                    add_term(out, k, val)
-        return out
-
-    # ad_X(differential + pi) = [X, pi] - l1(X)
-    current = ad_X(dict(pi.parts))
-    if 1 in S.brackets:
-        for kx, vx in X.parts.items():
-            if kx > nt:
-                continue
-            dv = S.apply(1, [vx])
-            if dv is not None:
-                add_term(current, kx, (-1) * dv)
-
-    total = dict(pi.parts)
-    fact = 1
-    j = 1
-    while current:
-        coeff = Fraction(1, fact)
-        for k, v in current.items():
-            add_term(total, k, coeff * v)
-        j += 1
-        fact *= j
-        # every ad_X raises the minimal order by at least one
-        if j > nt:
-            break
-        current = ad_X(current)
-    return MCElement(total, nt)
-
-
-def mc_pushforward(f, pi):
-    """sum_n (1/n!) f_n(pi, ..., pi) as a series in the target."""
-    nt = pi.nt
-    total = {}
-    fact = 1
-    for n in sorted(f.maps):
-        # build factorial incrementally over the arities present
-        fct = 1
-        for j in range(2, n + 1):
-            fct *= j
-        if n > nt:
-            continue
-        contrib = {}
-        orders = [sorted(pi.parts)] * n
-        for combo in product(*orders):
-            k = sum(combo)
-            if k > nt:
-                continue
-            val = f.apply(n, [pi.parts[c] for c in combo])
-            if val is not None:
-                add_term(contrib, k, val)
-        for k, v in contrib.items():
-            add_term(total, k, Fraction(1, fct) * v)
-    return MCElement(total, nt)
 
 
 # ------------------------------------------------------- odd-parameter extension

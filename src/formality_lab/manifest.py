@@ -26,8 +26,6 @@ MODEL_DEFAULTS = {
     "vars": 2,
     "degree-cap": 4,
     "nt": 4,
-    "u-window": (-4, 4),
-    "arity-cap": 4,
 }
 
 
@@ -210,19 +208,9 @@ def _parse_model(raw):
         if key not in MODEL_DEFAULTS:
             known = ", ".join(sorted(MODEL_DEFAULTS))
             raise ManifestError(f"model: unknown cap {key!r} (have {known})")
-        if key == "u-window":
-            if (
-                not isinstance(v, list)
-                or len(v) != 2
-                or any(isinstance(b, bool) or not isinstance(b, int) for b in v)
-                or v[0] > v[1]
-            ):
-                raise ManifestError("model: u-window must be [lo, hi] integers")
-            model[key] = (v[0], v[1])
-        else:
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ManifestError(f"model: {key!r} must be a positive integer")
-            model[key] = v
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise ManifestError(f"model: {key!r} must be a positive integer")
+        model[key] = v
     return model
 
 

@@ -55,10 +55,6 @@ class Poly:
     def is_zero(self):
         return not self
 
-    def total_degree(self):
-        """Max total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.c), default=-1)
-
     def constant_term(self):
         return self.c.get((0,) * self.n, 0)
 
@@ -147,19 +143,6 @@ class Poly:
         p = Poly.zero(self.n)
         p.c = {e: v for e, v in self.c.items() if sum(e) <= degree_cap}
         return p
-
-    def eval(self, point):
-        if len(point) != self.n:
-            raise ValueError("point dimension mismatch")
-        point = [rational(x) for x in point]
-        total = 0
-        for e, v in self.c.items():
-            w = v
-            for x, k in zip(point, e):
-                for _ in range(k):
-                    w *= x
-            total += w
-        return total
 
     def __repr__(self):
         if not self.c:

@@ -90,13 +90,6 @@ class PolyDiffOperator:
         return cls(nvars, 2, {(z, z): Poly.const(nvars, 1)})
 
     @classmethod
-    def partial(cls, nvars, i):
-        """The derivation a -> da/dx_i."""
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, 1, {(tuple(e),): Poly.const(nvars, 1)})
-
-    @classmethod
     def element(cls, poly):
         """An arity-0 cochain: the polynomial itself."""
         op = cls(poly.n, 0)

@@ -56,22 +56,12 @@ def canonical(value):
     return str(value)
 
 
-def _model_tree(model):
-    return {
-        "vars": model["vars"],
-        "degree-cap": model["degree-cap"],
-        "nt": model["nt"],
-        "u-window": list(model["u-window"]),
-        "arity-cap": model["arity-cap"],
-    }
-
-
 def to_structured(report):
     tree = {
         "schema": SCHEMA_VERSION,
         "tool": f"formality-lab {TOOL_VERSION}",
         "ledger-hash": ledger_hash(),
-        "model": _model_tree(report.model),
+        "model": dict(report.model),
         "counts": report.counts(),
         "jobs": [
             {
@@ -93,10 +83,7 @@ def to_text(report):
     lines = [
         f"formality-lab report (schema {SCHEMA_VERSION})",
         f"conventions ledger {ledger_hash()}",
-        "model: vars={vars} degree-cap={degree-cap} nt={nt} "
-        "u-window=[{u0},{u1}] arity-cap={arity-cap}".format(
-            u0=model["u-window"][0], u1=model["u-window"][1], **model
-        ),
+        "model: vars={vars} degree-cap={degree-cap} nt={nt}".format(**model),
         "",
     ]
     width = max((len(job.name) for job, _ in report.results), default=0)

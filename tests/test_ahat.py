@@ -106,40 +106,6 @@ def test_dressed_differentials_square_to_zero():
         a = ah.SeriesForm.wrap(f)
         assert ah.diff_tL_ud_dressed(sd, ah.diff_tL_ud_dressed(sd, a)).is_zero()
         assert ah.diff_ud_dressed(sd, ah.diff_ud_dressed(sd, a)).is_zero()
-        assert ah.brylinski_d(sd, ah.brylinski_d(sd, a)).is_zero()
-        lie_twice = ah.brylinski_d(sd, ah.brylinski_d(sd, a, "lie"), "lie")
-        assert lie_twice.is_zero()
-    with pytest.raises(ValueError):
-        ah.brylinski_d(sd, ah.SeriesForm.wrap(form_samples(sd)[0]), "nope")
-
-
-def test_lie_mode_values():
-    sd = ah.SymplecticData(1)
-    fun = ah.SeriesForm.wrap(ct.Form.function(Poly.var(2, 0)))
-    assert ah.brylinski_d(sd, fun, "lie").is_zero()
-    xdy = ct.Form(2, 1, {(1,): Poly.var(2, 0)})
-    got = ah.brylinski_d(sd, ah.SeriesForm.wrap(xdy), "lie")
-    oracle = ct.lie_derivative(sd.pi0, xdy)
-    assert got == ah.SeriesForm.wrap(oracle, kt=1)
-
-
-def test_untwist_conjugates_full_to_plain():
-    sd = ah.SymplecticData(1)
-    for f in form_samples(sd):
-        a = ah.SeriesForm.wrap(f)
-        lhs = ah.untwist(sd, ah.diff_tL_ud(sd, a))
-        rhs = ah.diff_ud(sd, ah.untwist(sd, a))
-        assert lhs == rhs
-        assert ah.untwist(sd, ah.untwist(sd, a), inverse=True) == a
-
-
-def test_untwist_values():
-    sd = ah.SymplecticData(1)
-    w = ah.untwist(sd, ah.SeriesForm.wrap(sd.omega))
-    assert sorted(w.parts) == [(0, 0, 2), (1, -1, 0)]
-    assert w.parts[(1, -1, 0)] == ct.Form.function(Poly.const(2, -1))
-    f = ah.SeriesForm.wrap(ct.Form.function(Poly.var(2, 0)))
-    assert ah.untwist(sd, f) == f
 
 
 def test_series_weight_windows():

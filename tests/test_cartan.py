@@ -21,10 +21,12 @@ from formality_lab.cartan import (
     schouten,
 )
 from formality_lab import hochschild, polydiff
-from formality_lab.core.basis import add_term
+from formality_lab.core.basis import add_term, vec
 from formality_lab.algebras import FunctionModel, jet_algebra
-from formality_lab.hochschild import Chain, chain_b, connes_B, from_polydiff
+from formality_lab.hochschild import Chain, chain_b, connes_B
 from formality_lab.polydiff import bracket, cup, delta, delta_primitive
+
+from jet_tables import from_polydiff
 
 
 def rand_poly(rng, n, deg, nterms=2):
@@ -468,7 +470,7 @@ def test_capped_tabulation_breaks_closedness():
     assert not dd.is_zero()
     y = model.index[(0, 1)]
     xy = model.index[(1, 1)]
-    assert dd.apply([A.basis_vector(y), A.basis_vector(y), A.basis_vector(xy)])
+    assert dd.apply([vec((y, 1)), vec((y, 1)), vec((xy, 1))])
 
 
 def test_capped_chain_breaks_mu_boundary_identity():

@@ -1,6 +1,7 @@
 """Manifest loading, the op registry, report rendering, and exit codes."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -65,15 +66,16 @@ def test_duplicate_job_names_rejected():
         parse_manifest(text, known_ops=OPS)
 
 
-def test_model_caps_validated():
+def test_model_caps_validated(tmp_path, capsys):
     with pytest.raises(ManifestError, match="unknown cap"):
         parse_manifest("model: {depth: 3}\n")
-    with pytest.raises(ManifestError, match="u-window"):
-        parse_manifest("model: {u-window: [4, -4]}\n")
-    mf = parse_manifest("model: {vars: 3, u-window: [-2, 2]}\n")
-    assert mf.model["vars"] == 3
-    assert mf.model["u-window"] == (-2, 2)
-    assert mf.model["degree-cap"] == 4  # defaults fill in
+    # no op reads a series window or an arity cap, so the model has neither
+    for key in ("u-window: [-2, 2]", "arity-cap: 4"):
+        rc = main(["run", _write(tmp_path, f"model: {{{key}}}\n")])
+        assert rc == 2
+        assert "unknown cap" in capsys.readouterr().err
+    mf = parse_manifest("model: {vars: 3}\n")
+    assert mf.model == {"vars": 3, "degree-cap": 4, "nt": 4}  # defaults fill in
 
 
 def test_multivector_object_built_exactly():
@@ -248,12 +250,34 @@ def test_job_runtime_error_becomes_failing_outcome(tmp_path, capsys):
     assert "refused" in out and "cap" in out
 
 
+def test_raised_job_names_the_package_frame(tmp_path, capsys, monkeypatch):
+    # the witness carries module.function:line of the innermost package
+    # frame, and no file path, so the report is the same on every machine
+    def negative_exponent(args, manifest, where):
+        return Poly(1, {(-1,): 1})
+
+    def bare(args, manifest, where):
+        raise ArithmeticError("boom")
+
+    path = _write(tmp_path, "jobs:\n  - {op: betti, name: b}\n")
+    for fn, error, frame in (
+        (negative_exponent, "ValueError", r"formality_lab\.poly\.__init__"),
+        (bare, "ArithmeticError", r"formality_lab\.suites\.run_job"),
+    ):
+        monkeypatch.setattr(OPS["betti"], "fn", fn)
+        rc = main(["run", path, "--format", "structured"])
+        (job,) = json.loads(capsys.readouterr().out)["jobs"]
+        assert rc == 1 and job["status"] == "fail"
+        assert job["summary"] == f"betti: {error}"
+        (witness,) = job["witnesses"]
+        assert re.fullmatch(rf"{error} at {frame}:\d+: .+", witness)
+        assert "/" not in witness
+
+
 def test_series_window_overflow_fails_the_job(tmp_path, capsys):
-    # the exp-contract series window is fixed, so a wider model u-window
-    # does not save max-n 5; the overflow is a job failure, not a
-    # manifest error
+    # the exp-contract series window is fixed at (-4, 4), so max-n 5
+    # overflows it; the overflow is a job failure, not a manifest error
     text = (
-        "model: {u-window: [-12, 12]}\n"
         "jobs:\n"
         "  - {op: exp-contract, name: e5, max-n: 5}\n"
     )

@@ -1,7 +1,6 @@
-"""Star products, equivalences, flatness <-> associativity, trace audits."""
+"""Star products, flatness <-> associativity, trace audits."""
 
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
@@ -101,12 +100,6 @@ def test_flatness_residual_equals_associator_order_by_order():
                 assert A2.apply([fa, fb, fc]) == defect
 
 
-def test_star_mc_round_trip():
-    s = moyal_plane()
-    back = df.mc_to_star(df.star_to_mc(s), s.model)
-    assert back.ops == s.ops and back.nt == s.nt
-
-
 def test_leading_poisson_of_moyal():
     pi0 = df.leading_poisson(moyal_plane())
     assert pi0.c == {(0, 1): Poly.const(2, 1)}
@@ -132,71 +125,6 @@ def test_leading_poisson_rejects_higher_derivative_antisymmetric_part():
     s = df.StarProduct(FunctionModel(2, 4), {1: op}, 2)
     with pytest.raises(ValueError):
         df.leading_poisson(s)
-
-
-def laplacian():
-    return pd.PolyDiffOperator(2, 1, {((2, 0),): 1, ((0, 2),): 1})
-
-
-def test_equivalence_group_action():
-    T = df.Equivalence(2, {1: laplacian()}, 4)
-    U = df.Equivalence(2, {1: pd.PolyDiffOperator(2, 1, {((1, 1),): 1})}, 4)
-    ident = df.Equivalence(2, {}, 4)
-    s = moyal_plane()
-
-    assert not T.compose(T.inverse()).ops
-    assert not T.inverse().compose(T).ops
-
-    s_id = df.apply_equivalence(ident, s)
-    assert s_id.ops == s.ops
-
-    lhs = df.apply_equivalence(T, df.apply_equivalence(U, s))
-    rhs = df.apply_equivalence(T.compose(U), s)
-    assert lhs.ops == rhs.ops
-
-    back = df.apply_equivalence(T.inverse(), df.apply_equivalence(T, s))
-    assert back.ops == s.ops
-
-
-def test_conjugation_preserves_associativity_and_leading_term():
-    s = moyal_plane()
-    T = df.Equivalence(2, {1: laplacian()}, 4)
-    s2 = df.apply_equivalence(T, s)
-
-    assert df.check_associativity(s2, degree=3).ok
-    assert df.leading_poisson(s2) == df.leading_poisson(s)
-
-    # first order moves by the coboundary of the first equivalence term,
-    # which is symmetric, hence invisible to the antisymmetrization
-    diff = s2.correction(1) - s.correction(1)
-    assert diff == -pd.delta(laplacian())
-    assert df._opposite(diff) == diff
-
-
-def test_equivalence_validates_shape():
-    with pytest.raises(ValueError):
-        df.Equivalence(2, {1: pd.PolyDiffOperator(2, 2, {((1, 0), (1, 0)): 1})}, 2)
-    with pytest.raises(ValueError):
-        df.Equivalence(2, {1: pd.PolyDiffOperator(2, 1, {((0, 0),): 1})}, 2)
-    with pytest.raises(ValueError):
-        df.Equivalence(2, {0: laplacian()}, 2)
-
-
-def test_conjugation_is_the_gauge_flow_of_the_log():
-    """exp(t*W) conjugation and gauge transport along W give the same series."""
-    s = moyal_plane()
-    W = laplacian()
-    ops, power = {}, W
-    for m in range(1, 5):
-        ops[m] = Fraction(1, factorial(m)) * power
-        power = power.insert(W, 0)
-    T = df.Equivalence(2, ops, 4)
-
-    S = operator_dgla()
-    gauged = lf.gauge(S, lf.MCElement({1: W}, 4), df.star_to_mc(s))
-    conj = df.star_to_mc(df.apply_equivalence(T, s))
-    assert gauged == conj
-    assert lf.mc_residual(S, conj) == {}
 
 
 def test_trace_defect_at_origin_evaluation():

@@ -1,14 +1,18 @@
 """Homotopy-Lie checkers: bracket tables, morphisms, modules, flatness."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 
 from formality_lab import cartan as ct
 from formality_lab import hochschild as hh
 from formality_lab import linfty as lf
 from formality_lab import polydiff as pd
 from formality_lab.algebras import FunctionModel, dual_numbers
+from formality_lab.core.signs import decalage_sign, koszul_sign, unshuffle_sign
+from formality_lab.linfty import CheckReport, _accumulate
 from formality_lab.poly import Poly
+
+from jet_tables import from_polydiff
 
 
 def cochain_dgla(A, arities=(1, 2)):
@@ -79,7 +83,7 @@ def test_polydiff_dgla_passes():
     bi = pd.PolyDiffOperator(2, 2)
     bi.terms[((1, 0), (0, 1))] = Poly.const(2, 2)
     gens = [
-        ("dx", pd.PolyDiffOperator.partial(2, 0)),
+        ("dx", pd.PolyDiffOperator(2, 1, {((1, 0),): ONE2})),
         ("dxx", second),
         ("bi", bi),
         ("m", pd.PolyDiffOperator.multiplication(2)),
@@ -161,19 +165,236 @@ def test_rescaled_differential_breaks_module_identity():
         assert not res.is_zero()
 
 
+# -- morphism checkers ------------------------------------------------------------
+#
+# L-infinity morphisms and module morphisms, checked identity by identity on
+# supplied tuples.  The program runs no morphism; these are the tools the
+# obstruction and transport-gap tests below use.
+
+
+class LInftyMorphism:
+    """maps[n] : n source elements -> target element, degree 1-n."""
+
+    def __init__(self, source, target, maps):
+        self.source = source
+        self.target = target
+        self.maps = dict(maps)
+
+    def apply(self, n, args):
+        fn = self.maps.get(n)
+        if fn is None:
+            return None
+        return fn(list(args))
+
+
+def ordered_partitions(indices, k):
+    """All ordered k-tuples of disjoint increasing blocks covering indices."""
+    indices = tuple(indices)
+    if k == 0:
+        if not indices:
+            yield ()
+        return
+    if k == 1:
+        if indices:
+            yield (indices,)
+        return
+    n = len(indices)
+    for size in range(1, n - k + 2):
+        for block in combinations(indices, size):
+            remaining = tuple(i for i in indices if i not in block)
+            for tail in ordered_partitions(remaining, k - 1):
+                yield (block,) + tail
+
+
+def morphism_residual(f, elements):
+    """Difference of the two sides of the morphism identity on one tuple."""
+    S, T = f.source, f.target
+    n = len(elements)
+    degs = [S.degree(x) for x in elements]
+
+    lhs = None
+    for p in range(1, n + 1):
+        if p not in S.brackets:
+            continue
+        for I in combinations(range(n), p):
+            block = [elements[i] for i in I]
+            inner = S.apply(p, block)
+            if inner is None or inner.is_zero():
+                continue
+            rest_idx = [i for i in range(n) if i not in I]
+            eps = unshuffle_sign(n, I, degs, shift=1)
+            th_in = decalage_sign([degs[i] for i in I])
+            ideg = sum(degs[i] for i in I) + 2 - p
+            outer_degs = [ideg] + [degs[i] for i in rest_idx]
+            th_out = decalage_sign(outer_degs)
+            term = f.apply(len(rest_idx) + 1, [inner] + [elements[i] for i in rest_idx])
+            lhs = _accumulate(lhs, eps * th_in * th_out, term)
+
+    rhs = None
+    for k in range(1, n + 1):
+        if k not in T.brackets:
+            continue
+        inv_k = Fraction(1, 1)
+        for j in range(2, k + 1):
+            inv_k /= j
+        for blocks in ordered_partitions(range(n), k):
+            perm = [i for b in blocks for i in b]
+            eps = _perm_sign_shifted(perm, degs)
+            coeff = eps * inv_k
+            args = []
+            arg_degs = []
+            dead = False
+            for b in blocks:
+                fb = f.apply(len(b), [elements[i] for i in b])
+                if fb is None or fb.is_zero():
+                    dead = True
+                    break
+                coeff *= decalage_sign([degs[i] for i in b])
+                args.append(fb)
+                arg_degs.append(sum(degs[i] for i in b) + 1 - len(b))
+            if dead:
+                continue
+            coeff *= decalage_sign(arg_degs)
+            rhs = _accumulate(rhs, coeff, T.apply(k, args))
+
+    if lhs is None:
+        return rhs if rhs is None else (-1) * rhs
+    if rhs is None:
+        return lhs
+    return lhs - rhs
+
+
+def _perm_sign_shifted(perm, degs):
+    """Koszul sign (shift 1) of rearranging 0..n-1 into ``perm``."""
+    return koszul_sign(tuple(perm), tuple(degs), shift=1)
+
+
+def check_morphism(f, max_arity=3, tuples=None):
+    witnesses = []
+    checked = 0
+    if tuples is None:
+        tuples = []
+        for n in range(1, max_arity + 1):
+            tuples.extend(combinations_with_replacement(f.source.generators, n))
+    for tup in tuples:
+        names = [t[0] for t in tup]
+        elems = [t[1] for t in tup]
+        res = morphism_residual(f, elems)
+        checked += 1
+        if res is not None and not res.is_zero():
+            witnesses.append((tuple(names), len(elems), res))
+    return CheckReport(checked, witnesses, max_arity)
+
+
+class LInftyModuleMorphism:
+    """maps[q] : (q algebra elements, M element) -> N element, degree -q."""
+
+    def __init__(self, source_module, target_module, maps):
+        if source_module.structure is not target_module.structure:
+            raise ValueError("modules must share the algebra structure")
+        self.source = source_module
+        self.target = target_module
+        self.maps = dict(maps)
+
+    def apply(self, q, xs, m):
+        fn = self.maps.get(q)
+        if fn is None:
+            return None
+        return fn(list(xs), m)
+
+
+def module_morphism_residual(phi, elements, m):
+    S = phi.source.structure
+    M, N = phi.source, phi.target
+    n = len(elements)
+    degs = [S.degree(x) for x in elements]
+    mdeg = M.mdegree(m)
+    acc = None
+
+    # bracket into the morphism
+    for p in range(1, n + 1):
+        if p not in S.brackets:
+            continue
+        for I in combinations(range(n), p):
+            inner = S.apply(p, [elements[i] for i in I])
+            if inner is None or inner.is_zero():
+                continue
+            rest_idx = [i for i in range(n) if i not in I]
+            eps = unshuffle_sign(n, I, degs, shift=1)
+            th_in = decalage_sign([degs[i] for i in I])
+            ideg = sum(degs[i] for i in I) + 2 - p
+            th_out = decalage_sign([ideg] + [degs[i] for i in rest_idx] + [mdeg])
+            term = phi.apply(
+                len(rest_idx) + 1, [inner] + [elements[i] for i in rest_idx], m
+            )
+            acc = _accumulate(acc, eps * th_in * th_out, term)
+
+    # source action, then morphism (odd inner operator passes the front)
+    for q in range(0, n + 1):
+        for J in combinations(range(n), q):
+            rest_idx = [i for i in range(n) if i not in J]
+            inner = M.act(q, [elements[i] for i in J], m)
+            if inner is None or inner.is_zero():
+                continue
+            eps = unshuffle_sign(n, tuple(rest_idx), degs, shift=1)
+            pass_sign = -1 if sum(degs[i] - 1 for i in rest_idx) % 2 else 1
+            th_in = decalage_sign([degs[i] for i in J] + [mdeg])
+            inner_mdeg = sum(degs[i] for i in J) + mdeg + 1 - q
+            th_out = decalage_sign([degs[i] for i in rest_idx] + [inner_mdeg])
+            term = phi.apply(len(rest_idx), [elements[i] for i in rest_idx], inner)
+            acc = _accumulate(acc, eps * pass_sign * th_in * th_out, term)
+
+    # morphism, then target action (the morphism is even: no pass sign)
+    for q in range(0, n + 1):
+        for J in combinations(range(n), q):
+            rest_idx = [i for i in range(n) if i not in J]
+            inner = phi.apply(q, [elements[i] for i in J], m)
+            if inner is None or inner.is_zero():
+                continue
+            eps = unshuffle_sign(n, tuple(rest_idx), degs, shift=1)
+            th_in = decalage_sign([degs[i] for i in J] + [mdeg])
+            inner_mdeg = sum(degs[i] for i in J) + mdeg - q
+            th_out = decalage_sign([degs[i] for i in rest_idx] + [inner_mdeg])
+            term = N.act(len(rest_idx), [elements[i] for i in rest_idx], inner)
+            acc = _accumulate(acc, -eps * th_in * th_out, term)
+
+    return acc
+
+
+def check_module_morphism(phi, max_arity=2, tuples=None, module_samples=None):
+    witnesses = []
+    checked = 0
+    if tuples is None:
+        gens = phi.source.structure.generators
+        tuples = []
+        for n in range(0, max_arity + 1):
+            tuples.extend(combinations_with_replacement(gens, n))
+    if module_samples is None:
+        module_samples = phi.source.samples
+    for tup in tuples:
+        names = [t[0] for t in tup]
+        elems = [t[1] for t in tup]
+        for mname, melem in module_samples:
+            res = module_morphism_residual(phi, elems, melem)
+            checked += 1
+            if res is not None and not res.is_zero():
+                witnesses.append((tuple(names + [mname]), len(elems), res))
+    return CheckReport(checked, witnesses, max_arity)
+
+
 # -- morphisms --------------------------------------------------------------------
 
 
 def test_identity_morphism_passes():
     S = cochain_dgla(dual_numbers())
-    ident = lf.LInftyMorphism(S, S, {1: lambda xs: xs[0]})
-    assert lf.check_morphism(ident, max_arity=3).ok
+    ident = LInftyMorphism(S, S, {1: lambda xs: xs[0]})
+    assert check_morphism(ident, max_arity=3).ok
 
 
 def test_doubled_first_component_fails_only_at_pairs():
     S = cochain_dgla(dual_numbers())
-    doubled = lf.LInftyMorphism(S, S, {1: lambda xs: 2 * xs[0]})
-    rep = lf.check_morphism(doubled, max_arity=2)
+    doubled = LInftyMorphism(S, S, {1: lambda xs: 2 * xs[0]})
+    rep = check_morphism(doubled, max_arity=2)
     assert not rep.ok
     assert all(arity == 2 for _, arity, _ in rep.witnesses)
 
@@ -186,8 +407,8 @@ def test_symbol_to_operator_map_obstruction():
     lookup = dict(gens)
     Ss = schouten_structure(gens)
     Spd = lf.dgla(lambda op: op.arity - 1, pd.delta, pd.bracket, [])
-    f = lf.LInftyMorphism(Ss, Spd, {1: lambda xs: ct.hkr(xs[0])})
-    rep = lf.check_morphism(f, max_arity=2)
+    f = LInftyMorphism(Ss, Spd, {1: lambda xs: ct.hkr(xs[0])})
+    rep = check_morphism(f, max_arity=2)
     assert not rep.ok
     assert rep.witnesses
     for names, arity, res in rep.witnesses:
@@ -203,7 +424,7 @@ def test_symbol_to_operator_map_obstruction():
     # vector fields against anything are exact
     X, Y, pi, rho = lookup["X"], lookup["Y"], lookup["pi"], lookup["rho"]
     for pair in [(X, pi), (X, rho), (X, Y), (Y, rho)]:
-        r = lf.morphism_residual(f, list(pair))
+        r = morphism_residual(f, list(pair))
         assert r is None or r.is_zero()
 
 
@@ -214,8 +435,8 @@ def test_identity_module_morphism_passes():
     A = dual_numbers()
     S = cochain_dgla(A)
     M = chains_module(A, S)
-    ident = lf.LInftyModuleMorphism(M, M, {0: lambda xs, m: m})
-    rep = lf.check_module_morphism(ident, max_arity=2)
+    ident = LInftyModuleMorphism(M, M, {0: lambda xs, m: m})
+    rep = check_module_morphism(ident, max_arity=2)
     assert rep.ok
 
 
@@ -223,8 +444,8 @@ def test_scaled_module_morphism_passes():
     A = dual_numbers()
     S = cochain_dgla(A)
     M = chains_module(A, S)
-    half = lf.LInftyModuleMorphism(M, M, {0: lambda xs, m: Fraction(1, 2) * m})
-    assert lf.check_module_morphism(half, max_arity=1).ok
+    half = LInftyModuleMorphism(M, M, {0: lambda xs, m: Fraction(1, 2) * m})
+    assert check_module_morphism(half, max_arity=1).ok
 
 
 def test_module_morphism_requires_shared_structure():
@@ -232,7 +453,7 @@ def test_module_morphism_requires_shared_structure():
     M1 = chains_module(A, cochain_dgla(A))
     M2 = chains_module(A, cochain_dgla(A))
     try:
-        lf.LInftyModuleMorphism(M1, M2, {})
+        LInftyModuleMorphism(M1, M2, {})
     except ValueError:
         pass
     else:
@@ -251,7 +472,7 @@ def test_trace_map_audit_reports_transport_gap():
 
     def act_chain(xs, m):
         op = ct.hkr(xs[0])
-        return hh.lie_action(hh.from_polydiff(op, model, A), m)
+        return hh.lie_action(from_polydiff(op, model, A), m)
 
     samples = []
     for tup in [(0,), (model.index[(1, 0)],),
@@ -264,10 +485,10 @@ def test_trace_map_audit_reports_transport_gap():
                         {0: lambda xs, m: hh.chain_b(m), 1: act_chain}, samples)
     N = lf.LInftyModule(S, lambda a: a.k,
                         {1: lambda xs, m: ct.lie_derivative(xs[0], m)})
-    mu = lf.LInftyModuleMorphism(M, N, {0: lambda xs, m: ct.connes_mu_chain(model, m)})
+    mu = LInftyModuleMorphism(M, N, {0: lambda xs, m: ct.connes_mu_chain(model, m)})
 
     for name, ch in samples:
-        res = lf.module_morphism_residual(mu, [pi], ch)
+        res = module_morphism_residual(mu, [pi], ch)
         direct = ct.connes_mu_chain(model, act_chain([pi], ch)) - ct.lie_derivative(
             pi, ct.connes_mu_chain(model, ch)
         )
@@ -278,11 +499,11 @@ def test_trace_map_audit_reports_transport_gap():
 
     # the gap is genuinely nonzero on a two-tensor chain
     ch = hh.Chain.elementary(A, (model.index[(1, 0)], model.index[(0, 1)]))
-    res = lf.module_morphism_residual(mu, [pi], ch)
+    res = module_morphism_residual(mu, [pi], ch)
     assert res is not None and not res.is_zero()
 
 
-# -- flatness, gauge, pushforward -------------------------------------------------
+# -- flatness --------------------------------------------------------------------
 
 
 def test_mc_residual_flat_and_curved():
@@ -309,59 +530,6 @@ def test_mc_element_validation():
     else:
         raise AssertionError("expected a ValueError")
     assert lf.MCElement({5: pi}, 3).is_zero()  # beyond the cap
-
-
-def test_gauge_flow_matches_iterated_brackets():
-    # transporting the constant area bivector along x d/dx rescales it by
-    # the exponential flow: coefficients 1, -1, 1/2, -1/6
-    S = schouten_structure()
-    pi0 = mv(2, 2, {(0, 1): ONE2})
-    X0 = mv(2, 1, {(0,): X2})
-    out = lf.gauge(S, lf.MCElement({1: X0}, 4), lf.MCElement({1: pi0}, 4))
-    assert out.parts[1] == pi0
-    assert out.parts[2] == -1 * pi0
-    assert out.parts[3] == Fraction(1, 2) * pi0
-    assert out.parts[4] == Fraction(-1, 6) * pi0
-    assert lf.mc_residual(S, out) == {}
-
-
-def test_gauge_orbit_of_zero_is_flat():
-    S = lf.dgla(lambda op: op.arity - 1, pd.delta, pd.bracket, [])
-    D = pd.PolyDiffOperator(2, 1)
-    D.terms[((2, 0),)] = ONE2
-    X = lf.MCElement({1: D}, 3)
-    orbit = lf.gauge(S, X, lf.MCElement({}, 3))
-    assert sorted(orbit.parts) == [1, 2, 3]
-    assert lf.mc_residual(S, orbit) == {}
-
-
-def test_gauge_rejects_higher_brackets():
-    S = schouten_structure()
-    S.brackets[3] = lambda args: args[0]
-    pi = lf.MCElement({1: mv(2, 2, {(0, 1): ONE2})}, 2)
-    try:
-        lf.gauge(S, pi, pi)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expected a ValueError")
-
-
-def test_pushforward_identity_and_quadratic():
-    one3 = Poly.const(3, 1)
-    x3 = Poly.var(3, 0)
-    curved0 = mv(3, 2, {(0, 1): one3, (0, 2): x3})
-    S = schouten_structure()
-    pi = lf.MCElement({1: curved0}, 4)
-    ident = lf.LInftyMorphism(S, S, {1: lambda xs: xs[0]})
-    assert lf.mc_pushforward(ident, pi) == pi
-
-    quad = lf.LInftyMorphism(
-        S, S, {1: lambda xs: xs[0], 2: lambda xs: ct.schouten(xs[0], xs[1])}
-    )
-    out = lf.mc_pushforward(quad, pi)
-    assert out.parts[1] == curved0
-    assert out.parts[2] == ct.jacobiator(curved0)
 
 
 # -- odd-parameter extension ------------------------------------------------------

@@ -30,8 +30,6 @@ def test_poly_arithmetic():
     assert Fraction(1, 3) * (3 * x) == x
     q = x * y
     assert q.coeff((1, 1)) == 1
-    assert q.total_degree() == 2
-    assert Poly.zero(2).total_degree() == -1
 
 
 def test_poly_mul_cancellation():
@@ -56,8 +54,6 @@ def test_poly_truncate_and_eval():
     x = Poly.var(1, 0)
     p = x * x * x + x + Poly.const(1, 5)
     assert p.truncate(1) == x + Poly.const(1, 5)
-    assert p.eval([2]) == 8 + 2 + 5
-    assert p.eval([Fraction(1, 2)]) == Fraction(1, 8) + Fraction(1, 2) + 5
     assert p.constant_term() == 5
 
 
