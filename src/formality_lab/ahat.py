@@ -432,7 +432,7 @@ def d_primitive(form, cap=None):
         for fkey, c in img.c.items():
             for ee, v in c.c.items():
                 rows[eqs[(fkey, ee)]][j] = v
-    rhs = [Fraction(0)] * len(eqs)
+    rhs = [0] * len(eqs)
     for fkey, c in form.c.items():
         for ee, v in c.c.items():
             rhs[eqs[(fkey, ee)]] = v

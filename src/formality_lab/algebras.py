@@ -1,13 +1,11 @@
 """Finite-dimensional associative algebras given by structure constants,
 plus the degree-capped polynomial models that feed them.
 
-Elements are sparse vectors over basis indices (dict index -> Fraction),
+Elements are sparse vectors over basis indices (dict index -> exact scalar),
 matching the vector helpers in ``core.basis``.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .core.basis import vec, vadd_into
 from .core.linalg import solve
@@ -54,7 +52,7 @@ class StructureAlgebra:
                     cols.setdefault(k, {})[i] = c
             for k in range(self.dim):
                 rows.append(cols.get(k, {}))
-                rhs.append(Fraction(1) if k == j else Fraction(0))
+                rhs.append(1 if k == j else 0)
         u = solve(rows, rhs, self.dim)
         if u is None:
             raise ValueError("algebra has no unit")
@@ -118,20 +116,18 @@ def mat2_unital():
     unit must be a basis element.
     """
     # e11 = 1 - e22 in this basis.
-    one = {0: Fraction(1)}
-    e12 = {1: Fraction(1)}
-    e21 = {2: Fraction(1)}
-    e22 = {3: Fraction(1)}
-    e11 = {0: Fraction(1), 3: Fraction(-1)}
-    names = [one, e12, e21, e22]
+    e12 = {1: 1}
+    e21 = {2: 1}
+    e22 = {3: 1}
+    e11 = {0: 1, 3: -1}
 
     ref = mat2_elementary()
     # express each product in the new basis via the change of basis
     new_in_old = [
-        {0: Fraction(1), 3: Fraction(1)},  # 1 = e11 + e22
-        {1: Fraction(1)},
-        {2: Fraction(1)},
-        {3: Fraction(1)},
+        {0: 1, 3: 1},  # 1 = e11 + e22
+        {1: 1},
+        {2: 1},
+        {3: 1},
     ]
     # old elementary basis in the new basis
     old_in_new = [e11, e12, e21, e22]

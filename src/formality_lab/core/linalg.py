@@ -1,52 +1,58 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on sparse rows (dict col -> Fraction).  One forward
-eliminator serves both entry points.  It normalizes each stored row to
-coprime integer entries, so pivoting is integer arithmetic with a single
-exact division per elimination step; no floating point exists anywhere.
+Everything here works on sparse rows (dict col -> int or Fraction).  One
+forward eliminator serves both entry points.  It scales each incoming row
+once to a primitive integer row and then eliminates fraction-free, with
+``row = a*row - b*piv`` for coprime integers ``a`` and ``b``, so the loop
+does ``int`` arithmetic only (primitive-row elimination, a cousin of
+Bareiss').  ``solve`` back-substitutes in ``Fraction``; no floating point
+exists anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _normalize_row(row):
-    """Scale a sparse row to coprime integers with a positive leading entry."""
+    """Scale a sparse rational row to its primitive integer row: coprime
+    ``int`` entries with a positive leading (minimum-column) entry."""
     if not row:
         return row
-    den = 1
-    for v in row.values():
-        den = den * v.denominator // gcd(den, v.denominator)
-    g = 0
-    for v in row.values():
-        g = gcd(g, abs(v.numerator * (den // v.denominator)))
-    lead = min(row)
-    sign = 1 if row[lead] > 0 else -1
-    return {c: Fraction(sign * v.numerator * (den // v.denominator), g) for c, v in row.items()}
+    den = lcm(*(v.denominator for v in row.values()))
+    ints = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    g = gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        g = -g
+    return {c: v // g for c, v in ints.items()}
 
 
 def rank_kernel(rows, ncols):
     """Forward elimination of a sparse rational matrix: (rank, pivots).
 
-    ``rows``: iterable of dict col-index -> Fraction (ints are accepted).
-    ``pivots`` maps each pivot column to its echelon row, normalized by
-    ``_normalize_row``; the pivot is the row's minimum column.  The rows
-    are not back-substituted.
+    ``rows``: iterable of dict col-index -> int or Fraction; they are not
+    modified.  ``pivots`` maps each pivot column to its echelon row as a
+    primitive ``int`` row (``_normalize_row``); the pivot is the row's
+    minimum column.  Normalization does not depend on scale, so each pivot
+    equals, by value, the normalized echelon row of elimination over the
+    rationals.  The rows are not back-substituted.
     """
     pivots = {}
     for raw in rows:
-        row = {c: (v if isinstance(v, Fraction) else Fraction(v)) for c, v in raw.items() if v}
+        row = _normalize_row({c: v for c, v in raw.items() if v})
         while row:
             c = min(row)
             piv = pivots.get(c)
             if piv is None:
                 pivots[c] = _normalize_row(row)
                 break
-            factor = row[c] / piv[c]  # Fractions both: never an int / int float
+            g = gcd(piv[c], row[c])
+            a, b = piv[c] // g, row[c] // g  # a > 0: pivots lead positive
+            if a != 1:
+                row = {cc: a * vv for cc, vv in row.items()}
             for cc, vv in piv.items():
-                w = row.get(cc, 0) - factor * vv
+                w = row.get(cc, 0) - b * vv
                 if w:
                     row[cc] = w
                 else:
@@ -58,7 +64,7 @@ def solve(rows, rhs, ncols):
     """One exact solution x of (rows) x = rhs, or None if inconsistent.
 
     ``rows`` is a list of sparse rows; ``rhs`` aligns with it.  Free
-    variables are set to zero.
+    variables are set to zero; the values of ``x`` are ``Fraction``.
     """
     # column ncols of the augmented rows holds the right-hand side
     aug = [{**row, ncols: b} if b else row for row, b in zip(rows, rhs)]
@@ -70,5 +76,5 @@ def solve(rows, rhs, ncols):
         row = pivots[c]
         v = row.get(ncols, 0) - sum(a * x[cc] for cc, a in row.items() if cc in x)
         if v:
-            x[c] = v / row[c]  # row[c] is a Fraction from _normalize_row
+            x[c] = Fraction(v) / row[c]  # int / int would be a float
     return {c: x[c] for c in pivots if c in x}  # pivot order: callers iterate x

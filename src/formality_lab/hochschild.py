@@ -13,7 +13,6 @@ degree n.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as _cartesian
 
 from .core.basis import add_term, rational, vadd_into, vec
@@ -127,9 +126,9 @@ class Cochain:
             raise ValueError("argument count mismatch")
         out = {}
         for tup, val in self.table.items():
-            c = Fraction(1)
+            c = 1
             for i, a in zip(tup, args):
-                c *= a.get(i, Fraction(0))
+                c *= a.get(i, 0)
                 if not c:
                     break
             if c:
@@ -230,7 +229,7 @@ def basis_cochains(algebra, arity, reduced=False):
     for tup in _cartesian(slots, repeat=arity):
         for k in range(algebra.dim):
             c = Cochain(algebra, arity)
-            c.table[tup] = {k: Fraction(1)}
+            c.table[tup] = {k: 1}
             out.append(c)
     return out
 
@@ -258,7 +257,7 @@ class Chain:
 
     @classmethod
     def elementary(cls, algebra, tup):
-        return cls(algebra, len(tup) - 1, {tuple(tup): Fraction(1)})
+        return cls(algebra, len(tup) - 1, {tuple(tup): 1})
 
     def _check(self, other):
         if self.algebra is not other.algebra or self.n != other.n:
@@ -455,7 +454,7 @@ def cohomology_betti(algebra, top, reduced=True):
         cols = []
         for (t, k) in key_index[n]:
             e = Cochain(algebra, n)
-            e.table[t] = {k: Fraction(1)}
+            e.table[t] = {k: 1}
             de = delta(e)
             col = {}
             for tt, vv in de.table.items():

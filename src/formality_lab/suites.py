@@ -244,26 +244,30 @@ def _chains_module(A, S):
 # ------------------------------------------------------------------ op registry
 
 class OpSpec:
-    __slots__ = ("fn", "keys")
+    __slots__ = ("fn", "keys", "check")
 
-    def __init__(self, fn, keys):
+    def __init__(self, fn, keys, check):
         self.fn = fn
         self.keys = frozenset(keys)
+        self.check = check
 
 
 OPS = {}
 
 
-def _op(name, keys=()):
+def _op(name, keys=(), check=None):
+    """Register an op; ``check(args, where)``, if given, validates argument
+    values when the manifest loads."""
     def wrap(fn):
-        OPS[name] = OpSpec(fn, keys)
+        OPS[name] = OpSpec(fn, keys, check)
         return fn
 
     return wrap
 
 
 def check_job_args(job, manifest):
-    """Load-time validation: known op, known argument keys."""
+    """Load-time validation: known op, known argument keys, and the values
+    the op checks up front."""
     spec = OPS.get(job.op)
     if spec is None:
         known = ", ".join(sorted(OPS))
@@ -275,6 +279,8 @@ def check_job_args(job, manifest):
             f"job {job.name!r}: unknown argument {sorted(extra)[0]!r}"
             f" for op {job.op!r} (allowed: {allowed})"
         )
+    if spec.check is not None:
+        spec.check(job.args, f"job {job.name!r}")
 
 
 def run_job(job, manifest):
@@ -903,11 +909,7 @@ def _pipeline_chain_maps(args, manifest, where):
     return t.outcome("pipeline chain-map suite", {"pairs-checked": total})
 
 
-@_op("exp-contract", keys=("max-n", "weights"))
-def _exp_contract(args, manifest, where):
-    """The exponential-contraction identity on volume powers, for each
-    weight monomial."""
-    max_n = _int_arg(args, "max-n", 4, where)
+def _weights_arg(args, where):
     weights = args.get("weights", ["t", "u", "t/u"])
     if not isinstance(weights, list) or not all(
         isinstance(w, str) for w in weights
@@ -916,6 +918,15 @@ def _exp_contract(args, manifest, where):
     for z in weights:
         if z not in ah._Z_TOKENS:
             raise ManifestError(f"{where}: unknown weight token {z!r}")
+    return weights
+
+
+@_op("exp-contract", keys=("max-n", "weights"), check=_weights_arg)
+def _exp_contract(args, manifest, where):
+    """The exponential-contraction identity on volume powers, for each
+    weight monomial."""
+    max_n = _int_arg(args, "max-n", 4, where)
+    weights = _weights_arg(args, where)
     t = _Tally()
     for n in range(1, max_n + 1):
         for z in weights:

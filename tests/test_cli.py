@@ -296,6 +296,20 @@ def test_unknown_weight_token_exits_two(tmp_path, capsys):
     assert "unknown weight token 'q'" in err
 
 
+def test_bad_weight_is_refused_before_the_first_job(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(OPS["betti"], "fn", lambda *a: ran.append(a))
+    text = (
+        "jobs:\n"
+        "  - {op: betti, name: first, algebra: dual-numbers, top: 1}\n"
+        "  - {op: exp-contract, name: q, weights: [t, q]}\n"
+    )
+    rc = main(["run", _write(tmp_path, text)])
+    assert rc == 2
+    assert "formality-lab: job 'q': unknown weight token 'q'" in capsys.readouterr().err
+    assert ran == []
+
+
 def test_text_report_carries_ledger_hash(tmp_path, capsys):
     main(["run", _write(tmp_path, "jobs: []\n")])
     out = capsys.readouterr().out

@@ -4,12 +4,20 @@
 code, kept verbatim as the reference: two elimination loops, full
 back-substitution and a kernel basis.  The current kernel must give the
 same rank, and ``solve`` the same solution (or ``None``) on every system.
+
+``_fraction_rank_kernel`` is the forward eliminator in ``Fraction``
+arithmetic that the integer one replaced, also verbatim.  Every integer
+pivot must be a primitive ``int`` row equal by value to its pivot, on the
+seeded systems, on the Hochschild boundary and coboundary matrices, and on
+a dense rational system.
 """
 
 import random
 from fractions import Fraction
 from math import gcd
 
+from formality_lab import hochschild as hh
+from formality_lab.algebras import dual_numbers, mat2_unital, trunc_poly_algebra
 from formality_lab.core.linalg import rank_kernel, solve
 
 
@@ -219,3 +227,103 @@ def test_zero_matrix_and_empty_systems_match_reference():
             assert rank_kernel(_copy(rows), ncols)[0] == _old_rank_kernel(_copy(rows), ncols)[0] == 0
             for rhs in ([0] * len(rows), [Fraction(1)] * len(rows)):
                 assert solve(_copy(rows), rhs, ncols) == _old_solve(_copy(rows), rhs, ncols)
+
+
+# -- reference: the rational-arithmetic forward eliminator, verbatim ------------
+
+def _fraction_rank_kernel(rows, ncols):
+    """Forward elimination of a sparse rational matrix: (rank, pivots).
+
+    ``rows``: iterable of dict col-index -> Fraction (ints are accepted).
+    ``pivots`` maps each pivot column to its echelon row, normalized by
+    ``_normalize_row``; the pivot is the row's minimum column.  The rows
+    are not back-substituted.
+    """
+    pivots = {}
+    for raw in rows:
+        row = {c: (v if isinstance(v, Fraction) else Fraction(v)) for c, v in raw.items() if v}
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                pivots[c] = _normalize_row(row)
+                break
+            factor = row[c] / piv[c]  # Fractions both: never an int / int float
+            for cc, vv in piv.items():
+                w = row.get(cc, 0) - factor * vv
+                if w:
+                    row[cc] = w
+                else:
+                    row.pop(cc, None)
+    return len(pivots), pivots
+
+
+def _assert_primitive_pivots(pivots, want):
+    """Every pivot is a primitive ``int`` row led by a positive entry at its
+    key, and equals by value the rational eliminator's normalized pivot."""
+    assert set(pivots) == set(want)
+    for c, row in pivots.items():
+        assert min(row) == c
+        assert all(type(v) is int for v in row.values()), row
+        assert gcd(*row.values()) == 1 and row[c] > 0, row
+        assert row == _normalize_row(want[c]), (row, want[c])
+
+
+def test_pivots_are_primitive_int_rows_on_seeded_systems():
+    rng = random.Random(20260418)
+    for _ in range(1500):
+        rows, rhs, ncols = _system(rng)
+        rank, pivots = rank_kernel(_copy(rows), ncols)
+        want_rank, want = _fraction_rank_kernel(_copy(rows), ncols)
+        assert rank == want_rank
+        _assert_primitive_pivots(pivots, want)
+
+
+def _betti_matrices(monkeypatch, algebra, top, reduced):
+    """The (rows, ncols) that ``homology_betti`` and ``cohomology_betti``
+    hand to ``rank_kernel`` for ``algebra`` up to degree ``top + 1``."""
+    seen = []
+
+    def record(rows, ncols):
+        seen.append(([dict(r) for r in rows], ncols))
+        return rank_kernel(rows, ncols)
+
+    with monkeypatch.context() as m:
+        m.setattr(hh, "rank_kernel", record)
+        hh.homology_betti(algebra, top, reduced=reduced)
+        hh.cohomology_betti(algebra, top, reduced=reduced)
+    return seen
+
+
+def test_boundary_and_coboundary_matrices_match_reference(monkeypatch):
+    for algebra in (dual_numbers(), trunc_poly_algebra(3), mat2_unital()):
+        for reduced in (True, False):
+            matrices = _betti_matrices(monkeypatch, algebra, 2, reduced)
+            assert len(matrices) == 6  # b into degrees 0..2, delta into 1..3
+            for rows, ncols in matrices:
+                assert all(type(v) is int for row in rows for v in row.values())
+                rank, pivots = rank_kernel(_copy(rows), ncols)
+                assert rank == _old_rank_kernel(_copy(rows), ncols)[0]
+                want_rank, want = _fraction_rank_kernel(_copy(rows), ncols)
+                assert rank == want_rank
+                _assert_primitive_pivots(pivots, want)
+
+
+def test_dense_rational_system_with_coefficient_growth():
+    rng = random.Random(12)
+    n = 12
+    rows = [
+        {c: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for c in range(n)}
+        for _ in range(n)
+    ]
+    rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+    rank, pivots = rank_kernel(_copy(rows), n)
+    assert rank == _old_rank_kernel(_copy(rows), n)[0] == n
+    _assert_primitive_pivots(pivots, _fraction_rank_kernel(_copy(rows), n)[1])
+    # the echelon rows outgrow the one-digit inputs far past a machine word
+    assert max(abs(v) for row in pivots.values() for v in row.values()) > 2 ** 64
+    x = solve(rows, list(rhs), n)
+    assert x == _old_solve(_copy(rows), list(rhs), n)
+    assert all(type(v) is Fraction for v in x.values())
+    for row, b in zip(rows, rhs):
+        assert sum(v * x.get(c, 0) for c, v in row.items()) == b
