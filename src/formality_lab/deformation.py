@@ -48,22 +48,13 @@ class StarProduct:
                 raise ValueError(f"order-{m} correction does not vanish on the unit")
             if op.terms:
                 self.ops[m] = op
-        self.unit_normalized = True
 
     def correction(self, m):
         return self.ops.get(m)
 
     def star(self, f, g):
         """f*g as {t-order: polynomial}, zero orders omitted."""
-        out = {}
-        fg = f * g
-        if not fg.is_zero():
-            out[0] = fg
-        for m, op in self.ops.items():
-            v = op.apply([f, g])
-            if not v.is_zero():
-                out[m] = v
-        return out
+        return self.star_series({0: f}, {0: g})
 
     def star_series(self, a, b):
         """Convolution of two {order: polynomial} dictionaries."""

@@ -37,11 +37,10 @@ class LInftyStructure:
     grading.
     """
 
-    def __init__(self, degree, brackets, generators=(), nar=None):
+    def __init__(self, degree, brackets, generators=()):
         self.degree = degree
         self.brackets = dict(brackets)
         self.generators = list(generators)
-        self.nar = nar if nar is not None else (max(self.brackets) if self.brackets else 0)
 
     def apply(self, n, args):
         fn = self.brackets.get(n)
@@ -50,12 +49,12 @@ class LInftyStructure:
         return fn(list(args))
 
 
-def dgla(degree, differential, bracket_fn, generators=(), nar=2):
+def dgla(degree, differential, bracket_fn, generators=()):
     """Package a differential graded Lie algebra as a structure table."""
     brackets = {2: lambda args: bracket_fn(args[0], args[1])}
     if differential is not None:
         brackets[1] = lambda args: differential(args[0])
-    return LInftyStructure(degree, brackets, generators, nar)
+    return LInftyStructure(degree, brackets, generators)
 
 
 class CheckReport:

@@ -9,8 +9,38 @@ Nothing here ever truncates: the degree-capped quotient lives in
 from __future__ import annotations
 
 from itertools import product as _cartesian
+from math import perm, prod
+from operator import add, sub
 
 from .core.basis import add_term, rational
+
+
+def mul_terms(c1, c2):
+    """The product of two exponent dicts, as a new zero-free dict."""
+    out = {}
+    for e1, v1 in c1.items():
+        for e2, v2 in c2.items():
+            add_term(out, tuple(map(add, e1, e2)), v1 * v2)
+    return out
+
+
+def diff_terms(c, alpha):
+    """The derivative d^alpha of an exponent dict, as a zero-free dict.
+
+    One rule for every multi-index: d^alpha x^e = (prod_i perm(e_i, alpha_i))
+    x^(e - alpha), where ``perm(k, a)`` is the falling factorial
+    k(k-1)..(k-a+1), 0 when a > k.  The weights are ``int``s, so an ``int``
+    coefficient stays an ``int``.  A zero ``alpha`` returns ``c`` itself,
+    which callers must not mutate.
+    """
+    if not any(alpha):
+        return c
+    out = {}
+    for e, v in c.items():
+        w = prod(map(perm, e, alpha))
+        if w:
+            out[tuple(map(sub, e, alpha))] = v * w
+    return out
 
 
 class Poly:
@@ -100,12 +130,8 @@ class Poly:
         if not isinstance(other, Poly):
             return self.__rmul__(other)
         self._check(other)
-        out = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                add_term(out, tuple(a + b for a, b in zip(e1, e2)), v1 * v2)
         p = Poly.zero(self.n)
-        p.c = out
+        p.c = mul_terms(self.c, other.c)
         return p
 
     def __eq__(self, other):
@@ -118,24 +144,18 @@ class Poly:
 
     # -- calculus -----------------------------------------------------------
     def diff(self, i):
-        out = {}
-        for e, v in self.c.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            out[tuple(e2)] = v * e[i]
-        p = Poly.zero(self.n)
-        p.c = out
-        return p
+        alpha = [0] * self.n
+        alpha[i] = 1
+        return self.diff_multi(tuple(alpha))
 
     def diff_multi(self, alpha):
-        p = self
-        for i, k in enumerate(alpha):
-            for _ in range(k):
-                p = p.diff(i)
-                if not p:
-                    return p
+        if len(alpha) != self.n:
+            raise ValueError(f"multi-index {alpha!r} does not have {self.n} entries")
+        d = diff_terms(self.c, alpha)
+        if d is self.c:
+            return self
+        p = Poly.zero(self.n)
+        p.c = d
         return p
 
     def truncate(self, degree_cap):

@@ -15,10 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as _cartesian
 from math import factorial
+from operator import gt
 
 from .core.basis import add_term, rational
 from .core.linalg import solve
-from .poly import Poly
+from .poly import Poly, diff_terms, mul_terms
 
 
 def _compositions(total, parts):
@@ -153,17 +154,38 @@ class PolyDiffOperator:
 
     # -- evaluation -----------------------------------------------------------
     def apply(self, args):
+        """Sum over terms of c_T * d^{T_1}a_1 * ... * d^{T_n}a_n.
+
+        Each slot's derivatives come from a table keyed by multi-index that
+        lives for this call only; a multi-index above the argument's largest
+        exponent in some variable kills the term before any lookup.  The
+        products run on exponent dicts, and the sum is wrapped in a ``Poly``
+        once.
+        """
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
-        total = Poly.zero(self.nvars)
+        if any(a.n != self.nvars for a in args):
+            raise ValueError("variable counts differ")
+        tables = [{} for _ in args]
+        tops = [tuple(map(max, zip(*a.c))) if a.c else None for a in args]
+        total = {}
         for key, c in self.terms.items():
-            p = c
-            for alpha, a in zip(key, args):
-                if not p:
+            p = c.c
+            for alpha, a, table, top in zip(key, args, tables, tops):
+                if top is None or any(map(gt, alpha, top)):
                     break
-                p = p * a.diff_multi(alpha)
-            total = total + p
-        return total
+                d = table.get(alpha)
+                if d is None:
+                    d = table[alpha] = diff_terms(a.c, alpha)
+                if not d:
+                    break
+                p = mul_terms(p, d)
+            else:
+                for e, v in p.items():
+                    add_term(total, e, v)
+        out = Poly.zero(self.nvars)
+        out.c = total
+        return out
 
     # -- composition ------------------------------------------------------------
     def insert(self, other, pos):
@@ -177,9 +199,9 @@ class PolyDiffOperator:
         n, m = self.arity, other.arity
         out = PolyDiffOperator(self.nvars, n + m - 1)
         for alphas, c in self.terms.items():
-            alpha = alphas[pos]
+            splits = list(_leibniz_splits(alphas[pos], m + 1))
             for betas, e in other.terms.items():
-                for split, weight in _leibniz_splits(alpha, m + 1):
+                for split, weight in splits:
                     coeff = weight * (c * e.diff_multi(split[0]))
                     if not coeff:
                         continue
