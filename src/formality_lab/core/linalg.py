@@ -20,8 +20,11 @@ def _normalize_row(row):
     ``int`` entries with a positive leading (minimum-column) entry."""
     if not row:
         return row
-    den = lcm(*(v.denominator for v in row.values()))
-    ints = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    ints = row
+    # the type, not the denominator: Fraction(k, 1) must be rescaled to int
+    if not all(type(v) is int for v in row.values()):
+        den = lcm(*(v.denominator for v in row.values()))
+        ints = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
     g = gcd(*ints.values())
     if ints[min(ints)] < 0:
         g = -g

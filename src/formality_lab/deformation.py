@@ -231,19 +231,23 @@ class TraceCandidate:
 
 
 def trace_defect(tau, s, degree=None):
-    """tau(f*g - g*f) over monomial pairs; witnesses carry the series value."""
+    """tau(f*g - g*f) over monomial pairs; witnesses carry the series value.
+
+    Every product f*g is built once per call, in an N x N table, and serves
+    as both f*g and g*f.
+    """
     if degree is None:
         degree = s.model.cap
     n = s.model.nvars
     monos = monomials_upto(n, degree)
+    polys = [Poly.monomial(n, e) for e in monos]
+    pair = [[s.star(f, g) for g in polys] for f in polys]
     witnesses = []
     checked = 0
-    for ea in monos:
-        fa = Poly.monomial(n, ea)
-        for eb in monos:
-            fb = Poly.monomial(n, eb)
-            fwd = s.star(fa, fb)
-            bwd = s.star(fb, fa)
+    for ia, ea in enumerate(monos):
+        for ib, eb in enumerate(monos):
+            fwd = pair[ia][ib]
+            bwd = pair[ib][ia]
             comm = {}
             for k in set(fwd) | set(bwd):
                 d = fwd.get(k, Poly.zero(n)) - bwd.get(k, Poly.zero(n))

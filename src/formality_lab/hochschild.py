@@ -214,9 +214,63 @@ def cup(D, E):
     return out
 
 
+def _delta_lookups(algebra, slots):
+    """The structure constants as the coboundary reads them, with every
+    new input index drawn from ``slots``: left[k] lists (b, m(k, b)),
+    right[k] lists (a, m(a, k)), and pre[c] lists (a, b, m(a, b)_c) for
+    each nonzero c-coefficient."""
+    table = algebra.table
+    left, right, pre = {}, {}, {}
+    for k in range(algebra.dim):
+        left[k] = [(b, table[(k, b)]) for b in slots if (k, b) in table]
+        right[k] = [(a, table[(a, k)]) for a in slots if (a, k) in table]
+    for a in slots:
+        for b in slots:
+            for c, v in table.get((a, b), {}).items():
+                pre.setdefault(c, []).append((a, b, v))
+    return left, right, pre
+
+
+def _delta_terms(lookups, t, k):
+    """The (input tuple, output index, coefficient) terms of the coboundary
+    of the elementary cochain e_(t,k), which sends t to basis k.
+
+    This is bracket(multiplication, e) expanded by hand: m(k, b) at t + (b,),
+    (-1)^(n-1) m(a, k) at (a,) + t, and for each slot j,
+    outer (-1)^j m(a, b)_(t_j) at t with t_j replaced by (a, b), where
+    outer is +1 for odd n-1 and -1 otherwise.
+    """
+    left, right, pre = lookups
+    n = len(t)
+    for b, v in left[k]:
+        key = t + (b,)
+        for kk, c in v.items():
+            yield key, kk, c
+    sign = 1 if n % 2 else -1  # (-1)^(n-1)
+    for a, v in right[k]:
+        key = (a,) + t
+        for kk, c in v.items():
+            yield key, kk, sign * c
+    for j, tj in enumerate(t):
+        s = sign if j % 2 else -sign  # outer (-1)^j, and outer = -(-1)^(n-1)
+        head, tail = t[:j], t[j + 1 :]
+        for a, b, c in pre.get(tj, ()):
+            yield head + (a, b) + tail, k, s * c
+
+
 def delta(D):
-    """Coboundary: bracket with the product cochain."""
-    return bracket(Cochain.multiplication(D.algebra), D)
+    """Coboundary: bracket with the product cochain, summed from the closed
+    form of ``_delta_terms`` over the table of ``D``."""
+    A = D.algebra
+    lookups = _delta_lookups(A, range(A.dim))
+    acc = {}
+    for t, v in D.table.items():
+        for k, c in v.items():
+            for key, kk, w in _delta_terms(lookups, t, k):
+                add_term(acc.setdefault(key, {}), kk, c * w)
+    out = Cochain(A, D.arity + 1)
+    out.table = {key: v for key, v in acc.items() if v}
+    return out
 
 
 def basis_cochains(algebra, arity, reduced=False):
@@ -310,6 +364,26 @@ class Chain:
         return f"Chain(n={self.n}, {len(self.c)} terms)"
 
 
+def _b_terms(table, tup):
+    """The (tuple, coefficient) terms of b on one basis tensor of length
+    n + 1 >= 2: the adjacent products, then the wrap term."""
+    n = len(tup) - 1
+    for i in range(n):
+        prod = table.get((tup[i], tup[i + 1]))
+        if not prod:
+            continue
+        sign = -1 if i % 2 else 1
+        head, tail = tup[:i], tup[i + 2 :]
+        for k, v in prod.items():
+            yield head + (k,) + tail, sign * v
+    prod = table.get((tup[n], tup[0]))
+    if prod:
+        sign = -1 if n % 2 else 1
+        tail = tup[1:n]
+        for k, v in prod.items():
+            yield (k,) + tail, sign * v
+
+
 def chain_b(ch):
     """Tensor-contraction boundary: adjacent products plus the wrap term."""
     A, n = ch.algebra, ch.n
@@ -317,20 +391,8 @@ def chain_b(ch):
         return Chain(A, 0)  # nothing below degree zero
     out = Chain(A, n - 1)
     for tup, coeff in ch.c.items():
-        for i in range(n):
-            prod = A.table.get((tup[i], tup[i + 1]))
-            if not prod:
-                continue
-            sign = -1 if i % 2 else 1
-            key_head, key_tail = tup[:i], tup[i + 2 :]
-            for k, v in prod.items():
-                add_term(out.c, key_head + (k,) + key_tail, sign * coeff * v)
-        prod = A.table.get((tup[n], tup[0]))
-        if prod:
-            sign = -1 if n % 2 else 1
-            tail = tup[1:n]
-            for k, v in prod.items():
-                add_term(out.c, (k,) + tail, sign * coeff * v)
+        for key, v in _b_terms(A.table, tup):
+            add_term(out.c, key, coeff * v)
     return out
 
 
@@ -414,15 +476,19 @@ def homology_betti(algebra, top, reduced=True):
         tuples = list(_chain_tuples(algebra, n, reduced))
         tuple_index[n] = {t: i for i, t in enumerate(tuples)}
         dims.append(len(tuples))
-    # rank of b: C_n -> C_{n-1}
+    # rank of b: C_n -> C_{n-1}; in the reduced complex the terms with the
+    # unit in a reducible slot are the ones missing from the index
+    table = algebra.table
     ranks = [0] * (top + 2)
     for n in range(1, top + 2):
+        below = tuple_index[n - 1]
         cols = []
         for t in tuple_index[n]:
-            img = chain_b(Chain.elementary(algebra, t))
-            if reduced:
-                img = img.normalized()
-            col = {tuple_index[n - 1][s]: v for s, v in img.c.items()}
+            col = {}
+            for key, v in _b_terms(table, t):
+                i = below.get(key)
+                if i is not None:
+                    add_term(col, i, v)
             if col:
                 cols.append(col)
         rank, _ = rank_kernel(cols, dims[n - 1])
@@ -449,19 +515,15 @@ def cohomology_betti(algebra, top, reduced=True):
         keys = basis_keys(n)
         key_index[n] = {key: i for i, key in enumerate(keys)}
         dims.append(len(keys))
+    lookups = _delta_lookups(algebra, slots)
     ranks = [0] * (top + 2)  # ranks[n] = rank of delta: C^n -> C^(n+1)
     for n in range(top + 1):
+        above = key_index[n + 1]
         cols = []
         for (t, k) in key_index[n]:
-            e = Cochain(algebra, n)
-            e.table[t] = {k: 1}
-            de = delta(e)
             col = {}
-            for tt, vv in de.table.items():
-                if reduced and any(i not in slots for i in tt):
-                    continue
-                for kk, c in vv.items():
-                    col[key_index[n + 1][(tt, kk)]] = c
+            for key, kk, c in _delta_terms(lookups, t, k):
+                add_term(col, above[(key, kk)], c)
             if col:
                 cols.append(col)
         rank, _ = rank_kernel(cols, dims[n + 1])

@@ -456,26 +456,38 @@ def _random_tuples(dim, count, rng):
     return out
 
 
-@_op("betti", keys=("algebra", "top", "reduced", "kind", "expect"))
-def _betti(args, manifest, where):
-    """Betti numbers of the (co)chain complex of an algebra, optionally
-    checked against expected values."""
-    label, A = _algebra_arg(args, manifest, where, default="dual-numbers")
+def _betti_args(args, where):
+    """(top, reduced, kind, expect) of a ``betti`` or ``betti-agreement``
+    job; checked when the manifest loads."""
     top = _int_arg(args, "top", 4, where, minimum=0)
     reduced = _bool_arg(args, "reduced", True, where)
     kind = args.get("kind", "homology")
     if kind not in ("homology", "cohomology"):
         raise ManifestError(f"{where}: kind must be homology or cohomology")
+    expect = args.get("expect")
+    if expect is not None and (
+        not isinstance(expect, list)
+        or any(isinstance(x, bool) or not isinstance(x, int) for x in expect)
+    ):
+        raise ManifestError(f"{where}: expect must be a list of integers")
+    return top, reduced, kind, expect
+
+
+@_op(
+    "betti",
+    keys=("algebra", "top", "reduced", "kind", "expect"),
+    check=_betti_args,
+)
+def _betti(args, manifest, where):
+    """Betti numbers of the (co)chain complex of an algebra, optionally
+    checked against expected values."""
+    label, A = _algebra_arg(args, manifest, where, default="dual-numbers")
+    top, reduced, kind, expect = _betti_args(args, where)
     fn = hh.homology_betti if kind == "homology" else hh.cohomology_betti
     values = fn(A, top, reduced=reduced)
     data = {"algebra": label, "kind": kind, "reduced": reduced, "betti": values}
-    expect = args.get("expect")
     if expect is None:
         return JobOutcome("info", f"betti table of {label} ({kind})", data)
-    if not isinstance(expect, list) or any(
-        isinstance(x, bool) or not isinstance(x, int) for x in expect
-    ):
-        raise ManifestError(f"{where}: expect must be a list of integers")
     if values == expect:
         return JobOutcome("pass", f"betti table of {label} matches", data)
     return JobOutcome(
@@ -486,12 +498,12 @@ def _betti(args, manifest, where):
     )
 
 
-@_op("betti-agreement", keys=("algebra", "top", "expect"))
+@_op("betti-agreement", keys=("algebra", "top", "expect"), check=_betti_args)
 def _betti_agreement(args, manifest, where):
     """Betti numbers of the normalized and unnormalized complexes agree,
     for homology and cohomology both."""
     label, A = _algebra_arg(args, manifest, where, default="dual-numbers")
-    top = _int_arg(args, "top", 4, where, minimum=0)
+    top, _, _, expect = _betti_args(args, where)
     tables = {
         "homology-reduced": hh.homology_betti(A, top, reduced=True),
         "homology-full": hh.homology_betti(A, top, reduced=False),
@@ -505,14 +517,8 @@ def _betti_agreement(args, manifest, where):
     for key in ("homology-full", "cohomology-reduced", "cohomology-full"):
         if tables[key] != base:
             witnesses.append(f"{key} = {tables[key]} differs from {base}")
-    expect = args.get("expect")
-    if expect is not None:
-        if not isinstance(expect, list) or any(
-            isinstance(x, bool) or not isinstance(x, int) for x in expect
-        ):
-            raise ManifestError(f"{where}: expect must be a list of integers")
-        if base != expect:
-            witnesses.append(f"computed {base}, expected {expect}")
+    if expect is not None and base != expect:
+        witnesses.append(f"computed {base}, expected {expect}")
     if witnesses:
         return JobOutcome(
             "fail", f"betti tables of {label} disagree", data, witnesses
@@ -811,10 +817,16 @@ def _mc_star(args, manifest, where):
     )
     if 2 in badres:
         A2 = badres[2]
-        for ea, eb, ec in product(monomials_upto(2, 2), repeat=3):
-            fa, fb, fc = (Poly.monomial(2, e) for e in (ea, eb, ec))
-            lhs = bad.star_series(bad.star(fa, fb), {0: fc})
-            rhs = bad.star_series({0: fa}, bad.star(fb, fc))
+        monos = monomials_upto(2, 2)
+        polys = {e: Poly.monomial(2, e) for e in monos}
+        pair = {
+            (ea, eb): bad.star(polys[ea], polys[eb])
+            for ea, eb in product(monos, repeat=2)
+        }
+        for ea, eb, ec in product(monos, repeat=3):
+            fa, fb, fc = polys[ea], polys[eb], polys[ec]
+            lhs = bad.star_series(pair[ea, eb], {0: fc})
+            rhs = bad.star_series({0: fa}, pair[eb, ec])
             defect = lhs.get(2, Poly.zero(2)) - rhs.get(2, Poly.zero(2))
             t.ok(
                 A2.apply([fa, fb, fc]) == defect,

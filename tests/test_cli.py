@@ -310,6 +310,33 @@ def test_bad_weight_is_refused_before_the_first_job(tmp_path, capsys, monkeypatc
     assert ran == []
 
 
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        ("{op: betti, name: q, top: -1}", "'top' must be an integer >= 0"),
+        ("{op: betti-agreement, name: q, top: -1}", "'top' must be an integer >= 0"),
+        ("{op: betti, name: q, reduced: 1}", "'reduced' must be true or false"),
+        ("{op: betti, name: q, kind: torsion}", "kind must be homology or cohomology"),
+        ("{op: betti, name: q, expect: [1, true]}", "expect must be a list of integers"),
+        ("{op: betti-agreement, name: q, expect: 3}", "expect must be a list of integers"),
+    ],
+)
+def test_bad_betti_value_is_refused_before_the_first_job(
+    tmp_path, capsys, monkeypatch, second, message
+):
+    ran = []
+    monkeypatch.setattr(OPS["betti"], "fn", lambda *a: ran.append(a))
+    text = (
+        "jobs:\n"
+        "  - {op: betti, name: first, algebra: dual-numbers, top: 1}\n"
+        f"  - {second}\n"
+    )
+    rc = main(["run", _write(tmp_path, text)])
+    assert rc == 2
+    assert f"formality-lab: job 'q': {message}" in capsys.readouterr().err
+    assert ran == []
+
+
 def test_text_report_carries_ledger_hash(tmp_path, capsys):
     main(["run", _write(tmp_path, "jobs: []\n")])
     out = capsys.readouterr().out

@@ -327,3 +327,41 @@ def test_dense_rational_system_with_coefficient_growth():
     assert all(type(v) is Fraction for v in x.values())
     for row, b in zip(rows, rhs):
         assert sum(v * x.get(c, 0) for c, v in row.items()) == b
+
+
+def test_rows_mixing_int_integral_fraction_and_proper_fraction():
+    """``_normalize_row`` skips the rescaling only for rows of plain ``int``s;
+    a ``Fraction(k, 1)`` (as the HKR rows carry) or a proper ``Fraction``
+    anywhere in a row must still be rescaled to a primitive ``int`` row."""
+    rng = random.Random(1018)
+    kinds = (
+        lambda: rng.choice([-3, -1, 1, 2, 5]),
+        lambda: Fraction(rng.choice([-4, -1, 2, 3]), 1),
+        lambda: Fraction(rng.choice([-5, 1, 3]), rng.choice([2, 3, 7])),
+    )
+    mixed = 0
+    for _ in range(400):
+        ncols = rng.randint(1, 7)
+        rows = []
+        for _ in range(rng.randint(1, 7)):
+            row = {}
+            for c in rng.sample(range(ncols), rng.randint(1, ncols)):
+                row[c] = rng.choice(kinds)()
+            rows.append(row)
+        types = {(type(v), getattr(v, "denominator", 1) == 1)
+                 for row in rows for v in row.values()}
+        mixed += len(types) == 3
+        rhs = [rng.choice(kinds)() if rng.random() < 0.7 else 0 for _ in rows]
+        rank, pivots = rank_kernel(_copy(rows), ncols)
+        want_rank, want = _fraction_rank_kernel(_copy(rows), ncols)
+        assert rank == want_rank == _old_rank_kernel(_copy(rows), ncols)[0]
+        _assert_primitive_pivots(pivots, want)
+        assert solve(_copy(rows), list(rhs), ncols) == _old_solve(
+            _copy(rows), list(rhs), ncols
+        ), (rows, rhs)
+    # most systems carry all three kinds of entry at once
+    assert mixed > 200
+    # a row of integral Fractions alone is rescaled too
+    rank, pivots = rank_kernel([{0: Fraction(-2, 1), 3: Fraction(4, 1)}], 4)
+    assert rank == 1 and pivots == {0: {0: 1, 3: -2}}
+    assert all(type(v) is int for v in pivots[0].values())
