@@ -61,7 +61,9 @@ class _Exterior:
             for key, p in coeffs.items():
                 key = tuple(key)
                 if len(key) != k or list(key) != sorted(set(key)):
-                    raise ValueError(f"index tuple {key!r} not strictly increasing")
+                    raise ValueError(
+                        f"index tuple {key!r} is not {k} strictly increasing indices"
+                    )
                 if any(not 0 <= i < nvars for i in key):
                     raise ValueError(f"index out of range in {key!r}")
                 if not isinstance(p, Poly):

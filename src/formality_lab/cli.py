@@ -79,12 +79,10 @@ def _raised(exc, summary):
 
 
 def _execute(job, mf):
-    """One job to one outcome; math failures become fail outcomes, while
-    reference/configuration errors propagate as ManifestError."""
+    """One job to one outcome.  Every manifest error was raised when the
+    manifest loaded, so anything a job raises is a failure of that job."""
     try:
         return run_job(job, mf)
-    except ManifestError:
-        raise
     except WindowOverflow as e:
         return _raised(e, f"{job.op}: series window overflow")
     except Exception as e:
@@ -105,15 +103,7 @@ def main(argv=None):
         print(f"formality-lab: {e}", file=sys.stderr)
         return 2
 
-    outcomes = []
-    for job in mf.jobs:
-        try:
-            outcomes.append(_execute(job, mf))
-        except ManifestError as e:
-            print(f"formality-lab: {e}", file=sys.stderr)
-            return 2
-
-    rep = Report(mf.model, list(zip(mf.jobs, outcomes)))
+    rep = Report(mf.model, [(job, _execute(job, mf)) for job in mf.jobs])
     doc = emit(rep, ns.format)
     if ns.out:
         try:

@@ -202,7 +202,7 @@ class TraceCandidate:
         for alpha, c in coeffs.items():
             alpha = tuple(alpha)
             if len(alpha) != nvars or any(a < 0 for a in alpha):
-                raise ValueError(f"bad jet order {alpha!r}")
+                raise ValueError(f"jet order {alpha!r} needs {nvars} entries >= 0")
             if not isinstance(c, FormalSeries):
                 c = FormalSeries.scalar(c, nt)
             if c.nt != nt or (c.ulo, c.uhi) != (0, 0):

@@ -1,10 +1,14 @@
 """Manifest loading: one YAML file declares the model caps, named objects,
 and the job list.  All numbers are exact: integers or "p/q" strings.
 
-Loading is strict and eager — unknown kinds, unresolved references, bad
-rationals, and malformed index keys all fail here with the offending name,
-so a manifest that loads will not die on plumbing at run time (job-level
-math errors are still surfaced per job).
+Every value is checked when the manifest loads.  The ``model`` section,
+each object kind and each op (``suites.OPS``) have one declarative schema:
+key -> (type, default), where a type checks and resolves one value and a
+default is REQUIRED, MODEL (the model's value of the same key), None (the
+key is optional) or a value checked like a given one.  ``check`` runs every
+schema, so unknown keys, bad values, unresolved references and malformed
+index keys all fail here with the offending name, before the first job
+runs; a job only ever fails on its mathematics.
 """
 
 from fractions import Fraction
@@ -21,12 +25,6 @@ from .algebras import (
 from .cartan import MultiVector
 from .deformation import TraceCandidate, moyal
 from .poly import Poly
-
-MODEL_DEFAULTS = {
-    "vars": 2,
-    "degree-cap": 4,
-    "nt": 4,
-}
 
 
 class ManifestError(Exception):
@@ -60,158 +58,217 @@ def as_fraction(v, where):
     raise ManifestError(f"{where}: expected a rational, got {type(v).__name__}")
 
 
-def _index_tuple(key, where, strict=True):
+# ------------------------------------------------------------------ schemas
+
+REQUIRED = object()
+MODEL = object()
+
+
+def check(schema, raw, where, manifest, what):
+    """The values of the mapping ``raw`` under ``schema``, checked and
+    resolved, with every absent key at its default.  ``what`` names a key
+    in the unknown-key message ("cap", "betti argument", "trace field")."""
+    if not isinstance(raw, dict):
+        raise ManifestError(f"{where} must be a mapping")
+    for key in raw:
+        if key not in schema:
+            known = ", ".join(sorted(schema)) or "none"
+            raise ManifestError(f"{where}: unknown {what} {key!r} (have {known})")
+    out = {}
+    for key, (parse, default) in schema.items():
+        if key in raw or default not in (REQUIRED, MODEL, None):
+            out[key] = parse(raw.get(key, default), where, key, manifest)
+        elif default is REQUIRED:
+            raise ManifestError(f"{where}: missing {key!r}")
+        else:
+            out[key] = None if default is None else manifest.model[key]
+    return out
+
+
+def integer(minimum, many=False):
+    """An integer >= minimum or, ``many``, a nonempty list of them."""
+    def ok(x):
+        return not isinstance(x, bool) and isinstance(x, int) and x >= minimum
+
+    def parse(v, where, key, manifest):
+        bound = f">= {minimum}"
+        if many and not (isinstance(v, list) and v and all(map(ok, v))):
+            raise ManifestError(f"{where}: {key} must be a list of integers {bound}")
+        if not many and not ok(v):
+            raise ManifestError(f"{where}: {key!r} must be an integer {bound}")
+        return v
+    return parse
+
+
+def boolean(v, where, key, manifest):
+    if not isinstance(v, bool):
+        raise ManifestError(f"{where}: {key!r} must be true or false")
+    return v
+
+
+def choice(*options):
+    def parse(v, where, key, manifest):
+        if v not in options:
+            raise ManifestError(f"{where}: {key} must be {' or '.join(options)}")
+        return v
+    return parse
+
+
+def reference(kind, presets=None):
+    """The name of an object of ``kind``, or of one of ``presets`` (name ->
+    constructor), resolved to ``(name, object)``."""
+    def parse(v, where, key, manifest):
+        if not isinstance(v, str):
+            raise ManifestError(f"{where}: {key} must be an object name")
+        if presets and v in presets:
+            return v, presets[v]()
+        if v not in manifest.objects:
+            raise ManifestError(f"{where}: no object named {v!r}")
+        got_kind, obj = manifest.objects[v]
+        if got_kind != kind:
+            raise ManifestError(f"{where}: {v!r} is a {got_kind}, expected a {kind}")
+        return v, obj
+    return parse
+
+
+def _index_tuple(key, where):
     """Parse "0,1" (or an int for singletons) into a tuple of indices."""
-    if isinstance(key, int):
-        parts = (key,)
-    elif isinstance(key, str):
-        text = key.strip()
-        try:
-            parts = tuple(int(p) for p in text.split(",")) if text else ()
-        except ValueError:
-            raise ManifestError(f"{where}: bad index key {key!r}")
-    else:
+    try:
+        text = str(key) if isinstance(key, int) else key.strip()
+        return tuple(int(p) for p in text.split(",")) if text else ()
+    except (AttributeError, ValueError):
         raise ManifestError(f"{where}: bad index key {key!r}")
-    if strict and (any(p < 0 for p in parts) or list(parts) != sorted(set(parts))):
-        raise ManifestError(
-            f"{where}: index key {key!r} must be strictly increasing and >= 0"
-        )
-    return parts
 
 
-def _poly_of(spec, nvars, where):
-    """A coefficient: a rational constant, or {exponent key: rational}."""
-    if isinstance(spec, dict):
-        out = Poly.zero(nvars)
-        for ekey, c in spec.items():
-            e = _index_tuple(ekey, where, strict=False)
-            if len(e) != nvars:
-                raise ManifestError(
-                    f"{where}: exponent key {ekey!r} needs {nvars} entries"
-                )
-            out = out + Poly.monomial(nvars, e, as_fraction(c, where))
+def index_map(value):
+    """A mapping from index keys to values of the type ``value``, keyed by
+    index tuple; two keys that parse to one tuple ("0,1", "0, 1") are refused."""
+    def parse(v, where, key, manifest):
+        if not isinstance(v, dict):
+            raise ManifestError(f"{where}: {key} must be a mapping")
+        out = {}
+        for k, c in v.items():
+            idx = _index_tuple(k, where)
+            if idx in out:
+                raise ManifestError(f"{where}: index key {k!r} repeats in {key}")
+            out[idx] = value(c, where, key, manifest)
         return out
-    return Poly.const(nvars, as_fraction(spec, where))
+    return parse
+
+
+def _rational(v, where, key, manifest):
+    return as_fraction(v, where)
+
+
+def _coefficient(v, where, key, manifest):
+    """A rational constant, or a polynomial as {exponent key: rational}."""
+    if isinstance(v, dict):
+        return index_map(_rational)(v, where, "a coefficient", manifest)
+    return as_fraction(v, where)
+
+
+def _matrix(v, where, key, manifest):
+    if not isinstance(v, list) or not all(isinstance(row, list) for row in v):
+        raise ManifestError(f"{where}: {key} must be a list of rows")
+    return [[as_fraction(x, where) for x in row] for row in v]
+
+
+def _multivector(v, model):
+    n = v["vars"]
+    terms = {i: Poly(n, c) if isinstance(c, dict) else c for i, c in v["terms"].items()}
+    return MultiVector(n, v["degree"], terms)
+
+
+MODEL_SCHEMA = {
+    "vars": (integer(1), 2),
+    "degree-cap": (integer(1), 4),
+    "nt": (integer(1), 4),
+}
+
+# kind, or an algebra's preset -> (schema, build(values, model)); the
+# constructors check the shapes (index ranges, jet orders, antisymmetry)
+_OBJECTS = {
+    "multivector": (
+        {
+            "vars": (integer(1), MODEL),
+            "degree": (integer(0), REQUIRED),
+            "terms": (index_map(_coefficient), {}),
+        },
+        _multivector,
+    ),
+    "star-product": (
+        {"matrix": (_matrix, REQUIRED), "nt": (integer(1), MODEL)},
+        lambda v, model: moyal(
+            v["matrix"], v["nt"], FunctionModel(len(v["matrix"]), model["degree-cap"])
+        ),
+    ),
+    "trace": (
+        {
+            "vars": (integer(1), MODEL),
+            "nt": (integer(1), MODEL),
+            "coeffs": (index_map(_rational), {}),
+        },
+        lambda v, model: TraceCandidate(v["vars"], v["coeffs"], v["nt"]),
+    ),
+}
+_ALGEBRA_PRESETS = {
+    "dual-numbers": ({}, lambda v, model: dual_numbers()),
+    "truncated-poly": (
+        {"cap": (integer(0), 2)},
+        lambda v, model: trunc_poly_algebra(v["cap"]),
+    ),
+    "matrix-2x2": ({}, lambda v, model: mat2_unital()),
+    "jets": (
+        {"vars": (integer(1), 2), "cap": (integer(0), 2)},
+        lambda v, model: jet_algebra(v["vars"], v["cap"]),
+    ),
+}
+
+
+def _build_object(name, spec, manifest):
+    where = f"objects.{name}"
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ManifestError(f"{where}: an object needs a 'kind'")
+    fields = dict(spec)
+    kind = fields.pop("kind")
+    if kind == "algebra":
+        preset = fields.pop("preset", None)
+        if preset not in _ALGEBRA_PRESETS:
+            known = ", ".join(sorted(_ALGEBRA_PRESETS))
+            raise ManifestError(f"{where}: unknown preset {preset!r} (have {known})")
+        (schema, build), what = _ALGEBRA_PRESETS[preset], f"{preset} algebra"
+    elif kind in _OBJECTS:
+        (schema, build), what = _OBJECTS[kind], kind
+    else:
+        raise ManifestError(f"{where}: unknown kind {kind!r}")
+    values = check(schema, fields, where, manifest, f"{what} field")
+    try:
+        return kind, build(values, manifest.model)
+    except ValueError as e:
+        raise ManifestError(f"{where}: {e}")
 
 
 class Job:
-    __slots__ = ("name", "op", "args")
+    """One job: its name, its op, its arguments as written, and the values
+    ``suites.check_job_args`` checked and resolved from them."""
+
+    __slots__ = ("name", "op", "args", "values")
 
     def __init__(self, name, op, args):
         self.name = name
         self.op = op
         self.args = args
+        self.values = None
 
     def __repr__(self):
         return f"Job({self.name!r}, op={self.op!r})"
 
 
 class Manifest:
-    def __init__(self, model, objects, jobs, source):
+    def __init__(self, model, objects, jobs):
         self.model = model
         self.objects = objects
         self.jobs = jobs
-        self.source = source
-
-    def resolve(self, name, kind, where):
-        if name not in self.objects:
-            raise ManifestError(f"{where}: no object named {name!r}")
-        got_kind, obj = self.objects[name]
-        if got_kind != kind:
-            raise ManifestError(
-                f"{where}: {name!r} is a {got_kind}, expected a {kind}"
-            )
-        return obj
-
-
-_ALGEBRA_PRESETS = {
-    "dual-numbers": lambda spec, w: dual_numbers(),
-    "truncated-poly": lambda spec, w: trunc_poly_algebra(
-        _int_field(spec, "cap", w, default=2)
-    ),
-    "matrix-2x2": lambda spec, w: mat2_unital(),
-    "jets": lambda spec, w: jet_algebra(
-        _int_field(spec, "vars", w, default=2),
-        _int_field(spec, "cap", w, default=2),
-    ),
-}
-
-
-def _int_field(spec, key, where, default=None, minimum=None):
-    v = spec.get(key, default)
-    if v is None:
-        raise ManifestError(f"{where}: missing {key!r}")
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ManifestError(f"{where}: {key!r} must be an integer")
-    if minimum is not None and v < minimum:
-        raise ManifestError(f"{where}: {key!r} must be >= {minimum}")
-    return v
-
-
-def _build_object(name, spec, model):
-    where = f"objects.{name}"
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ManifestError(f"{where}: an object needs a 'kind'")
-    kind = spec["kind"]
-    if kind == "algebra":
-        preset = spec.get("preset")
-        if preset not in _ALGEBRA_PRESETS:
-            known = ", ".join(sorted(_ALGEBRA_PRESETS))
-            raise ManifestError(f"{where}: unknown preset {preset!r} (have {known})")
-        return kind, _ALGEBRA_PRESETS[preset](spec, where)
-    if kind == "multivector":
-        nvars = _int_field(spec, "vars", where, default=model["vars"], minimum=1)
-        degree = _int_field(spec, "degree", where, minimum=0)
-        out = MultiVector(nvars, degree)
-        for key, coeff in (spec.get("terms") or {}).items():
-            idx = _index_tuple(key, where)
-            if len(idx) != degree or any(i >= nvars for i in idx):
-                raise ManifestError(f"{where}: term key {key!r} out of shape")
-            p = _poly_of(coeff, nvars, where)
-            if not p.is_zero():
-                out.c[idx] = p
-        return kind, out
-    if kind == "star-product":
-        matrix = spec.get("matrix")
-        if not isinstance(matrix, list):
-            raise ManifestError(f"{where}: a star product needs its 'matrix'")
-        rows = [
-            [as_fraction(v, where) for v in row] for row in matrix
-        ]
-        nt = _int_field(spec, "nt", where, default=model["nt"], minimum=1)
-        fm = FunctionModel(len(rows), model["degree-cap"])
-        try:
-            return kind, moyal(rows, nt, fm)
-        except ValueError as e:
-            raise ManifestError(f"{where}: {e}")
-    if kind == "trace":
-        nvars = _int_field(spec, "vars", where, default=model["vars"], minimum=1)
-        nt = _int_field(spec, "nt", where, default=model["nt"], minimum=1)
-        coeffs = {}
-        for key, c in (spec.get("coeffs") or {}).items():
-            e = _index_tuple(key, where, strict=False)
-            if len(e) != nvars:
-                raise ManifestError(
-                    f"{where}: jet key {key!r} needs {nvars} entries"
-                )
-            coeffs[e] = as_fraction(c, where)
-        try:
-            return kind, TraceCandidate(nvars, coeffs, nt)
-        except ValueError as e:
-            raise ManifestError(f"{where}: {e}")
-    raise ManifestError(f"{where}: unknown kind {kind!r}")
-
-
-def _parse_model(raw):
-    model = dict(MODEL_DEFAULTS)
-    for key, v in (raw or {}).items():
-        if key not in MODEL_DEFAULTS:
-            known = ", ".join(sorted(MODEL_DEFAULTS))
-            raise ManifestError(f"model: unknown cap {key!r} (have {known})")
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise ManifestError(f"model: {key!r} must be a positive integer")
-        model[key] = v
-    return model
 
 
 def parse_manifest(text, source="<manifest>", known_ops=None, expand=None):
@@ -235,12 +292,14 @@ def parse_manifest(text, source="<manifest>", known_ops=None, expand=None):
         if key not in ("model", "objects", "jobs"):
             raise ManifestError(f"unknown top-level section {key!r}", source=source)
 
-    model = _parse_model(raw.get("model"))
-    objects = {}
-    for name, spec in (raw.get("objects") or {}).items():
-        objects[str(name)] = _build_object(name, spec, model)
+    model = check(MODEL_SCHEMA, raw.get("model") or {}, "model", None, "cap")
+    mf = Manifest(model, {}, [])
+    raw_objects = raw.get("objects") or {}
+    if not isinstance(raw_objects, dict):
+        raise ManifestError("objects must be a mapping", source=source)
+    for name, spec in raw_objects.items():
+        mf.objects[str(name)] = _build_object(name, spec, mf)
 
-    jobs = []
     seen = set()
     raw_jobs = raw.get("jobs") or []
     if not isinstance(raw_jobs, list):
@@ -252,22 +311,18 @@ def parse_manifest(text, source="<manifest>", known_ops=None, expand=None):
         op = args.pop("op")
         name = str(args.pop("name", f"{op}#{i}"))
         if expand is not None and op == "suite":
-            for sub_name, sub_op, sub_args in expand(args, model, name):
-                if known_ops is not None and sub_op not in known_ops:
-                    raise ManifestError(f"jobs[{i}]: suite op {sub_op!r} unknown")
-                if sub_name in seen:
-                    raise ManifestError(f"duplicate job name {sub_name!r}")
-                seen.add(sub_name)
-                jobs.append(Job(sub_name, sub_op, sub_args))
-            continue
-        if known_ops is not None and op not in known_ops:
-            known = ", ".join(sorted(known_ops))
-            raise ManifestError(f"jobs[{i}]: unknown op {op!r} (have {known})")
-        if name in seen:
-            raise ManifestError(f"duplicate job name {name!r}")
-        seen.add(name)
-        jobs.append(Job(name, op, args))
-    return Manifest(model, objects, jobs, source)
+            expanded = expand(args, mf.model, name)
+        else:
+            expanded = [(name, op, args)]
+        for sub_name, sub_op, sub_args in expanded:
+            if known_ops is not None and sub_op not in known_ops:
+                known = ", ".join(sorted(known_ops))
+                raise ManifestError(f"jobs[{i}]: unknown op {sub_op!r} (have {known})")
+            if sub_name in seen:
+                raise ManifestError(f"duplicate job name {sub_name!r}")
+            seen.add(sub_name)
+            mf.jobs.append(Job(sub_name, sub_op, sub_args))
+    return mf
 
 
 def load_manifest(path, known_ops=None, expand=None):

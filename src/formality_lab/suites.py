@@ -12,6 +12,7 @@ default caps; individual ops accept small overrides where noted.
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from types import SimpleNamespace
 
 from . import ahat as ah
 from . import cartan as ct
@@ -26,7 +27,8 @@ from .algebras import (
     mat2_unital,
     trunc_poly_algebra,
 )
-from .manifest import ManifestError
+from .manifest import REQUIRED, ManifestError, boolean, check, choice
+from .manifest import integer, reference
 from .poly import Poly, monomials_upto
 
 HALF = Fraction(1, 2)
@@ -84,47 +86,6 @@ class _Tally:
 
 
 # ------------------------------------------------------------------ helpers
-
-def _int_arg(args, key, default, where, minimum=1):
-    v = args.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
-        raise ManifestError(f"{where}: {key!r} must be an integer >= {minimum}")
-    return v
-
-
-def _bool_arg(args, key, default, where):
-    v = args.get(key, default)
-    if not isinstance(v, bool):
-        raise ManifestError(f"{where}: {key!r} must be true or false")
-    return v
-
-
-def _int_list_arg(args, key, default, where, minimum=1):
-    v = args.get(key, list(default))
-    if (
-        not isinstance(v, list)
-        or not v
-        or any(isinstance(x, bool) or not isinstance(x, int) or x < minimum for x in v)
-    ):
-        raise ManifestError(f"{where}: {key!r} must be a list of integers >= {minimum}")
-    return v
-
-
-_PRESET_ALGEBRAS = {
-    "dual-numbers": dual_numbers,
-    "truncated-poly-3": lambda: trunc_poly_algebra(3),
-    "matrix-2x2": mat2_unital,
-}
-
-
-def _algebra_arg(args, manifest, where, default=None):
-    name = args.get("algebra", default)
-    if name is None:
-        raise ManifestError(f"{where}: missing 'algebra'")
-    if name in _PRESET_ALGEBRAS:
-        return name, _PRESET_ALGEBRAS[name]()
-    return name, manifest.resolve(name, "algebra", where)
-
 
 def _rand_cochain(A, arity, rng, nterms=3):
     basis = hh.basis_cochains(A, arity)
@@ -243,64 +204,75 @@ def _chains_module(A, S):
 
 # ------------------------------------------------------------------ op registry
 
-class OpSpec:
-    __slots__ = ("fn", "keys", "check")
-
-    def __init__(self, fn, keys, check):
-        self.fn = fn
-        self.keys = frozenset(keys)
-        self.check = check
-
-
 OPS = {}
 
 
-def _op(name, keys=(), check=None):
-    """Register an op; ``check(args, where)``, if given, validates argument
-    values when the manifest loads."""
+def _op(name, schema=None):
+    """Register an op with the schema of its arguments (see
+    ``manifest.check``); the op is called with the checked values."""
     def wrap(fn):
-        OPS[name] = OpSpec(fn, keys, check)
+        OPS[name] = SimpleNamespace(fn=fn, schema=schema or {})
         return fn
 
     return wrap
 
 
 def check_job_args(job, manifest):
-    """Load-time validation: known op, known argument keys, and the values
-    the op checks up front."""
-    spec = OPS.get(job.op)
-    if spec is None:
-        known = ", ".join(sorted(OPS))
-        raise ManifestError(f"job {job.name!r}: unknown op {job.op!r} (have {known})")
-    extra = set(job.args) - spec.keys
-    if extra:
-        allowed = ", ".join(sorted(spec.keys)) or "none"
-        raise ManifestError(
-            f"job {job.name!r}: unknown argument {sorted(extra)[0]!r}"
-            f" for op {job.op!r} (allowed: {allowed})"
-        )
-    if spec.check is not None:
-        spec.check(job.args, f"job {job.name!r}")
+    """Check a job's arguments against its op's schema when the manifest
+    loads, and keep the checked values for ``run_job``.  The manifest must
+    have been loaded with ``known_ops=OPS``."""
+    where = f"job {job.name!r}"
+    job.values = check(
+        OPS[job.op].schema, job.args, where, manifest, f"{job.op} argument"
+    )
 
 
 def run_job(job, manifest):
-    return OPS[job.op].fn(job.args, manifest, f"job {job.name!r}")
+    return OPS[job.op].fn(job.values)
+
+
+_PRESET_ALGEBRAS = {
+    "dual-numbers": dual_numbers,
+    "truncated-poly-3": lambda: trunc_poly_algebra(3),
+    "matrix-2x2": mat2_unital,
+}
+_ALGEBRA = reference("algebra", _PRESET_ALGEBRAS)
+_PLANES = (integer(1, many=True), [1, 2])
+_NT_VALUES = [2, 3, 4]
+
+
+def _bivector(v, where, key, manifest):
+    """A degree-2 multivector object."""
+    label, piv = reference("multivector")(v, where, key, manifest)
+    if piv.k != 2:
+        raise ManifestError(f"{where}: {label!r} must have degree 2")
+    return label, piv
+
+
+def _weights(v, where, key, manifest):
+    if not isinstance(v, list) or not all(isinstance(w, str) for w in v):
+        raise ManifestError(f"{where}: weights must be a list of strings")
+    for z in v:
+        if z not in ah._Z_TOKENS:
+            raise ManifestError(f"{where}: unknown weight token {z!r}")
+    return v
 
 
 # ------------------------------------------------------------------ cochain laws
 
-@_op("identity-suite", keys=("algebra", "jacobi-samples"))
-def _identity_suite(args, manifest, where):
+@_op(
+    "identity-suite",
+    {"algebra": (_ALGEBRA, None), "jacobi-samples": (integer(1), 20)},
+)
+def _identity_suite(args):
     """Square-zero differential, graded Jacobi, product Leibniz, and closure
     of the normalized subcomplex, over small associative algebras."""
-    nsamp = _int_arg(args, "jacobi-samples", 20, where)
-    if "algebra" in args:
-        algebras = [_algebra_arg(args, manifest, where)]
+    nsamp = args["jacobi-samples"]
+    if args["algebra"]:
+        algebras = [args["algebra"]]
     else:
-        algebras = [
-            ("truncated-poly-3", trunc_poly_algebra(3)),
-            ("matrix-2x2", mat2_unital()),
-        ]
+        names = ("truncated-poly-3", "matrix-2x2")
+        algebras = [(name, _PRESET_ALGEBRAS[name]()) for name in names]
     t = _Tally()
     for label, A in algebras:
         for ar in range(0, 4):
@@ -360,8 +332,8 @@ def _identity_suite(args, manifest, where):
     return t.outcome("cochain identity suite")
 
 
-@_op("chain-suite", keys=())
-def _chain_suite(args, manifest, where):
+@_op("chain-suite")
+def _chain_suite(args):
     """Boundary and cyclic operators on chains: square-zero laws, the
     action of the multiplication cochain, and transport compatibilities."""
     t = _Tally()
@@ -456,33 +428,26 @@ def _random_tuples(dim, count, rng):
     return out
 
 
-def _betti_args(args, where):
-    """(top, reduced, kind, expect) of a ``betti`` or ``betti-agreement``
-    job; checked when the manifest loads."""
-    top = _int_arg(args, "top", 4, where, minimum=0)
-    reduced = _bool_arg(args, "reduced", True, where)
-    kind = args.get("kind", "homology")
-    if kind not in ("homology", "cohomology"):
-        raise ManifestError(f"{where}: kind must be homology or cohomology")
-    expect = args.get("expect")
-    if expect is not None and (
-        not isinstance(expect, list)
-        or any(isinstance(x, bool) or not isinstance(x, int) for x in expect)
-    ):
-        raise ManifestError(f"{where}: expect must be a list of integers")
-    return top, reduced, kind, expect
+_BETTI = {
+    "algebra": (_ALGEBRA, "dual-numbers"),
+    "top": (integer(0), 4),
+    "expect": (integer(0, many=True), None),
+}
 
 
 @_op(
     "betti",
-    keys=("algebra", "top", "reduced", "kind", "expect"),
-    check=_betti_args,
+    {
+        **_BETTI,
+        "reduced": (boolean, True),
+        "kind": (choice("homology", "cohomology"), "homology"),
+    },
 )
-def _betti(args, manifest, where):
+def _betti(args):
     """Betti numbers of the (co)chain complex of an algebra, optionally
     checked against expected values."""
-    label, A = _algebra_arg(args, manifest, where, default="dual-numbers")
-    top, reduced, kind, expect = _betti_args(args, where)
+    (label, A), top, expect = args["algebra"], args["top"], args["expect"]
+    reduced, kind = args["reduced"], args["kind"]
     fn = hh.homology_betti if kind == "homology" else hh.cohomology_betti
     values = fn(A, top, reduced=reduced)
     data = {"algebra": label, "kind": kind, "reduced": reduced, "betti": values}
@@ -498,12 +463,11 @@ def _betti(args, manifest, where):
     )
 
 
-@_op("betti-agreement", keys=("algebra", "top", "expect"), check=_betti_args)
-def _betti_agreement(args, manifest, where):
+@_op("betti-agreement", _BETTI)
+def _betti_agreement(args):
     """Betti numbers of the normalized and unnormalized complexes agree,
     for homology and cohomology both."""
-    label, A = _algebra_arg(args, manifest, where, default="dual-numbers")
-    top, _, _, expect = _betti_args(args, where)
+    (label, A), top, expect = args["algebra"], args["top"], args["expect"]
     tables = {
         "homology-reduced": hh.homology_betti(A, top, reduced=True),
         "homology-full": hh.homology_betti(A, top, reduced=False),
@@ -530,11 +494,11 @@ def _betti_agreement(args, manifest, where):
 
 # ------------------------------------------------------------------ multivectors
 
-@_op("hkr-suite", keys=("closed-samples",))
-def _hkr_suite(args, manifest, where):
+@_op("hkr-suite", {"closed-samples": (integer(1), 20)})
+def _hkr_suite(args):
     """The symbol-to-operator map lands in cocycles, and its failures to
     respect bracket and product are exact, with solved primitives."""
-    nclosed = _int_arg(args, "closed-samples", 20, where)
+    nclosed = args["closed-samples"]
     t = _Tally()
     rng = random.Random(303)
     for i in range(nclosed):
@@ -569,11 +533,11 @@ def _hkr_suite(args, manifest, where):
     return t.outcome("symbol-map suite")
 
 
-@_op("mu-suite", keys=("max-degree",))
-def _mu_suite(args, manifest, where):
+@_op("mu-suite", {"max-degree": (integer(1), 3)})
+def _mu_suite(args):
     """The chain-to-form map kills boundaries and turns the cyclic
     operator into the exterior derivative, on monomial chains."""
-    maxdeg = _int_arg(args, "max-degree", 3, where)
+    maxdeg = args["max-degree"]
     model = FunctionModel(2, 4)
     A = jet_algebra(2, 4)
     t = _Tally()
@@ -597,12 +561,12 @@ def _mu_suite(args, manifest, where):
     return t.outcome("chains-to-forms suite")
 
 
-@_op("schouten-suite", keys=("bivector-samples",))
-def _schouten_suite(args, manifest, where):
+@_op("schouten-suite", {"bivector-samples": (integer(1), 10)})
+def _schouten_suite(args):
     """Bracket axioms on multivectors, the cyclic-sum identity for the
     induced bracket on functions, and the leading term of the constant
     exponential product."""
-    nbiv = _int_arg(args, "bivector-samples", 10, where)
+    nbiv = args["bivector-samples"]
     t = _Tally()
     # shifted antisymmetry: exhaustive over the monomial basis, deep coefficients
     basis4 = _mv_basis(3, 3, 2)
@@ -704,8 +668,8 @@ def _schouten_suite(args, manifest, where):
 
 # ------------------------------------------------------------------ homotopy layer
 
-@_op("linfty-suite", keys=())
-def _linfty_suite(args, manifest, where):
+@_op("linfty-suite")
+def _linfty_suite(args):
     """Structure and module sweeps pass on the genuine packagings and
     fail with witnesses on engineered perturbations."""
     t = _Tally()
@@ -776,18 +740,13 @@ def _linfty_suite(args, manifest, where):
     )
 
 
-@_op("mc-star", keys=("star",))
-def _mc_star(args, manifest, where):
+@_op("mc-star", {"star": (reference("star-product"), None)})
+def _mc_star(args):
     """Associativity of the exponential product, flatness of its element
     in the operator complex, and the per-order correspondence between
     associativity defects and flatness residuals on a counterexample."""
     t = _Tally()
-    if "star" in args:
-        label = args["star"]
-        s = manifest.resolve(label, "star-product", where)
-    else:
-        label = "moyal-half"
-        s = _moyal_plane()
+    label, s = args["star"] or ("moyal-half", _moyal_plane())
     S = _operator_dgla()
     rep = df.check_associativity(s)
     t.ok(
@@ -840,8 +799,8 @@ def _mc_star(args, manifest, where):
     )
 
 
-@_op("gerstenhaber-suite", keys=())
-def _gerstenhaber_suite(args, manifest, where):
+@_op("gerstenhaber-suite")
+def _gerstenhaber_suite(args):
     """Graded product/bracket compatibility laws on multivectors, plain and
     extended over the odd parameter, plus the square-zero odd operator whose
     second-order defect generates the bracket."""
@@ -899,12 +858,14 @@ def _gerstenhaber_suite(args, manifest, where):
 
 # ------------------------------------------------------------------ transport layer
 
-@_op("pipeline-chain-maps", keys=("planes", "coefficient-cap"))
-def _pipeline_chain_maps(args, manifest, where):
+@_op(
+    "pipeline-chain-maps",
+    {"planes": _PLANES, "coefficient-cap": (integer(0), 2)},
+)
+def _pipeline_chain_maps(args):
     """Every stage of the weighted-form composition commutes with its
     displayed differentials, on monomial form samples."""
-    planes = _int_list_arg(args, "planes", (1, 2), where)
-    cap = _int_arg(args, "coefficient-cap", 2, where, minimum=0)
+    planes, cap = args["planes"], args["coefficient-cap"]
     t = _Tally()
     total = 0
     for n in planes:
@@ -921,24 +882,14 @@ def _pipeline_chain_maps(args, manifest, where):
     return t.outcome("pipeline chain-map suite", {"pairs-checked": total})
 
 
-def _weights_arg(args, where):
-    weights = args.get("weights", ["t", "u", "t/u"])
-    if not isinstance(weights, list) or not all(
-        isinstance(w, str) for w in weights
-    ):
-        raise ManifestError(f"{where}: weights must be a list of strings")
-    for z in weights:
-        if z not in ah._Z_TOKENS:
-            raise ManifestError(f"{where}: unknown weight token {z!r}")
-    return weights
-
-
-@_op("exp-contract", keys=("max-n", "weights"), check=_weights_arg)
-def _exp_contract(args, manifest, where):
+@_op(
+    "exp-contract",
+    {"max-n": (integer(1), 4), "weights": (_weights, ["t", "u", "t/u"])},
+)
+def _exp_contract(args):
     """The exponential-contraction identity on volume powers, for each
     weight monomial."""
-    max_n = _int_arg(args, "max-n", 4, where)
-    weights = _weights_arg(args, where)
+    max_n, weights = args["max-n"], args["weights"]
     t = _Tally()
     for n in range(1, max_n + 1):
         for z in weights:
@@ -950,13 +901,12 @@ def _exp_contract(args, manifest, where):
     return t.outcome("exponential-contraction suite")
 
 
-@_op("flat-transport", keys=("planes",))
-def _flat_transport(args, manifest, where):
+@_op("flat-transport", {"planes": _PLANES})
+def _flat_transport(args):
     """The composite on the flat model is multiplication by its value at 1,
     and that value is the alternating volume-power series."""
-    planes = _int_list_arg(args, "planes", (1, 2), where)
     t = _Tally()
-    for n in planes:
+    for n in args["planes"]:
         sd = ah.SymplecticData(n)
         one = ah.SeriesForm.wrap(ct.Form.function(Poly.const(sd.nvars, 1)))
         got = ah.nu0(sd, one)
@@ -983,16 +933,14 @@ def _flat_transport(args, manifest, where):
     return t.outcome("flat-transport suite")
 
 
-@_op("ahat-flat", keys=("planes", "nt-values"))
-def _ahat_flat(args, manifest, where):
+@_op("ahat-flat", {"planes": _PLANES, "nt-values": (integer(2, many=True), _NT_VALUES)})
+def _ahat_flat(args):
     """The flat-model class expansion is the constant 1, with every
     positive-degree part certified exact, at each series cap."""
-    planes = _int_list_arg(args, "planes", (1, 2), where)
-    nts = _int_list_arg(args, "nt-values", (2, 3, 4), where, minimum=2)
     t = _Tally()
     classes = {}
-    for n in planes:
-        for nt in nts:
+    for n in args["planes"]:
+        for nt in args["nt-values"]:
             rep = ah.ahat_flat(n, nt)
             classes[f"n={n},nt={nt}"] = sorted(
                 (list(k), str(v)) for k, v in rep.klass.items()
@@ -1009,24 +957,24 @@ def _ahat_flat(args, manifest, where):
 
 @_op(
     "degeneration-probe",
-    keys=("multivector", "coefficient-cap", "nt-values", "expect-degenerate"),
+    {
+        "multivector": (_bivector, None),
+        "coefficient-cap": (integer(0), 2),
+        "nt-values": (integer(1, many=True), _NT_VALUES),
+        "expect-degenerate": (boolean, None),
+    },
 )
-def _degeneration_probe(args, manifest, where):
+def _degeneration_probe(args):
     """Graded rank tables of the filtered complex against the split
     prediction; a finite-cap probe, not a proof."""
-    if "multivector" in args:
-        label = args["multivector"]
-        piv = manifest.resolve(label, "multivector", where)
-        if piv.k != 2:
-            raise ManifestError(f"{where}: {label!r} must have degree 2")
-    else:
-        label = "standard-plane"
-        piv = ct.MultiVector(2, 2, {(0, 1): Poly.const(2, 1)})
-    cap = _int_arg(args, "coefficient-cap", 2, where, minimum=0)
-    nts = _int_list_arg(args, "nt-values", (2, 3, 4), where)
+    label, piv = args["multivector"] or (
+        "standard-plane",
+        ct.MultiVector(2, 2, {(0, 1): Poly.const(2, 1)}),
+    )
+    cap = args["coefficient-cap"]
     tables = {}
     flags = {}
-    for nt in nts:
+    for nt in args["nt-values"]:
         try:
             table = ah.spectral_degeneration_probe(piv, cap, nt)
         except ValueError as e:
@@ -1041,11 +989,9 @@ def _degeneration_probe(args, manifest, where):
         ]
         flags[f"nt={nt}"] = table.degenerate
     data = {"multivector": label, "rows": tables, "degenerate": flags}
-    expect = args.get("expect-degenerate")
+    expect = args["expect-degenerate"]
     if expect is None:
         return JobOutcome("info", f"probe tables for {label}", data)
-    if not isinstance(expect, bool):
-        raise ManifestError(f"{where}: expect-degenerate must be true or false")
     bad = [key for key, flag in sorted(flags.items()) if flag is not expect]
     if bad:
         return JobOutcome(
@@ -1057,15 +1003,21 @@ def _degeneration_probe(args, manifest, where):
     return JobOutcome("pass", f"probe of {label} as expected at all caps", data)
 
 
-@_op("trace-defect", keys=("trace", "star", "max-degree", "expect"))
-def _trace_defect(args, manifest, where):
+@_op(
+    "trace-defect",
+    {
+        "trace": (reference("trace"), REQUIRED),
+        "star": (reference("star-product"), REQUIRED),
+        "max-degree": (integer(0), None),
+        "expect": (choice("zero", "nonzero"), None),
+    },
+)
+def _trace_defect(args):
     """Commutator defect of a candidate trace against a star product, plus
-    the induced-bracket defect against its leading bivector."""
-    if "trace" not in args or "star" not in args:
-        raise ManifestError(f"{where}: needs 'trace' and 'star' object names")
-    tlabel, tau = args["trace"], manifest.resolve(args["trace"], "trace", where)
-    slabel, s = args["star"], manifest.resolve(args["star"], "star-product", where)
-    degree = _int_arg(args, "max-degree", s.model.cap, where, minimum=0)
+    the induced-bracket defect against its leading bivector; the degree
+    defaults to the product's cap."""
+    (tlabel, tau), (slabel, s) = args["trace"], args["star"]
+    degree = s.model.cap if args["max-degree"] is None else args["max-degree"]
     rep = df.trace_defect(tau, s, degree=degree)
     data = {
         "trace": tlabel,
@@ -1083,13 +1035,11 @@ def _trace_defect(args, manifest, where):
         f"tau(x^{list(ea)} * x^{list(eb)} - x^{list(eb)} * x^{list(ea)}) = {val}"
         for (ea, eb), val in rep.witnesses[:MAX_WITNESSES]
     ]
-    expect = args.get("expect")
+    expect = args["expect"]
     if expect is None:
         return JobOutcome(
             "info", f"trace defect of {tlabel} against {slabel}", data, witnesses
         )
-    if expect not in ("zero", "nonzero"):
-        raise ManifestError(f"{where}: expect must be zero or nonzero")
     good = rep.ok if expect == "zero" else not rep.ok
     if good:
         return JobOutcome(
@@ -1108,18 +1058,16 @@ def _trace_defect(args, manifest, where):
 SUITE_NAME = "core-identities"
 
 
+def _suite_name(v, where, key, manifest):
+    if v != SUITE_NAME:
+        raise ManifestError(f"{where}: unknown suite {v!r} (have {SUITE_NAME})")
+    return v
+
+
 def expand_suite(args, model, name):
     """The canonical job battery: every identity family at default caps."""
-    suite = args.get("suite", SUITE_NAME)
-    extra = set(args) - {"suite"}
-    if extra:
-        raise ManifestError(
-            f"job {name!r}: unknown argument {sorted(extra)[0]!r} for op 'suite'"
-        )
-    if suite != SUITE_NAME:
-        raise ManifestError(
-            f"job {name!r}: unknown suite {suite!r} (have {SUITE_NAME})"
-        )
+    schema = {"suite": (_suite_name, SUITE_NAME)}
+    check(schema, args, f"job {name!r}", None, "suite argument")
     return [
         ("core/identities", "identity-suite", {}),
         ("core/chains", "chain-suite", {}),

@@ -14,9 +14,9 @@ from formality_lab import cartan as ct
 from formality_lab import hochschild as hh
 from formality_lab.algebras import dual_numbers
 from formality_lab.cli import main
-from formality_lab.manifest import parse_manifest
+from formality_lab.manifest import Job, parse_manifest
 from formality_lab.poly import Poly
-from formality_lab.suites import OPS
+from formality_lab.suites import check_job_args, run_job
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MANIFEST = str(ROOT / "manifests" / "core-identities.yaml")
@@ -25,7 +25,9 @@ GOLDEN = ROOT / "tests" / "golden"
 
 def _run(op, args=None):
     mf = parse_manifest("jobs: []\n")
-    return OPS[op].fn(args or {}, mf, op)
+    job = Job(op, op, args or {})
+    check_job_args(job, mf)
+    return run_job(job, mf)
 
 
 def _report(n, outcome):

@@ -253,10 +253,10 @@ def test_job_runtime_error_becomes_failing_outcome(tmp_path, capsys):
 def test_raised_job_names_the_package_frame(tmp_path, capsys, monkeypatch):
     # the witness carries module.function:line of the innermost package
     # frame, and no file path, so the report is the same on every machine
-    def negative_exponent(args, manifest, where):
+    def negative_exponent(values):
         return Poly(1, {(-1,): 1})
 
-    def bare(args, manifest, where):
+    def bare(values):
         raise ArithmeticError("boom")
 
     path = _write(tmp_path, "jobs:\n  - {op: betti, name: b}\n")
@@ -335,6 +335,160 @@ def test_bad_betti_value_is_refused_before_the_first_job(
     assert rc == 2
     assert f"formality-lab: job 'q': {message}" in capsys.readouterr().err
     assert ran == []
+
+
+OBJECTS = (
+    "objects:\n"
+    "  v: {kind: multivector, degree: 1}\n"
+    "  s: {kind: star-product, matrix: [[0, 1], [-1, 0]]}\n"
+    "  t: {kind: trace}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        (
+            "{op: identity-suite, name: q, jacobi-samples: 0}",
+            "'jacobi-samples' must be an integer >= 1",
+        ),
+        ("{op: mu-suite, name: q, max-degree: 0}", "'max-degree' must be an integer >= 1"),
+        ("{op: flat-transport, name: q, planes: []}", "planes must be a list of integers"),
+        ("{op: ahat-flat, name: q, nt-values: [1]}", "nt-values must be a list of integers"),
+        ("{op: degeneration-probe, name: q, multivector: v}", "'v' must have degree 2"),
+        (
+            "{op: degeneration-probe, name: q, expect-degenerate: 1}",
+            "'expect-degenerate' must be true or false",
+        ),
+        ("{op: trace-defect, name: q, star: s}", "missing 'trace'"),
+        (
+            "{op: trace-defect, name: q, trace: t, star: s, expect: maybe}",
+            "expect must be zero or nonzero",
+        ),
+        ("{op: mc-star, name: q, star: ghost}", "no object named 'ghost'"),
+        ("{op: mc-star, name: q, star: t}", "'t' is a trace, expected a star-product"),
+    ],
+)
+def test_bad_value_of_any_op_is_refused_before_the_first_job(
+    tmp_path, capsys, monkeypatch, second, message
+):
+    ran = []
+    monkeypatch.setattr(OPS["betti"], "fn", lambda *a: ran.append(a))
+    text = OBJECTS + (
+        "jobs:\n"
+        "  - {op: betti, name: first, algebra: dual-numbers, top: 1}\n"
+        f"  - {second}\n"
+    )
+    rc = main(["run", _write(tmp_path, text)])
+    assert rc == 2
+    assert f"formality-lab: job 'q': {message}" in capsys.readouterr().err
+    assert ran == []
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("model: [1]\n", "model must be a mapping"),
+        ("objects: [1]\n", "objects must be a mapping"),
+        (
+            "objects:\n  pi: {kind: multivector, degree: 1, terms: [1]}\n",
+            "objects.pi: terms must be a mapping",
+        ),
+        (
+            "objects:\n  t: {kind: trace, coeffs: [1]}\n",
+            "objects.t: coeffs must be a mapping",
+        ),
+    ],
+)
+def test_section_that_is_not_a_mapping_exits_two(tmp_path, capsys, text, message):
+    rc = main(["run", _write(tmp_path, text)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ('{kind: trace, coef: {"0,0": 1}}', "unknown trace field 'coef'"),
+        (
+            '{kind: multivector, degree: 2, term: {"0,1": 1}}',
+            "unknown multivector field 'term'",
+        ),
+        (
+            "{kind: star-product, matrix: [[0, 1], [-1, 0]], order: 2}",
+            "unknown star-product field 'order'",
+        ),
+        (
+            "{kind: algebra, preset: dual-numbers, cap: 3}",
+            "unknown dual-numbers algebra field 'cap'",
+        ),
+        (
+            "{kind: algebra, preset: jets, degree: 3}",
+            "unknown jets algebra field 'degree'",
+        ),
+    ],
+)
+def test_unknown_object_field_is_named_with_its_kind(spec, message):
+    with pytest.raises(ManifestError, match=message):
+        parse_manifest(f"objects:\n  o: {spec}\n")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{kind: multivector, degree: 2, terms: {"0,1": 1, "0, 1": 2}}',
+        '{kind: trace, coeffs: {"0,0": 1, "0, 0": 2}}',
+        '{kind: multivector, degree: 1, terms: {"0": {"1,0": 1, "1, 0": 2}}}',
+    ],
+)
+def test_index_key_that_repeats_once_parsed_is_refused(spec):
+    with pytest.raises(ManifestError, match="index key '(0|1), (0|1)' repeats"):
+        parse_manifest(f"objects:\n  o: {spec}\n")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("{kind: algebra, preset: truncated-poly, cap: -1}", "'cap' must be an integer >= 0"),
+        ("{kind: algebra, preset: jets, cap: -1}", "'cap' must be an integer >= 0"),
+        ("{kind: algebra, preset: jets, vars: 0}", "'vars' must be an integer >= 1"),
+    ],
+)
+def test_object_integer_out_of_bounds_exits_two(tmp_path, capsys, spec, message):
+    text = f"objects:\n  a: {spec}\njobs:\n  - {{op: betti, name: j, algebra: a}}\n"
+    rc = main(["run", _write(tmp_path, text)])
+    assert rc == 2
+    assert f"objects.a: {message}" in capsys.readouterr().err
+
+
+def test_job_values_are_checked_resolved_and_defaulted():
+    from formality_lab.suites import check_job_args
+
+    text = (
+        "objects:\n  a: {kind: algebra, preset: jets, vars: 1}\n"
+        "jobs:\n  - {op: betti, name: j, algebra: a}\n"
+    )
+    mf = parse_manifest(text, known_ops=OPS)
+    check_job_args(mf.jobs[0], mf)
+    values = mf.jobs[0].values
+    assert values["algebra"] == ("a", mf.objects["a"][1])
+    assert [values[k] for k in ("top", "reduced", "kind", "expect")] == [
+        4, True, "homology", None
+    ]
+
+
+def test_manifest_error_inside_a_running_job_only_fails_that_job(
+    tmp_path, capsys, monkeypatch
+):
+    # manifest errors are all raised at load; the run loop has no second path
+    def late(values):
+        raise ManifestError("late")
+
+    monkeypatch.setattr(OPS["betti"], "fn", late)
+    path = _write(tmp_path, "jobs:\n  - {op: betti, name: b}\n")
+    rc = main(["run", path, "--format", "structured"])
+    (job,) = json.loads(capsys.readouterr().out)["jobs"]
+    assert rc == 1 and job["summary"] == "betti: ManifestError"
 
 
 def test_text_report_carries_ledger_hash(tmp_path, capsys):
