@@ -15,6 +15,7 @@ partial derivatives do not descend to the capped quotient.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import factorial
 from operator import add
@@ -177,9 +178,10 @@ def pairing(mv, form):
 def _monomial_pairs(A, B, rule, cls, k):
     """sum over term pairs of c_a * c_b * (frame_fa x^ea  op  frame_fb x^eb).
 
-    ``rule(fa, fb)`` gives, once per frame pair, the integer result of the
-    bilinear operation on unit frames as ``(merged, sign, i, side)``
-    entries: ``sign * frame_merged * x^(ea + eb)``, times ``eb[i]`` and with
+    ``rule(fa, fb)`` gives the integer result of the bilinear operation on
+    unit frames as a tuple of ``(merged, sign, i, side)`` entries, cached
+    per frame pair (at most 4^n pairs for n variables):
+    ``sign * frame_merged * x^(ea + eb)``, times ``eb[i]`` and with
     ``x_i`` removed when ``side`` is 1 (d/dx_i of the right monomial), or
     ``ea[i]`` when ``side`` is 0; ``i`` is None for no derivative.  Products
     of coefficients accumulate in one exponent dict per merged frame with
@@ -210,6 +212,7 @@ def _monomial_pairs(A, B, rule, cls, k):
     return out
 
 
+@cache
 def _wedge_rule(fa, fb):
     ms = _merge_sign(fa, fb)
     return () if ms is None else ((ms[1], ms[0], None, 0),)
@@ -217,6 +220,7 @@ def _wedge_rule(fa, fb):
 
 # -- Schouten bracket via the odd-symbol encoding ------------------------------
 
+@cache
 def _schouten_rule(ka, kb):
     """Unit-frame entries of [frame_ka x^ea, frame_kb x^eb] for ``_monomial_pairs``.
 
@@ -235,7 +239,7 @@ def _schouten_rule(ka, kb):
                 continue
             sign, merged = ms
             out.append((merged, outer * (-sign if pos % 2 else sign), i, side))
-    return out
+    return tuple(out)
 
 
 def schouten(A, B):

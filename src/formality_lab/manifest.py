@@ -271,9 +271,40 @@ class Manifest:
         self.jobs = jobs
 
 
+def _unique_key_map(loader, node):
+    """The safe mapping constructor, refusing a key given twice at the
+    repeated key instead of keeping the last value.  Keys brought in by a
+    ``<<`` merge may still be overridden."""
+    seen = set()
+    for key_node, _ in node.value:
+        if key_node.tag == "tag:yaml.org,2002:merge":
+            continue
+        key = loader.construct_object(key_node)
+        try:
+            repeated = key in seen
+        except TypeError:
+            break  # unhashable: the mapping constructor reports it
+        if repeated:
+            raise yaml.constructor.ConstructorError(
+                "while constructing a mapping",
+                node.start_mark,
+                f"duplicate key {key!r}",
+                key_node.start_mark,
+            )
+        seen.add(key)
+    return loader.construct_yaml_map(node)
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    pass
+
+
+_UniqueKeyLoader.add_constructor("tag:yaml.org,2002:map", _unique_key_map)
+
+
 def parse_manifest(text, source="<manifest>", known_ops=None, expand=None):
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.MarkedYAMLError as e:
         mark = e.problem_mark
         raise ManifestError(

@@ -66,6 +66,35 @@ def test_duplicate_job_names_rejected():
         parse_manifest(text, known_ops=OPS)
 
 
+@pytest.mark.parametrize(
+    "text, key, line, column",
+    [
+        ("jobs:\n  - {op: betti, name: j, top: 9, top: 1}\n", "top", 2, 34),
+        (
+            "objects:\n  t:\n    kind: trace\n    vars: 2\n"
+            '    coeffs: {"0,0": 1, "0,0": 5}\n',
+            "0,0",
+            5,
+            24,
+        ),
+    ],
+)
+def test_duplicate_yaml_keys_rejected_at_the_repeat(tmp_path, capsys, text, key, line, column):
+    with pytest.raises(ManifestError, match=f"duplicate key '{key}'") as err:
+        parse_manifest(text, source="m.yaml", known_ops=OPS)
+    assert (err.value.line, err.value.column) == (line, column)
+    path = _write(tmp_path, text)
+    assert main(["run", path]) == 2
+    assert f"{path}:{line}:{column}: duplicate key '{key}'" in capsys.readouterr().err
+
+
+def test_yaml_merge_keys_may_be_overridden():
+    text = "jobs:\n  - &b {op: betti, name: j, top: 2}\n  - {<<: *b, name: k}\n"
+    mf = parse_manifest(text, known_ops=OPS)
+    assert [job.name for job in mf.jobs] == ["j", "k"]
+    assert mf.jobs[1].args == {"top": 2}
+
+
 def test_model_caps_validated(tmp_path, capsys):
     with pytest.raises(ManifestError, match="unknown cap"):
         parse_manifest("model: {depth: 3}\n")

@@ -7,14 +7,23 @@ sweep reads pairwise products and brackets from N x N tables.  On passing
 and on deliberately broken structures, plain and extended over the odd
 parameter, both must count the same checks and report the same witnesses
 (law, generator names, residual) in the same order.
+
+``_table_check_gerstenhaber`` is the table sweep from before the Jacobi
+orbits, also verbatim: it computes the Jacobi residual of every triple,
+where the current sweep computes one per cyclic orbit and lets each
+rotation reuse it.  On a bracket that breaks Jacobi, plain and extended,
+both must count the same checks and report the same (law, names) in the
+same order, with every residual equal (Jacobi residuals by value).
 """
+
+from itertools import combinations, product
 
 import pytest
 
 from formality_lab import cartan as ct
 from formality_lab import linfty as lf
 from formality_lab.linfty import CheckReport
-from formality_lab.poly import Poly
+from formality_lab.poly import Poly, monomials_upto
 
 
 # -- reference: the previous body, verbatim -----------------------------------
@@ -97,6 +106,89 @@ def _parent_check_gerstenhaber(A, max_triples=None):
         )
         if not r.is_zero():
             witnesses.append(("jacobi", (nx, ny, nz), r))
+    return CheckReport(checked, witnesses, 3)
+
+
+# -- reference: the table sweep before the Jacobi orbits, verbatim ------------
+
+def _table_check_gerstenhaber(A):
+    """Verify the graded-commutative / odd-Lie / Leibniz laws on the
+    generators of A, plus the square-zero and bracket-generating laws of
+    delta when A has one.  Returns a CheckReport whose witnesses are
+    (law, generator names, residual).
+
+    Every pairwise product and bracket of generators is computed once, into
+    the N x N tables P and B, and the pair and triple laws read them."""
+    mul = A.mul
+    brk = A.bracket
+    delta = getattr(A, "delta", None)
+    gens = A.generators
+    names = [name for name, _ in gens]
+    elems = [g for _, g in gens]
+    degs = [A.degree(g) for g in elems]
+    P = [[mul(x, y) for y in elems] for x in elems]
+    B = [[brk(x, y) for y in elems] for x in elems]
+    witnesses = []
+    checked = 0
+
+    def sgn(e):
+        return -1 if e % 2 else 1
+
+    n = len(gens)
+    for i in range(n):
+        nx, x, dx = names[i], elems[i], degs[i]
+        for j in range(i, n):
+            ny, y, dy = names[j], elems[j], degs[j]
+            checked += 1
+            r = P[i][j] - sgn(dx * dy) * P[j][i]
+            if not r.is_zero():
+                witnesses.append(("commutativity", (nx, ny), r))
+            checked += 1
+            r = B[i][j] + sgn((dx - 1) * (dy - 1)) * B[j][i]
+            if not r.is_zero():
+                witnesses.append(("antisymmetry", (nx, ny), r))
+            if delta is not None:
+                checked += 1
+                r = (
+                    delta(P[i][j])
+                    - mul(delta(x), y)
+                    - sgn(dx) * mul(x, delta(y))
+                    - sgn(dx) * B[i][j]
+                )
+                if not r.is_zero():
+                    witnesses.append(("second-order-delta", (nx, ny), r))
+
+    if delta is not None:
+        for nx, x in gens:
+            checked += 1
+            r = delta(delta(x))
+            if not r.is_zero():
+                witnesses.append(("delta-squared", (nx,), r))
+
+    for i, j, k in product(range(n), repeat=3):
+        x, y, z = elems[i], elems[j], elems[k]
+        dx, dy, dz = degs[i], degs[j], degs[k]
+        label = (names[i], names[j], names[k])
+        checked += 1
+        r = mul(P[i][j], z) - mul(x, P[j][k])
+        if not r.is_zero():
+            witnesses.append(("associativity", label, r))
+        checked += 1
+        r = (
+            brk(x, P[j][k])
+            - mul(B[i][j], z)
+            - sgn((dx - 1) * dy) * mul(y, B[i][k])
+        )
+        if not r.is_zero():
+            witnesses.append(("bracket-leibniz", label, r))
+        checked += 1
+        r = (
+            sgn((dx - 1) * (dz - 1)) * brk(B[i][j], z)
+            + sgn((dy - 1) * (dx - 1)) * brk(B[j][k], x)
+            + sgn((dz - 1) * (dy - 1)) * brk(B[k][i], y)
+        )
+        if not r.is_zero():
+            witnesses.append(("jacobi", label, r))
     return CheckReport(checked, witnesses, 3)
 
 
@@ -187,3 +279,65 @@ def test_table_sweep_matches_the_previous_sweep(case):
     ]
     assert {law for law, _, _ in new.witnesses} >= must_fail
     assert new.ok == (not must_fail)
+
+
+# -- the Jacobi orbits against the table sweep ------------------------------------
+
+def _monomial_generators(deg):
+    """The suite's generators: every unit frame of 2 variables times every
+    monomial of degree at most ``deg``."""
+    return [
+        (f"v{k}{''.join(map(str, key))}_{e[0]}{e[1]}", _mv(k, {key: Poly.monomial(2, e)}))
+        for k in range(3)
+        for key in combinations(range(2), k)
+        for e in monomials_upto(2, deg)
+    ]
+
+
+def _doubled(a, b):
+    # the bracket doubled on degree-{1, 2} pairs: it breaks Jacobi
+    r = ct.schouten(a, b)
+    return 2 * r if {a.k, b.k} == {1, 2} else r
+
+
+def _by_value(r):
+    """A residual by value: type, degree and every coefficient with its
+    scalar type, in no particular order."""
+    if isinstance(r, lf.EpsilonElement):
+        return ("eps", r.degree, _by_value(r.body), _by_value(r.tail))
+    if r is None:
+        return None
+    return (
+        type(r).__name__,
+        r.k,
+        {key: {e: (v, type(v)) for e, v in p.c.items()} for key, p in r.c.items()},
+    )
+
+
+ORBIT_CASES = {
+    "doubled-bracket": lambda: lf.GerstenhaberData(
+        lambda a: a.k, _wedge, _doubled, _monomial_generators(2)
+    ),
+    "doubled-bracket-extended": lambda: lf.epsilon_extend(
+        lambda a: a.k, _wedge, _doubled, _monomial_generators(1)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_orbit_sweep_matches_the_table_sweep(case):
+    """A rotated triple reuses its orbit's Jacobi residual, a sum of the same
+    three terms in another order, so Jacobi residuals are compared by value;
+    every other residual must match exactly."""
+    new = lf.check_gerstenhaber(ORBIT_CASES[case]())
+    old = _table_check_gerstenhaber(ORBIT_CASES[case]())
+    assert new.checked == old.checked
+    assert [(law, names) for law, names, _ in new.witnesses] == [
+        (law, names) for law, names, _ in old.witnesses
+    ]
+    for (law, _, r), (_, _, r0) in zip(new.witnesses, old.witnesses):
+        if law == "jacobi":
+            assert _by_value(r) == _by_value(r0)
+        else:
+            assert _canon(r) == _canon(r0)
+    assert any(law == "jacobi" for law, _, _ in new.witnesses)

@@ -18,6 +18,9 @@ the general product the same way.
 The ``_poly_product_*`` functions are the wedge and Schouten bodies from
 just before the monomial-pair kernel, verbatim: every monomial pair goes
 through ``Poly.__mul__`` and ``Poly.diff``.  They are the kernel's oracle.
+
+The kernel's frame rules are cached per frame pair; their uncached bodies
+(``__wrapped__``) are the reference for the cached ones.
 """
 
 import random
@@ -428,3 +431,36 @@ def test_kernel_schouten_matches_poly_product_schouten():
     # mixed int and Fraction coefficients did reach the kernel
     values = [v for a, b in cases for x in (a, b) for p in x.c.values() for v in p.c.values()]
     assert {int, Fraction} <= {type(v) for v in values}
+
+
+# -- the memoized frame rules ----------------------------------------------------
+
+def _frames(n):
+    return [key for k in range(n + 1) for key in combinations(range(n), k)]
+
+
+def test_frame_rules_equal_their_uncached_bodies():
+    for n in range(1, 5):
+        for fa in _frames(n):
+            for fb in _frames(n):
+                for rule in (cartan._wedge_rule, cartan._schouten_rule):
+                    got = rule(fa, fb)
+                    assert type(got) is tuple
+                    assert got == rule.__wrapped__(fa, fb)
+
+
+def test_kernel_gives_the_same_results_after_the_rule_caches_clear():
+    rng = random.Random(20266)
+    cases = _kernel_cases(rng, MultiVector)
+
+    def sweep():
+        return [(a.wedge(b), cartan.schouten(a, b)) for a, b in cases]
+
+    warm = sweep()
+    cartan._wedge_rule.cache_clear()
+    cartan._schouten_rule.cache_clear()
+    cold = sweep()
+    assert cartan._schouten_rule.cache_info().currsize > 0
+    for (w, s), (w0, s0) in zip(cold, warm):
+        _assert_same_exterior(w, w0)
+        _assert_same_exterior(s, s0)
