@@ -24,19 +24,21 @@ from .linfty import MCElement
 from .poly import Poly, monomials_upto
 
 
-def _vanishes_on_unit(op):
-    """True when every term differentiates every slot at least once."""
-    z = (0,) * op.nvars
-    return all(z not in key for key in op.terms)
-
-
 class StarProduct:
-    """Multiplication plus corrections ops[m], 1 <= m <= nt."""
+    """Multiplication plus corrections ops[m], 1 <= m <= nt.
+
+    Each correction is copied at construction, and its reach is stored:
+    per slot, the least total derivative order over its terms.  A
+    correction sends any argument of total degree below its slot's reach
+    to zero, so ``star_series`` never applies it there.  The copy keeps the
+    reach true whatever the caller later does to the op it passed in.
+    """
 
     def __init__(self, model, ops, nt):
         self.model = model
         self.nt = nt
         self.ops = {}
+        self.reach = {}
         for m, op in ops.items():
             if not 1 <= m <= nt:
                 if m > nt:
@@ -44,10 +46,16 @@ class StarProduct:
                 raise ValueError("correction orders start at 1")
             if op.nvars != model.nvars or op.arity != 2:
                 raise ValueError("corrections must be arity-2 on the base variables")
-            if not _vanishes_on_unit(op):
+            if not op.terms:
+                continue
+            reach = tuple(
+                min(sum(key[slot]) for key in op.terms) for slot in (0, 1)
+            )
+            if min(reach) < 1:
+                # some term leaves a slot underived, so 1*g or f*1 would move
                 raise ValueError(f"order-{m} correction does not vanish on the unit")
-            if op.terms:
-                self.ops[m] = op
+            self.ops[m] = pd.PolyDiffOperator(op.nvars, 2, op.terms)
+            self.reach[m] = reach
 
     def correction(self, m):
         return self.ops.get(m)
@@ -57,18 +65,37 @@ class StarProduct:
         return self.star_series({0: f}, {0: g})
 
     def star_series(self, a, b):
-        """Convolution of two {order: polynomial} dictionaries."""
+        """Convolution of two {order: polynomial} dictionaries.
+
+        A correction is applied only when both arguments reach its
+        derivative orders; every skipped call would have returned zero.
+        """
         out = {}
-        for ka, fa in a.items():
-            for kb, fb in b.items():
+        bs = self._with_degrees(b)
+        for ka, fa, dfa in self._with_degrees(a):
+            for kb, fb, dfb in bs:
                 base = ka + kb
                 if base > self.nt:
                     continue
                 add_term(out, base, fa * fb)
                 for m, op in self.ops.items():
-                    k = base + m
-                    if k <= self.nt:
-                        add_term(out, k, op.apply([fa, fb]))
+                    ra, rb = self.reach[m]
+                    if base + m <= self.nt and dfa >= ra and dfb >= rb:
+                        add_term(out, base + m, op.apply([fa, fb]))
+        return out
+
+    def _with_degrees(self, series):
+        """(order, polynomial, total degree or -1 for zero) per entry.
+
+        Every entry is checked against the base variables here, since a
+        skipped correction no longer reaches the check in ``apply``.
+        """
+        n = self.model.nvars
+        out = []
+        for k, f in series.items():
+            if f.n != n:
+                raise ValueError("variable counts differ")
+            out.append((k, f, max(map(sum, f.c)) if f.c else -1))
         return out
 
 

@@ -50,6 +50,38 @@ def test_unit_is_strict():
         df.StarProduct(s.model, {1: pd.PolyDiffOperator(2, 2, {((0, 0), (1, 0)): X})}, 2)
 
 
+def _series_table(s, degree=2):
+    n = s.model.nvars
+    polys = [Poly.monomial(n, e) for e in monomials_upto(n, degree)]
+    return [s.star_series({0: f}, {0: g}) for f in polys for g in polys]
+
+
+def test_product_owns_its_corrections():
+    model = FunctionModel(2, 4)
+    terms = {((1, 0), (1, 0)): 1, ((2, 0), (0, 1)): X}
+    for change in ("add-term", "reassign"):
+        op = pd.PolyDiffOperator(2, 2, terms)
+        s = df.StarProduct(model, {1: op}, 3)
+        before = df.StarProduct(model, {1: pd.PolyDiffOperator(2, 2, terms)}, 3)
+        # a term that leaves a slot underived acts below the reach the
+        # product read from the op it was given
+        if change == "add-term":
+            op.terms[((0, 0), (1, 0))] = Poly.const(2, 1)
+        else:
+            op.terms = {((0, 0), (0, 1)): X, ((1, 0), (0, 0)): Y}
+        assert _series_table(s) == _series_table(before)
+
+
+def test_wrong_variable_count_is_refused_even_when_every_correction_is_skipped():
+    s = df.moyal([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], 3)
+    # constants and zero lie below every correction's reach, so none would
+    # be applied
+    with pytest.raises(ValueError):
+        s.star(Poly.const(3, 2), Poly.var(3, 0))
+    with pytest.raises(ValueError):
+        s.star_series({0: Poly.const(3, 1)}, {1: Poly.zero(3)})
+
+
 def test_moyal_validates_input_matrix():
     with pytest.raises(ValueError):
         df.moyal([[0, 1], [1, 0]], 2)
