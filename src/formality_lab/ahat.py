@@ -31,7 +31,7 @@ from .cartan import (
     deRham_d,
     lie_derivative,
 )
-from .core.basis import add_term
+from .core.basis import add_term, rational
 from .core.linalg import rank_kernel, solve
 from .core.signs import koszul_sign
 from .core.series import WindowOverflow
@@ -286,17 +286,23 @@ def symplectic_star(sd, form):
         # only the zero form lives above the top degree
         return Form(sd.nvars, 0)
     vol = sd.volume()
-    vcoeff = vol.c[tuple(range(sd.nvars))].constant_term()
+    vcoeff = vol.c.get((tuple(range(sd.nvars)), (0,) * sd.nvars), 0)
+    images = {}  # J -> [(Ic, scalar)], once per frame
     out = Form(sd.nvars, sd.nvars - k)
-    for J, c in form.c.items():
-        for I in combinations(range(sd.nvars), k):
-            lam = _pair_det(sd, I, J)
-            if not lam:
-                continue
-            sign, Ic = _complement_sign(I, sd.nvars)
-            # alpha = dz_I forces the Ic coefficient: sign * coeff = lam * vcoeff,
-            # and sign is +-1, so dividing by it is multiplying by it
-            add_term(out.c, Ic, (lam * vcoeff * sign) * c)
+    for (J, e), v in form.c.items():
+        image = images.get(J)
+        if image is None:
+            image = images[J] = []
+            for I in combinations(range(sd.nvars), k):
+                lam = _pair_det(sd, I, J)
+                if not lam:
+                    continue
+                sign, Ic = _complement_sign(I, sd.nvars)
+                # alpha = dz_I forces the Ic coefficient: sign * coeff = lam * vcoeff,
+                # and sign is +-1, so dividing by it is multiplying by it
+                image.append((Ic, rational(lam * vcoeff * sign)))
+        for Ic, s in image:
+            add_term(out.c, (Ic, e), s * v)
     return out
 
 
@@ -412,37 +418,30 @@ def d_primitive(form, cap=None):
         return None
     nvars = form.nvars
     if cap is None:
-        cap = 1 + max(
-            (sum(e) for c in form.c.values() for e in c.c), default=0
-        )
+        cap = 1 + max((sum(e) for _, e in form.c), default=0)
     cols = list(_form_basis(nvars, form.k - 1, cap))
     images = []
     eqs = {}
-    for j, (key, e) in enumerate(cols):
+    for key, e in cols:
         img = deRham_d(Form(nvars, form.k - 1, {key: Poly.monomial(nvars, e)}))
         images.append(img)
-        for fkey, c in img.c.items():
-            for ee in c.c:
-                eqs.setdefault((fkey, ee), len(eqs))
-    for fkey, c in form.c.items():
-        for ee in c.c:
-            eqs.setdefault((fkey, ee), len(eqs))
+        for term in img.c:
+            eqs.setdefault(term, len(eqs))
+    for term in form.c:
+        eqs.setdefault(term, len(eqs))
     rows = [dict() for _ in range(len(eqs))]
     for j, img in enumerate(images):
-        for fkey, c in img.c.items():
-            for ee, v in c.c.items():
-                rows[eqs[(fkey, ee)]][j] = v
+        for term, v in img.c.items():
+            rows[eqs[term]][j] = v
     rhs = [0] * len(eqs)
-    for fkey, c in form.c.items():
-        for ee, v in c.c.items():
-            rhs[eqs[(fkey, ee)]] = v
+    for term, v in form.c.items():
+        rhs[eqs[term]] = v
     x = solve(rows, rhs, len(cols))
     if x is None:
         return None
     out = Form(nvars, form.k - 1)
     for j, v in x.items():
-        key, e = cols[j]
-        add_term(out.c, key, Poly.monomial(nvars, e, v))
+        add_term(out.c, cols[j], rational(v))
     return out
 
 
@@ -476,7 +475,7 @@ def ahat_flat(n, nt, uwin=(-4, 4)):
     ok = True
     for (kt, ku, k), form in sorted(value.parts.items()):
         if k == 0:
-            klass[(kt, ku)] = form.c[()].constant_term()
+            klass[(kt, ku)] = form.c.get(((), (0,) * sd.nvars), 0)
             continue
         prim = d_primitive(form)
         primitives[(kt, ku, k)] = prim
@@ -550,16 +549,15 @@ def _graded_ranks(nvars, cap, nt, image):
             for jj, piece in image(j, key, e):
                 if jj >= nt:
                     continue
-                for fkey, c in piece.c.items():
-                    for ee, v in c.c.items():
-                        if sum(ee) > cap:
-                            raise ValueError(
-                                "coefficient cap is not stable under the transport"
-                            )
-                        Jp, pos = index[(jj, fkey, ee)]
-                        if Jp != J + 1:
-                            raise ValueError("image is not grade-raising")
-                        add_term(row, pos, v)
+                for (fkey, ee), v in piece.c.items():
+                    if sum(ee) > cap:
+                        raise ValueError(
+                            "coefficient cap is not stable under the transport"
+                        )
+                    Jp, pos = index[(jj, fkey, ee)]
+                    if Jp != J + 1:
+                        raise ValueError("image is not grade-raising")
+                    add_term(row, pos, v)
             rows.append(row)
         rank, _ = rank_kernel(rows, ncols)
         ranks[J] = rank

@@ -1,12 +1,18 @@
 """Polynomial multivector fields and differential forms with exact calculus.
 
 Multivectors are encoded as polynomials in even coordinates and odd frame
-symbols: a degree-k field is a dict from strictly increasing index tuples
-(i_1 < .. < i_k) to polynomial coefficients.  The bracket of multivectors
-is the canonical odd Poisson bracket of that encoding; the four axioms it
-must satisfy (vector-field case = Lie derivative, functions bracket to
-zero, shifted graded Lie, odd Leibniz over the wedge) are enforced by the
-test suite rather than hand-threaded signs.
+symbols.  A degree-k field or form is stored flat, as a dict from
+(frame, exponent) pairs to nonzero exact scalars: the frame is a strictly
+increasing index tuple (i_1 < .. < i_k), and c[(I, e)] is the coefficient
+of x^e frame_I.  Sums, multiples and every operator below accumulate
+scalars straight into such a dict.  ``Poly`` appears only at the edge: the
+constructor takes one coefficient per frame, ``function`` takes one, and
+``pairing`` and the coefficients of ``hkr`` are ``Poly``s.
+
+The bracket of multivectors is the canonical odd Poisson bracket of that
+encoding; the four axioms it must satisfy (vector-field case = Lie
+derivative, functions bracket to zero, shifted graded Lie, odd Leibniz over
+the wedge) are enforced by the test suite rather than hand-threaded signs.
 
 Everything is computed on honest polynomials -- no degree cap -- because
 partial derivatives do not descend to the capped quotient.
@@ -48,11 +54,16 @@ def _remove_index(key, i):
 
 
 class _Exterior:
-    """Shared shape of multivectors and forms: graded, exterior, sparse."""
+    """Shared shape of multivectors and forms: graded, exterior, sparse.
+
+    ``c`` is flat: ``c[(frame, e)]`` is the nonzero scalar coefficient of
+    x^e frame, with no stored zeros (``core.basis.add_term``).
+    """
 
     __slots__ = ("nvars", "k", "c")
 
     def __init__(self, nvars, k, coeffs=None):
+        """``coeffs`` maps each frame to a ``Poly`` or an exact scalar."""
         if k < 0:
             raise ValueError("exterior degree must be >= 0")
         self.nvars = nvars
@@ -69,59 +80,63 @@ class _Exterior:
                     raise ValueError(f"index out of range in {key!r}")
                 if not isinstance(p, Poly):
                     p = Poly.const(nvars, p)
-                add_term(self.c, key, p)
+                elif p.n != nvars:
+                    raise ValueError(f"coefficient of {key!r} is in {p.n} variables, not {nvars}")
+                for e, v in p.c.items():
+                    add_term(self.c, (key, e), v)
 
     @classmethod
     def zero(cls, nvars, k):
         return cls(nvars, k)
 
-    def _check(self, other):
-        if type(self) is not type(other) or self.nvars != other.nvars or self.k != other.k:
+    def _signed(self, k, c, s):
+        """The degree-k element ``c + s * self``, one ``add_term`` per scalar.
+
+        ``c`` is a flat dict the result takes over.  The scalars 1 and -1
+        add and negate without a multiply.
+        """
+        items = self.c.items()
+        if s == 1:
+            for key, v in items:
+                add_term(c, key, v)
+        elif s == -1:
+            for key, v in items:
+                add_term(c, key, -v)
+        else:
+            for key, v in items:
+                add_term(c, key, s * v)
+        return _make(type(self), self.nvars, k, c)
+
+    def _sum_degree(self, other):
+        """The degree of a sum: that of its nonzero arguments.  A zero of
+        any degree (over-contracting gives degree 0) adds to anything."""
+        if type(self) is not type(other) or self.nvars != other.nvars:
             raise ValueError("mismatched exterior elements")
+        if not self.c:
+            return other.k
+        if other.c and other.k != self.k:
+            raise ValueError("mismatched exterior elements")
+        return self.k
 
     def __add__(self, other):
-        # a zero element is degree-agnostic: over-contracting produces
-        # degree-0 zeros that must still combine with honest degrees
-        if self.k != other.k:
-            if not self and type(self) is type(other) and self.nvars == other.nvars:
-                out = type(other)(other.nvars, other.k)
-                out.c = dict(other.c)
-                return out
-            if not other and type(self) is type(other) and self.nvars == other.nvars:
-                out = type(self)(self.nvars, self.k)
-                out.c = dict(self.c)
-                return out
-        self._check(other)
-        out = type(self)(self.nvars, self.k)
-        out.c = dict(self.c)
-        for key, p in other.c.items():
-            add_term(out.c, key, p)
-        return out
-
-    def __neg__(self):
-        out = type(self)(self.nvars, self.k)
-        out.c = {key: -p for key, p in self.c.items()}
-        return out
+        return other._signed(self._sum_degree(other), dict(self.c), 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return other._signed(self._sum_degree(other), dict(self.c), -1)
+
+    def __neg__(self):
+        return self._signed(self.k, {}, -1)
 
     def __rmul__(self, scalar):
-        out = type(self)(self.nvars, self.k)
         if isinstance(scalar, Poly):
-            for key, p in self.c.items():
-                s = scalar * p
-                if s:
-                    out.c[key] = s
-            return out
-        scalar = rational(scalar)
-        if scalar == -1:
-            return -self
-        if scalar == 1:
-            out.c = dict(self.c)
-        elif scalar:
-            out.c = {key: scalar * p for key, p in self.c.items()}
-        return out
+            if scalar.n != self.nvars:
+                raise ValueError("variable counts differ")
+            c = {}
+            for e1, v1 in scalar.c.items():
+                for (key, e2), v2 in self.c.items():
+                    add_term(c, (key, tuple(map(add, e1, e2))), v1 * v2)
+            return _make(type(self), self.nvars, self.k, c)
+        return self._signed(self.k, {}, rational(scalar))
 
     def __eq__(self, other):
         if type(self) is not type(other):
@@ -132,7 +147,7 @@ class _Exterior:
         return bool(self.c)
 
     def is_zero(self):
-        return not self
+        return not self.c
 
     def wedge(self, other):
         if type(self) is not type(other) or self.nvars != other.nvars:
@@ -141,6 +156,18 @@ class _Exterior:
 
     def __repr__(self):
         return f"{type(self).__name__}(k={self.k}, {len(self.c)} terms)"
+
+
+_new = object.__new__
+
+
+def _make(cls, nvars, k, c):
+    """The degree-k element of ``cls`` whose flat dict is ``c``, unchecked."""
+    out = _new(cls)
+    out.nvars = nvars
+    out.k = k
+    out.c = c
+    return out
 
 
 class MultiVector(_Exterior):
@@ -165,12 +192,15 @@ def pairing(mv, form):
         raise TypeError("pairing takes (MultiVector, Form)")
     if mv.nvars != form.nvars or mv.k != form.k:
         raise ValueError("mismatched pairing")
-    total = Poly.zero(mv.nvars)
-    for key, p in mv.c.items():
-        q = form.c.get(key)
-        if q is not None:
-            total = total + p * q
-    return total
+    total = {}
+    fitems = form.c.items()
+    for (key, ea), ca in mv.c.items():
+        for (kb, eb), cb in fitems:
+            if kb == key:
+                add_term(total, tuple(map(add, ea, eb)), ca * cb)
+    p = Poly.zero(mv.nvars)
+    p.c = total
+    return p
 
 
 # -- the monomial-pair kernel of wedge and Schouten ---------------------------------
@@ -184,32 +214,24 @@ def _monomial_pairs(A, B, rule, cls, k):
     ``sign * frame_merged * x^(ea + eb)``, times ``eb[i]`` and with
     ``x_i`` removed when ``side`` is 1 (d/dx_i of the right monomial), or
     ``ea[i]`` when ``side`` is 0; ``i`` is None for no derivative.  Products
-    of coefficients accumulate in one exponent dict per merged frame with
-    ``add_term``; no intermediate ``Poly`` is built.
+    of coefficients accumulate with ``add_term`` straight into the flat
+    dict of the result.
     """
     acc = {}
-    for fa, pa in A.c.items():
-        for fb, pb in B.c.items():
+    bitems = B.c.items()
+    for (fa, ea), ca in A.c.items():
+        for (fb, eb), cb in bitems:
             for merged, sign, i, side in rule(fa, fb):
-                terms = acc.setdefault(merged, {})
-                for ea, ca in pa.c.items():
-                    for eb, cb in pb.c.items():
-                        if i is None:
-                            add_term(terms, tuple(map(add, ea, eb)), sign * (ca * cb))
-                            continue
-                        m = eb[i] if side else ea[i]
-                        if not m:
-                            continue
-                        e = list(map(add, ea, eb))
-                        e[i] -= 1
-                        add_term(terms, tuple(e), (sign * m) * (ca * cb))
-    out = cls(A.nvars, k)
-    for merged, terms in acc.items():
-        if terms:
-            p = Poly.zero(A.nvars)
-            p.c = terms
-            out.c[merged] = p
-    return out
+                if i is None:
+                    add_term(acc, (merged, tuple(map(add, ea, eb))), sign * (ca * cb))
+                    continue
+                m = eb[i] if side else ea[i]
+                if not m:
+                    continue
+                e = list(map(add, ea, eb))
+                e[i] -= 1
+                add_term(acc, (merged, tuple(e)), (sign * m) * (ca * cb))
+    return _make(cls, A.nvars, k, acc)
 
 
 @cache
@@ -282,19 +304,30 @@ def poisson_bracket(pi, f, g):
 # -- Cartan calculus on forms -----------------------------------------------------
 
 def deRham_d(alpha):
-    n = alpha.nvars
-    out = Form(n, alpha.k + 1)
-    for key, p in alpha.c.items():
-        for i in range(n):
-            dp = p.diff(i)
-            if not dp:
+    c = {}
+    for (key, e), v in alpha.c.items():
+        for i, m in enumerate(e):
+            if not m:
                 continue
-            ms = _merge_sign((i,), key)
-            if ms is None:
-                continue
-            sign, merged = ms
-            add_term(out.c, merged, sign * dp)
-    return out
+            for merged, sign, _, _ in _wedge_rule((i,), key):
+                de = list(e)
+                de[i] -= 1
+                add_term(c, (merged, tuple(de)), (sign * m) * v)
+    return _make(Form, alpha.nvars, alpha.k + 1, c)
+
+
+@cache
+def _contract_rule(kv, kf):
+    """i_frame_kv on dx^kf as (sign, remaining frame), or None when it vanishes."""
+    sign = 1
+    key = kf
+    for i in reversed(kv):  # innermost factor inserts first
+        rem = _remove_index(key, i)
+        if rem is None:
+            return None
+        s, key = rem
+        sign *= s
+    return sign, key
 
 
 def contract(mv, alpha):
@@ -304,23 +337,16 @@ def contract(mv, alpha):
     n = mv.nvars
     if mv.k > alpha.k:
         return Form.zero(n, 0)
-    out = Form(n, alpha.k - mv.k)
-    for kv, pv in mv.c.items():
-        for kf, pf in alpha.c.items():
-            sign = 1
-            key = kf
-            dead = False
-            for i in reversed(kv):  # innermost factor inserts first
-                rem = _remove_index(key, i)
-                if rem is None:
-                    dead = True
-                    break
-                s, key = rem
-                sign *= s
-            if dead:
-                continue
-            add_term(out.c, key, sign * (pv * pf))
-    return out
+    c = {}
+    fitems = alpha.c.items()
+    for (kv, ev), cv in mv.c.items():
+        for (kf, ef), cf in fitems:
+            rule = _contract_rule(kv, kf)
+            if rule is not None:
+                sign, key = rule
+                v = cv * cf
+                add_term(c, (key, tuple(map(add, ev, ef))), v if sign == 1 else -v)
+    return _make(Form, n, alpha.k - mv.k, c)
 
 
 def lie_derivative(mv, alpha):
@@ -343,10 +369,15 @@ def hkr(mv):
     """
     n = mv.nvars
     k = mv.k
+    polys = {}
+    for (key, e), v in mv.c.items():
+        if key not in polys:
+            polys[key] = Poly.zero(n)
+        polys[key].c[e] = v
     if k == 0:
-        return PolyDiffOperator.element(mv.c.get((), Poly.zero(n)))
+        return PolyDiffOperator.element(polys.get((), Poly.zero(n)))
     terms = {}
-    for key, p in mv.c.items():
+    for key, p in polys.items():
         for perm in permutations(range(k)):
             inv = sum(
                 1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b]
@@ -381,7 +412,7 @@ def connes_mu_chain(model, ch):
     cap (no truncation ever fires on the samples used).
     """
     nv = model.nvars
-    total = Form.zero(nv, ch.n) if ch.n else Form.zero(nv, 0)
+    total = Form.zero(nv, ch.n)
     for tup, coeff in ch.c.items():
         entries = [model.basis_poly(i) for i in tup]
         total = total + coeff * connes_mu(entries)

@@ -202,12 +202,11 @@ def leading_poisson(s):
     n = s.model.nvars
     P1 = s.correction(1) or pd.PolyDiffOperator.zero(n, 2)
     anti = P1 - _opposite(P1)
-    out = MultiVector(n, 2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            cij = anti.apply([Poly.var(n, i), Poly.var(n, j)])
-            if not cij.is_zero():
-                out.c[(i, j)] = cij
+    out = MultiVector(n, 2, {
+        (i, j): anti.apply([Poly.var(n, i), Poly.var(n, j)])
+        for i in range(n)
+        for j in range(i + 1, n)
+    })
     if hkr(out) != anti:
         raise ValueError("antisymmetrized part is not of bivector type")
     return out

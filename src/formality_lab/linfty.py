@@ -343,10 +343,20 @@ class EpsilonElement:
         )
 
     def __neg__(self):
-        return -1 * self
+        return EpsilonElement(_part_neg(self.body), _part_neg(self.tail), self.degree)
 
     def __sub__(self, other):
-        return self + (-1) * other
+        if self.is_zero():
+            return -other
+        if other.is_zero():
+            return self
+        if self.degree != other.degree:
+            raise ValueError("degree mismatch in sum")
+        return EpsilonElement(
+            _part_sub(self.body, other.body),
+            _part_sub(self.tail, other.tail),
+            self.degree,
+        )
 
     def __rmul__(self, scalar):
         body = None if self.body is None else scalar * self.body
@@ -371,6 +381,18 @@ def _part_add(a, b):
     if b is None:
         return a
     return a + b
+
+
+def _part_neg(a):
+    return None if a is None else -a
+
+
+def _part_sub(a, b):
+    if b is None:
+        return a
+    if a is None:
+        return -b
+    return a - b
 
 
 class EpsilonAlgebra:

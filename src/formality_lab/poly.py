@@ -8,6 +8,7 @@ Nothing here ever truncates: the degree-capped quotient lives in
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product as _cartesian
 from math import perm, prod
 from operator import add, sub
@@ -85,9 +86,6 @@ class Poly:
     def is_zero(self):
         return not self
 
-    def constant_term(self):
-        return self.c.get((0,) * self.n, 0)
-
     def coeff(self, exps):
         return self.c.get(tuple(exps), 0)
 
@@ -128,6 +126,8 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented  # a container's __rmul__ takes it
             return self.__rmul__(other)
         self._check(other)
         p = Poly.zero(self.n)

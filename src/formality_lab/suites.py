@@ -129,10 +129,7 @@ def _mv_basis(n, kmax, deg):
 
 
 def _mv_label(v):
-    parts = []
-    for key, p in sorted(v.c.items()):
-        for e, c in p.terms_sorted():
-            parts.append(f"{c}*x^{list(e)}@{list(key)}")
+    parts = [f"{c}*x^{list(e)}@{list(key)}" for (key, e), c in sorted(v.c.items())]
     return " + ".join(parts) if parts else "0"
 
 
@@ -823,8 +820,7 @@ def _gerstenhaber_suite(args):
             f"plain laws fail: {sorted({law for law, _, _ in rep.witnesses})}"
         ),
     )
-    gens1 = [(n, g) for n, g in gens3 if g.c and max(
-        sum(e) for p in g.c.values() for e in p.c) <= 1]
+    gens1 = [(n, g) for n, g in gens3 if g.c and max(sum(e) for _, e in g.c) <= 1]
     E = lf.epsilon_extend(
         lambda a: a.k, lambda a, b: a.wedge(b), ct.schouten, gens1
     )
@@ -920,10 +916,8 @@ def _flat_transport(args):
         # function-linearity on coordinate multiples of sample forms
         x0 = Poly.var(sd.nvars, 0)
         for f in _form_samples(sd, 1):
-            lhs = ah.nu0(sd, ah.SeriesForm.wrap(f.__rmul__(x0)))
-            rhs = ah.nu0(sd, ah.SeriesForm.wrap(f)).map_form(
-                lambda g: g.__rmul__(x0)
-            )
+            lhs = ah.nu0(sd, ah.SeriesForm.wrap(x0 * f))
+            rhs = ah.nu0(sd, ah.SeriesForm.wrap(f)).map_form(lambda g: x0 * g)
             t.ok(
                 lhs == rhs,
                 lambda n=n, f=f: (

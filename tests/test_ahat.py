@@ -237,9 +237,8 @@ def probe_oracle(pi, cap, nt):
             for jj, img in ((j, ct.deRham_d(form)), (j + 1, ct.lie_derivative(pi, form))):
                 if jj >= nt:
                     continue
-                for fkey, c in img.c.items():
-                    for ee, v in c.c.items():
-                        row[pos[(jj, fkey, ee)]] += v
+                for (fkey, ee), v in img.c.items():
+                    row[pos[(jj, fkey, ee)]] += v
             rows.append(row)
         ranks[J] = dense_rank(rows)
     return {

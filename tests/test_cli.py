@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from formality_lab import conventions
+from formality_lab.cartan import MultiVector
 from formality_lab.cli import main
 from formality_lab.manifest import (
     ManifestError,
@@ -120,7 +121,7 @@ def test_multivector_object_built_exactly():
     mf = parse_manifest(text)
     kind, pi = mf.objects["pi"]
     assert kind == "multivector"
-    assert pi.c == {(0, 1): Poly.monomial(2, (1, 0), Fraction(3, 2))}
+    assert pi == MultiVector(2, 2, {(0, 1): Poly.monomial(2, (1, 0), Fraction(3, 2))})
 
 
 def test_star_product_must_be_antisymmetric():

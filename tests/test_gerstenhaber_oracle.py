@@ -260,10 +260,7 @@ def _canon(r):
     return (
         type(r).__name__,
         r.k,
-        tuple(
-            (key, tuple((e, v, type(v)) for e, v in p.c.items()))
-            for key, p in r.c.items()
-        ),
+        tuple((term, v, type(v)) for term, v in r.c.items()),
     )
 
 
@@ -310,7 +307,7 @@ def _by_value(r):
     return (
         type(r).__name__,
         r.k,
-        {key: {e: (v, type(v)) for e, v in p.c.items()} for key, p in r.c.items()},
+        {term: (v, type(v)) for term, v in r.c.items()},
     )
 
 

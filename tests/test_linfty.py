@@ -24,9 +24,7 @@ def cochain_dgla(A, arities=(1, 2)):
 
 
 def mv(n, k, entries):
-    out = ct.MultiVector(n, k)
-    out.c = dict(entries)
-    return out
+    return ct.MultiVector(n, k, entries)
 
 
 def schouten_structure(gens=()):

@@ -54,7 +54,7 @@ def test_poly_truncate_and_eval():
     x = Poly.var(1, 0)
     p = x * x * x + x + Poly.const(1, 5)
     assert p.truncate(1) == x + Poly.const(1, 5)
-    assert p.constant_term() == 5
+    assert p.coeff((0,)) == 5
 
 
 def test_monomials_upto_graded_order():

@@ -135,6 +135,18 @@ def test_floats_are_rejected(name):
         FLOATS[name]()
 
 
+def test_poly_times_multivector_or_form_is_the_termwise_product():
+    # Poly.__mul__ hands a container to the container's __rmul__
+    p = Fraction(1, 2) * X0 - X1 + ONE
+    for x, coeffs in (
+        (FIELD, {(0,): X0 * X1, (1,): ONE + X0}),
+        (_form(), {(0,): X1 * X1, (1,): X0 + X1}),
+    ):
+        want = type(x)(2, 1, {key: p * q for key, q in coeffs.items()})
+        assert p * x == want == x.__rmul__(p)
+    assert Poly.zero(2) * FIELD == MultiVector.zero(2, 1)
+
+
 def test_rational_takes_only_exact_scalars():
     # int when integral, Fraction otherwise, never Fraction(n, 1)
     for v, want in ((3, 3), (Fraction(3), 3), (Fraction(-6, 2), -3), (True, 1)):
@@ -150,5 +162,5 @@ def test_int_and_fraction_coefficients_are_one_value():
     p, q = Poly.const(2, 1), Poly.const(2, 1)
     q.c = {(0, 0): Fraction(1)}  # as a product like Fraction(1, 2) * 2 stores it
     assert p == q and hash(p) == hash(q)
-    assert type(p.constant_term()) is int and type(q.constant_term()) is Fraction
+    assert type(p.coeff((0, 0))) is int and type(q.coeff((0, 0))) is Fraction
     assert p.coeff((1, 0)) == 0 and type(p.coeff((1, 0))) is int
