@@ -302,7 +302,7 @@ def symplectic_star(sd, form):
                 # and sign is +-1, so dividing by it is multiplying by it
                 image.append((Ic, rational(lam * vcoeff * sign)))
         for Ic, s in image:
-            add_term(out.c, (Ic, e), s * v)
+            add_term(out.c, (Ic, e), v if s == 1 else s * v)
     return out
 
 

@@ -215,22 +215,29 @@ def _monomial_pairs(A, B, rule, cls, k):
     ``x_i`` removed when ``side`` is 1 (d/dx_i of the right monomial), or
     ``ea[i]`` when ``side`` is 0; ``i`` is None for no derivative.  Products
     of coefficients accumulate with ``add_term`` straight into the flat
-    dict of the result.
+    dict of the result.  ``c_a * c_b`` is built once per term pair, and
+    scaled only by a weight other than 1.
     """
     acc = {}
     bitems = B.c.items()
     for (fa, ea), ca in A.c.items():
         for (fb, eb), cb in bitems:
-            for merged, sign, i, side in rule(fa, fb):
+            entries = rule(fa, fb)
+            if not entries:
+                continue
+            c = ca * cb
+            for merged, w, i, side in entries:
                 if i is None:
-                    add_term(acc, (merged, tuple(map(add, ea, eb))), sign * (ca * cb))
-                    continue
-                m = eb[i] if side else ea[i]
-                if not m:
-                    continue
-                e = list(map(add, ea, eb))
-                e[i] -= 1
-                add_term(acc, (merged, tuple(e)), (sign * m) * (ca * cb))
+                    e = tuple(map(add, ea, eb))
+                else:
+                    m = eb[i] if side else ea[i]
+                    if not m:
+                        continue
+                    e = list(map(add, ea, eb))
+                    e[i] -= 1
+                    e = tuple(e)
+                    w *= m
+                add_term(acc, (merged, e), c if w == 1 else w * c)
     return _make(cls, A.nvars, k, acc)
 
 

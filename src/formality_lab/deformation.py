@@ -158,29 +158,52 @@ def check_associativity(s, degree=None):
     """(f*g)*h - f*(g*h) on all monomial triples up to ``degree``.
 
     Witnesses are (exponent triple, t-order, defect polynomial).  Every
-    pairwise product f*g is built once per call, in an N x N table, and
-    serves as both f*g and g*h.
+    correction is bilinear, so (f*g)*h is the sum over the terms
+    c t^k x^e of f*g of c t^k (x^e * h), truncated at order nt, and
+    f*(g*h) likewise over the terms of g*h.  Each monomial product
+    x^e1 * x^e2 is built once per call, the first time it is needed, into
+    a table that lives only for this call.
     """
     if degree is None:
         degree = s.model.cap
     n = s.model.nvars
+    nt = s.nt
     monos = monomials_upto(n, degree)
-    series = [{0: Poly.monomial(n, e)} for e in monos]
-    pair = [[s.star_series(f, g) for g in series] for f in series]
+    table = {}
+
+    def times(e1, e2):
+        """x^e1 * x^e2 as a list of (t-order, exponent, scalar)."""
+        terms = table.get((e1, e2))
+        if terms is None:
+            prod = s.star(Poly.monomial(n, e1), Poly.monomial(n, e2))
+            terms = table[e1, e2] = [
+                (k, e, v) for k, f in prod.items() for e, v in f.c.items()
+            ]
+        return terms
+
     witnesses = []
     checked = 0
-    for ia, ea in enumerate(monos):
-        fa = series[ia]
-        for ib, eb in enumerate(monos):
-            ab = pair[ia][ib]
-            for ic, ec in enumerate(monos):
-                lhs = s.star_series(ab, series[ic])
-                rhs = s.star_series(fa, pair[ib][ic])
+    for ea in monos:
+        for eb in monos:
+            ab = times(ea, eb)
+            for ec in monos:
+                defect = {}  # (t-order, exponent) -> scalar of lhs - rhs
+                for k, e, v in ab:
+                    for k2, e2, v2 in times(e, ec):
+                        if k + k2 <= nt:
+                            add_term(defect, (k + k2, e2), v * v2)
+                for k, e, v in times(eb, ec):
+                    v = -v
+                    for k2, e2, v2 in times(ea, e):
+                        if k + k2 <= nt:
+                            add_term(defect, (k + k2, e2), v * v2)
                 checked += 1
-                for k in sorted(set(lhs) | set(rhs)):
-                    d = lhs.get(k, Poly.zero(n)) - rhs.get(k, Poly.zero(n))
-                    if not d.is_zero():
-                        witnesses.append(((ea, eb, ec), k, d))
+                if defect:
+                    orders = {}
+                    for (k, e), v in defect.items():
+                        orders.setdefault(k, {})[e] = v
+                    for k in sorted(orders):
+                        witnesses.append(((ea, eb, ec), k, Poly(n, orders[k])))
     return StarReport(checked, witnesses)
 
 

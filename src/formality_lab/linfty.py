@@ -424,25 +424,25 @@ class EpsilonAlgebra:
     def mul(self, x, y):
         k = x.degree
         body = None if (x.body is None or y.body is None) else self._mul(x.body, y.body)
-        sgn = -1 if k % 2 else 1
+        signed = _part_sub if k % 2 else _part_add  # tail += (-1)^k * term
         tail = None
         if x.tail is not None and y.body is not None:
             tail = _part_add(tail, self._mul(x.tail, y.body))
         if x.body is not None and y.tail is not None:
-            tail = _part_add(tail, sgn * self._mul(x.body, y.tail))
+            tail = signed(tail, self._mul(x.body, y.tail))
         if x.body is not None and y.body is not None:
-            tail = _part_add(tail, sgn * self._brk(x.body, y.body))
+            tail = signed(tail, self._brk(x.body, y.body))
         return EpsilonElement(body, tail, k + y.degree)
 
     def bracket(self, x, y):
         k = x.degree
         body = None if (x.body is None or y.body is None) else self._brk(x.body, y.body)
-        sgn = -1 if (k + 1) % 2 else 1
+        signed = _part_sub if (k + 1) % 2 else _part_add  # tail += (-1)^(k+1) * term
         tail = None
         if x.tail is not None and y.body is not None:
             tail = _part_add(tail, self._brk(x.tail, y.body))
         if x.body is not None and y.tail is not None:
-            tail = _part_add(tail, sgn * self._brk(x.body, y.tail))
+            tail = signed(tail, self._brk(x.body, y.tail))
         return EpsilonElement(body, tail, k + y.degree - 1)
 
     def delta(self, x):
@@ -499,8 +499,13 @@ def check_gerstenhaber(A):
     witnesses = []
     checked = 0
 
-    def sgn(e):
-        return -1 if e % 2 else 1
+    # r + (-1)^e t and r - (-1)^e t: adding or subtracting t builds no
+    # scaled copy of it
+    def plus(r, e, t):
+        return r - t if e % 2 else r + t
+
+    def minus(r, e, t):
+        return r + t if e % 2 else r - t
 
     n = len(gens)
     for i in range(n):
@@ -508,21 +513,17 @@ def check_gerstenhaber(A):
         for j in range(i, n):
             ny, y, dy = names[j], elems[j], degs[j]
             checked += 1
-            r = P[i][j] - sgn(dx * dy) * P[j][i]
+            r = minus(P[i][j], dx * dy, P[j][i])
             if not r.is_zero():
                 witnesses.append(("commutativity", (nx, ny), r))
             checked += 1
-            r = B[i][j] + sgn((dx - 1) * (dy - 1)) * B[j][i]
+            r = plus(B[i][j], (dx - 1) * (dy - 1), B[j][i])
             if not r.is_zero():
                 witnesses.append(("antisymmetry", (nx, ny), r))
             if delta is not None:
                 checked += 1
-                r = (
-                    delta(P[i][j])
-                    - mul(delta(x), y)
-                    - sgn(dx) * mul(x, delta(y))
-                    - sgn(dx) * B[i][j]
-                )
+                r = delta(P[i][j]) - mul(delta(x), y)
+                r = minus(minus(r, dx, mul(x, delta(y))), dx, B[i][j])
                 if not r.is_zero():
                     witnesses.append(("second-order-delta", (nx, ny), r))
 
@@ -543,21 +544,17 @@ def check_gerstenhaber(A):
         if not r.is_zero():
             witnesses.append(("associativity", label, r))
         checked += 1
-        r = (
-            brk(x, P[j][k])
-            - mul(B[i][j], z)
-            - sgn((dx - 1) * dy) * mul(y, B[i][k])
-        )
+        r = minus(brk(x, P[j][k]) - mul(B[i][j], z), (dx - 1) * dy, mul(y, B[i][k]))
         if not r.is_zero():
             witnesses.append(("bracket-leibniz", label, r))
         checked += 1
         orbit = min((i, j, k), (j, k, i), (k, i, j))
         if orbit == (i, j, k):
-            r = (
-                sgn((dx - 1) * (dz - 1)) * brk(B[i][j], z)
-                + sgn((dy - 1) * (dx - 1)) * brk(B[j][k], x)
-                + sgn((dz - 1) * (dy - 1)) * brk(B[k][i], y)
-            )
+            r = brk(B[i][j], z)
+            if (dx - 1) * (dz - 1) % 2:
+                r = -r
+            r = plus(r, (dy - 1) * (dx - 1), brk(B[j][k], x))
+            r = plus(r, (dz - 1) * (dy - 1), brk(B[k][i], y))
             if not r.is_zero():
                 jacobi[orbit] = r
         r = jacobi.get(orbit)

@@ -775,15 +775,11 @@ def _mc_star(args):
         A2 = badres[2]
         monos = monomials_upto(2, 2)
         polys = {e: Poly.monomial(2, e) for e in monos}
-        pair = {
-            (ea, eb): bad.star(polys[ea], polys[eb])
-            for ea, eb in product(monos, repeat=2)
-        }
+        # badrep swept the same triples: its order-2 witnesses are the defects
+        defects = {abc: d for abc, k, d in badrep.witnesses if k == 2}
         for ea, eb, ec in product(monos, repeat=3):
             fa, fb, fc = polys[ea], polys[eb], polys[ec]
-            lhs = bad.star_series(pair[ea, eb], {0: fc})
-            rhs = bad.star_series({0: fa}, pair[eb, ec])
-            defect = lhs.get(2, Poly.zero(2)) - rhs.get(2, Poly.zero(2))
+            defect = defects.get((ea, eb, ec), Poly.zero(2))
             t.ok(
                 A2.apply([fa, fb, fc]) == defect,
                 lambda ea=ea, eb=eb, ec=ec: (

@@ -198,3 +198,14 @@ def test_demo_report_matches_golden(tmp_path):
     )
     assert rc == 0
     assert out.read_bytes() == (GOLDEN / "demo.json").read_bytes()
+
+
+def test_deformation_report_matches_golden(tmp_path):
+    # the benchmark's seed-5 deformation manifest, checked in beside its report
+    out = tmp_path / "deformation-5.json"
+    rc = main(
+        ["run", str(GOLDEN / "deformation-5.yaml"), "--format", "structured",
+         "--out", str(out)],
+    )
+    assert rc == 0
+    assert out.read_bytes() == (GOLDEN / "deformation-5.json").read_bytes()

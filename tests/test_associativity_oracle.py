@@ -1,13 +1,18 @@
-"""The associativity and trace sweeps with their pair tables against the
-sweeps without them, and the guarded ``star_series`` against the unguarded.
+"""The associativity and trace sweeps against the sweeps they replaced, and
+the guarded ``star_series`` against the unguarded.
 
-``_untabled_check_associativity`` is the previous body of
-``deformation.check_associativity``, kept verbatim as the reference: it
-builds f*g and g*h afresh for every triple.  ``_untabled_trace_defect`` is
-the previous ``deformation.trace_defect``, also verbatim: it builds f*g and
-g*f for every ordered pair.  The current sweeps read their products from one
-table of pairwise products; they must count the same checks and return the
-same witnesses in the same order.
+``_untabled_check_associativity`` is an earlier body of
+``deformation.check_associativity``, kept verbatim as a reference: it builds
+f*g and g*h afresh for every triple.  ``_pair_table_check_associativity`` is
+the body that followed it, also verbatim: it reads f*g and g*h from an N x N
+table of pairwise products and convolves them with ``star_series``.  The
+current sweep expands both sides by bilinearity over a table of monomial
+products; it must count the same checks as both references and return the
+same witnesses in the same order, the defect polynomials compared by value.
+
+``_untabled_trace_defect`` is the previous ``deformation.trace_defect``, also
+verbatim: it builds f*g and g*f for every ordered pair.  The current one
+reads its products from one table of pairwise products.
 
 ``_unguarded_star_series`` is the previous body of
 ``StarProduct.star_series``, kept verbatim: it applies every correction to
@@ -57,9 +62,41 @@ def _untabled_check_associativity(s, degree=None):
     return StarReport(checked, witnesses)
 
 
-def _assert_same_report(s):
-    new = df.check_associativity(s)
-    old = _untabled_check_associativity(s)
+def _pair_table_check_associativity(s, degree=None):
+    """(f*g)*h - f*(g*h) on all monomial triples up to ``degree``.
+
+    Witnesses are (exponent triple, t-order, defect polynomial).  Every
+    pairwise product f*g is built once per call, in an N x N table, and
+    serves as both f*g and g*h.
+    """
+    if degree is None:
+        degree = s.model.cap
+    n = s.model.nvars
+    monos = monomials_upto(n, degree)
+    series = [{0: Poly.monomial(n, e)} for e in monos]
+    pair = [[s.star_series(f, g) for g in series] for f in series]
+    witnesses = []
+    checked = 0
+    for ia, ea in enumerate(monos):
+        fa = series[ia]
+        for ib, eb in enumerate(monos):
+            ab = pair[ia][ib]
+            for ic, ec in enumerate(monos):
+                lhs = s.star_series(ab, series[ic])
+                rhs = s.star_series(fa, pair[ib][ic])
+                checked += 1
+                for k in sorted(set(lhs) | set(rhs)):
+                    d = lhs.get(k, Poly.zero(n)) - rhs.get(k, Poly.zero(n))
+                    if not d.is_zero():
+                        witnesses.append(((ea, eb, ec), k, d))
+    return StarReport(checked, witnesses)
+
+
+def _assert_same_report(s, degree=None, reference=_untabled_check_associativity):
+    fields = set(vars(s))
+    new = df.check_associativity(s, degree=degree)
+    assert set(vars(s)) == fields  # the monomial table is not kept on s
+    old = reference(s, degree=degree)
     assert new.checked == old.checked
     assert new.witnesses == old.witnesses
     return new
@@ -73,6 +110,40 @@ def test_moyal_plane_matches_untabled_sweep():
 def test_skewed_product_matches_untabled_sweep():
     rep = _assert_same_report(suites._skewed_product())
     assert rep.witnesses and rep.checked == 15 ** 3
+
+
+def test_moyal_plane_matches_pair_table_sweep():
+    rep = _assert_same_report(
+        suites._moyal_plane(), degree=4, reference=_pair_table_check_associativity
+    )
+    assert rep.ok and rep.checked == 15 ** 3
+
+
+def test_skewed_product_matches_pair_table_sweep():
+    s = suites._skewed_product()
+    low = _assert_same_report(s, degree=2, reference=_pair_table_check_associativity)
+    assert {k for _, k, _ in low.witnesses} == {2} and low.checked == 6 ** 3
+    rep = _assert_same_report(s, degree=4, reference=_pair_table_check_associativity)
+    assert len(rep.witnesses) == 700 and rep.checked == 15 ** 3
+
+
+def test_seeded_moyal_matches_pair_table_sweep():
+    for s in (
+        _seeded_moyal(4, 4, ((0, 1), (2, 3)), seed=5),
+        _seeded_moyal(3, 3, ((0, 1), (1, 2)), seed=17),
+    ):
+        rep = _assert_same_report(s, reference=_pair_table_check_associativity)
+        assert rep.ok and rep.checked == len(monomials_upto(s.model.nvars, 2)) ** 3
+
+
+def test_mixed_order_product_matches_both_sweeps():
+    s = _mixed_order_product()
+    for reference in (_pair_table_check_associativity, _untabled_check_associativity):
+        rep = _assert_same_report(s, reference=reference)
+    assert rep.witnesses and rep.checked == 6 ** 3
+    # the corrections carry polynomial coefficients, so defects reach the
+    # monomials the corrections multiply in
+    assert any(d.c and any(e[0] for e in d.c) for _, _, d in rep.witnesses)
 
 
 def _untabled_trace_defect(tau, s, degree=None):
