@@ -5,7 +5,9 @@ symbols.  A degree-k field or form is stored flat, as a dict from
 (frame, exponent) pairs to nonzero exact scalars: the frame is a strictly
 increasing index tuple (i_1 < .. < i_k), and c[(I, e)] is the coefficient
 of x^e frame_I.  Sums, multiples and every operator below accumulate
-scalars straight into such a dict.  ``Poly`` appears only at the edge: the
+scalars straight into such a dict; ``wedge_into`` and ``schouten_into``
+accumulate into one the caller owns, so a checker can sum signed products
+and brackets without building any of them.  ``Poly`` appears only at the edge: the
 constructor takes one coefficient per frame, ``function`` takes one, and
 ``pairing`` and the coefficients of ``hkr`` are ``Poly``s.
 
@@ -21,7 +23,7 @@ partial derivatives do not descend to the capped quotient.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import permutations
 from math import factorial
 from operator import add
@@ -89,6 +91,14 @@ class _Exterior:
     def zero(cls, nvars, k):
         return cls(nvars, k)
 
+    @classmethod
+    def maker(cls, nvars):
+        """``(k, c) ->`` the degree-k element of this class in ``nvars``
+        variables whose flat dict is ``c``, taken over unchecked: how a
+        checker turns what ``wedge_into``/``schouten_into`` accumulated into
+        an element."""
+        return partial(_make, cls, nvars)
+
     def _signed(self, k, c, s):
         """The degree-k element ``c + s * self``, one ``add_term`` per scalar.
 
@@ -152,7 +162,9 @@ class _Exterior:
     def wedge(self, other):
         if type(self) is not type(other) or self.nvars != other.nvars:
             raise ValueError("mismatched wedge factors")
-        return _monomial_pairs(self, other, _wedge_rule, type(self), self.k + other.k)
+        acc = {}
+        wedge_into(acc, self, other, 1)
+        return _make(type(self), self.nvars, self.k + other.k, acc)
 
     def __repr__(self):
         return f"{type(self).__name__}(k={self.k}, {len(self.c)} terms)"
@@ -205,20 +217,20 @@ def pairing(mv, form):
 
 # -- the monomial-pair kernel of wedge and Schouten ---------------------------------
 
-def _monomial_pairs(A, B, rule, cls, k):
-    """sum over term pairs of c_a * c_b * (frame_fa x^ea  op  frame_fb x^eb).
+def _monomial_pairs(acc, A, B, rule, sign):
+    """Accumulate sign * sum over term pairs of
+    c_a * c_b * (frame_fa x^ea  op  frame_fb x^eb) into the flat dict ``acc``.
 
     ``rule(fa, fb)`` gives the integer result of the bilinear operation on
-    unit frames as a tuple of ``(merged, sign, i, side)`` entries, cached
-    per frame pair (at most 4^n pairs for n variables):
-    ``sign * frame_merged * x^(ea + eb)``, times ``eb[i]`` and with
-    ``x_i`` removed when ``side`` is 1 (d/dx_i of the right monomial), or
-    ``ea[i]`` when ``side`` is 0; ``i`` is None for no derivative.  Products
-    of coefficients accumulate with ``add_term`` straight into the flat
-    dict of the result.  ``c_a * c_b`` is built once per term pair, and
-    scaled only by a weight other than 1.
+    unit frames as a tuple of ``(merged, w, i, side)`` entries, cached per
+    frame pair (at most 4^n pairs for n variables): ``w * frame_merged *
+    x^(ea + eb)``, times ``eb[i]`` and with ``x_i`` removed when ``side`` is
+    1 (d/dx_i of the right monomial), or ``ea[i]`` when ``side`` is 0; ``i``
+    is None for no derivative.  Products of coefficients accumulate with
+    ``add_term``, so a sum that cancels leaves no stored zero.  ``c_a * c_b``
+    is built once per term pair, negated for a weight of -1 and multiplied
+    only by a weight other than 1 and -1.
     """
-    acc = {}
     bitems = B.c.items()
     for (fa, ea), ca in A.c.items():
         for (fb, eb), cb in bitems:
@@ -237,8 +249,13 @@ def _monomial_pairs(A, B, rule, cls, k):
                     e[i] -= 1
                     e = tuple(e)
                     w *= m
-                add_term(acc, (merged, e), c if w == 1 else w * c)
-    return _make(cls, A.nvars, k, acc)
+                w *= sign
+                add_term(acc, (merged, e), c if w == 1 else -c if w == -1 else w * c)
+
+
+def wedge_into(acc, A, B, sign):
+    """Accumulate ``sign * (A ^ B)`` into the flat dict ``acc``."""
+    _monomial_pairs(acc, A, B, _wedge_rule, sign)
 
 
 @cache
@@ -271,6 +288,13 @@ def _schouten_rule(ka, kb):
     return tuple(out)
 
 
+def schouten_into(acc, A, B, sign):
+    """Accumulate ``sign * [A, B]`` into the flat dict ``acc``.  Two
+    functions bracket to zero: when both degrees are 0 nothing is written."""
+    if A.k or B.k:
+        _monomial_pairs(acc, A, B, _schouten_rule, sign)
+
+
 def schouten(A, B):
     """The multivector bracket.
 
@@ -285,9 +309,9 @@ def schouten(A, B):
     """
     if A.nvars != B.nvars:
         raise ValueError("variable counts differ")
-    if A.k == 0 and B.k == 0:
-        return MultiVector.zero(A.nvars, 0)
-    return _monomial_pairs(A, B, _schouten_rule, MultiVector, A.k + B.k - 1)
+    acc = {}
+    schouten_into(acc, A, B, 1)
+    return _make(MultiVector, A.nvars, max(A.k + B.k - 1, 0), acc)
 
 
 def jacobiator(pi):

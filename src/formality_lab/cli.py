@@ -100,7 +100,8 @@ def main(argv=None):
         for job in mf.jobs:
             check_job_args(job, mf)
     except ManifestError as e:
-        print(f"formality-lab: {e}", file=sys.stderr)
+        # check_job_args names the job, not the file
+        print(f"formality-lab: {e.in_file(ns.manifest)}", file=sys.stderr)
         return 2
 
     rep = Report(mf.model, [(job, _execute(job, mf)) for job in mf.jobs])

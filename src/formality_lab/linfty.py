@@ -10,7 +10,8 @@ packaged as (l1, l2) passes with no manual sign threading.
 
 Elements are anything with +, scalar *, ==, is_zero and a truth value
 that is False exactly on zero (cochains, chains, multivectors, forms,
-operator tables, epsilon pairs).
+operator tables).  The Gerstenhaber checker instead accumulates each law
+residual through the structure's accumulating product and bracket.
 """
 
 from __future__ import annotations
@@ -329,40 +330,6 @@ class EpsilonElement:
             and _part_eq(self.tail, other.tail)
         )
 
-    def __add__(self, other):
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in sum")
-        return EpsilonElement(
-            _part_add(self.body, other.body),
-            _part_add(self.tail, other.tail),
-            self.degree,
-        )
-
-    def __neg__(self):
-        return EpsilonElement(_part_neg(self.body), _part_neg(self.tail), self.degree)
-
-    def __sub__(self, other):
-        if self.is_zero():
-            return -other
-        if other.is_zero():
-            return self
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in sum")
-        return EpsilonElement(
-            _part_sub(self.body, other.body),
-            _part_sub(self.tail, other.tail),
-            self.degree,
-        )
-
-    def __rmul__(self, scalar):
-        body = None if self.body is None else scalar * self.body
-        tail = None if self.tail is None else scalar * self.tail
-        return EpsilonElement(body, tail, self.degree)
-
     def __repr__(self):
         return f"EpsilonElement(deg={self.degree}, body={self.body!r}, tail={self.tail!r})"
 
@@ -375,24 +342,19 @@ def _part_eq(a, b):
     return a == b
 
 
-def _part_add(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a + b
+class BodyTail:
+    """What the extended product and bracket accumulate into: one flat
+    dict for the body and one for the tail.  True when either holds a
+    term."""
 
+    __slots__ = ("body", "tail")
 
-def _part_neg(a):
-    return None if a is None else -a
+    def __init__(self):
+        self.body = {}
+        self.tail = {}
 
-
-def _part_sub(a, b):
-    if b is None:
-        return a
-    if a is None:
-        return -b
-    return a - b
+    def __bool__(self):
+        return bool(self.body or self.tail)
 
 
 class EpsilonAlgebra:
@@ -401,15 +363,20 @@ class EpsilonAlgebra:
 
     The extended product twists the naive bilinear extension by the
     bracket of the two bodies; the extended bracket drops the e*e terms.
-    ``delta`` differentiates along e, and together with the product it
-    regenerates the bracket (a second-order-operator identity whose
-    overall sign check_gerstenhaber verifies).
+    Both accumulate into a ``BodyTail`` through the plain algebra's
+    accumulating kernels (see GerstenhaberData).  ``delta`` differentiates
+    along e, and together with the product it regenerates the bracket (a
+    second-order-operator identity whose overall sign ``delta_defect``
+    measures).
     """
 
-    def __init__(self, degree, mul, bracket, generators=()):
+    accumulator = BodyTail
+
+    def __init__(self, degree, mul_into, bracket_into, element, generators=()):
         self._deg = degree
-        self._mul = mul
-        self._brk = bracket
+        self._mul = mul_into
+        self._brk = bracket_into
+        self._element = element
         self.generators = list(generators)
 
     def embed(self, a):
@@ -421,52 +388,87 @@ class EpsilonAlgebra:
     def degree(self, x):
         return x.degree
 
-    def mul(self, x, y):
-        k = x.degree
-        body = None if (x.body is None or y.body is None) else self._mul(x.body, y.body)
-        signed = _part_sub if k % 2 else _part_add  # tail += (-1)^k * term
-        tail = None
-        if x.tail is not None and y.body is not None:
-            tail = _part_add(tail, self._mul(x.tail, y.body))
-        if x.body is not None and y.tail is not None:
-            tail = signed(tail, self._mul(x.body, y.tail))
-        if x.body is not None and y.body is not None:
-            tail = signed(tail, self._brk(x.body, y.body))
-        return EpsilonElement(body, tail, k + y.degree)
+    def element(self, k, acc):
+        """The degree-k element holding what ``acc`` accumulated."""
+        make = self._element
+        return EpsilonElement(
+            make(k, acc.body) if acc.body else None,
+            make(k - 1, acc.tail) if acc.tail else None,
+            k,
+        )
 
-    def bracket(self, x, y):
-        k = x.degree
-        body = None if (x.body is None or y.body is None) else self._brk(x.body, y.body)
-        signed = _part_sub if (k + 1) % 2 else _part_add  # tail += (-1)^(k+1) * term
-        tail = None
-        if x.tail is not None and y.body is not None:
-            tail = _part_add(tail, self._brk(x.tail, y.body))
+    def mul_into(self, acc, x, y, sign):
+        """acc += sign * xy: body x.body y.body, tail x.tail y.body +
+        (-1)^|x| (x.body y.tail + [x.body, y.body])."""
+        mul = self._mul
+        s = -sign if x.degree % 2 else sign
+        if y.body is not None:
+            if x.body is not None:
+                mul(acc.body, x.body, y.body, sign)
+            if x.tail is not None:
+                mul(acc.tail, x.tail, y.body, sign)
+        if x.body is not None:
+            if y.tail is not None:
+                mul(acc.tail, x.body, y.tail, s)
+            if y.body is not None:
+                self._brk(acc.tail, x.body, y.body, s)
+
+    def bracket_into(self, acc, x, y, sign):
+        """acc += sign * [x, y]: body [x.body, y.body], tail
+        [x.tail, y.body] + (-1)^(|x|+1) [x.body, y.tail]."""
+        brk = self._brk
+        if y.body is not None:
+            if x.body is not None:
+                brk(acc.body, x.body, y.body, sign)
+            if x.tail is not None:
+                brk(acc.tail, x.tail, y.body, sign)
         if x.body is not None and y.tail is not None:
-            tail = signed(tail, self._brk(x.body, y.tail))
-        return EpsilonElement(body, tail, k + y.degree - 1)
+            brk(acc.tail, x.body, y.tail, sign if x.degree % 2 else -sign)
 
     def delta(self, x):
         """Derivative along the odd parameter: body + e*tail -> tail."""
         return EpsilonElement(x.tail, None, x.degree - 1)
 
+    def delta_defect(self, x, y):
+        """delta(xy) - delta(x) y - (-1)^|x| (x delta(y) + [x, y]),
+        accumulated: empty exactly when the second-order defect of delta on
+        (x, y) is the bracket."""
+        xy = BodyTail()
+        self.mul_into(xy, x, y, 1)
+        r = BodyTail()
+        r.body = xy.tail  # delta(xy): the tail of the product, as a body
+        s = 1 if x.degree % 2 else -1
+        self.mul_into(r, self.delta(x), y, -1)
+        self.mul_into(r, x, self.delta(y), s)
+        self.bracket_into(r, x, y, s)
+        return r
+
 
 class GerstenhaberData:
-    """Plain graded product + odd bracket, same interface as the extended
-    algebra but without a delta operator."""
+    """Plain graded product and odd bracket, given as accumulating kernels.
 
-    def __init__(self, degree, mul, bracket, generators=()):
+    ``mul_into(acc, x, y, sign)`` and ``bracket_into(acc, x, y, sign)`` add
+    sign * xy and sign * [x, y] to the flat coefficient dict ``acc``, as
+    ``cartan.wedge_into`` and ``cartan.schouten_into`` do, and
+    ``element(k, acc)`` is the degree-k element whose dict is ``acc``.
+    There is no delta operator."""
+
+    accumulator = dict
+    delta = None
+
+    def __init__(self, degree, mul_into, bracket_into, element, generators=()):
         self.degree = degree
-        self.mul = mul
-        self.bracket = bracket
+        self.mul_into = mul_into
+        self.bracket_into = bracket_into
+        self.element = element
         self.generators = list(generators)
-        self.delta = None
 
 
-def epsilon_extend(degree, mul, bracket, generators=()):
+def epsilon_extend(degree, mul_into, bracket_into, element, generators=()):
     """Extend (V, product, bracket) over the odd parameter; the generator
     list of the result contains both the embedded generators and their
     parameter multiples."""
-    E = EpsilonAlgebra(degree, mul, bracket)
+    E = EpsilonAlgebra(degree, mul_into, bracket_into, element)
     gens = []
     for name, g in generators:
         gens.append((name, E.embed(g)))
@@ -475,37 +477,50 @@ def epsilon_extend(degree, mul, bracket, generators=()):
     return E
 
 
+def _sign(e):
+    return -1 if e % 2 else 1
+
+
 def check_gerstenhaber(A):
     """Verify the graded-commutative / odd-Lie / Leibniz laws on the
     generators of A, plus the square-zero and bracket-generating laws of
     delta when A has one.  Returns a CheckReport whose witnesses are
     (law, generator names, residual).
 
-    Every pairwise product and bracket of generators is computed once, into
-    the N x N tables P and B, and the pair and triple laws read them.  The
-    Jacobi residual of (i, j, k) sums the same three signed terms as those of
-    its rotations, so it is computed once per cyclic orbit, at the orbit's
-    least rotation, which product order visits first; every rotation still
-    counts as a check and reports its own witness."""
-    mul = A.mul
-    brk = A.bracket
-    delta = getattr(A, "delta", None)
+    Each law residual is one ``A.accumulator()``, into which
+    ``A.mul_into`` and ``A.bracket_into`` add every signed term; an element
+    (``A.element``) is made only for a witness and for the N x N tables P
+    and B of pairwise products and brackets, which the triple laws read.
+    The Jacobi residual of (i, j, k) sums the same three signed terms as
+    those of its rotations, so it is computed once per cyclic orbit, at
+    the orbit's least rotation, which product order visits first; every
+    rotation still counts as a check and reports its own witness."""
+    mul = A.mul_into
+    brk = A.bracket_into
+    new = A.accumulator
+    element = A.element
+    delta = A.delta
     gens = A.generators
     names = [name for name, _ in gens]
     elems = [g for _, g in gens]
     degs = [A.degree(g) for g in elems]
-    P = [[mul(x, y) for y in elems] for x in elems]
-    B = [[brk(x, y) for y in elems] for x in elems]
+
+    def table(op, shift):
+        rows = []
+        for x, dx in zip(elems, degs):
+            row = []
+            for y, dy in zip(elems, degs):
+                r = new()
+                op(r, x, y, 1)
+                # the bracket of two functions is a zero of degree 0
+                row.append(element(max(dx + dy + shift, 0), r))
+            rows.append(row)
+        return rows
+
+    P = table(mul, 0)
+    B = table(brk, -1)
     witnesses = []
     checked = 0
-
-    # r + (-1)^e t and r - (-1)^e t: adding or subtracting t builds no
-    # scaled copy of it
-    def plus(r, e, t):
-        return r - t if e % 2 else r + t
-
-    def minus(r, e, t):
-        return r + t if e % 2 else r - t
 
     n = len(gens)
     for i in range(n):
@@ -513,50 +528,60 @@ def check_gerstenhaber(A):
         for j in range(i, n):
             ny, y, dy = names[j], elems[j], degs[j]
             checked += 1
-            r = minus(P[i][j], dx * dy, P[j][i])
-            if not r.is_zero():
-                witnesses.append(("commutativity", (nx, ny), r))
+            r = new()
+            mul(r, x, y, 1)
+            mul(r, y, x, -_sign(dx * dy))
+            if r:
+                witnesses.append(("commutativity", (nx, ny), element(dx + dy, r)))
             checked += 1
-            r = plus(B[i][j], (dx - 1) * (dy - 1), B[j][i])
-            if not r.is_zero():
-                witnesses.append(("antisymmetry", (nx, ny), r))
+            r = new()
+            brk(r, x, y, 1)
+            brk(r, y, x, _sign((dx - 1) * (dy - 1)))
+            if r:
+                witnesses.append(("antisymmetry", (nx, ny), element(dx + dy - 1, r)))
             if delta is not None:
                 checked += 1
-                r = delta(P[i][j]) - mul(delta(x), y)
-                r = minus(minus(r, dx, mul(x, delta(y))), dx, B[i][j])
-                if not r.is_zero():
-                    witnesses.append(("second-order-delta", (nx, ny), r))
+                r = A.delta_defect(x, y)
+                if r:
+                    witnesses.append(
+                        ("second-order-delta", (nx, ny), element(dx + dy - 1, r))
+                    )
 
     if delta is not None:
         for nx, x in gens:
             checked += 1
             r = delta(delta(x))
-            if not r.is_zero():
+            if r:
                 witnesses.append(("delta-squared", (nx,), r))
 
     jacobi = {}  # least rotation -> its nonzero Jacobi residual
     for i, j, k in product(range(n), repeat=3):
         x, y, z = elems[i], elems[j], elems[k]
         dx, dy, dz = degs[i], degs[j], degs[k]
+        d = dx + dy + dz
         label = (names[i], names[j], names[k])
         checked += 1
-        r = mul(P[i][j], z) - mul(x, P[j][k])
-        if not r.is_zero():
-            witnesses.append(("associativity", label, r))
+        r = new()
+        mul(r, P[i][j], z, 1)
+        mul(r, x, P[j][k], -1)
+        if r:
+            witnesses.append(("associativity", label, element(d, r)))
         checked += 1
-        r = minus(brk(x, P[j][k]) - mul(B[i][j], z), (dx - 1) * dy, mul(y, B[i][k]))
-        if not r.is_zero():
-            witnesses.append(("bracket-leibniz", label, r))
+        r = new()
+        brk(r, x, P[j][k], 1)
+        mul(r, B[i][j], z, -1)
+        mul(r, y, B[i][k], -_sign((dx - 1) * dy))
+        if r:
+            witnesses.append(("bracket-leibniz", label, element(d - 1, r)))
         checked += 1
         orbit = min((i, j, k), (j, k, i), (k, i, j))
         if orbit == (i, j, k):
-            r = brk(B[i][j], z)
-            if (dx - 1) * (dz - 1) % 2:
-                r = -r
-            r = plus(r, (dy - 1) * (dx - 1), brk(B[j][k], x))
-            r = plus(r, (dz - 1) * (dy - 1), brk(B[k][i], y))
-            if not r.is_zero():
-                jacobi[orbit] = r
+            r = new()
+            brk(r, B[i][j], z, _sign((dx - 1) * (dz - 1)))
+            brk(r, B[j][k], x, _sign((dy - 1) * (dx - 1)))
+            brk(r, B[k][i], y, _sign((dz - 1) * (dy - 1)))
+            if r:
+                jacobi[orbit] = element(d - 2, r)
         r = jacobi.get(orbit)
         if r is not None:
             witnesses.append(("jacobi", label, r))

@@ -40,6 +40,12 @@ class ManifestError(Exception):
                 where += f":{column}"
         super().__init__(f"{where}: {message}" if where else message)
 
+    def in_file(self, source):
+        """This error, naming the manifest file ``source`` if it names none."""
+        if self.source is not None:
+            return self
+        return ManifestError(self.message, source, self.line, self.column)
+
 
 def as_fraction(v, where):
     if isinstance(v, bool):
@@ -315,26 +321,33 @@ def parse_manifest(text, source="<manifest>", known_ops=None, expand=None):
         )
     except yaml.YAMLError as e:
         raise ManifestError(f"malformed document: {e}", source=source)
+    try:
+        return _parse_sections(raw, known_ops, expand)
+    except ManifestError as e:
+        raise e.in_file(source) from None
+
+
+def _parse_sections(raw, known_ops, expand):
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
-        raise ManifestError("top level must be a mapping", source=source)
+        raise ManifestError("top level must be a mapping")
     for key in raw:
         if key not in ("model", "objects", "jobs"):
-            raise ManifestError(f"unknown top-level section {key!r}", source=source)
+            raise ManifestError(f"unknown top-level section {key!r}")
 
     model = check(MODEL_SCHEMA, raw.get("model") or {}, "model", None, "cap")
     mf = Manifest(model, {}, [])
     raw_objects = raw.get("objects") or {}
     if not isinstance(raw_objects, dict):
-        raise ManifestError("objects must be a mapping", source=source)
+        raise ManifestError("objects must be a mapping")
     for name, spec in raw_objects.items():
         mf.objects[str(name)] = _build_object(name, spec, mf)
 
     seen = set()
     raw_jobs = raw.get("jobs") or []
     if not isinstance(raw_jobs, list):
-        raise ManifestError("jobs must be a list", source=source)
+        raise ManifestError("jobs must be a list")
     for i, spec in enumerate(raw_jobs):
         if not isinstance(spec, dict) or "op" not in spec:
             raise ManifestError(f"jobs[{i}]: a job needs an 'op'")

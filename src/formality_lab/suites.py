@@ -569,9 +569,11 @@ def _schouten_suite(args):
     basis4 = _mv_basis(3, 3, 2)
     for a, b in combinations_with_replacement(range(len(basis4)), 2):
         A, B = basis4[a], basis4[b]
-        s = -1 if ((A.k - 1) * (B.k - 1)) % 2 == 0 else 1
+        r = {}
+        ct.schouten_into(r, A, B, 1)
+        ct.schouten_into(r, B, A, -1 if ((A.k - 1) * (B.k - 1)) % 2 else 1)
         t.ok(
-            ct.schouten(A, B) == s * ct.schouten(B, A),
+            not r,
             lambda A=A, B=B: (
                 f"antisymmetry fails on {_mv_label(A)} and {_mv_label(B)}"
             ),
@@ -583,25 +585,22 @@ def _schouten_suite(args):
     for ia, ib, icx in combinations_with_replacement(range(len(basis1)), 3):
         A, B, C = basis1[ia], basis1[ib], basis1[icx]
         a, b, c = A.k, B.k, C.k
-        s1 = -1 if ((a - 1) * (c - 1)) % 2 else 1
-        s2 = -1 if ((b - 1) * (a - 1)) % 2 else 1
-        s3 = -1 if ((c - 1) * (b - 1)) % 2 else 1
-        total = (
-            s1 * ct.schouten(A, S[ib][icx])
-            + s2 * ct.schouten(B, S[icx][ia])
-            + s3 * ct.schouten(C, S[ia][ib])
-        )
+        r = {}
+        ct.schouten_into(r, A, S[ib][icx], -1 if ((a - 1) * (c - 1)) % 2 else 1)
+        ct.schouten_into(r, B, S[icx][ia], -1 if ((b - 1) * (a - 1)) % 2 else 1)
+        ct.schouten_into(r, C, S[ia][ib], -1 if ((c - 1) * (b - 1)) % 2 else 1)
         t.ok(
-            total.is_zero(),
+            not r,
             lambda ia=ia, ib=ib, icx=icx: (
                 f"graded Jacobi fails on basis triple ({ia}, {ib}, {icx})"
             ),
         )
-        s = -1 if ((a - 1) * b) % 2 else 1
-        lhs = ct.schouten(A, B.wedge(C))
-        rhs = S[ia][ib].wedge(C) + s * B.wedge(S[ia][icx])
+        r = {}
+        ct.schouten_into(r, A, B.wedge(C), 1)
+        ct.wedge_into(r, S[ia][ib], C, -1)
+        ct.wedge_into(r, B, S[ia][icx], 1 if ((a - 1) * b) % 2 else -1)
         t.ok(
-            lhs == rhs,
+            not r,
             lambda ia=ia, ib=ib, icx=icx: (
                 f"wedge Leibniz fails on basis triple ({ia}, {ib}, {icx})"
             ),
@@ -630,7 +629,7 @@ def _schouten_suite(args):
                 )
     # cyclic-sum identity on randomized bivectors, monomial function triples;
     # the triple wedges df^dg^dh do not depend on the bivector, and the inner
-    # Poisson brackets come from one table per bivector
+    # Poisson brackets and their differentials come from one table per bivector
     monos2 = monomials_upto(3, 2)
     fns = [Poly.monomial(3, e) for e in monos2]
     dfs = [ct.deRham_d(ct.Form.function(f)) for f in fns]
@@ -641,11 +640,12 @@ def _schouten_suite(args):
         piv = _rand_mv(rng, 3, 2, 2)
         jac = ct.jacobiator(piv)
         pb = [[ct.poisson_bracket(piv, f, g) for g in fns] for f in fns]
+        dpb = [[ct.deRham_d(ct.Form.function(p)) for p in row] for row in pb]
         for (a, b, c), vol in zip(triples, vols):
             lhs = (
-                ct.poisson_bracket(piv, fns[a], pb[b][c])
-                + ct.poisson_bracket(piv, fns[b], pb[c][a])
-                + ct.poisson_bracket(piv, fns[c], pb[a][b])
+                ct.pairing(piv, dfs[a].wedge(dpb[b][c]))
+                + ct.pairing(piv, dfs[b].wedge(dpb[c][a]))
+                + ct.pairing(piv, dfs[c].wedge(dpb[a][b]))
             )
             t.ok(
                 lhs == ct.pairing(jac, vol),
@@ -806,9 +806,8 @@ def _gerstenhaber_suite(args):
                 gens3.append(
                     (label, ct.MultiVector(2, k, {key: Poly.monomial(2, e)}))
                 )
-    plain = lf.GerstenhaberData(
-        lambda a: a.k, lambda a, b: a.wedge(b), ct.schouten, gens3
-    )
+    kernels = (ct.wedge_into, ct.schouten_into, ct.MultiVector.maker(2))
+    plain = lf.GerstenhaberData(lambda a: a.k, *kernels, gens3)
     rep = lf.check_gerstenhaber(plain)
     t.ok(
         rep.ok,
@@ -817,9 +816,7 @@ def _gerstenhaber_suite(args):
         ),
     )
     gens1 = [(n, g) for n, g in gens3 if g.c and max(sum(e) for _, e in g.c) <= 1]
-    E = lf.epsilon_extend(
-        lambda a: a.k, lambda a, b: a.wedge(b), ct.schouten, gens1
-    )
+    E = lf.epsilon_extend(lambda a: a.k, *kernels, gens1)
     repE = lf.check_gerstenhaber(E)
     t.ok(
         repE.ok,
@@ -830,14 +827,8 @@ def _gerstenhaber_suite(args):
     # the odd operator's defect against the Leibniz rule is the bracket
     for nx, x0 in gens1:
         for ny, y0 in gens1:
-            x, y = E.embed(x0), E.embed(y0)
-            k = x.degree
-            sgn = -1 if k % 2 else 1
-            lhs = E.delta(E.mul(x, y)) - E.mul(E.delta(x), y) - sgn * E.mul(
-                x, E.delta(y)
-            )
             t.ok(
-                lhs == sgn * E.bracket(x, y),
+                not E.delta_defect(E.embed(x0), E.embed(y0)),
                 lambda nx=nx, ny=ny: (
                     f"second-order defect != bracket on ({nx}, {ny})"
                 ),

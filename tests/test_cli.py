@@ -89,6 +89,30 @@ def test_duplicate_yaml_keys_rejected_at_the_repeat(tmp_path, capsys, text, key,
     assert f"{path}:{line}:{column}: duplicate key '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("jobs:\n  - {name: j}\n", "jobs[0]: a job needs an 'op'"),
+        ("jobs:\n  - {op: nope}\n", "jobs[0]: unknown op 'nope'"),
+        ("jobs:\n  - {op: betti, name: x}\n  - {op: betti, name: x}\n", "duplicate job name 'x'"),
+        ("jobs:\n  - {op: betti, name: j, top: -1}\n", "job 'j': 'top' must be an integer >= 0"),
+        ("jobs:\n  - {op: exp-contract, name: q, weights: [q]}\n", "job 'q': unknown weight token 'q'"),
+        ("model: {vars: 0}\n", "model: 'vars' must be an integer >= 1"),
+        ("objects:\n  t: {kind: trace, coef: 1}\n", "objects.t: unknown trace field 'coef'"),
+        ("jobs: {a: 1}\n", "jobs must be a list"),
+    ],
+)
+def test_every_exit_two_error_names_the_manifest_file(tmp_path, capsys, text, message):
+    path = _write(tmp_path, text, name="bad.yaml")
+    assert main(["run", path]) == 2
+    assert f"formality-lab: {path}: {message}" in capsys.readouterr().err
+    if "job '" not in message:  # the others are raised while the text parses
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(text, source="bad.yaml", known_ops=OPS)
+        assert err.value.source == "bad.yaml"
+        assert str(err.value).startswith(f"bad.yaml: {message}")
+
+
 def test_yaml_merge_keys_may_be_overridden():
     text = "jobs:\n  - &b {op: betti, name: j, top: 2}\n  - {<<: *b, name: k}\n"
     mf = parse_manifest(text, known_ops=OPS)
@@ -334,9 +358,10 @@ def test_bad_weight_is_refused_before_the_first_job(tmp_path, capsys, monkeypatc
         "  - {op: betti, name: first, algebra: dual-numbers, top: 1}\n"
         "  - {op: exp-contract, name: q, weights: [t, q]}\n"
     )
-    rc = main(["run", _write(tmp_path, text)])
+    path = _write(tmp_path, text)
+    rc = main(["run", path])
     assert rc == 2
-    assert "formality-lab: job 'q': unknown weight token 'q'" in capsys.readouterr().err
+    assert f"formality-lab: {path}: job 'q': unknown weight token 'q'" in capsys.readouterr().err
     assert ran == []
 
 
@@ -361,9 +386,10 @@ def test_bad_betti_value_is_refused_before_the_first_job(
         "  - {op: betti, name: first, algebra: dual-numbers, top: 1}\n"
         f"  - {second}\n"
     )
-    rc = main(["run", _write(tmp_path, text)])
+    path = _write(tmp_path, text)
+    rc = main(["run", path])
     assert rc == 2
-    assert f"formality-lab: job 'q': {message}" in capsys.readouterr().err
+    assert f"formality-lab: {path}: job 'q': {message}" in capsys.readouterr().err
     assert ran == []
 
 
@@ -409,9 +435,10 @@ def test_bad_value_of_any_op_is_refused_before_the_first_job(
         "  - {op: betti, name: first, algebra: dual-numbers, top: 1}\n"
         f"  - {second}\n"
     )
-    rc = main(["run", _write(tmp_path, text)])
+    path = _write(tmp_path, text)
+    rc = main(["run", path])
     assert rc == 2
-    assert f"formality-lab: job 'q': {message}" in capsys.readouterr().err
+    assert f"formality-lab: {path}: job 'q': {message}" in capsys.readouterr().err
     assert ran == []
 
 

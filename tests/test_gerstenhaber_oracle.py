@@ -1,19 +1,27 @@
-"""The table-driven Gerstenhaber sweep against the sweep it replaced.
+"""The accumulating Gerstenhaber sweep against the sweeps it replaced.
 
-``_parent_check_gerstenhaber`` below is the previous body of
-``linfty.check_gerstenhaber``, kept verbatim as the reference: it
-recomputes every product and bracket inside its triple loop.  The current
-sweep reads pairwise products and brackets from N x N tables.  On passing
-and on deliberately broken structures, plain and extended over the odd
-parameter, both must count the same checks and report the same witnesses
-(law, generator names, residual) in the same order.
+``_parent_check_gerstenhaber`` below is the body of
+``linfty.check_gerstenhaber`` from before the product and bracket tables,
+kept verbatim as a reference: it recomputes every product and bracket
+inside its triple loop.  ``_table_check_gerstenhaber`` is the table sweep
+from before the Jacobi orbits, also verbatim: it computes the Jacobi
+residual of every triple.  Both build each product and bracket as an
+element and add and subtract elements.
 
-``_table_check_gerstenhaber`` is the table sweep from before the Jacobi
-orbits, also verbatim: it computes the Jacobi residual of every triple,
-where the current sweep computes one per cyclic orbit and lets each
-rotation reuse it.  On a bracket that breaks Jacobi, plain and extended,
-both must count the same checks and report the same (law, names) in the
-same order, with every residual equal (Jacobi residuals by value).
+They run on the element-valued structures they were written for:
+``BuiltGerstenhaberData``, ``BuiltEpsilonAlgebra`` (with
+``BuiltEpsilonElement`` arithmetic) and ``built_epsilon_extend`` are
+``linfty``'s from before the accumulating kernels, verbatim apart from the
+names.  The current sweep runs on the same generators with the same product
+and bracket written as accumulating kernels (``cartan.wedge_into``,
+``cartan.schouten_into`` and the deliberately broken ``_*_into`` fixtures
+below), and adds every law term straight into one residual.  On passing and
+on broken structures, plain and extended over the odd parameter, it must
+count the same checks and report the same (law, generator names) in the
+same order, with every residual equal by value: type, degree and every
+coefficient with its scalar type.  Accumulating term by term stores the
+coefficients in another order than adding built elements does, so the order
+is not compared.
 """
 
 from itertools import combinations, product
@@ -192,11 +200,194 @@ def _table_check_gerstenhaber(A):
     return CheckReport(checked, witnesses, 3)
 
 
+# -- reference: the element-valued structures, verbatim --------------------------
+
+class BuiltEpsilonElement:
+    """Pair (body, tail) standing for body + e*tail, where e is an odd
+    square-zero parameter of degree +1.  A homogeneous element of degree k
+    has body of degree k and tail of degree k-1.  Either part may be None
+    (zero)."""
+
+    __slots__ = ("body", "tail", "degree")
+
+    def __init__(self, body, tail, degree):
+        self.body = None if (body is None or body.is_zero()) else body
+        self.tail = None if (tail is None or tail.is_zero()) else tail
+        self.degree = degree
+
+    def __bool__(self):
+        return self.body is not None or self.tail is not None
+
+    def is_zero(self):
+        return not self
+
+    def __eq__(self, other):
+        if not isinstance(other, BuiltEpsilonElement):
+            return NotImplemented
+        if self.is_zero() and other.is_zero():
+            return True
+        return (
+            self.degree == other.degree
+            and _built_part_eq(self.body, other.body)
+            and _built_part_eq(self.tail, other.tail)
+        )
+
+    def __add__(self, other):
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        if self.degree != other.degree:
+            raise ValueError("degree mismatch in sum")
+        return BuiltEpsilonElement(
+            _built_part_add(self.body, other.body),
+            _built_part_add(self.tail, other.tail),
+            self.degree,
+        )
+
+    def __neg__(self):
+        return BuiltEpsilonElement(_built_part_neg(self.body), _built_part_neg(self.tail), self.degree)
+
+    def __sub__(self, other):
+        if self.is_zero():
+            return -other
+        if other.is_zero():
+            return self
+        if self.degree != other.degree:
+            raise ValueError("degree mismatch in sum")
+        return BuiltEpsilonElement(
+            _built_part_sub(self.body, other.body),
+            _built_part_sub(self.tail, other.tail),
+            self.degree,
+        )
+
+    def __rmul__(self, scalar):
+        body = None if self.body is None else scalar * self.body
+        tail = None if self.tail is None else scalar * self.tail
+        return BuiltEpsilonElement(body, tail, self.degree)
+
+    def __repr__(self):
+        return f"BuiltEpsilonElement(deg={self.degree}, body={self.body!r}, tail={self.tail!r})"
+
+
+def _built_part_eq(a, b):
+    if a is None:
+        return b is None or b.is_zero()
+    if b is None:
+        return a.is_zero()
+    return a == b
+
+
+def _built_part_add(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a + b
+
+
+def _built_part_neg(a):
+    return None if a is None else -a
+
+
+def _built_part_sub(a, b):
+    if b is None:
+        return a
+    if a is None:
+        return -b
+    return a - b
+
+
+class BuiltEpsilonAlgebra:
+    """Graded-commutative product and odd bracket extended over an odd
+    parameter e of degree +1.
+
+    The extended product twists the naive bilinear extension by the
+    bracket of the two bodies; the extended bracket drops the e*e terms.
+    ``delta`` differentiates along e, and together with the product it
+    regenerates the bracket (a second-order-operator identity whose
+    overall sign check_gerstenhaber verifies).
+    """
+
+    def __init__(self, degree, mul, bracket, generators=()):
+        self._deg = degree
+        self._mul = mul
+        self._brk = bracket
+        self.generators = list(generators)
+
+    def embed(self, a):
+        return BuiltEpsilonElement(a, None, self._deg(a))
+
+    def embed_tail(self, b):
+        return BuiltEpsilonElement(None, b, self._deg(b) + 1)
+
+    def degree(self, x):
+        return x.degree
+
+    def mul(self, x, y):
+        k = x.degree
+        body = None if (x.body is None or y.body is None) else self._mul(x.body, y.body)
+        signed = _built_part_sub if k % 2 else _built_part_add  # tail += (-1)^k * term
+        tail = None
+        if x.tail is not None and y.body is not None:
+            tail = _built_part_add(tail, self._mul(x.tail, y.body))
+        if x.body is not None and y.tail is not None:
+            tail = signed(tail, self._mul(x.body, y.tail))
+        if x.body is not None and y.body is not None:
+            tail = signed(tail, self._brk(x.body, y.body))
+        return BuiltEpsilonElement(body, tail, k + y.degree)
+
+    def bracket(self, x, y):
+        k = x.degree
+        body = None if (x.body is None or y.body is None) else self._brk(x.body, y.body)
+        signed = _built_part_sub if (k + 1) % 2 else _built_part_add  # tail += (-1)^(k+1) * term
+        tail = None
+        if x.tail is not None and y.body is not None:
+            tail = _built_part_add(tail, self._brk(x.tail, y.body))
+        if x.body is not None and y.tail is not None:
+            tail = signed(tail, self._brk(x.body, y.tail))
+        return BuiltEpsilonElement(body, tail, k + y.degree - 1)
+
+    def delta(self, x):
+        """Derivative along the odd parameter: body + e*tail -> tail."""
+        return BuiltEpsilonElement(x.tail, None, x.degree - 1)
+
+
+class BuiltGerstenhaberData:
+    """Plain graded product + odd bracket, same interface as the extended
+    algebra but without a delta operator."""
+
+    def __init__(self, degree, mul, bracket, generators=()):
+        self.degree = degree
+        self.mul = mul
+        self.bracket = bracket
+        self.generators = list(generators)
+        self.delta = None
+
+
+def built_epsilon_extend(degree, mul, bracket, generators=()):
+    """Extend (V, product, bracket) over the odd parameter; the generator
+    list of the result contains both the embedded generators and their
+    parameter multiples."""
+    E = BuiltEpsilonAlgebra(degree, mul, bracket)
+    gens = []
+    for name, g in generators:
+        gens.append((name, E.embed(g)))
+        gens.append(("e*" + name, E.embed_tail(g)))
+    E.generators = gens
+    return E
+
+
 # -- structures -----------------------------------------------------------------
 
 X = Poly.var(2, 0)
 Y = Poly.var(2, 1)
 ONE = Poly.const(2, 1)
+MAKE = ct.MultiVector.maker(2)
+
+
+def _degree(a):
+    return a.k
 
 
 def _mv(k, entries):
@@ -215,71 +406,6 @@ def _generators():
     ]
 
 
-def _wedge(a, b):
-    return a.wedge(b)
-
-
-def _truncated(a, b):
-    # the bracket with everything above vector fields cut off
-    if a.k > 1 or b.k > 1:
-        return ct.MultiVector.zero(2, max(a.k + b.k - 1, 0))
-    return ct.schouten(a, b)
-
-
-def _skewed(a, b):
-    # a product that doubles when the higher degree comes first
-    p = a.wedge(b)
-    return 2 * p if a.k > b.k else p
-
-
-def _plain(mul, brk):
-    return lf.GerstenhaberData(lambda a: a.k, mul, brk, _generators())
-
-
-def _extended(mul, brk):
-    return lf.epsilon_extend(lambda a: a.k, mul, brk, _generators())
-
-
-CASES = {
-    "plain": (_plain, _wedge, ct.schouten, set()),
-    "extended": (_extended, _wedge, ct.schouten, set()),
-    "truncated-bracket": (_plain, _wedge, _truncated, {"bracket-leibniz"}),
-    "skewed-product": (_plain, _skewed, ct.schouten, {"commutativity", "associativity"}),
-    "skewed-product-extended": (
-        _extended, _skewed, ct.schouten, {"commutativity", "associativity"}
-    ),
-}
-
-
-def _canon(r):
-    """A residual as nested tuples: type, degree and every coefficient."""
-    if r is None:
-        return None
-    if isinstance(r, lf.EpsilonElement):
-        return ("eps", r.degree, _canon(r.body), _canon(r.tail))
-    return (
-        type(r).__name__,
-        r.k,
-        tuple((term, v, type(v)) for term, v in r.c.items()),
-    )
-
-
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_table_sweep_matches_the_previous_sweep(case):
-    build, mul, brk, must_fail = CASES[case]
-    new = lf.check_gerstenhaber(build(mul, brk))
-    old = _parent_check_gerstenhaber(build(mul, brk))
-    assert new.checked == old.checked
-    assert new.max_arity == old.max_arity
-    assert [(law, names, _canon(r)) for law, names, r in new.witnesses] == [
-        (law, names, _canon(r)) for law, names, r in old.witnesses
-    ]
-    assert {law for law, _, _ in new.witnesses} >= must_fail
-    assert new.ok == (not must_fail)
-
-
-# -- the Jacobi orbits against the table sweep ------------------------------------
-
 def _monomial_generators(deg):
     """The suite's generators: every unit frame of 2 variables times every
     monomial of degree at most ``deg``."""
@@ -291,19 +417,73 @@ def _monomial_generators(deg):
     ]
 
 
+# Each product or bracket twice: as the element-valued function the
+# references call, and as the accumulating kernel the current sweep calls.
+
+def _wedge(a, b):
+    return a.wedge(b)
+
+
+def _truncated(a, b):
+    # the bracket with everything above vector fields cut off
+    if a.k > 1 or b.k > 1:
+        return ct.MultiVector.zero(2, max(a.k + b.k - 1, 0))
+    return ct.schouten(a, b)
+
+
+def _truncated_into(acc, a, b, sign):
+    if a.k <= 1 and b.k <= 1:
+        ct.schouten_into(acc, a, b, sign)
+
+
+def _skewed(a, b):
+    # a product that doubles when the higher degree comes first
+    p = a.wedge(b)
+    return 2 * p if a.k > b.k else p
+
+
+def _skewed_into(acc, a, b, sign):
+    ct.wedge_into(acc, a, b, 2 * sign if a.k > b.k else sign)
+
+
 def _doubled(a, b):
     # the bracket doubled on degree-{1, 2} pairs: it breaks Jacobi
     r = ct.schouten(a, b)
     return 2 * r if {a.k, b.k} == {1, 2} else r
 
 
+def _doubled_into(acc, a, b, sign):
+    ct.schouten_into(acc, a, b, 2 * sign if {a.k, b.k} == {1, 2} else sign)
+
+
+WEDGE = (_wedge, ct.wedge_into)
+SCHOUTEN = (ct.schouten, ct.schouten_into)
+TRUNCATED = (_truncated, _truncated_into)
+SKEWED = (_skewed, _skewed_into)
+DOUBLED = (_doubled, _doubled_into)
+
+
+def _structures(extended, mul, brk, generators):
+    """(the structure the current sweep checks, the reference structure)."""
+    (mul_elem, mul_into), (brk_elem, brk_into) = mul, brk
+    if extended:
+        return (
+            lf.epsilon_extend(_degree, mul_into, brk_into, MAKE, generators),
+            built_epsilon_extend(_degree, mul_elem, brk_elem, generators),
+        )
+    return (
+        lf.GerstenhaberData(_degree, mul_into, brk_into, MAKE, generators),
+        BuiltGerstenhaberData(_degree, mul_elem, brk_elem, generators),
+    )
+
+
 def _by_value(r):
     """A residual by value: type, degree and every coefficient with its
     scalar type, in no particular order."""
-    if isinstance(r, lf.EpsilonElement):
-        return ("eps", r.degree, _by_value(r.body), _by_value(r.tail))
     if r is None:
         return None
+    if hasattr(r, "tail"):
+        return ("eps", r.degree, _by_value(r.body), _by_value(r.tail))
     return (
         type(r).__name__,
         r.k,
@@ -311,30 +491,51 @@ def _by_value(r):
     )
 
 
+def _assert_same_report(new, old):
+    assert new.checked == old.checked
+    assert new.max_arity == old.max_arity
+    assert [(law, names) for law, names, _ in new.witnesses] == [
+        (law, names) for law, names, _ in old.witnesses
+    ]
+    for (_, _, r), (_, _, r0) in zip(new.witnesses, old.witnesses):
+        assert _by_value(r) == _by_value(r0)
+
+
+# -- the accumulating sweep against the sweep without tables ------------------------
+
+CASES = {
+    "plain": (False, WEDGE, SCHOUTEN, set()),
+    "extended": (True, WEDGE, SCHOUTEN, set()),
+    "truncated-bracket": (False, WEDGE, TRUNCATED, {"bracket-leibniz"}),
+    "skewed-product": (False, SKEWED, SCHOUTEN, {"commutativity", "associativity"}),
+    "skewed-product-extended": (True, SKEWED, SCHOUTEN, {"commutativity", "associativity"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_table_sweep_matches_the_previous_sweep(case):
+    extended, mul, brk, must_fail = CASES[case]
+    A, ref = _structures(extended, mul, brk, _generators())
+    new = lf.check_gerstenhaber(A)
+    _assert_same_report(new, _parent_check_gerstenhaber(ref))
+    assert {law for law, _, _ in new.witnesses} >= must_fail
+    assert new.ok == (not must_fail)
+
+
+# -- the accumulating sweep against the table sweep without orbits ------------------
+
 ORBIT_CASES = {
-    "doubled-bracket": lambda: lf.GerstenhaberData(
-        lambda a: a.k, _wedge, _doubled, _monomial_generators(2)
-    ),
-    "doubled-bracket-extended": lambda: lf.epsilon_extend(
-        lambda a: a.k, _wedge, _doubled, _monomial_generators(1)
-    ),
+    "doubled-bracket": (False, _monomial_generators(2)),
+    "doubled-bracket-extended": (True, _monomial_generators(1)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
 def test_orbit_sweep_matches_the_table_sweep(case):
     """A rotated triple reuses its orbit's Jacobi residual, a sum of the same
-    three terms in another order, so Jacobi residuals are compared by value;
-    every other residual must match exactly."""
-    new = lf.check_gerstenhaber(ORBIT_CASES[case]())
-    old = _table_check_gerstenhaber(ORBIT_CASES[case]())
-    assert new.checked == old.checked
-    assert [(law, names) for law, names, _ in new.witnesses] == [
-        (law, names) for law, names, _ in old.witnesses
-    ]
-    for (law, _, r), (_, _, r0) in zip(new.witnesses, old.witnesses):
-        if law == "jacobi":
-            assert _by_value(r) == _by_value(r0)
-        else:
-            assert _canon(r) == _canon(r0)
+    three terms in another order; every residual is compared by value."""
+    extended, generators = ORBIT_CASES[case]
+    A, ref = _structures(extended, WEDGE, DOUBLED, generators)
+    new = lf.check_gerstenhaber(A)
+    _assert_same_report(new, _table_check_gerstenhaber(ref))
     assert any(law == "jacobi" for law, _, _ in new.witnesses)

@@ -36,6 +36,8 @@ def schouten_structure(gens=()):
 ONE2 = Poly.const(2, 1)
 X2 = Poly.var(2, 0)
 Y2 = Poly.var(2, 1)
+# the wedge and the Schouten bracket as accumulating kernels, in 2 variables
+KERNELS = (ct.wedge_into, ct.schouten_into, ct.MultiVector.maker(2))
 
 
 def schouten_generators():
@@ -535,25 +537,23 @@ def test_mc_element_validation():
 
 def test_multivector_laws_plain_and_extended():
     gens = schouten_generators()
-    plain = lf.GerstenhaberData(
-        lambda a: a.k, lambda a, b: a.wedge(b), ct.schouten, gens
-    )
+    plain = lf.GerstenhaberData(lambda a: a.k, *KERNELS, gens)
     assert lf.check_gerstenhaber(plain).ok
 
-    E = lf.epsilon_extend(lambda a: a.k, lambda a, b: a.wedge(b), ct.schouten, gens)
+    E = lf.epsilon_extend(lambda a: a.k, *KERNELS, gens)
     assert len(E.generators) == 2 * len(gens)
     rep = lf.check_gerstenhaber(E)
     assert rep.ok
 
 
 def test_truncated_bracket_breaks_leibniz():
-    def truncated(a, b):
-        if a.k > 1 or b.k > 1:
-            return ct.MultiVector.zero(2, max(a.k + b.k - 1, 0))
-        return ct.schouten(a, b)
+    def truncated(acc, a, b, sign):
+        if a.k <= 1 and b.k <= 1:
+            ct.schouten_into(acc, a, b, sign)
 
     bad = lf.GerstenhaberData(
-        lambda a: a.k, lambda a, b: a.wedge(b), truncated, schouten_generators()
+        lambda a: a.k, ct.wedge_into, truncated, ct.MultiVector.maker(2),
+        schouten_generators(),
     )
     rep = lf.check_gerstenhaber(bad)
     assert not rep.ok
@@ -561,9 +561,7 @@ def test_truncated_bracket_breaks_leibniz():
 
 
 def test_epsilon_derivative_squares_to_zero_and_extracts_tail():
-    E = lf.epsilon_extend(
-        lambda a: a.k, lambda a, b: a.wedge(b), ct.schouten, schouten_generators()
-    )
+    E = lf.epsilon_extend(lambda a: a.k, *KERNELS, schouten_generators())
     g = ct.MultiVector.function(X2)
     lifted = E.embed_tail(g)
     assert E.delta(lifted) == E.embed(g)
@@ -574,14 +572,17 @@ def test_epsilon_derivative_squares_to_zero_and_extracts_tail():
 def test_second_order_defect_of_delta_is_the_bracket():
     # on embedded (parameter-free) elements the defect of delta against
     # the Leibniz rule equals the bracket up to the recorded sign
-    E = lf.epsilon_extend(
-        lambda a: a.k, lambda a, b: a.wedge(b), ct.schouten, schouten_generators()
-    )
+    E = lf.epsilon_extend(lambda a: a.k, *KERNELS, schouten_generators())
     X = E.embed(mv(2, 1, {(0,): Y2}))
     rho = E.embed(mv(2, 2, {(0, 1): X2}))
+    nonzero = 0
     for x, y in [(X, rho), (rho, X), (X, X), (rho, rho)]:
-        k = x.degree
-        lhs = E.delta(E.mul(x, y)) - E.mul(E.delta(x), y)
-        sgn = -1 if k % 2 else 1
-        lhs = lhs - sgn * E.mul(x, E.delta(y))
-        assert lhs == sgn * E.bracket(x, y)
+        sgn = -1 if x.degree % 2 else 1
+        assert not E.delta_defect(x, y)
+        # delta x = delta y = 0, so delta(xy), the tail of xy, is sgn [x, y]
+        xy, bracket = E.accumulator(), E.accumulator()
+        E.mul_into(xy, x, y, 1)
+        E.bracket_into(bracket, x, y, sgn)
+        assert xy.tail == bracket.body and not bracket.tail
+        nonzero += bool(bracket)
+    assert nonzero

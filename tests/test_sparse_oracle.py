@@ -34,6 +34,13 @@ through ``Poly.__mul__`` and ``Poly.diff``.  They are the kernel's oracle.
 The frame rules of the kernel and of ``contract`` are cached per frame
 pair; their uncached bodies (``__wrapped__``) are the reference for the
 cached ones.
+
+``_built_monomial_pairs``, ``_built_wedge`` and ``_built_schouten`` are the
+kernel, the wedge and the bracket from before the accumulating
+``wedge_into`` and ``schouten_into``, verbatim apart from the names.  For
+signs 1, -1, 2 and -2, into an empty dict and into one that already holds
+terms, the accumulating kernels must add the same values, with no stored
+zero.
 """
 
 import random
@@ -937,3 +944,104 @@ def test_zeros_of_any_degree_add_to_honest_elements():
         except ValueError:
             continue
         raise AssertionError("a sum of two degrees was accepted")
+
+
+# -- the accumulating kernels against the kernel that built its own result --------
+#
+# ``_built_monomial_pairs``, ``_built_wedge`` (the body of ``_Exterior.wedge``)
+# and ``_built_schouten`` are the kernel, the wedge and the bracket from just
+# before ``wedge_into`` and ``schouten_into``, verbatim apart from the names:
+# each pair loop wrote into a dict of its own and returned it as an element.
+
+def _built_monomial_pairs(A, B, rule, cls, k):
+    acc = {}
+    bitems = B.c.items()
+    for (fa, ea), ca in A.c.items():
+        for (fb, eb), cb in bitems:
+            entries = rule(fa, fb)
+            if not entries:
+                continue
+            c = ca * cb
+            for merged, w, i, side in entries:
+                if i is None:
+                    e = tuple(map(add, ea, eb))
+                else:
+                    m = eb[i] if side else ea[i]
+                    if not m:
+                        continue
+                    e = list(map(add, ea, eb))
+                    e[i] -= 1
+                    e = tuple(e)
+                    w *= m
+                add_term(acc, (merged, e), c if w == 1 else w * c)
+    return cartan._make(cls, A.nvars, k, acc)
+
+
+def _built_wedge(self, other):
+    if type(self) is not type(other) or self.nvars != other.nvars:
+        raise ValueError("mismatched wedge factors")
+    return _built_monomial_pairs(self, other, _wedge_rule, type(self), self.k + other.k)
+
+
+def _built_schouten(A, B):
+    if A.nvars != B.nvars:
+        raise ValueError("variable counts differ")
+    if A.k == 0 and B.k == 0:
+        return MultiVector.zero(A.nvars, 0)
+    return _built_monomial_pairs(A, B, _schouten_rule, MultiVector, A.k + B.k - 1)
+
+
+def _plus(base, s, x):
+    """``base + s * x`` by value, through ``add_term``."""
+    out = dict(base)
+    for key, v in x.c.items():
+        add_term(out, key, s * v)
+    return out
+
+
+def _assert_zero_free(acc):
+    assert all(type(v) in (int, Fraction) and v for v in acc.values())
+
+
+def test_accumulating_kernels_match_the_built_kernel():
+    rng = random.Random(20270)
+    written = {"both functions": 0, "one function": 0, "cancelled": 0}
+    for cls in (Form, MultiVector):
+        kernels = [(cartan.wedge_into, _built_wedge)]
+        if cls is MultiVector:
+            kernels.append((cartan.schouten_into, _built_schouten))
+        cases = _kernel_cases(rng, cls)
+        for (a, b), (c, d) in zip(cases, cases[1:] + cases[:1]):
+            for into, built in kernels:
+                want = built(a, b)
+                other = built(c, d) if c.nvars == a.nvars else want
+                for s in (1, -1, 2, -2):
+                    acc = {}
+                    into(acc, a, b, s)
+                    assert acc == _plus({}, s, want)
+                    _assert_zero_free(acc)
+                    # into a dict that already holds terms, some of them shared
+                    acc = dict(other.c)
+                    into(acc, a, b, s)
+                    assert acc == _plus(other.c, s, want)
+                    _assert_zero_free(acc)
+                # a call that cancels what the dict holds leaves it empty
+                acc = _plus({}, -2, want)
+                into(acc, a, b, 2)
+                assert acc == {}
+                written["cancelled"] += bool(want)
+                # the wrappers are the kernels plus the result's degree
+                got = a.wedge(b) if into is cartan.wedge_into else cartan.schouten(a, b)
+                assert (type(got), got.nvars, got.k) == (type(want), want.nvars, want.k)
+                assert got.c == want.c
+            if cls is MultiVector and a.k == 0 and a:
+                acc = {((0,), (0,) * a.nvars): 5}
+                cartan.schouten_into(acc, a, b, 1)
+                if b.k == 0:
+                    # two functions: nothing is written, the dict is untouched
+                    assert acc == {((0,), (0,) * a.nvars): 5}
+                    written["both functions"] += bool(b)
+                else:
+                    assert acc == _plus({((0,), (0,) * a.nvars): 5}, 1, _built_schouten(a, b))
+                    written["one function"] += len(acc) > 1
+    assert all(written.values()), written
