@@ -31,10 +31,11 @@ from .cartan import (
     deRham_d,
     lie_derivative,
 )
-from .core.basis import add_term, rational
+from .core.basis import Sparse, add_term, rational
 from .core.linalg import rank_kernel, solve
 from .core.signs import koszul_sign
 from .core.series import WindowOverflow
+from .linfty import CheckReport
 from .poly import Poly, monomials_upto
 
 
@@ -69,20 +70,21 @@ class SymplecticData:
         return lie_derivative(self.pi0, alpha)
 
 
-class SeriesForm:
-    """parts[(kt, ku, k)] = homogeneous degree-k form at weight t^kt u^ku.
+class SeriesForm(Sparse):
+    """c[(kt, ku, k)] = homogeneous degree-k form at weight t^kt u^ku.
 
     kt above the window top drops silently (ideal semantics); kt below the
     bottom or ku outside its window raises WindowOverflow.
     """
 
-    __slots__ = ("nvars", "twin", "uwin", "parts")
+    __slots__ = ("nvars", "twin", "uwin", "c")
+    _space = ("nvars", "twin", "uwin")
 
     def __init__(self, nvars, parts=None, twin=(-4, 4), uwin=(-4, 4)):
         self.nvars = nvars
         self.twin = tuple(twin)
         self.uwin = tuple(uwin)
-        self.parts = {}
+        self.c = {}
         if parts:
             for (kt, ku, k), form in parts.items():
                 if form.k != k or form.nvars != nvars:
@@ -104,68 +106,29 @@ class SeriesForm:
             return
         if kt < self.twin[0] or not self.uwin[0] <= ku <= self.uwin[1]:
             raise WindowOverflow(f"t^{kt} u^{ku} left the window")
-        add_term(self.parts, (kt, ku, form.k), form)
+        add_term(self.c, (kt, ku, form.k), form)
 
-    def _windows(self, other):
-        if self.nvars != other.nvars or self.twin != other.twin or self.uwin != other.uwin:
-            raise ValueError("mismatched series forms")
-
-    def __add__(self, other):
-        self._windows(other)
-        out = SeriesForm.zero(self.nvars, self.twin, self.uwin)
-        out.parts = dict(self.parts)
-        for (kt, ku, _), form in other.parts.items():
-            out._add(kt, ku, form)
+    def _like(self, c):
+        out = object.__new__(SeriesForm)
+        out.nvars, out.twin, out.uwin, out.c = self.nvars, self.twin, self.uwin, c
         return out
-
-    def __neg__(self):
-        out = SeriesForm.zero(self.nvars, self.twin, self.uwin)
-        out.parts = {key: -form for key, form in self.parts.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        out = SeriesForm.zero(self.nvars, self.twin, self.uwin)
-        for key, form in self.parts.items():
-            s = scalar * form
-            if s:
-                out.parts[key] = s
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, SeriesForm):
-            return NotImplemented
-        return (
-            self.nvars == other.nvars
-            and self.twin == other.twin
-            and self.uwin == other.uwin
-            and self.parts == other.parts
-        )
-
-    def __bool__(self):
-        return bool(self.parts)
-
-    def is_zero(self):
-        return not self
 
     def shift(self, dt, du, coeff=1):
         """Multiply by coeff * t^dt u^du."""
         out = SeriesForm.zero(self.nvars, self.twin, self.uwin)
-        for (kt, ku, _), form in self.parts.items():
+        for (kt, ku, _), form in self.c.items():
             out._add(kt + dt, ku + du, coeff * form)
         return out
 
     def map_form(self, fn, dt=0, du=0):
         """Apply a linear form operation to every part, with a weight shift."""
         out = SeriesForm.zero(self.nvars, self.twin, self.uwin)
-        for (kt, ku, _), form in self.parts.items():
+        for (kt, ku, _), form in self.c.items():
             out._add(kt + dt, ku + du, fn(form))
         return out
 
     def __repr__(self):
-        keys = ", ".join(f"t^{kt}u^{ku}:deg{k}" for kt, ku, k in sorted(self.parts))
+        keys = ", ".join(f"t^{kt}u^{ku}:deg{k}" for kt, ku, k in sorted(self.c))
         return f"SeriesForm({keys or '0'})"
 
 
@@ -188,7 +151,7 @@ def diff_td_uL(sd, alpha):
 def _parity_dress(alpha, fn, dt, du):
     """Apply fn weighted by (-1)^(deg+1) on each homogeneous part."""
     out = SeriesForm.zero(alpha.nvars, alpha.twin, alpha.uwin)
-    for (kt, ku, k), form in alpha.parts.items():
+    for (kt, ku, k), form in alpha.c.items():
         out._add(kt + dt, ku + du, Fraction((-1) ** (k + 1)) * fn(form))
     return out
 
@@ -218,7 +181,7 @@ def contract_exp(sd, alpha, dt, du, sign=1):
     Finite on every part: each contraction drops the form degree by two.
     """
     out = SeriesForm.zero(alpha.nvars, alpha.twin, alpha.uwin)
-    for (kt, ku, _), form in alpha.parts.items():
+    for (kt, ku, _), form in alpha.c.items():
         m = 0
         cur = form
         while cur:
@@ -318,7 +281,7 @@ def degree_twist(sd, alpha):
     """(-1)^n t^(k-n) on each degree-k part: regrades d into t*d."""
     out = SeriesForm.zero(alpha.nvars, alpha.twin, alpha.uwin)
     sign = Fraction((-1) ** sd.n)
-    for (kt, ku, k), form in alpha.parts.items():
+    for (kt, ku, k), form in alpha.c.items():
         out._add(kt + k - sd.n, ku, sign * form)
     return out
 
@@ -326,7 +289,7 @@ def degree_twist(sd, alpha):
 def u_regrade(sd, alpha):
     """u^(n-k) on each degree-k part."""
     out = SeriesForm.zero(alpha.nvars, alpha.twin, alpha.uwin)
-    for (kt, ku, k), form in alpha.parts.items():
+    for (kt, ku, k), form in alpha.c.items():
         out._add(kt, ku + sd.n - k, form)
     return out
 
@@ -354,20 +317,6 @@ def pipeline_stages(sd):
     ]
 
 
-class PipelineReport:
-    def __init__(self, checked, witnesses):
-        self.checked = checked
-        self.witnesses = witnesses
-
-    @property
-    def ok(self):
-        return not self.witnesses
-
-    def __repr__(self):
-        state = "pass" if self.ok else f"{len(self.witnesses)} violations"
-        return f"PipelineReport({state}, {self.checked} checked)"
-
-
 def check_pipeline_chain_maps(sd, samples):
     """arrow(d_src(a)) == d_tgt(arrow(a)) for every stage and sample."""
     witnesses = []
@@ -379,7 +328,7 @@ def check_pipeline_chain_maps(sd, samples):
             checked += 1
             if lhs != rhs:
                 witnesses.append((stage, a, lhs - rhs))
-    return PipelineReport(checked, witnesses)
+    return CheckReport(checked, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +348,7 @@ def exp_contract_identity(n, z="t/u", twin=(-4, 4), uwin=(-4, 4)):
     rhs = SeriesForm.zero(sd.nvars, twin, uwin)
     for j in range(n + 1):
         rhs._add((n - j) * dt, (n - j) * du, sd.omega_power(j))
-    return PipelineReport(1, [] if lhs == rhs else [("exp-contract", lhs, rhs)])
+    return CheckReport(1, [] if lhs == rhs else [("exp-contract", lhs, rhs)])
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +422,7 @@ def ahat_flat(n, nt, uwin=(-4, 4)):
     klass = {}
     primitives = {}
     ok = True
-    for (kt, ku, k), form in sorted(value.parts.items()):
+    for (kt, ku, k), form in sorted(value.c.items()):
         if k == 0:
             klass[(kt, ku)] = form.c.get(((), (0,) * sd.nvars), 0)
             continue

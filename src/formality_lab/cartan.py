@@ -28,7 +28,7 @@ from itertools import permutations
 from math import factorial
 from operator import add
 
-from .core.basis import add_term, rational
+from .core.basis import Sparse, add_term
 from .poly import Poly
 from .polydiff import PolyDiffOperator
 
@@ -55,7 +55,7 @@ def _remove_index(key, i):
     return (-1 if pos % 2 else 1, key[:pos] + key[pos + 1 :])
 
 
-class _Exterior:
+class _Exterior(Sparse):
     """Shared shape of multivectors and forms: graded, exterior, sparse.
 
     ``c`` is flat: ``c[(frame, e)]`` is the nonzero scalar coefficient of
@@ -63,6 +63,7 @@ class _Exterior:
     """
 
     __slots__ = ("nvars", "k", "c")
+    _space = ("nvars", "k")
 
     def __init__(self, nvars, k, coeffs=None):
         """``coeffs`` maps each frame to a ``Poly`` or an exact scalar."""
@@ -99,65 +100,30 @@ class _Exterior:
         an element."""
         return partial(_make, cls, nvars)
 
-    def _signed(self, k, c, s):
-        """The degree-k element ``c + s * self``, one ``add_term`` per scalar.
+    def _like(self, c):
+        return _make(type(self), self.nvars, self.k, c)
 
-        ``c`` is a flat dict the result takes over.  The scalars 1 and -1
-        add and negate without a multiply.
-        """
-        items = self.c.items()
-        if s == 1:
-            for key, v in items:
-                add_term(c, key, v)
-        elif s == -1:
-            for key, v in items:
-                add_term(c, key, -v)
-        else:
-            for key, v in items:
-                add_term(c, key, s * v)
-        return _make(type(self), self.nvars, k, c)
-
-    def _sum_degree(self, other):
-        """The degree of a sum: that of its nonzero arguments.  A zero of
-        any degree (over-contracting gives degree 0) adds to anything."""
+    def _same(self, other):
+        """A zero of any degree (over-contracting gives degree 0) adds to
+        anything: a sum lies in the space of its nonzero arguments."""
         if type(self) is not type(other) or self.nvars != other.nvars:
             raise ValueError("mismatched exterior elements")
         if not self.c:
-            return other.k
+            return other
         if other.c and other.k != self.k:
             raise ValueError("mismatched exterior elements")
-        return self.k
-
-    def __add__(self, other):
-        return other._signed(self._sum_degree(other), dict(self.c), 1)
-
-    def __sub__(self, other):
-        return other._signed(self._sum_degree(other), dict(self.c), -1)
-
-    def __neg__(self):
-        return self._signed(self.k, {}, -1)
+        return self
 
     def __rmul__(self, scalar):
-        if isinstance(scalar, Poly):
-            if scalar.n != self.nvars:
-                raise ValueError("variable counts differ")
-            c = {}
-            for e1, v1 in scalar.c.items():
-                for (key, e2), v2 in self.c.items():
-                    add_term(c, (key, tuple(map(add, e1, e2))), v1 * v2)
-            return _make(type(self), self.nvars, self.k, c)
-        return self._signed(self.k, {}, rational(scalar))
-
-    def __eq__(self, other):
-        if type(self) is not type(other):
-            return NotImplemented
-        return self.nvars == other.nvars and self.k == other.k and self.c == other.c
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def is_zero(self):
-        return not self.c
+        if not isinstance(scalar, Poly):
+            return Sparse.__rmul__(self, scalar)
+        if scalar.n != self.nvars:
+            raise ValueError("variable counts differ")
+        c = {}
+        for e1, v1 in scalar.c.items():
+            for (key, e2), v2 in self.c.items():
+                add_term(c, (key, tuple(map(add, e1, e2))), v1 * v2)
+        return self._like(c)
 
     def wedge(self, other):
         if type(self) is not type(other) or self.nvars != other.nvars:
@@ -421,7 +387,7 @@ def hkr(mv):
                 tkey.append(tuple(e))
             add_term(terms, tuple(tkey), sgn * p)
     op = PolyDiffOperator(n, k)
-    op.terms = terms
+    op.c = terms
     return op
 
 

@@ -1,11 +1,11 @@
 from .signs import koszul_sign, unshuffle_sign, decalage_sign
 from .series import FormalSeries, WindowOverflow, series_mul
-from .basis import add_term, rational, vec, vadd_into
+from .basis import Sparse, add_term, rational, vec, vadd_into
 from .linalg import rank_kernel, solve
 
 __all__ = [
     "koszul_sign", "unshuffle_sign", "decalage_sign",
     "FormalSeries", "WindowOverflow", "series_mul",
-    "add_term", "rational", "vec", "vadd_into",
+    "Sparse", "add_term", "rational", "vec", "vadd_into",
     "rank_kernel", "solve",
 ]

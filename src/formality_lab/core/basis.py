@@ -1,10 +1,12 @@
-"""Sparse vectors, the one accumulate-and-drop-zeros helper, the one scalar coercion.
+"""Sparse vectors: the one vector-space base, the one accumulate-and-drop-zeros
+helper, the one scalar coercion.
 
 Every sparse container in the package (polynomials, multivectors and
 forms, chains and cochains, operators, series) is a dict key -> value with
 no stored zeros.  ``add_term`` is the one place that keeps that invariant,
 so equality of dicts is equality of vectors.  A value is zero when it is
-falsy: ``0`` and every container with no terms.
+falsy: ``0`` and every container with no terms.  ``Sparse`` writes the
+vector-space operations once for every container whose dict is ``c``.
 
 Scalars are exact rationals: an ``int`` when integral, a ``Fraction``
 otherwise.  Arithmetic on values that are all integers therefore never
@@ -57,3 +59,71 @@ def vec(*pairs):
     for lab, val in pairs:
         add_term(out, lab, rational(val))
     return out
+
+
+class Sparse:
+    """A vector stored as the zero-free dict ``c``: basis key -> exact
+    scalar, or -> a nonzero container that is itself a vector.
+
+    A subclass names in ``_space`` the slots that fix its vector space and
+    builds an element of that space around a zero-free dict in ``_like``;
+    its ``__init__`` checks outside input.  Sums, differences, negation,
+    scalar multiples, equality and the zero test are defined here, once.
+    Elements of different spaces (or types) raise ``ValueError`` when
+    added and are unequal.
+    """
+
+    __slots__ = ()
+    _space = ()
+
+    def _like(self, c):
+        """The element of this element's space whose dict is ``c``, unchecked."""
+        raise NotImplementedError
+
+    def _same(self, other):
+        """Raise ValueError unless ``other`` lies in this element's space;
+        return the element whose space a sum of the two lies in."""
+        if type(other) is not type(self):
+            raise ValueError(f"cannot combine {type(self).__name__} and {type(other).__name__}")
+        for slot in self._space:
+            if getattr(self, slot) != getattr(other, slot):
+                raise ValueError(f"{type(self).__name__}s differ in {slot}")
+        return self
+
+    def __add__(self, other):
+        space = self._same(other)
+        c = dict(self.c)
+        for key, v in other.c.items():
+            add_term(c, key, v)
+        return space._like(c)
+
+    def __sub__(self, other):
+        space = self._same(other)
+        c = dict(self.c)
+        for key, v in other.c.items():
+            add_term(c, key, -v)
+        return space._like(c)
+
+    def __neg__(self):
+        return self._like({key: -v for key, v in self.c.items()})
+
+    def __rmul__(self, scalar):
+        s = rational(scalar)
+        if s == 1:
+            return self._like(dict(self.c))
+        if s == -1:
+            return -self
+        return self._like({key: s * v for key, v in self.c.items()} if s else {})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.c == other.c and all(
+            getattr(self, slot) == getattr(other, slot) for slot in self._space
+        )
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def is_zero(self):
+        return not self.c

@@ -13,17 +13,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .basis import add_term, rational
+from .basis import Sparse, add_term, rational
 
 
 class WindowOverflow(ValueError):
     """A u-exponent left the declared window with a nonzero coefficient."""
 
 
-class FormalSeries:
+class FormalSeries(Sparse):
     """sum c[(kt,ku)] * t^kt * u^ku with kt in [0, nt], ku in [ulo, uhi]."""
 
     __slots__ = ("nt", "ulo", "uhi", "c")
+    _space = ("nt", "ulo", "uhi")
 
     def __init__(self, coeffs=None, *, nt, u_window=(0, 0)):
         ulo, uhi = u_window
@@ -59,53 +60,18 @@ class FormalSeries:
     def monomial(cls, kt, ku, nt, u_window=(0, 0), coeff=1):
         return cls({(kt, ku): coeff}, nt=nt, u_window=u_window)
 
-    # -- helpers ---------------------------------------------------------
-    def _check_compatible(self, other):
-        if (self.nt, self.ulo, self.uhi) != (other.nt, other.ulo, other.uhi):
-            raise ValueError("series caps differ")
+    def _like(self, c):
+        s = object.__new__(FormalSeries)
+        s.nt, s.ulo, s.uhi, s.c = self.nt, self.ulo, self.uhi, c
+        return s
 
     def coeff(self, kt, ku):
         return self.c.get((kt, ku), Fraction(0))
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def is_zero(self):
-        return not self
-
-    # -- arithmetic -------------------------------------------------------
-    def __add__(self, other):
-        self._check_compatible(other)
-        s = FormalSeries.zero(self.nt, (self.ulo, self.uhi))
-        s.c = dict(self.c)
-        for k, v in other.c.items():
-            add_term(s.c, k, v)
-        return s
-
-    def __neg__(self):
-        s = FormalSeries.zero(self.nt, (self.ulo, self.uhi))
-        s.c = {k: -v for k, v in self.c.items()}
-        return s
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        v = rational(scalar)
-        s = FormalSeries.zero(self.nt, (self.ulo, self.uhi))
-        if v:
-            s.c = {k: v * w for k, w in self.c.items()}
-        return s
 
     def __mul__(self, other):
         if not isinstance(other, FormalSeries):
             return self.__rmul__(other)
         return series_mul(self, other)
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalSeries):
-            return NotImplemented
-        return (self.nt, self.ulo, self.uhi) == (other.nt, other.ulo, other.uhi) and self.c == other.c
 
     def __hash__(self):
         return hash((self.nt, self.ulo, self.uhi, frozenset(self.c.items())))
@@ -126,7 +92,7 @@ def series_mul(a, b):
     landing outside the u-window raises WindowOverflow (coefficients that
     cancel to zero outside the window are not an error).
     """
-    a._check_compatible(b)
+    a._same(b)
     acc = {}
     for (ta, ua), va in a.c.items():
         for (tb, ub), vb in b.c.items():
@@ -137,6 +103,4 @@ def series_mul(a, b):
     for _, ku in acc:
         if not (a.ulo <= ku <= a.uhi):
             raise WindowOverflow(f"u^{ku} outside window [{a.ulo}, {a.uhi}]")
-    out = FormalSeries.zero(a.nt, (a.ulo, a.uhi))
-    out.c = acc
-    return out
+    return a._like(acc)

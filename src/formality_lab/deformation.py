@@ -20,7 +20,7 @@ from .algebras import FunctionModel
 from .cartan import MultiVector, hkr, poisson_bracket
 from .core.basis import add_term, rational
 from .core.series import FormalSeries
-from .linfty import MCElement
+from .linfty import CheckReport, MCElement
 from .poly import Poly, monomials_upto
 
 
@@ -46,15 +46,15 @@ class StarProduct:
                 raise ValueError("correction orders start at 1")
             if op.nvars != model.nvars or op.arity != 2:
                 raise ValueError("corrections must be arity-2 on the base variables")
-            if not op.terms:
+            if not op.c:
                 continue
             reach = tuple(
-                min(sum(key[slot]) for key in op.terms) for slot in (0, 1)
+                min(sum(key[slot]) for key in op.c) for slot in (0, 1)
             )
             if min(reach) < 1:
                 # some term leaves a slot underived, so 1*g or f*1 would move
                 raise ValueError(f"order-{m} correction does not vanish on the unit")
-            self.ops[m] = pd.PolyDiffOperator(op.nvars, 2, op.terms)
+            self.ops[m] = pd.PolyDiffOperator(op.nvars, 2, op.c)
             self.reach[m] = reach
 
     def correction(self, m):
@@ -134,24 +134,10 @@ def moyal(pi, nt, model=None):
                 alpha[i] += 1
                 beta[j] += 1
                 coeff *= v
-            add_term(op.terms, (tuple(alpha), tuple(beta)), Poly.const(n, coeff))
-        if op.terms:
+            add_term(op.c, (tuple(alpha), tuple(beta)), Poly.const(n, coeff))
+        if op.c:
             ops[m] = op
     return StarProduct(model, ops, nt)
-
-
-class StarReport:
-    def __init__(self, checked, witnesses):
-        self.checked = checked
-        self.witnesses = witnesses
-
-    @property
-    def ok(self):
-        return not self.witnesses
-
-    def __repr__(self):
-        state = "pass" if self.ok else f"{len(self.witnesses)} violations"
-        return f"StarReport({state}, {self.checked} checked)"
 
 
 def check_associativity(s, degree=None):
@@ -204,13 +190,11 @@ def check_associativity(s, degree=None):
                         orders.setdefault(k, {})[e] = v
                     for k in sorted(orders):
                         witnesses.append(((ea, eb, ec), k, Poly(n, orders[k])))
-    return StarReport(checked, witnesses)
+    return CheckReport(checked, witnesses)
 
 
 def _opposite(op):
-    out = pd.PolyDiffOperator(op.nvars, 2)
-    out.terms = {(b, a): p for (a, b), p in op.terms.items()}
-    return out
+    return op._like({(b, a): p for (a, b), p in op.c.items()})
 
 
 def leading_poisson(s):
@@ -223,7 +207,7 @@ def leading_poisson(s):
     describes it.
     """
     n = s.model.nvars
-    P1 = s.correction(1) or pd.PolyDiffOperator.zero(n, 2)
+    P1 = s.correction(1) or pd.PolyDiffOperator(n, 2)
     anti = P1 - _opposite(P1)
     out = MultiVector(n, 2, {
         (i, j): anti.apply([Poly.var(n, i), Poly.var(n, j)])
@@ -306,7 +290,7 @@ def trace_defect(tau, s, degree=None):
             checked += 1
             if not val.is_zero():
                 witnesses.append(((ea, eb), val))
-    return StarReport(checked, witnesses)
+    return CheckReport(checked, witnesses)
 
 
 def poisson_defect(tau, pi0, degree=4):
@@ -323,4 +307,4 @@ def poisson_defect(tau, pi0, degree=4):
             checked += 1
             if not val.is_zero():
                 witnesses.append(((ea, eb), val))
-    return StarReport(checked, witnesses)
+    return CheckReport(checked, witnesses)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import product as _cartesian
 
-from .core.basis import add_term, rational, vadd_into, vec
+from .core.basis import Sparse, add_term, rational, vadd_into, vec
 from .core.linalg import rank_kernel
 
 
@@ -29,7 +29,12 @@ def _add_vec(table, key, v, scale=1):
 
 
 class Cochain:
-    """Multilinear map A^arity -> A given by table[(i_1..i_n)] = output vec."""
+    """Multilinear map A^arity -> A given by table[(i_1..i_n)] = output vec.
+
+    Not a ``core.basis.Sparse``: its values are sparse vectors, not scalars
+    or containers, and ``insert`` and ``lie_action`` read whole rows by
+    input tuple, so it keeps its own table arithmetic.
+    """
 
     __slots__ = ("algebra", "arity", "table")
 
@@ -71,6 +76,10 @@ class Cochain:
     @property
     def lie_degree(self):
         return self.arity - 1
+
+    def zero_of(self, arity):
+        """The zero cochain of ``arity`` on the same algebra."""
+        return Cochain(self.algebra, arity)
 
     # -- vector space ---------------------------------------------------------
     def _check(self, other):
@@ -174,22 +183,23 @@ class Cochain:
 
 
 def circle(D, E):
-    """Insertion sum with alternating signs (-1)^((arity(E)-1)*j)."""
+    """Insertion sum: sum_j (-1)^((arity(E)-1)*j) of E into slot j of D.
+
+    One sum for every cochain type with ``insert`` and ``zero_of``: the
+    tables here and ``polydiff``'s operators.
+    """
     n, m = D.arity, E.arity
-    if n + m == 0:
-        # no slots to insert into and the honest arity would be negative:
-        # report an arity-0 zero sentinel
-        return Cochain.zero(D.algebra, 0)
-    out = Cochain.zero(D.algebra, n + m - 1)
+    # with no slots to insert into, the honest arity n + m - 1 would be
+    # negative: an arity-0 zero stands in
+    out = D.zero_of(max(n + m - 1, 0))
     for j in range(n):
         term = D.insert(E, j)
-        if ((m - 1) * j) % 2:
-            term = -term
-        out = out + term
+        out = out - term if ((m - 1) * j) % 2 else out + term
     return out
 
 
 def bracket(D, E):
+    """Graded commutator of insertions; degree of arity-n input is n-1."""
     n, m = D.arity, E.arity
     second = circle(E, D)
     if ((n - 1) * (m - 1)) % 2:
@@ -290,10 +300,11 @@ def basis_cochains(algebra, arity, reduced=False):
 
 # -- chains ---------------------------------------------------------------------
 
-class Chain:
+class Chain(Sparse):
     """Element of A^(tensor n+1): c[(i_0..i_n)] = coefficient."""
 
     __slots__ = ("algebra", "n", "c")
+    _space = ("algebra", "n")
 
     def __init__(self, algebra, n, coeffs=None):
         if n < 0:
@@ -313,52 +324,17 @@ class Chain:
     def elementary(cls, algebra, tup):
         return cls(algebra, len(tup) - 1, {tuple(tup): 1})
 
-    def _check(self, other):
-        if self.algebra is not other.algebra or self.n != other.n:
-            raise ValueError("chain shapes differ")
-
-    def __add__(self, other):
-        self._check(other)
-        out = Chain(self.algebra, self.n)
-        out.c = dict(self.c)
-        for t, v in other.c.items():
-            add_term(out.c, t, v)
+    def _like(self, c):
+        out = object.__new__(Chain)
+        out.algebra, out.n, out.c = self.algebra, self.n, c
         return out
-
-    def __neg__(self):
-        out = Chain(self.algebra, self.n)
-        out.c = {t: -v for t, v in self.c.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        scalar = rational(scalar)
-        out = Chain(self.algebra, self.n)
-        if scalar:
-            out.c = {t: scalar * v for t, v in self.c.items()}
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Chain):
-            return NotImplemented
-        return self.algebra is other.algebra and self.n == other.n and self.c == other.c
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def is_zero(self):
-        return not self
 
     def normalized(self):
         """Kill terms with the unit in a reducible slot (positions 1..n)."""
         ui = self.algebra.unit_index
         if ui is None:
             raise ValueError("need a unit-adapted basis")
-        out = Chain(self.algebra, self.n)
-        out.c = {t: v for t, v in self.c.items() if ui not in t[1:]}
-        return out
+        return self._like({t: v for t, v in self.c.items() if ui not in t[1:]})
 
     def __repr__(self):
         return f"Chain(n={self.n}, {len(self.c)} terms)"

@@ -8,10 +8,13 @@ with the suspension sign from core.signs.decalage_sign, so the identities
 take the pure shifted-Koszul form: a differential graded Lie algebra
 packaged as (l1, l2) passes with no manual sign threading.
 
-Elements are anything with +, scalar *, ==, is_zero and a truth value
-that is False exactly on zero (cochains, chains, multivectors, forms,
-operator tables).  The Gerstenhaber checker instead accumulates each law
-residual through the structure's accumulating product and bracket.
+Elements are vectors: a ``core.basis.Sparse`` container (chains,
+multivectors, forms, operators, series), whose +, scalar *, ==, is_zero
+and truth value are written once there, or a ``hochschild.Cochain``, which
+keeps its own table arithmetic.  The Gerstenhaber checker instead
+accumulates each law residual through the structure's accumulating product
+and bracket.  ``CheckReport`` is the one outcome record of every identity
+sweep in the package, the star-product and pipeline checks included.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from .core.basis import add_term
+from .core.basis import Sparse, add_term
 from .core.signs import decalage_sign, unshuffle_sign
 
 
@@ -59,11 +62,13 @@ def dgla(degree, differential, bracket_fn, generators=()):
 
 
 class CheckReport:
-    """Outcome of an identity sweep: pass/fail plus explicit witnesses."""
+    """Outcome of any identity sweep: how many checks ran, and an explicit
+    witness for each that failed.  ``max_arity`` is the tuple length a
+    bracket sweep went up to, when there is one."""
 
-    def __init__(self, checked, witnesses, max_arity):
+    def __init__(self, checked, witnesses, max_arity=None):
         self.checked = checked
-        self.witnesses = witnesses  # list of (names, arity, residual)
+        self.witnesses = witnesses
         self.max_arity = max_arity
 
     @property
@@ -72,7 +77,8 @@ class CheckReport:
 
     def __repr__(self):
         state = "pass" if self.ok else f"{len(self.witnesses)} violations"
-        return f"CheckReport({state}, {self.checked} tuples, arity<={self.max_arity})"
+        arity = "" if self.max_arity is None else f", arity<={self.max_arity}"
+        return f"CheckReport({state}, {self.checked} checked{arity})"
 
 
 def linfty_residual(S, elements):
@@ -225,53 +231,37 @@ def check_module(M, max_arity=2, tuples=None, module_samples=None):
 # ------------------------------------------------------------------ Maurer-Cartan
 
 
-class MCElement:
-    """Degree-1 element with positive formal-parameter orders: parts[k]
-    is the coefficient of the k-th power, 1 <= k <= nt."""
+class MCElement(Sparse):
+    """Degree-1 element with positive formal-parameter orders: c[k] is the
+    coefficient of the k-th power, 1 <= k <= nt."""
+
+    __slots__ = ("nt", "c")
+    _space = ("nt",)
 
     def __init__(self, parts, nt):
         self.nt = nt
-        self.parts = {}
+        self.c = {}
         for k, v in parts.items():
             if k < 1:
                 raise ValueError("gauge/deformation series start at order 1")
             if k <= nt and v is not None and not v.is_zero():
-                self.parts[k] = v
+                self.c[k] = v
 
-    def __bool__(self):
-        return bool(self.parts)
-
-    def is_zero(self):
-        return not self
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MCElement)
-            and self.nt == other.nt
-            and self.parts == other.parts
-        )
-
-    def __add__(self, other):
-        if self.nt != other.nt:
-            raise ValueError("order caps differ")
-        out = dict(self.parts)
-        for k, v in other.parts.items():
-            add_term(out, k, v)
-        return MCElement(out, self.nt)
-
-    def __rmul__(self, scalar):
-        return MCElement({k: scalar * v for k, v in self.parts.items()}, self.nt)
+    def _like(self, c):
+        out = object.__new__(MCElement)
+        out.nt, out.c = self.nt, c
+        return out
 
 
 def _series_bracket(S, n, series_list, nt):
     """Order-by-order n-ary bracket of formal series elements."""
     out = {}
-    orders = [sorted(s.parts) for s in series_list]
+    orders = [sorted(s.c) for s in series_list]
     for combo in product(*orders):
         k = sum(combo)
         if k > nt:
             continue
-        val = S.apply(n, [series_list[i].parts[combo[i]] for i in range(n)])
+        val = S.apply(n, [series_list[i].c[combo[i]] for i in range(n)])
         if val is not None:
             add_term(out, k, val)
     return out

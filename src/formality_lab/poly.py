@@ -13,7 +13,7 @@ from itertools import product as _cartesian
 from math import perm, prod
 from operator import add, sub
 
-from .core.basis import add_term, rational
+from .core.basis import Sparse, add_term, rational
 
 
 def mul_terms(c1, c2):
@@ -44,8 +44,9 @@ def diff_terms(c, alpha):
     return out
 
 
-class Poly:
+class Poly(Sparse):
     __slots__ = ("n", "c")
+    _space = ("n",)
 
     def __init__(self, n, coeffs=None):
         self.n = n
@@ -79,49 +80,18 @@ class Poly:
     def monomial(cls, n, exps, coeff=1):
         return cls(n, {tuple(exps): coeff})
 
-    # -- predicates & access ----------------------------------------------
-    def __bool__(self):
-        return bool(self.c)
-
-    def is_zero(self):
-        return not self
-
+    # -- access -------------------------------------------------------------
     def coeff(self, exps):
         return self.c.get(tuple(exps), 0)
 
     def terms_sorted(self):
         return sorted(self.c.items())
 
-    # -- arithmetic ---------------------------------------------------------
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("variable counts differ")
-
-    def __add__(self, other):
-        self._check(other)
-        p = Poly.zero(self.n)
-        p.c = dict(self.c)
-        for e, v in other.c.items():
-            add_term(p.c, e, v)
-        return p
-
-    def __neg__(self):
-        p = Poly.zero(self.n)
-        p.c = {e: -v for e, v in self.c.items()}
-        return p
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        v = rational(scalar)
-        if v == -1:
-            return -self
-        p = Poly.zero(self.n)
-        if v == 1:
-            p.c = dict(self.c)
-        elif v:
-            p.c = {e: v * w for e, w in self.c.items()}
+    # -- arithmetic (the vector-space half is ``Sparse``'s) -----------------
+    def _like(self, c):
+        p = object.__new__(Poly)
+        p.n = self.n
+        p.c = c
         return p
 
     def __mul__(self, other):
@@ -129,15 +99,8 @@ class Poly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented  # a container's __rmul__ takes it
             return self.__rmul__(other)
-        self._check(other)
-        p = Poly.zero(self.n)
-        p.c = mul_terms(self.c, other.c)
-        return p
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.n == other.n and self.c == other.c
+        self._same(other)
+        return self._like(mul_terms(self.c, other.c))
 
     def __hash__(self):
         return hash((self.n, frozenset(self.c.items())))
@@ -152,17 +115,11 @@ class Poly:
         if len(alpha) != self.n:
             raise ValueError(f"multi-index {alpha!r} does not have {self.n} entries")
         d = diff_terms(self.c, alpha)
-        if d is self.c:
-            return self
-        p = Poly.zero(self.n)
-        p.c = d
-        return p
+        return self if d is self.c else self._like(d)
 
     def truncate(self, degree_cap):
         """Drop all terms of total degree above the cap."""
-        p = Poly.zero(self.n)
-        p.c = {e: v for e, v in self.c.items() if sum(e) <= degree_cap}
-        return p
+        return self._like({e: v for e, v in self.c.items() if sum(e) <= degree_cap})
 
     def __repr__(self):
         if not self.c:

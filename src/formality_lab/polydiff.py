@@ -8,17 +8,19 @@ where each T_i is a multi-index and c_T is a polynomial coefficient.
 Everything here runs on honest (untruncated) polynomials: composition uses
 the exact Leibniz rule, so the cochain-level identities hold on the nose.
 Degree-capped evaluation is a separate, last step (see ``hochschild``).
+The insertion sum ``circle`` and the ``bracket`` are ``hochschild``'s, the
+same code as for cochain tables.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as _cartesian
 from math import factorial
 from operator import gt
 
-from .core.basis import add_term, rational
+from .core.basis import Sparse, add_term
 from .core.linalg import solve
+from .hochschild import bracket
 from .poly import Poly, diff_terms, mul_terms
 
 
@@ -54,17 +56,18 @@ def _leibniz_splits(alpha, parts):
         yield split, weight
 
 
-class PolyDiffOperator:
-    """terms[(T_1, .., T_n)] = coefficient polynomial (zero-free dict)."""
+class PolyDiffOperator(Sparse):
+    """c[(T_1, .., T_n)] = coefficient polynomial (zero-free dict)."""
 
-    __slots__ = ("nvars", "arity", "terms")
+    __slots__ = ("nvars", "arity", "c")
+    _space = ("nvars", "arity")
 
     def __init__(self, nvars, arity, terms=None):
         if arity < 0:
             raise ValueError("arity must be >= 0")
         self.nvars = nvars
         self.arity = arity
-        self.terms = {}
+        self.c = {}
         if terms:
             for key, poly in terms.items():
                 key = tuple(tuple(t) for t in key)
@@ -77,13 +80,9 @@ class PolyDiffOperator:
                     poly = Poly.const(nvars, poly)
                 if poly.n != nvars:
                     raise ValueError("coefficient variable count mismatch")
-                add_term(self.terms, key, poly)
+                add_term(self.c, key, poly)
 
     # -- constructors -------------------------------------------------------
-    @classmethod
-    def zero(cls, nvars, arity):
-        return cls(nvars, arity)
-
     @classmethod
     def multiplication(cls, nvars):
         """The product cochain (a, b) -> a*b."""
@@ -95,7 +94,7 @@ class PolyDiffOperator:
         """An arity-0 cochain: the polynomial itself."""
         op = cls(poly.n, 0)
         if poly:
-            op.terms[()] = poly
+            op.c[()] = poly
         return op
 
     @property
@@ -103,53 +102,19 @@ class PolyDiffOperator:
         """Degree in the bracket grading: arity minus one."""
         return self.arity - 1
 
-    # -- vector-space operations ---------------------------------------------
-    def _check(self, other):
-        if self.nvars != other.nvars or self.arity != other.arity:
-            raise ValueError("operator shapes differ")
-
-    def __add__(self, other):
-        self._check(other)
-        out = PolyDiffOperator(self.nvars, self.arity)
-        out.terms = dict(self.terms)
-        for key, poly in other.terms.items():
-            add_term(out.terms, key, poly)
+    def _like(self, c):
+        out = object.__new__(PolyDiffOperator)
+        out.nvars, out.arity, out.c = self.nvars, self.arity, c
         return out
 
-    def __neg__(self):
-        out = PolyDiffOperator(self.nvars, self.arity)
-        out.terms = {k: -p for k, p in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        scalar = rational(scalar)
-        out = PolyDiffOperator(self.nvars, self.arity)
-        if scalar:
-            out.terms = {k: scalar * p for k, p in self.terms.items()}
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyDiffOperator):
-            return NotImplemented
-        return (
-            self.nvars == other.nvars
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self
+    def zero_of(self, arity):
+        """The zero operator of ``arity`` in the same variables."""
+        return PolyDiffOperator(self.nvars, arity)
 
     def __repr__(self):
         return (
             f"PolyDiffOperator(nvars={self.nvars}, arity={self.arity}, "
-            f"{len(self.terms)} terms)"
+            f"{len(self.c)} terms)"
         )
 
     # -- evaluation -----------------------------------------------------------
@@ -169,7 +134,7 @@ class PolyDiffOperator:
         tables = [{} for _ in args]
         tops = [tuple(map(max, zip(*a.c))) if a.c else None for a in args]
         total = {}
-        for key, c in self.terms.items():
+        for key, c in self.c.items():
             p = c.c
             for alpha, a, table, top in zip(key, args, tables, tops):
                 if top is None or any(map(gt, alpha, top)):
@@ -198,9 +163,9 @@ class PolyDiffOperator:
             raise ValueError("insertion slot out of range")
         n, m = self.arity, other.arity
         out = PolyDiffOperator(self.nvars, n + m - 1)
-        for alphas, c in self.terms.items():
+        for alphas, c in self.c.items():
             splits = list(_leibniz_splits(alphas[pos], m + 1))
-            for betas, e in other.terms.items():
+            for betas, e in other.c.items():
                 for split, weight in splits:
                     coeff = weight * (c * e.diff_multi(split[0]))
                     if not coeff:
@@ -210,33 +175,8 @@ class PolyDiffOperator:
                         for beta, spl in zip(betas, split[1:])
                     )
                     key = alphas[:pos] + mids + alphas[pos + 1 :]
-                    add_term(out.terms, key, coeff)
+                    add_term(out.c, key, coeff)
         return out
-
-
-def circle(D, E):
-    """Insertion sum: sum_j (-1)^((arity(E)-1)*j) of E into slot j of D."""
-    n, m = D.arity, E.arity
-    if n + m == 0:
-        # no slots to insert into and the honest arity would be negative:
-        # report an arity-0 zero sentinel
-        return PolyDiffOperator.zero(D.nvars, 0)
-    out = PolyDiffOperator.zero(D.nvars, n + m - 1)
-    for j in range(n):
-        term = D.insert(E, j)
-        if ((m - 1) * j) % 2:
-            term = -term
-        out = out + term
-    return out
-
-
-def bracket(D, E):
-    """Graded commutator of insertions; degree of arity-n input is n-1."""
-    n, m = D.arity, E.arity
-    second = circle(E, D)
-    if ((n - 1) * (m - 1)) % 2:
-        return circle(D, E) + second
-    return circle(D, E) - second
 
 
 def cup(D, E):
@@ -246,9 +186,9 @@ def cup(D, E):
     n, m = D.arity, E.arity
     sign = -1 if (n * m) % 2 else 1
     out = PolyDiffOperator(D.nvars, n + m)
-    for alphas, c in D.terms.items():
-        for betas, e in E.terms.items():
-            add_term(out.terms, alphas + betas, sign * (c * e))
+    for alphas, c in D.c.items():
+        for betas, e in E.c.items():
+            add_term(out.c, alphas + betas, sign * (c * e))
     return out
 
 
@@ -257,38 +197,21 @@ def _block_keys(target):
     multi-index total).  The cochain differential preserves both, so an
     exactness solve decomposes into these blocks."""
     blocks = {}
-    for tkey, poly in target.terms.items():
+    for tkey, poly in target.c.items():
         tau = tuple(sum(a[v] for a in tkey) for v in range(target.nvars))
         for mono, coeff in poly.c.items():
-            block = blocks.setdefault((mono, tau), {})
-            block[tkey] = block.get(tkey, Fraction(0)) + coeff
+            add_term(blocks.setdefault((mono, tau), {}), tkey, coeff)
     return blocks
 
 
 def _splits(tau, slots):
-    """All ordered tuples of `slots` multi-indices summing to tau."""
-    nv = len(tau)
-    per_var = []
-    for v in range(nv):
-        combos = []
-        def rec(remaining, parts):
-            if len(parts) == slots - 1:
-                combos.append(parts + [remaining])
-                return
-            for take in range(remaining + 1):
-                rec(remaining - take, parts + [take])
-        rec(tau[v], [])
-        per_var.append(combos)
-    out = []
-    def build(v, acc):
-        if v == nv:
-            keys = tuple(tuple(acc[w][s] for w in range(nv)) for s in range(slots))
-            out.append(keys)
-            return
-        for combo in per_var[v]:
-            build(v + 1, acc + [combo])
-    build(0, [])
-    return out
+    """All ordered tuples of ``slots`` multi-indices summing to tau: one
+    composition of each tau[v] per variable, the first variable slowest
+    (``solve``'s free-variable choice depends on this column order)."""
+    return [
+        tuple(tuple(comp[s] for comp in choice) for s in range(slots))
+        for choice in _cartesian(*(_compositions(t, slots) for t in tau))
+    ]
 
 
 def delta_primitive(target):
@@ -302,7 +225,7 @@ def delta_primitive(target):
         raise ValueError("target arity must be at least 2")
     nv = target.nvars
     arity = target.arity - 1
-    result = PolyDiffOperator.zero(nv, arity)
+    result = PolyDiffOperator(nv, arity)
     for (mono, tau), rhs_terms in _block_keys(target).items():
         basis = _splits(tau, arity)
         images = []
@@ -311,8 +234,8 @@ def delta_primitive(target):
             e = PolyDiffOperator(nv, arity, {bkey: Poly.monomial(nv, mono, 1)})
             img = delta(e)
             flat = {}
-            for tkey, poly in img.terms.items():
-                cf = poly.c.get(mono, Fraction(0))
+            for tkey, poly in img.c.items():
+                cf = poly.c.get(mono)
                 if cf:
                     flat[tkey] = cf
             images.append(flat)
@@ -322,13 +245,13 @@ def delta_primitive(target):
         rhs = []
         for ek in eq_list:
             rows.append({j: images[j][ek] for j in range(len(basis)) if ek in images[j]})
-            rhs.append(rhs_terms.get(ek, Fraction(0)))
+            rhs.append(rhs_terms.get(ek, 0))
         sol = solve(rows, rhs, len(basis))
         if sol is None:
             return None
         for j, val in sol.items():
             if val:
-                add_term(result.terms, basis[j], Poly.monomial(nv, mono, val))
+                add_term(result.c, basis[j], Poly.monomial(nv, mono, val))
     return result
 
 

@@ -628,18 +628,18 @@ def _schouten_suite(args):
                     ),
                 )
     # cyclic-sum identity on randomized bivectors, monomial function triples;
-    # the triple wedges df^dg^dh do not depend on the bivector, and the inner
-    # Poisson brackets and their differentials come from one table per bivector
+    # the differentials df and the triple wedges df^dg^dh do not depend on
+    # the bivector, and the inner Poisson brackets {f, g} = <pi, df^dg> and
+    # their differentials come from one table per bivector
     monos2 = monomials_upto(3, 2)
-    fns = [Poly.monomial(3, e) for e in monos2]
-    dfs = [ct.deRham_d(ct.Form.function(f)) for f in fns]
+    dfs = [ct.deRham_d(ct.Form.function(Poly.monomial(3, e))) for e in monos2]
     triples = list(combinations_with_replacement(range(len(monos2)), 3))
     vols = [dfs[a].wedge(dfs[b]).wedge(dfs[c]) for a, b, c in triples]
     rng = random.Random(404)
     for i in range(nbiv):
         piv = _rand_mv(rng, 3, 2, 2)
         jac = ct.jacobiator(piv)
-        pb = [[ct.poisson_bracket(piv, f, g) for g in fns] for f in fns]
+        pb = [[ct.pairing(piv, da.wedge(db)) for db in dfs] for da in dfs]
         dpb = [[ct.deRham_d(ct.Form.function(p)) for p in row] for row in pb]
         for (a, b, c), vol in zip(triples, vols):
             lhs = (

@@ -135,7 +135,7 @@ def test_criterion_10_flat_class_expansion():
         out.status == "pass"
         and rep.ok
         and rep.klass == {(0, 0): Fraction(1)}
-        and all(ah.deRham_d(p) == rep.value.parts[k]
+        and all(ah.deRham_d(p) == rep.value.c[k]
                 for k, p in rep.primitives.items()),
     )
 
@@ -209,3 +209,14 @@ def test_deformation_report_matches_golden(tmp_path):
     )
     assert rc == 0
     assert out.read_bytes() == (GOLDEN / "deformation-5.json").read_bytes()
+
+
+def test_homology_report_matches_golden(tmp_path):
+    # the benchmark's homology manifest: Betti tables in all four flavors
+    out = tmp_path / "homology.json"
+    rc = main(
+        ["run", str(ROOT / "perfbench" / "homology.yaml"), "--format", "structured",
+         "--out", str(out)],
+    )
+    assert rc == 0
+    assert out.read_bytes() == (GOLDEN / "homology.json").read_bytes()

@@ -126,11 +126,11 @@ def test_series_weight_windows():
 def test_degree_twist_and_regrade():
     sd = ah.SymplecticData(2)
     dx = ah.SeriesForm.wrap(one_form(4, 0))
-    assert ah.degree_twist(sd, dx).parts == {(-1, 0, 1): one_form(4, 0)}
-    assert ah.u_regrade(sd, dx).parts == {(0, 1, 1): one_form(4, 0)}
+    assert ah.degree_twist(sd, dx).c == {(-1, 0, 1): one_form(4, 0)}
+    assert ah.u_regrade(sd, dx).c == {(0, 1, 1): one_form(4, 0)}
     sd1 = ah.SymplecticData(1)
     w = ah.SeriesForm.wrap(sd1.omega)
-    assert ah.degree_twist(sd1, w).parts == {(1, 0, 2): Fraction(-1) * sd1.omega}
+    assert ah.degree_twist(sd1, w).c == {(1, 0, 2): Fraction(-1) * sd1.omega}
 
 
 def test_flat_transport_of_one():
@@ -161,7 +161,7 @@ def test_flat_transport_on_covectors():
     # part of degree 3 at n=2 the transport is the plain identity.
     sd = ah.SymplecticData(2)
     b = ct.Form(4, 3, {(0, 1, 2): Poly.const(4, 1)})
-    assert ah.nu0(sd, ah.SeriesForm.wrap(b)).parts == {(0, 0, 3): b}
+    assert ah.nu0(sd, ah.SeriesForm.wrap(b)).c == {(0, 0, 3): b}
 
 
 def test_flat_class_is_one_at_every_cap():
@@ -178,7 +178,7 @@ def test_flat_primitives_are_certified():
     assert r.primitives
     for (kt, ku, k), prim in r.primitives.items():
         assert k > 0
-        assert ct.deRham_d(prim) == r.value.parts[(kt, ku, k)]
+        assert ct.deRham_d(prim) == r.value.c[(kt, ku, k)]
 
 
 def test_d_primitive_solves_and_refuses():

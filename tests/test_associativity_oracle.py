@@ -29,7 +29,8 @@ from formality_lab import polydiff as pd
 from formality_lab import suites
 from formality_lab.algebras import FunctionModel
 from formality_lab.core.basis import add_term
-from formality_lab.deformation import StarReport, TraceCandidate
+from formality_lab.deformation import TraceCandidate
+from formality_lab.linfty import CheckReport
 from formality_lab.poly import Poly, monomials_upto
 
 
@@ -59,7 +60,7 @@ def _untabled_check_associativity(s, degree=None):
                     d = lhs.get(k, Poly.zero(n)) - rhs.get(k, Poly.zero(n))
                     if not d.is_zero():
                         witnesses.append(((ea, eb, ec), k, d))
-    return StarReport(checked, witnesses)
+    return CheckReport(checked, witnesses)
 
 
 def _pair_table_check_associativity(s, degree=None):
@@ -89,7 +90,7 @@ def _pair_table_check_associativity(s, degree=None):
                     d = lhs.get(k, Poly.zero(n)) - rhs.get(k, Poly.zero(n))
                     if not d.is_zero():
                         witnesses.append(((ea, eb, ec), k, d))
-    return StarReport(checked, witnesses)
+    return CheckReport(checked, witnesses)
 
 
 def _assert_same_report(s, degree=None, reference=_untabled_check_associativity):
@@ -169,7 +170,7 @@ def _untabled_trace_defect(tau, s, degree=None):
             checked += 1
             if not val.is_zero():
                 witnesses.append(((ea, eb), val))
-    return StarReport(checked, witnesses)
+    return CheckReport(checked, witnesses)
 
 
 def test_trace_defect_matches_untabled_sweep():

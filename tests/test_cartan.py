@@ -373,7 +373,7 @@ def test_delta_primitive_roundtrip():
         for _ in range(3):
             a1 = tuple(rng.randint(0, 2) for _ in range(2))
             a2 = tuple(rng.randint(0, 2) for _ in range(2))
-            add_term(X.terms, (a1, a2), rand_poly(rng, 2, 2))
+            add_term(X.c, (a1, a2), rand_poly(rng, 2, 2))
         T = delta(X)
         if T.is_zero():
             continue

@@ -66,9 +66,9 @@ def test_product_owns_its_corrections():
         # a term that leaves a slot underived acts below the reach the
         # product read from the op it was given
         if change == "add-term":
-            op.terms[((0, 0), (1, 0))] = Poly.const(2, 1)
+            op.c[((0, 0), (1, 0))] = Poly.const(2, 1)
         else:
-            op.terms = {((0, 0), (0, 1)): X, ((1, 0), (0, 0)): Y}
+            op.c = {((0, 0), (0, 1)): X, ((1, 0), (0, 0)): Y}
         assert _series_table(s) == _series_table(before)
 
 

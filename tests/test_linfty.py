@@ -79,9 +79,9 @@ def test_perturbed_differential_fails_with_witness():
 
 def test_polydiff_dgla_passes():
     second = pd.PolyDiffOperator(2, 1)
-    second.terms[((2, 0),)] = ONE2
+    second.c[((2, 0),)] = ONE2
     bi = pd.PolyDiffOperator(2, 2)
-    bi.terms[((1, 0), (0, 1))] = Poly.const(2, 2)
+    bi.c[((1, 0), (0, 1))] = Poly.const(2, 2)
     gens = [
         ("dx", pd.PolyDiffOperator(2, 1, {((1, 0),): ONE2})),
         ("dxx", second),

@@ -2,7 +2,8 @@
 falling-factorial rule against the ``Poly``-object loops they replaced.
 
 ``_parent_apply``, ``_parent_diff_multi`` and ``_parent_diff`` are the
-previous bodies, kept verbatim as the reference: ``apply`` multiplies
+previous bodies, kept verbatim as the reference (``apply`` reads the
+operator's terms as ``c``, their name since): ``apply`` multiplies
 ``Poly`` objects slot by slot, and ``diff_multi`` takes one single-variable
 ``diff`` step per unit of the multi-index.  Inside ``_parent_calculus()``
 the three methods run on those bodies, so the reference never reaches
@@ -10,6 +11,11 @@ the three methods run on those bodies, so the reference never reaches
 inputs the current code must give the same coefficient dicts, with no stored
 zeros and with the same scalar type (``int`` or ``Fraction``) per monomial,
 so an ``int`` coefficient of the old path is still an ``int``.
+
+``_parent_splits`` is the previous body of ``polydiff._splits``, verbatim:
+two nested recursive closures where ``_splits`` now takes the product of
+``_compositions`` over the variables.  ``delta_primitive`` solves for its
+columns in this order, so the lists must be equal, order included.
 """
 
 import random
@@ -22,7 +28,7 @@ import pytest
 from formality_lab import deformation as df
 from formality_lab import suites
 from formality_lab.poly import Poly, monomials_upto
-from formality_lab.polydiff import PolyDiffOperator
+from formality_lab.polydiff import PolyDiffOperator, _splits
 
 # -- reference: the previous bodies, verbatim ----------------------------------
 
@@ -30,7 +36,7 @@ def _parent_apply(self, args):
     if len(args) != self.arity:
         raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
     total = Poly.zero(self.nvars)
-    for key, c in self.terms.items():
+    for key, c in self.c.items():
         p = c
         for alpha, a in zip(key, args):
             if not p:
@@ -151,7 +157,7 @@ def _termwise_keys(op, args):
     """Monomials that some single term of ``op`` reaches on ``args``."""
     keys = set()
     with _parent_calculus():
-        for key, c in op.terms.items():
+        for key, c in op.c.items():
             keys |= PolyDiffOperator(op.nvars, op.arity, {key: c}).apply(args).c.keys()
     return keys
 
@@ -217,9 +223,9 @@ def test_insert_matches_reference():
         new = D.insert(E, pos)
         with _parent_calculus():
             old = D.insert(E, pos)
-        assert new.terms.keys() == old.terms.keys()
-        for key, c in new.terms.items():
-            _assert_same_poly(c, old.terms[key])
+        assert new.c.keys() == old.c.keys()
+        for key, c in new.c.items():
+            _assert_same_poly(c, old.c[key])
 
 
 # The benchmark's deformation patterns: (variables, t-order, upper-triangle
@@ -298,3 +304,39 @@ def test_variable_count_mismatch_raises():
             D.apply(args)
     with pytest.raises(ValueError):
         x.diff_multi((1, 0, 0))
+
+
+def _parent_splits(tau, slots):
+    """All ordered tuples of `slots` multi-indices summing to tau."""
+    nv = len(tau)
+    per_var = []
+    for v in range(nv):
+        combos = []
+        def rec(remaining, parts):
+            if len(parts) == slots - 1:
+                combos.append(parts + [remaining])
+                return
+            for take in range(remaining + 1):
+                rec(remaining - take, parts + [take])
+        rec(tau[v], [])
+        per_var.append(combos)
+    out = []
+    def build(v, acc):
+        if v == nv:
+            keys = tuple(tuple(acc[w][s] for w in range(nv)) for s in range(slots))
+            out.append(keys)
+            return
+        for combo in per_var[v]:
+            build(v + 1, acc + [combo])
+    build(0, [])
+    return out
+
+
+def test_splits_match_reference_in_order():
+    rng = random.Random(1717)
+    cases = [((), 1), ((), 3), ((0,), 1), ((2, 0, 1), 1)]
+    for _ in range(40):
+        nv = rng.randint(1, 3)
+        cases.append((tuple(rng.randint(0, 3) for _ in range(nv)), rng.randint(1, 4)))
+    for tau, slots in cases:
+        assert _splits(tau, slots) == _parent_splits(tau, slots), (tau, slots)

@@ -1,13 +1,28 @@
-"""Every sparse container keeps no stored zeros and takes only exact scalars.
+"""Every sparse container keeps no stored zeros, takes only exact scalars,
+and does its vector-space arithmetic through the one ``core.basis.Sparse``.
 
 One parameterized test per property, over the containers that
 ``core.basis.add_term`` maintains: a sum that cancels, and one product or
 bracket that cancels, must leave an empty coefficient dict, and the truth
 value must agree with ``is_zero()``.  A float, as a constructor
 coefficient or as a scalar factor, raises ``TypeError``.
+
+The seven ``Sparse`` containers (``Poly``, ``FormalSeries``,
+``PolyDiffOperator``, ``Chain``, multivectors and forms, ``SeriesForm`` and
+``MCElement``) are compared against their own hand-written methods from
+before the base, kept in ``parent_vector_ops``: on seeded pairs, with
+cancelling sums, the scalars 0, 1, -1, ``Fraction(1, 1)`` and
+``Fraction(-2, 3)``, zero forms of different degrees, chains over different
+algebras and other space mismatches, every ``+``, ``-``, negation, scalar
+multiple, ``==``, truth value and ``is_zero`` must agree: the same type,
+space, keys in the same order and values of the same type, or
+``ValueError`` on both sides.  ``Cochain`` keeps its own arithmetic on a
+table of vectors.
 """
 
 from fractions import Fraction
+
+import random
 
 import pytest
 
@@ -18,12 +33,13 @@ from formality_lab import linfty as lf
 from formality_lab import polydiff as pd
 from formality_lab.algebras import StructureAlgebra, dual_numbers, trunc_poly_algebra
 from formality_lab.cartan import Form, MultiVector
-from formality_lab.core.basis import rational
+from formality_lab.core.basis import Sparse, rational
 from formality_lab.core.series import FormalSeries
 from formality_lab.deformation import moyal
 from formality_lab.hochschild import Chain, Cochain
 from formality_lab.poly import Poly
 from formality_lab.polydiff import PolyDiffOperator
+from parent_vector_ops import parent_arithmetic
 
 X0, X1 = Poly.var(2, 0), Poly.var(2, 1)
 ONE = Poly.const(2, 1)
@@ -60,11 +76,12 @@ def _formal_series():
     return FormalSeries({(0, 0): 1, (1, 1): Fraction(-1, 3), (2, -1): 2}, nt=3, u_window=(-2, 2))
 
 
+def _mc_element():
+    return lf.MCElement({1: pd.PolyDiffOperator.multiplication(2), 2: _operator()}, 3)
+
+
 def _terms(x):
-    for name in ("c", "table", "terms", "parts"):
-        if hasattr(x, name):
-            return getattr(x, name)
-    raise AssertionError(f"no coefficient dict on {type(x).__name__}")
+    return x.table if isinstance(x, Cochain) else x.c
 
 
 # name -> (a nonzero element, a product or bracket of it that cancels to zero)
@@ -77,6 +94,10 @@ CONTAINERS = {
     "PolyDiffOperator": (_operator, lambda D: pd.delta(pd.delta(D))),
     "SeriesForm": (_series_form, lambda a: ahat.diff_d(None, ahat.diff_d(None, a))),
     "FormalSeries": (_formal_series, lambda a: a * (a + a) - (a + a) * a),
+    "MCElement": (
+        _mc_element,
+        lambda m: lf.MCElement({k: pd.delta(pd.delta(v)) for k, v in m.c.items()}, m.nt),
+    ),
 }
 
 
@@ -176,3 +197,159 @@ def test_int_and_fraction_coefficients_are_one_value():
     assert p == q and hash(p) == hash(q)
     assert type(p.coeff((0, 0))) is int and type(q.coeff((0, 0))) is Fraction
     assert p.coeff((1, 0)) == 0 and type(p.coeff((1, 0))) is int
+
+
+# -- the Sparse base against each container's own methods ----------------------
+
+SCALARS = (0, 1, -1, Fraction(1, 1), Fraction(-2, 3))
+
+OPS = {
+    "x + y": lambda x, y: x + y,
+    "x - y": lambda x, y: x - y,
+    "y - x": lambda x, y: y - x,
+    "-x": lambda x, y: -x,
+    "x + (-1) * x": lambda x, y: x + (-1) * x,
+    "x - x": lambda x, y: x - x,
+    "x == y": lambda x, y: x == y,
+    "y == x": lambda x, y: y == x,
+    "x == -(-x)": lambda x, y: x == -(-x),
+    "bool(x)": lambda x, y: bool(x),
+    "y.is_zero()": lambda x, y: y.is_zero(),
+    **{f"{s!r} * x": (lambda x, y, s=s: s * x) for s in SCALARS},
+}
+
+
+def _shape(v):
+    """Type, space and (key, value) items in order, values by type and value."""
+    if isinstance(v, Sparse):
+        space = tuple(getattr(v, slot) for slot in v._space)
+        return type(v), space, [(key, _shape(w)) for key, w in v.c.items()]
+    return type(v), v
+
+
+def _outcomes(x, y):
+    out = {}
+    for name, op in OPS.items():
+        try:
+            out[name] = _shape(op(x, y))
+        except ValueError:
+            out[name] = ValueError
+    return out
+
+
+def _scalar(rng):
+    return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+
+
+def _rpoly(rng, n=2):
+    return Poly(n, {tuple(rng.randint(0, 2) for _ in range(n)): _scalar(rng) for _ in range(3)})
+
+
+def _rform(rng, cls, n, k):
+    frames = [f for f in ((0,), (1,), (0, 1), (), (1, 2), (0, 2)) if len(f) == k and max(f, default=0) < n]
+    return cls(n, k, {f: _rpoly(rng, n) for f in rng.sample(frames, rng.randint(1, len(frames)))})
+
+
+def _rmulti(rng):
+    return tuple(rng.randint(0, 1) for _ in range(2))
+
+
+def _roperator(rng, arity=2):
+    return PolyDiffOperator(
+        2, arity, {tuple(_rmulti(rng) for _ in range(arity)): _rpoly(rng) for _ in range(3)}
+    )
+
+
+# name -> (seeded element, seeded element of another space of the same type)
+SEEDED = {
+    "Poly": (_rpoly, lambda rng: _rpoly(rng, 3)),
+    "FormalSeries": (
+        lambda rng: FormalSeries(
+            {(rng.randint(0, 3), rng.randint(-2, 2)): _scalar(rng) for _ in range(4)},
+            nt=3, u_window=(-2, 2),
+        ),
+        lambda rng: FormalSeries({(1, 0): _scalar(rng) or 1}, nt=2, u_window=(-2, 2)),
+    ),
+    "PolyDiffOperator": (_roperator, lambda rng: _roperator(rng, 1)),
+    "Chain": (
+        lambda rng: Chain(
+            T3, 2, {tuple(rng.randint(0, 2) for _ in range(3)): _scalar(rng) for _ in range(5)}
+        ),
+        lambda rng: Chain(T3, 1, {(0, 1): 1}),
+    ),
+    "MultiVector": (
+        lambda rng: _rform(rng, MultiVector, 2, 1),
+        lambda rng: _rform(rng, MultiVector, 2, 2),
+    ),
+    "Form": (lambda rng: _rform(rng, Form, 3, 2), lambda rng: _rform(rng, Form, 3, 1)),
+    "SeriesForm": (
+        lambda rng: ahat.SeriesForm(
+            2, {(rng.randint(-1, 1), rng.randint(-1, 1), k): _rform(rng, Form, 2, k) for k in (0, 1, 1)}
+        ),
+        lambda rng: ahat.SeriesForm(2, {(0, 0, 1): _rform(rng, Form, 2, 1)}, twin=(-2, 2)),
+    ),
+    "MCElement": (
+        lambda rng: lf.MCElement({k: _roperator(rng) for k in (1, rng.randint(1, 3))}, 3),
+        lambda rng: lf.MCElement({1: _roperator(rng)}, 2),
+    ),
+}
+
+
+def _cancelling(rng, x, noise):
+    """An element of x's space that cancels a random part of x: the
+    negatives of some of x's terms, over the terms of ``noise``."""
+    c = dict(noise.c)
+    c.update({key: -v for key, v in x.c.items() if rng.random() < 0.6})
+    return x._like(c)
+
+
+def _pairs(name, seed):
+    rng = random.Random(seed)
+    make, other_space = SEEDED[name]
+    x, y = make(rng), make(rng)
+    pairs = [(x, y), (x, _cancelling(rng, x, y)), (x, (-1) * x), (x, other_space(rng))]
+    pairs.append((x, x._like({})))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_base_matches_each_containers_own_methods(name, seed):
+    for x, y in _pairs(name, 1000 * seed + sorted(SEEDED).index(name)):
+        with parent_arithmetic():
+            want = _outcomes(x, y)
+        assert _outcomes(x, y) == want, (name, x, y)
+
+
+def _space_cases():
+    """(x, y, whether x + y must raise), named, for zeros of other degrees
+    and for elements of two spaces."""
+    rng = random.Random(17)
+    f1 = _rform(rng, Form, 2, 1)
+    other = trunc_poly_algebra(3)
+    cases = [
+        ("zero forms of degrees 0 and 1", Form.zero(2, 0), f1, False),
+        ("a 1-form and a zero 2-form", f1, Form.zero(2, 2), False),
+        ("zero forms of degrees 0 and 2", Form.zero(2, 0), Form.zero(2, 2), False),
+        ("a 1-form and a 2-form", f1, Form(2, 2, {(0, 1): X0}), True),
+        ("a multivector and a form", MultiVector(2, 1, {(0,): X0}), Form(2, 1, {(0,): X0}), True),
+        ("forms in 2 and 3 variables", f1, Form(3, 1, {(0,): 1}), True),
+        ("chains over two algebras", Chain(T3, 1, {(0, 1): 1}), Chain(other, 1, {(0, 1): 1}), True),
+        ("zero chains over two algebras", Chain(T3, 1), Chain(other, 1), True),
+        (
+            "series forms with different u-windows",
+            _series_form(),
+            ahat.SeriesForm(2, {(0, 0, 0): Form.function(X0)}, uwin=(-3, 3)),
+            True,
+        ),
+    ]
+    return [pytest.param(x, y, raises, id=name) for name, x, y, raises in cases]
+
+
+@pytest.mark.parametrize("x, y, raises", _space_cases())
+def test_zero_of_any_degree_and_space_mismatches_match_the_reference(x, y, raises):
+    with parent_arithmetic():
+        want = _outcomes(x, y)
+    got = _outcomes(x, y)
+    assert got == want
+    assert (got["x + y"] is ValueError) == raises
