@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import product as _cartesian
 
-from .core.basis import Sparse, add_term, rational, vadd_into, vec
+from .core.basis import Sparse, add_term, nest, rational, vadd_into, vec
 from .core.linalg import rank_kernel
 
 
@@ -32,8 +32,8 @@ class Cochain:
     """Multilinear map A^arity -> A given by table[(i_1..i_n)] = output vec.
 
     Not a ``core.basis.Sparse``: its values are sparse vectors, not scalars
-    or containers, and ``insert`` and ``lie_action`` read whole rows by
-    input tuple, so it keeps its own table arithmetic.
+    or containers, and ``lie_action`` reads whole rows by input tuple, so
+    it keeps its own table arithmetic.
     """
 
     __slots__ = ("algebra", "arity", "table")
@@ -77,9 +77,16 @@ class Cochain:
     def lie_degree(self):
         return self.arity - 1
 
-    def zero_of(self, arity):
-        """The zero cochain of ``arity`` on the same algebra."""
-        return Cochain(self.algebra, arity)
+    def assemble(self, other, arity, terms):
+        """The cochain of ``arity`` whose flat terms {(input tuple, output
+        index): scalar} are ``terms``, summed from insertions of ``other``
+        into this one (or the reverse); ValueError unless both live on the
+        same algebra."""
+        if self.algebra is not other.algebra:
+            raise ValueError("different algebras")
+        out = Cochain(self.algebra, arity)
+        out.table = nest(terms)
+        return out
 
     # -- vector space ---------------------------------------------------------
     def _check(self, other):
@@ -164,47 +171,56 @@ class Cochain:
         return out
 
     # -- insertion --------------------------------------------------------------
-    def insert(self, other, pos):
-        """Feed ``other``'s output into argument slot ``pos``."""
+    def insert_terms(self, other, pos):
+        """``other``'s output fed into argument slot ``pos``, as flat terms
+        {(input tuple, output index): scalar} for ``assemble``."""
         if self.algebra is not other.algebra:
             raise ValueError("different algebras")
         if not 0 <= pos < self.arity:
             raise ValueError("insertion slot out of range")
-        n, m = self.arity, other.arity
-        out = Cochain(self.algebra, n + m - 1)
+        out = {}
         for dtup, dvec in self.table.items():
             k = dtup[pos]
+            head, tail = dtup[:pos], dtup[pos + 1 :]
             for etup, evec in other.table.items():
                 c = evec.get(k)
                 if not c:
                     continue
-                _add_vec(out.table, dtup[:pos] + etup + dtup[pos + 1 :], dvec, c)
+                key = head + etup + tail
+                for kk, v in dvec.items():
+                    add_term(out, (key, kk), c * v)
         return out
 
 
-def circle(D, E):
-    """Insertion sum: sum_j (-1)^((arity(E)-1)*j) of E into slot j of D.
+def circle_terms(D, E):
+    """The insertion sum sum_j (-1)^((arity(E)-1)*j) of E into slot j of D,
+    as flat terms for ``D.assemble``.
 
-    One sum for every cochain type with ``insert`` and ``zero_of``: the
-    tables here and ``polydiff``'s operators.
+    One sum for every cochain type with ``insert_terms`` and ``assemble``:
+    the tables here and ``polydiff``'s operators.  Each insertion is summed
+    on its own and then added in.  A partial sum that cancels restarts at
+    the type (``int`` or ``Fraction``) of the next term, so the grouping
+    fixes the scalar type of an integral result; this one gives the types
+    that adding built insertions gives.
     """
-    n, m = D.arity, E.arity
-    # with no slots to insert into, the honest arity n + m - 1 would be
-    # negative: an arity-0 zero stands in
-    out = D.zero_of(max(n + m - 1, 0))
-    for j in range(n):
-        term = D.insert(E, j)
-        out = out - term if ((m - 1) * j) % 2 else out + term
+    out = {}
+    m = E.arity
+    for j in range(D.arity):
+        vadd_into(out, D.insert_terms(E, j), -1 if ((m - 1) * j) % 2 else 1)
     return out
 
 
 def bracket(D, E):
-    """Graded commutator of insertions; degree of arity-n input is n-1."""
+    """Graded commutator of insertions; degree of arity-n input is n-1.
+
+    The two insertion sums are added as flat terms and the result is built
+    once.  [E, D] = -(-1)^((n-1)(m-1)) [D, E] holds by construction."""
     n, m = D.arity, E.arity
-    second = circle(E, D)
-    if ((n - 1) * (m - 1)) % 2:
-        return circle(D, E) + second
-    return circle(D, E) - second
+    out = circle_terms(D, E)
+    vadd_into(out, circle_terms(E, D), 1 if ((n - 1) * (m - 1)) % 2 else -1)
+    # with no slots to insert into, the honest arity n + m - 1 would be
+    # negative: an arity-0 zero stands in
+    return D.assemble(E, max(n + m - 1, 0), out)
 
 
 def cup(D, E):

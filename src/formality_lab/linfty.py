@@ -38,13 +38,16 @@ class LInftyStructure:
 
     Missing arities are zero.  ``generators`` is a list of (name, element)
     pairs the checkers sample; ``degree`` maps an element to its integer
-    grading.
+    grading.  ``antisymmetric`` declares the 2-bracket graded antisymmetric,
+    [y, x] = -(-1)^(|x||y|) [x, y], so ``mc_residual`` may take one bracket
+    per unordered pair; leave it off unless that holds by construction.
     """
 
-    def __init__(self, degree, brackets, generators=()):
+    def __init__(self, degree, brackets, generators=(), antisymmetric=False):
         self.degree = degree
         self.brackets = dict(brackets)
         self.generators = list(generators)
+        self.antisymmetric = antisymmetric
 
     def apply(self, n, args):
         fn = self.brackets.get(n)
@@ -53,12 +56,13 @@ class LInftyStructure:
         return fn(list(args))
 
 
-def dgla(degree, differential, bracket_fn, generators=()):
-    """Package a differential graded Lie algebra as a structure table."""
+def dgla(degree, differential, bracket_fn, generators=(), antisymmetric=False):
+    """Package a differential graded Lie algebra as a structure table;
+    ``antisymmetric`` is passed on as the structure's declaration."""
     brackets = {2: lambda args: bracket_fn(args[0], args[1])}
     if differential is not None:
         brackets[1] = lambda args: differential(args[0])
-    return LInftyStructure(degree, brackets, generators)
+    return LInftyStructure(degree, brackets, generators, antisymmetric)
 
 
 class CheckReport:
@@ -254,14 +258,28 @@ class MCElement(Sparse):
 
 
 def _series_bracket(S, n, series_list, nt):
-    """Order-by-order n-ary bracket of formal series elements."""
+    """Order-by-order n-ary bracket of formal series elements.
+
+    When ``S`` declares its 2-bracket antisymmetric and both arguments are
+    one series x, [x_j, x_i] for j > i is read off [x_i, x_j], which the
+    ordered visit has already computed."""
     out = {}
     orders = [sorted(s.c) for s in series_list]
+    mirror = n == 2 and S.antisymmetric and series_list[0] is series_list[1]
+    done = {}
     for combo in product(*orders):
         k = sum(combo)
         if k > nt:
             continue
-        val = S.apply(n, [series_list[i].c[combo[i]] for i in range(n)])
+        args = [series_list[i].c[combo[i]] for i in range(n)]
+        if mirror and combo[0] > combo[1]:
+            val = done[combo[1], combo[0]]
+            if S.degree(args[0]) * S.degree(args[1]) % 2 == 0:
+                val = -val
+        else:
+            val = S.apply(n, args)
+            if mirror and combo[0] < combo[1]:
+                done[combo] = val
         if val is not None:
             add_term(out, k, val)
     return out

@@ -8,17 +8,18 @@ where each T_i is a multi-index and c_T is a polynomial coefficient.
 Everything here runs on honest (untruncated) polynomials: composition uses
 the exact Leibniz rule, so the cochain-level identities hold on the nose.
 Degree-capped evaluation is a separate, last step (see ``hochschild``).
-The insertion sum ``circle`` and the ``bracket`` are ``hochschild``'s, the
-same code as for cochain tables.
+The insertion sum ``circle_terms`` and the ``bracket`` are ``hochschild``'s,
+the same code as for cochain tables, on the flat terms of ``insert_terms``.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product as _cartesian
-from math import factorial
-from operator import gt
+from math import comb, factorial
+from operator import add, gt, sub
 
-from .core.basis import Sparse, add_term
+from .core.basis import Sparse, add_term, nest
 from .core.linalg import solve
 from .hochschild import bracket
 from .poly import Poly, diff_terms, mul_terms
@@ -33,9 +34,14 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+@cache
 def _leibniz_splits(alpha, parts):
     """Ways to write multi-index ``alpha`` as an ordered sum of ``parts``
-    multi-indices, with the multinomial weight of each split."""
+    multi-indices, with the multinomial weight of each split, as a tuple.
+    With no parts there is one empty split of a zero ``alpha``, and none of
+    any other."""
+    if not parts:
+        return () if any(alpha) else (((), 1),)
     per_var = []
     for a_v in alpha:
         opts = []
@@ -46,6 +52,7 @@ def _leibniz_splits(alpha, parts):
             opts.append((comp, w))
         per_var.append(opts)
     nv = len(alpha)
+    out = []
     for choice in _cartesian(*per_var):
         weight = 1
         for _, w in choice:
@@ -53,7 +60,22 @@ def _leibniz_splits(alpha, parts):
         split = tuple(
             tuple(choice[v][0][k] for v in range(nv)) for k in range(parts)
         )
-        yield split, weight
+        out.append((split, weight))
+    return tuple(out)
+
+
+@cache
+def _first_parts(alpha, top):
+    """The parts s0 <= alpha of a Leibniz split that can land on a
+    coefficient whose largest exponents are ``top`` (a larger s0 kills
+    it), each with the rest alpha - s0 and the weight prod C(alpha, s0)."""
+    out = []
+    for s0 in _cartesian(*(range(min(a, t) + 1) for a, t in zip(alpha, top))):
+        weight = 1
+        for a, s in zip(alpha, s0):
+            weight *= comb(a, s)
+        out.append((s0, tuple(map(sub, alpha, s0)), weight))
+    return tuple(out)
 
 
 class PolyDiffOperator(Sparse):
@@ -107,9 +129,17 @@ class PolyDiffOperator(Sparse):
         out.nvars, out.arity, out.c = self.nvars, self.arity, c
         return out
 
-    def zero_of(self, arity):
-        """The zero operator of ``arity`` in the same variables."""
-        return PolyDiffOperator(self.nvars, arity)
+    def assemble(self, other, arity, terms):
+        """The operator of ``arity`` whose flat terms {(slot multi-indices,
+        exponent): scalar} are ``terms``, summed from insertions of
+        ``other`` into this one (or the reverse); ValueError unless both act
+        on the same variables."""
+        if self.nvars != other.nvars:
+            raise ValueError("variable counts differ")
+        zero = Poly.zero(self.nvars)
+        out = PolyDiffOperator(self.nvars, arity)
+        out.c = {key: zero._like(coeffs) for key, coeffs in nest(terms).items()}
+        return out
 
     def __repr__(self):
         return (
@@ -153,30 +183,49 @@ class PolyDiffOperator(Sparse):
         return out
 
     # -- composition ------------------------------------------------------------
-    def insert(self, other, pos):
-        """Plug ``other`` into argument slot ``pos``, expanding derivatives
-        that used to hit that slot over other's coefficient and arguments by
-        the Leibniz rule.  No sign convention is applied here."""
+    def insert_terms(self, other, pos):
+        """``other`` plugged into argument slot ``pos``, as flat terms
+        {(slot multi-indices, exponent): scalar} for ``assemble``.
+
+        The derivatives d^alpha that hit that slot are spread by the Leibniz
+        rule over other's coefficient (the part s0) and its arguments.  Only
+        parts s0 up to the coefficient's largest exponents survive; each
+        derivative of a coefficient is built once per call, and the products
+        run on exponent dicts.  No sign convention is applied here.
+        """
         if self.nvars != other.nvars:
             raise ValueError("variable counts differ")
         if not 0 <= pos < self.arity:
             raise ValueError("insertion slot out of range")
-        n, m = self.arity, other.arity
-        out = PolyDiffOperator(self.nvars, n + m - 1)
+        m = other.arity
+        terms = [
+            (betas, e.c, tuple(map(max, zip(*e.c))), {})
+            for betas, e in other.c.items()
+        ]
+        out = {}
         for alphas, c in self.c.items():
-            splits = list(_leibniz_splits(alphas[pos], m + 1))
-            for betas, e in other.c.items():
-                for split, weight in splits:
-                    coeff = weight * (c * e.diff_multi(split[0]))
-                    if not coeff:
+            alpha, head, tail = alphas[pos], alphas[:pos], alphas[pos + 1 :]
+            for betas, e, top, derivs in terms:
+                for s0, rest, w0 in _first_parts(alpha, top):
+                    splits = _leibniz_splits(rest, m)
+                    if not splits:
                         continue
-                    mids = tuple(
-                        tuple(b + s for b, s in zip(beta, spl))
-                        for beta, spl in zip(betas, split[1:])
-                    )
-                    key = alphas[:pos] + mids + alphas[pos + 1 :]
-                    add_term(out.c, key, coeff)
+                    d = derivs.get(s0)
+                    if d is None:
+                        d = derivs[s0] = diff_terms(e, s0)
+                    if not d:
+                        continue
+                    p = mul_terms(c.c, d)
+                    for split, w in splits:
+                        weight = w0 * w
+                        key = head + tuple(map(_shift, betas, split)) + tail
+                        for x, v in p.items():
+                            add_term(out, (key, x), v if weight == 1 else weight * v)
         return out
+
+
+def _shift(beta, s):
+    return tuple(map(add, beta, s))
 
 
 def cup(D, E):

@@ -152,7 +152,10 @@ def _skewed_product():
 
 
 def _operator_dgla():
-    return lf.dgla(lambda op: op.arity - 1, pd.delta, pd.bracket, [])
+    # the bracket is graded antisymmetric by construction (hochschild.bracket)
+    return lf.dgla(
+        lambda op: op.arity - 1, pd.delta, pd.bracket, [], antisymmetric=True
+    )
 
 
 def _cochain_dgla(A, arities=(1, 2)):

@@ -15,7 +15,6 @@ from formality_lab.core.basis import vec
 from formality_lab.hochschild import (
     Cochain,
     Chain,
-    circle,
     bracket,
     cup,
     delta,

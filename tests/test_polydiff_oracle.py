@@ -12,6 +12,10 @@ inputs the current code must give the same coefficient dicts, with no stored
 zeros and with the same scalar type (``int`` or ``Fraction``) per monomial,
 so an ``int`` coefficient of the old path is still an ``int``.
 
+``insert`` (one ``insert_into`` plus ``assemble``) is compared with the
+operator ``insert`` from before the one-accumulator rewrite, which
+``parent_composition()`` restores, running on the reference calculus.
+
 ``_parent_splits`` is the previous body of ``polydiff._splits``, verbatim:
 two nested recursive closures where ``_splits`` now takes the product of
 ``_compositions`` over the variables.  ``delta_primitive`` solves for its
@@ -29,6 +33,7 @@ from formality_lab import deformation as df
 from formality_lab import suites
 from formality_lab.poly import Poly, monomials_upto
 from formality_lab.polydiff import PolyDiffOperator, _splits
+from composition import insert, parent_composition
 
 # -- reference: the previous bodies, verbatim ----------------------------------
 
@@ -220,9 +225,10 @@ def test_insert_matches_reference():
         D = _operator(rng, n, rng.randint(1, 3), False)
         E = _operator(rng, n, rng.randint(0, 2), False)
         pos = rng.randrange(D.arity)
-        new = D.insert(E, pos)
-        with _parent_calculus():
+        new = insert(D, E, pos)
+        with _parent_calculus(), parent_composition():
             old = D.insert(E, pos)
+        assert new.arity == old.arity
         assert new.c.keys() == old.c.keys()
         for key, c in new.c.items():
             _assert_same_poly(c, old.c[key])
