@@ -47,28 +47,21 @@ def add_term(d, key, value):
 
 
 def vadd_into(acc, other, scale=1):
-    """acc += scale * other, in place; returns acc.  An ``int`` scale of 1
-    or -1 adds or negates each value and builds no product (the result has
-    the same type either way)."""
-    if type(scale) is int and (scale == 1 or scale == -1):
-        for lab, val in other.items():
-            add_term(acc, lab, val if scale == 1 else -val)
-    elif scale:
+    """acc += scale * other, in place; returns acc."""
+    if scale:
         for lab, val in other.items():
             add_term(acc, lab, scale * val)
     return acc
 
 
-def nest(flat):
-    """{(outer, inner): value} as {outer: {inner: value}}, outer keys in the
-    order they first appear."""
-    out = {}
-    for (outer, inner), v in flat.items():
-        d = out.get(outer)
-        if d is None:
-            d = out[outer] = {}
-        d[inner] = v
-    return out
+def add_row(table, key, v, scale=1):
+    """table[key] += scale * v for a table of sparse vectors, dropping the
+    key when its vector cancels.  A new key goes last and a row that
+    cancels leaves, as in a sum of containers."""
+    acc = table.setdefault(key, {})
+    vadd_into(acc, v, scale)
+    if not acc:
+        del table[key]
 
 
 def vec(*pairs):

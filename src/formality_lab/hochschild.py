@@ -15,17 +15,8 @@ from __future__ import annotations
 
 from itertools import product as _cartesian
 
-from .core.basis import Sparse, add_term, nest, rational, vadd_into, vec
+from .core.basis import Sparse, add_row, add_term, rational, vadd_into, vec
 from .core.linalg import rank_kernel
-
-
-def _add_vec(table, key, v, scale=1):
-    """table[key] += scale * v for a table of sparse vectors, dropping the
-    key when its vector cancels."""
-    acc = table.setdefault(key, {})
-    vadd_into(acc, v, scale)
-    if not acc:
-        del table[key]
 
 
 class Cochain:
@@ -50,7 +41,7 @@ class Cochain:
                 tup = tuple(tup)
                 if len(tup) != arity or any(not 0 <= i < dim for i in tup):
                     raise ValueError(f"bad input tuple {tup!r}")
-                _add_vec(self.table, tup, vec(*v.items()))
+                add_row(self.table, tup, vec(*v.items()))
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -77,15 +68,15 @@ class Cochain:
     def lie_degree(self):
         return self.arity - 1
 
-    def assemble(self, other, arity, terms):
-        """The cochain of ``arity`` whose flat terms {(input tuple, output
-        index): scalar} are ``terms``, summed from insertions of ``other``
-        into this one (or the reverse); ValueError unless both live on the
-        same algebra."""
+    def assemble(self, other, arity, rows):
+        """The cochain of ``arity`` whose rows {input tuple: {output index:
+        scalar}} are ``rows``, summed from insertions of ``other`` into this
+        one (or the reverse); ValueError unless both live on the same
+        algebra."""
         if self.algebra is not other.algebra:
             raise ValueError("different algebras")
         out = Cochain(self.algebra, arity)
-        out.table = nest(terms)
+        out.table = rows
         return out
 
     # -- vector space ---------------------------------------------------------
@@ -98,7 +89,7 @@ class Cochain:
         out = Cochain(self.algebra, self.arity)
         out.table = {t: dict(v) for t, v in self.table.items()}
         for t, v in other.table.items():
-            _add_vec(out.table, t, v)
+            add_row(out.table, t, v)
         return out
 
     def __neg__(self):
@@ -171,9 +162,9 @@ class Cochain:
         return out
 
     # -- insertion --------------------------------------------------------------
-    def insert_terms(self, other, pos):
-        """``other``'s output fed into argument slot ``pos``, as flat terms
-        {(input tuple, output index): scalar} for ``assemble``."""
+    def insert_rows(self, other, pos):
+        """``other``'s output fed into argument slot ``pos``, as rows
+        {input tuple: {output index: scalar}} for ``assemble``."""
         if self.algebra is not other.algebra:
             raise ValueError("different algebras")
         if not 0 <= pos < self.arity:
@@ -181,43 +172,44 @@ class Cochain:
         out = {}
         for dtup, dvec in self.table.items():
             k = dtup[pos]
-            head, tail = dtup[:pos], dtup[pos + 1 :]
             for etup, evec in other.table.items():
                 c = evec.get(k)
                 if not c:
                     continue
-                key = head + etup + tail
-                for kk, v in dvec.items():
-                    add_term(out, (key, kk), c * v)
+                add_row(out, dtup[:pos] + etup + dtup[pos + 1 :], dvec, c)
         return out
 
 
-def circle_terms(D, E):
-    """The insertion sum sum_j (-1)^((arity(E)-1)*j) of E into slot j of D,
-    as flat terms for ``D.assemble``.
+def _add_rows(acc, rows, sign):
+    for key, row in rows.items():
+        add_row(acc, key, row, sign)
 
-    One sum for every cochain type with ``insert_terms`` and ``assemble``:
-    the tables here and ``polydiff``'s operators.  Each insertion is summed
-    on its own and then added in.  A partial sum that cancels restarts at
-    the type (``int`` or ``Fraction``) of the next term, so the grouping
-    fixes the scalar type of an integral result; this one gives the types
-    that adding built insertions gives.
+
+def circle_rows(D, E):
+    """The insertion sum sum_j (-1)^((arity(E)-1)*j) of E into slot j of D,
+    as rows for ``D.assemble``.
+
+    One sum for every cochain type with ``insert_rows`` and ``assemble``:
+    the tables here and ``polydiff``'s operators.  Rows are added as the
+    containers' ``+`` and ``-`` add them, so the result has the same keys
+    in the same order and the same scalar types as a sum of built
+    insertions.
     """
     out = {}
     m = E.arity
     for j in range(D.arity):
-        vadd_into(out, D.insert_terms(E, j), -1 if ((m - 1) * j) % 2 else 1)
+        _add_rows(out, D.insert_rows(E, j), -1 if ((m - 1) * j) % 2 else 1)
     return out
 
 
 def bracket(D, E):
     """Graded commutator of insertions; degree of arity-n input is n-1.
 
-    The two insertion sums are added as flat terms and the result is built
+    The two insertion sums are added as rows and the result is built
     once.  [E, D] = -(-1)^((n-1)(m-1)) [D, E] holds by construction."""
     n, m = D.arity, E.arity
-    out = circle_terms(D, E)
-    vadd_into(out, circle_terms(E, D), 1 if ((n - 1) * (m - 1)) % 2 else -1)
+    out = circle_rows(D, E)
+    _add_rows(out, circle_rows(E, D), 1 if ((n - 1) * (m - 1)) % 2 else -1)
     # with no slots to insert into, the honest arity n + m - 1 would be
     # negative: an arity-0 zero stands in
     return D.assemble(E, max(n + m - 1, 0), out)
@@ -236,7 +228,7 @@ def cup(D, E):
             prod = A.mul(dvec, evec)
             if not prod:
                 continue
-            _add_vec(out.table, dtup + etup, prod, sign)
+            add_row(out.table, dtup + etup, prod, sign)
     return out
 
 

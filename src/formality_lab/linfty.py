@@ -38,16 +38,15 @@ class LInftyStructure:
 
     Missing arities are zero.  ``generators`` is a list of (name, element)
     pairs the checkers sample; ``degree`` maps an element to its integer
-    grading.  ``antisymmetric`` declares the 2-bracket graded antisymmetric,
-    [y, x] = -(-1)^(|x||y|) [x, y], so ``mc_residual`` may take one bracket
-    per unordered pair; leave it off unless that holds by construction.
+    grading.  The 2-bracket is graded antisymmetric, [y, x] =
+    -(-1)^(|x||y|) [x, y], as an L-infinity bracket is by definition;
+    ``mc_residual`` relies on it.
     """
 
-    def __init__(self, degree, brackets, generators=(), antisymmetric=False):
+    def __init__(self, degree, brackets, generators=()):
         self.degree = degree
         self.brackets = dict(brackets)
         self.generators = list(generators)
-        self.antisymmetric = antisymmetric
 
     def apply(self, n, args):
         fn = self.brackets.get(n)
@@ -56,13 +55,12 @@ class LInftyStructure:
         return fn(list(args))
 
 
-def dgla(degree, differential, bracket_fn, generators=(), antisymmetric=False):
-    """Package a differential graded Lie algebra as a structure table;
-    ``antisymmetric`` is passed on as the structure's declaration."""
+def dgla(degree, differential, bracket_fn, generators=()):
+    """Package a differential graded Lie algebra as a structure table."""
     brackets = {2: lambda args: bracket_fn(args[0], args[1])}
     if differential is not None:
         brackets[1] = lambda args: differential(args[0])
-    return LInftyStructure(degree, brackets, generators, antisymmetric)
+    return LInftyStructure(degree, brackets, generators)
 
 
 class CheckReport:
@@ -260,12 +258,13 @@ class MCElement(Sparse):
 def _series_bracket(S, n, series_list, nt):
     """Order-by-order n-ary bracket of formal series elements.
 
-    When ``S`` declares its 2-bracket antisymmetric and both arguments are
-    one series x, [x_j, x_i] for j > i is read off [x_i, x_j], which the
-    ordered visit has already computed."""
+    When the bracket is binary and both arguments are one series x,
+    [x_j, x_i] for j > i is read off [x_i, x_j], which the ordered visit
+    has already computed, by graded antisymmetry.  A value read off that
+    way keeps the key order of [x_i, x_j]."""
     out = {}
     orders = [sorted(s.c) for s in series_list]
-    mirror = n == 2 and S.antisymmetric and series_list[0] is series_list[1]
+    mirror = n == 2 and series_list[0] is series_list[1]
     done = {}
     for combo in product(*orders):
         k = sum(combo)
@@ -274,7 +273,7 @@ def _series_bracket(S, n, series_list, nt):
         args = [series_list[i].c[combo[i]] for i in range(n)]
         if mirror and combo[0] > combo[1]:
             val = done[combo[1], combo[0]]
-            if S.degree(args[0]) * S.degree(args[1]) % 2 == 0:
+            if val is not None and S.degree(args[0]) * S.degree(args[1]) % 2 == 0:
                 val = -val
         else:
             val = S.apply(n, args)

@@ -8,18 +8,18 @@ where each T_i is a multi-index and c_T is a polynomial coefficient.
 Everything here runs on honest (untruncated) polynomials: composition uses
 the exact Leibniz rule, so the cochain-level identities hold on the nose.
 Degree-capped evaluation is a separate, last step (see ``hochschild``).
-The insertion sum ``circle_terms`` and the ``bracket`` are ``hochschild``'s,
-the same code as for cochain tables, on the flat terms of ``insert_terms``.
+The insertion sum ``circle_rows`` and the ``bracket`` are ``hochschild``'s,
+the same code as for cochain tables, on the rows of ``insert_rows``.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import product as _cartesian
-from math import comb, factorial
-from operator import add, gt, sub
+from math import factorial
+from operator import add, gt, le
 
-from .core.basis import Sparse, add_term, nest
+from .core.basis import Sparse, add_row, add_term
 from .core.linalg import solve
 from .hochschild import bracket
 from .poly import Poly, diff_terms, mul_terms
@@ -34,14 +34,9 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-@cache
 def _leibniz_splits(alpha, parts):
     """Ways to write multi-index ``alpha`` as an ordered sum of ``parts``
-    multi-indices, with the multinomial weight of each split, as a tuple.
-    With no parts there is one empty split of a zero ``alpha``, and none of
-    any other."""
-    if not parts:
-        return () if any(alpha) else (((), 1),)
+    multi-indices, with the multinomial weight of each split."""
     per_var = []
     for a_v in alpha:
         opts = []
@@ -52,7 +47,6 @@ def _leibniz_splits(alpha, parts):
             opts.append((comp, w))
         per_var.append(opts)
     nv = len(alpha)
-    out = []
     for choice in _cartesian(*per_var):
         weight = 1
         for _, w in choice:
@@ -60,22 +54,20 @@ def _leibniz_splits(alpha, parts):
         split = tuple(
             tuple(choice[v][0][k] for v in range(nv)) for k in range(parts)
         )
-        out.append((split, weight))
-    return tuple(out)
+        yield split, weight
 
 
 @cache
-def _first_parts(alpha, top):
-    """The parts s0 <= alpha of a Leibniz split that can land on a
-    coefficient whose largest exponents are ``top`` (a larger s0 kills
-    it), each with the rest alpha - s0 and the weight prod C(alpha, s0)."""
-    out = []
-    for s0 in _cartesian(*(range(min(a, t) + 1) for a, t in zip(alpha, top))):
-        weight = 1
-        for a, s in zip(alpha, s0):
-            weight *= comb(a, s)
-        out.append((s0, tuple(map(sub, alpha, s0)), weight))
-    return tuple(out)
+def _landing_splits(alpha, top, m):
+    """The Leibniz splits of ``alpha`` into a first part s0 and ``m`` more,
+    in ``_leibniz_splits`` order, kept only where s0 can land on a
+    coefficient whose largest exponents are ``top`` (a larger s0 kills it):
+    (s0, the other parts, weight) each."""
+    return tuple(
+        (split[0], split[1:], weight)
+        for split, weight in _leibniz_splits(alpha, m + 1)
+        if all(map(le, split[0], top))
+    )
 
 
 class PolyDiffOperator(Sparse):
@@ -129,16 +121,16 @@ class PolyDiffOperator(Sparse):
         out.nvars, out.arity, out.c = self.nvars, self.arity, c
         return out
 
-    def assemble(self, other, arity, terms):
-        """The operator of ``arity`` whose flat terms {(slot multi-indices,
-        exponent): scalar} are ``terms``, summed from insertions of
+    def assemble(self, other, arity, rows):
+        """The operator of ``arity`` whose rows {slot multi-indices:
+        {exponent: scalar}} are ``rows``, summed from insertions of
         ``other`` into this one (or the reverse); ValueError unless both act
         on the same variables."""
         if self.nvars != other.nvars:
             raise ValueError("variable counts differ")
         zero = Poly.zero(self.nvars)
         out = PolyDiffOperator(self.nvars, arity)
-        out.c = {key: zero._like(coeffs) for key, coeffs in nest(terms).items()}
+        out.c = {key: zero._like(row) for key, row in rows.items()}
         return out
 
     def __repr__(self):
@@ -183,15 +175,15 @@ class PolyDiffOperator(Sparse):
         return out
 
     # -- composition ------------------------------------------------------------
-    def insert_terms(self, other, pos):
-        """``other`` plugged into argument slot ``pos``, as flat terms
-        {(slot multi-indices, exponent): scalar} for ``assemble``.
+    def insert_rows(self, other, pos):
+        """``other`` plugged into argument slot ``pos``, as rows {slot
+        multi-indices: {exponent: scalar}} for ``assemble``.
 
         The derivatives d^alpha that hit that slot are spread by the Leibniz
         rule over other's coefficient (the part s0) and its arguments.  Only
-        parts s0 up to the coefficient's largest exponents survive; each
-        derivative of a coefficient is built once per call, and the products
-        run on exponent dicts.  No sign convention is applied here.
+        parts s0 up to the coefficient's largest exponents are visited; each
+        derivative of a coefficient and each product with it is built once,
+        on exponent dicts.  No sign convention is applied here.
         """
         if self.nvars != other.nvars:
             raise ValueError("variable counts differ")
@@ -206,21 +198,17 @@ class PolyDiffOperator(Sparse):
         for alphas, c in self.c.items():
             alpha, head, tail = alphas[pos], alphas[:pos], alphas[pos + 1 :]
             for betas, e, top, derivs in terms:
-                for s0, rest, w0 in _first_parts(alpha, top):
-                    splits = _leibniz_splits(rest, m)
-                    if not splits:
-                        continue
-                    d = derivs.get(s0)
-                    if d is None:
-                        d = derivs[s0] = diff_terms(e, s0)
-                    if not d:
-                        continue
-                    p = mul_terms(c.c, d)
-                    for split, w in splits:
-                        weight = w0 * w
-                        key = head + tuple(map(_shift, betas, split)) + tail
-                        for x, v in p.items():
-                            add_term(out, (key, x), v if weight == 1 else weight * v)
+                prods = {}
+                for s0, rest, weight in _landing_splits(alpha, top, m):
+                    p = prods.get(s0)
+                    if p is None:
+                        d = derivs.get(s0)
+                        if d is None:
+                            d = derivs[s0] = diff_terms(e, s0)
+                        p = prods[s0] = mul_terms(c.c, d) if d else {}
+                    if p:
+                        key = head + tuple(map(_shift, betas, rest)) + tail
+                        add_row(out, key, p, weight)
         return out
 
 

@@ -152,10 +152,7 @@ def _skewed_product():
 
 
 def _operator_dgla():
-    # the bracket is graded antisymmetric by construction (hochschild.bracket)
-    return lf.dgla(
-        lambda op: op.arity - 1, pd.delta, pd.bracket, [], antisymmetric=True
-    )
+    return lf.dgla(lambda op: op.arity - 1, pd.delta, pd.bracket, [])
 
 
 def _cochain_dgla(A, arities=(1, 2)):

@@ -1,16 +1,17 @@
-"""Operator composition as tools for tests, and as it was before the
-one-accumulator rewrite, kept as the reference for it.
+"""Operator composition as tools for tests, and as it was before insertions
+were summed as rows, kept as the reference for it.
 
 The program composes only through ``hochschild.bracket``; ``insert`` and
 ``circle`` here build one insertion and one insertion sum from the same
-``insert_terms``/``circle_terms`` and ``assemble``.
+``insert_rows``/``circle_rows`` and ``assemble``.
 
 ``_parent_pd_insert``, ``_parent_pd_zero_of``, ``_parent_cochain_insert``,
 ``_parent_cochain_zero_of``, ``_parent_circle``, ``_parent_bracket`` and
 ``_parent_series_bracket`` are the previous bodies of
 ``PolyDiffOperator.insert``/``zero_of``, ``Cochain.insert``/``zero_of``,
 ``hochschild.circle``/``bracket`` and ``linfty._series_bracket``, verbatim
-apart from their names; ``_parent_compositions`` and
+apart from their names and that of the row helper ``hochschild._add_vec``,
+now ``core.basis.add_row``; ``_parent_compositions`` and
 ``_parent_leibniz_splits`` are the helpers the operator ``insert`` called.
 The reference builds one ``PolyDiffOperator`` or ``Cochain`` per insertion
 and sums them with the containers' ``+`` and ``-``, multiplies ``Poly``
@@ -30,8 +31,8 @@ from itertools import product as _cartesian
 from math import factorial
 
 from formality_lab import hochschild, linfty, polydiff
-from formality_lab.core.basis import add_term
-from formality_lab.hochschild import Cochain, _add_vec
+from formality_lab.core.basis import add_row, add_term
+from formality_lab.hochschild import Cochain
 from formality_lab.polydiff import PolyDiffOperator
 
 
@@ -39,12 +40,12 @@ from formality_lab.polydiff import PolyDiffOperator
 
 def insert(D, E, pos):
     """E plugged into argument slot ``pos`` of D, with no sign."""
-    return D.assemble(E, D.arity + E.arity - 1, D.insert_terms(E, pos))
+    return D.assemble(E, D.arity + E.arity - 1, D.insert_rows(E, pos))
 
 
 def circle(D, E):
     """The insertion sum of E into D, as ``hochschild.bracket`` adds it up."""
-    return D.assemble(E, max(D.arity + E.arity - 1, 0), hochschild.circle_terms(D, E))
+    return D.assemble(E, max(D.arity + E.arity - 1, 0), hochschild.circle_rows(D, E))
 
 
 # -- reference: the previous bodies, verbatim ------------------------------------
@@ -131,7 +132,7 @@ def _parent_cochain_insert(self, other, pos):
             c = evec.get(k)
             if not c:
                 continue
-            _add_vec(out.table, dtup[:pos] + etup + dtup[pos + 1 :], dvec, c)
+            add_row(out.table, dtup[:pos] + etup + dtup[pos + 1 :], dvec, c)
     return out
 
 

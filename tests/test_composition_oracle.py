@@ -1,16 +1,20 @@
 """Operator composition against the composition it replaced.
 
-The program sums every insertion of a bracket into one accumulator
-(``insert_into``, ``circle_into``, ``assemble``), and ``mc_residual`` takes
-one 2-bracket per unordered pair of orders when the structure declares the
-bracket graded antisymmetric.  The reference is the previous ``insert``,
-``circle``, ``bracket`` and ``_series_bracket``, kept verbatim in
-``composition.py`` and switched on by ``parent_composition()``: one
-container per insertion, summed with ``+`` and ``-``, and every ordered pair
-of orders bracketed.  On seeded operators with polynomial coefficients,
-elements, the benchmark's star products, the suite's products and cochain
-tables, both must give the same keys, the same values and the same scalar
-type (``int`` or ``Fraction``) per value, with no stored zero.
+The program builds each insertion as rows {key: {inner key: scalar}}
+(``insert_rows``), adds the signed insertions of a bracket row by row, one
+insertion at a time (``circle_rows``), and builds the result once
+(``assemble``); ``mc_residual`` takes one 2-bracket per unordered pair of
+orders and reads the mirrored one off it by graded antisymmetry.  The
+reference is the previous ``insert``, ``circle``, ``bracket`` and
+``_series_bracket``, kept verbatim in ``composition.py`` and switched on by
+``parent_composition()``: one container per insertion, summed with ``+``
+and ``-``, and every ordered pair of orders bracketed.  On seeded operators
+with polynomial coefficients, elements, the benchmark's star products, the
+suite's products and cochain tables, every composition must give the same
+keys in the same order, the same values and the same scalar type (``int``
+or ``Fraction``) per value, with no stored zero.  Residuals are compared
+the same way except for key order: a mirrored term is the negated
+[x_i, x_j], whose keys come in that bracket's order.
 """
 
 import random
@@ -39,35 +43,41 @@ from test_associativity_oracle import _mixed_order_product, _seeded_moyal
 # -- comparison --------------------------------------------------------------------
 
 
-def _assert_same_scalars(new, old):
+def _assert_same_scalars(new, old, ordered=True):
     assert new == old
+    assert not ordered or list(new) == list(old)
     for key, v in new.items():
         assert v, f"stored zero at {key}"
         assert type(v) in (int, Fraction)
         assert type(v) is type(old[key]), key
 
 
-def _assert_same(new, old):
+def _assert_same(new, old, ordered=True):
+    """Same keys (in the same order unless not ``ordered``), values and
+    scalar types."""
     assert type(new) is type(old)
     assert new.arity == old.arity
     if isinstance(new, PolyDiffOperator):
         assert new.nvars == old.nvars
-        assert new.c.keys() == old.c.keys()
-        for key, p in new.c.items():
+        rows, old_rows = new.c, old.c
+        for p in rows.values():
             assert type(p) is Poly and p.n == new.nvars
-            _assert_same_scalars(p.c, old.c[key].c)
+        rows = {key: p.c for key, p in rows.items()}
+        old_rows = {key: p.c for key, p in old_rows.items()}
     else:
         assert new.algebra is old.algebra
-        assert new.table.keys() == old.table.keys()
-        for tup, v in new.table.items():
-            _assert_same_scalars(v, old.table[tup])
+        rows, old_rows = new.table, old.table
+    assert rows.keys() == old_rows.keys()
+    assert not ordered or list(rows) == list(old_rows)
+    for key, row in rows.items():
+        _assert_same_scalars(row, old_rows[key], ordered)
 
 
 def _assert_same_residual(new, old):
-    assert new.keys() == old.keys()
+    assert list(new) == list(old)
     for k, v in new.items():
         assert v, f"stored zero residual at order {k}"
-        _assert_same(v, old[k])
+        _assert_same(v, old[k], ordered=False)
 
 
 def _compare_compositions(D, E):
@@ -90,12 +100,11 @@ def _compare_compositions(D, E):
 
 
 def _operator_dgla():
-    return lf.dgla(lambda op: op.arity - 1, pd.delta, pd.bracket, [], antisymmetric=True)
+    return lf.dgla(lambda op: op.arity - 1, pd.delta, pd.bracket, [])
 
 
 def _compare_residual(pi, make=_operator_dgla):
-    """mc_residual through the declared structure, against the ordered sum
-    of the reference brackets (the reference ignores the declaration)."""
+    """mc_residual against the ordered sum of the reference brackets."""
     new = lf.mc_residual(make(), pi)
     with parent_composition():
         old = lf.mc_residual(make(), pi)
@@ -241,10 +250,10 @@ def test_mc_residual_of_mixed_degrees_matches_reference():
     # [y, x] = -(-1)^(|x||y|) [x, y].  There is no differential, which
     # would put arity k + 1 at order k.
     def operator_bracket():
-        return lf.dgla(lambda op: op.arity - 1, None, pd.bracket, [], antisymmetric=True)
+        return lf.dgla(lambda op: op.arity - 1, None, pd.bracket, [])
 
     def cochain_bracket():
-        return lf.dgla(lambda c: c.arity - 1, None, hh.bracket, antisymmetric=True)
+        return lf.dgla(lambda c: c.arity - 1, None, hh.bracket)
 
     rng = random.Random(18004)
     A = trunc_poly_algebra(3)
@@ -263,7 +272,7 @@ def test_mc_residual_of_mixed_degrees_matches_reference():
         assert cancelled >= 4 and doubled >= 2
 
 
-def test_declared_bracket_is_called_once_per_unordered_pair():
+def test_bracket_is_called_once_per_unordered_pair():
     calls = []
 
     def counted(D, E):
@@ -271,52 +280,30 @@ def test_declared_bracket_is_called_once_per_unordered_pair():
         return pd.bracket(D, E)
 
     s = _star_corrections()[0]  # orders 1..4
-    pi = df.star_to_mc(s)
-    for antisymmetric, pairs in ((False, 6), (True, 4)):
-        calls.clear()
-        S = lf.dgla(lambda op: op.arity - 1, pd.delta, counted, [], antisymmetric)
-        assert lf.mc_residual(S, pi) == {}
-        # ordered pairs (i, j) with i + j <= 4 and, once declared, i <= j
-        assert len(calls) == pairs
-
-
-def test_undeclared_bracket_gets_the_full_ordered_sum():
-    # circle alone is a 2-bracket that is not antisymmetric; without the
-    # declaration its residual is the reference's ordered sum
-    def circle_dgla(antisymmetric=False):
-        return lf.dgla(
-            lambda op: op.arity - 1, pd.delta, circle, [], antisymmetric=antisymmetric
-        )
-
-    def parent_circle_dgla():
-        return lf.dgla(lambda op: op.arity - 1, pd.delta, _parent_circle, [])
-
-    for s in _star_corrections() + _suite_products():
-        pi = df.star_to_mc(s)
-        new = lf.mc_residual(circle_dgla(), pi)
-        with parent_composition():
-            old = lf.mc_residual(parent_circle_dgla(), pi)
-        _assert_same_residual(new, old)
-    # on the mixed-order product, reading [x_2, x_1] off circle(x_1, x_2)
-    # would be wrong: the declaration is what licenses the shortcut
-    pi = df.star_to_mc(_mixed_order_product())
-    assert lf.mc_residual(circle_dgla(True), pi) != lf.mc_residual(circle_dgla(), pi)
+    S = lf.dgla(lambda op: op.arity - 1, pd.delta, counted, [])
+    assert lf.mc_residual(S, df.star_to_mc(s)) == {}
+    # pairs of orders (i, j) with i <= j and i + j <= 4, of the 6 ordered ones
+    assert len(calls) == 4
 
 
 # -- helpers and space checks ------------------------------------------------------------
 
 
-def test_leibniz_splits_match_reference_and_the_empty_case():
+def test_landing_splits_keep_the_reference_order():
     rng = random.Random(18005)
     for _ in range(40):
-        alpha = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 3)))
-        parts = rng.randint(1, 3)
-        assert pd._leibniz_splits(alpha, parts) == tuple(
-            _parent_leibniz_splits(alpha, parts)
+        nv = rng.randint(1, 3)
+        alpha = tuple(rng.randint(0, 3) for _ in range(nv))
+        top = tuple(rng.randint(0, 3) for _ in range(nv))
+        m = rng.randint(0, 3)
+        assert pd._landing_splits(alpha, top, m) == tuple(
+            (split[0], split[1:], w)
+            for split, w in _parent_leibniz_splits(alpha, m + 1)
+            if all(s <= t for s, t in zip(split[0], top))
         )
-    # no slots: one empty split of a zero multi-index, none of any other
-    assert pd._leibniz_splits((0, 0), 0) == (((), 1),)
-    assert pd._leibniz_splits((0, 1), 0) == ()
+    # an element (m = 0) takes all of alpha on its coefficient, or nothing
+    assert pd._landing_splits((1, 2), (1, 2), 0) == (((1, 2), (), 1),)
+    assert pd._landing_splits((1, 2), (2, 1), 0) == ()
 
 
 def _mismatched_operators():

@@ -12,8 +12,8 @@ inputs the current code must give the same coefficient dicts, with no stored
 zeros and with the same scalar type (``int`` or ``Fraction``) per monomial,
 so an ``int`` coefficient of the old path is still an ``int``.
 
-``insert`` (one ``insert_into`` plus ``assemble``) is compared with the
-operator ``insert`` from before the one-accumulator rewrite, which
+``insert`` (``insert_rows`` plus ``assemble``) is compared with the
+operator ``insert`` from before insertions were summed as rows, which
 ``parent_composition()`` restores, running on the reference calculus.
 
 ``_parent_splits`` is the previous body of ``polydiff._splits``, verbatim:
@@ -229,9 +229,10 @@ def test_insert_matches_reference():
         with _parent_calculus(), parent_composition():
             old = D.insert(E, pos)
         assert new.arity == old.arity
-        assert new.c.keys() == old.c.keys()
+        assert list(new.c) == list(old.c)
         for key, c in new.c.items():
             _assert_same_poly(c, old.c[key])
+            assert list(c.c) == list(old.c[key].c)
 
 
 # The benchmark's deformation patterns: (variables, t-order, upper-triangle
