@@ -1,12 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Everything here works on sparse rows (dict col -> int or Fraction).  One
-forward eliminator serves both entry points.  It scales each incoming row
-once to a primitive integer row and then eliminates fraction-free, with
-``row = a*row - b*piv`` for coprime integers ``a`` and ``b``, so the loop
-does ``int`` arithmetic only (primitive-row elimination, a cousin of
-Bareiss').  ``solve`` back-substitutes in ``Fraction``; no floating point
-exists anywhere.
+forward eliminator serves both entry points, in two passes.  The first
+takes, in input order, each row that leads at a column no earlier row
+leads at as that column's pivot, with no reduction (the pivot detection of
+Faugère–Lachartre elimination); on the lexicographically ordered
+Hochschild matrices most pivots are found so.  The second reduces the
+other rows, in input order: it scales each to a primitive integer row and
+eliminates fraction-free, with ``row = a*row - b*piv`` for coprime
+integers ``a`` and ``b``, so the loop does ``int`` arithmetic only
+(primitive-row elimination, a cousin of Bareiss').  Both passes are exact
+and assume nothing about the rows.  ``solve`` back-substitutes in
+``Fraction``; no floating point exists anywhere.
 """
 
 from __future__ import annotations
@@ -37,12 +42,29 @@ def rank_kernel(rows, ncols):
     ``rows``: iterable of dict col-index -> int or Fraction; they are not
     modified.  ``pivots`` maps each pivot column to its echelon row as a
     primitive ``int`` row (``_normalize_row``); the pivot is the row's
-    minimum column.  Normalization does not depend on scale, so each pivot
-    equals, by value, the normalized echelon row of elimination over the
-    rationals.  The rows are not back-substituted.
+    minimum column.  Pass 1 drops zero entries and makes the first row to
+    lead at each column that column's pivot, unreduced; pass 2 reduces
+    every other nonzero row, in input order, against the pivots so far and
+    adds a pivot where one survives.  Normalization does not depend on
+    scale, so each pivot equals, by value, the normalized echelon row of
+    elimination over the rationals fed the rows leaders-first: pass 1's
+    leaders in input order, then the rest in input order.  ``pivots``
+    holds pass 1's columns first, then pass 2's, each in the order found.
+    The rank and the set of pivot columns (the leading columns of the row
+    space) do not depend on the row order.  The rows are not
+    back-substituted.
     """
     pivots = {}
+    rest = []  # the caller's rows themselves; a filtered copy of each raises peak memory
     for raw in rows:
+        row = {c: v for c, v in raw.items() if v}
+        if row:
+            c = min(row)
+            if c in pivots:
+                rest.append(raw)
+            else:
+                pivots[c] = _normalize_row(row)
+    for raw in rest:
         row = _normalize_row({c: v for c, v in raw.items() if v})
         while row:
             c = min(row)
@@ -67,7 +89,9 @@ def solve(rows, rhs, ncols):
     """One exact solution x of (rows) x = rhs, or None if inconsistent.
 
     ``rows`` is a list of sparse rows; ``rhs`` aligns with it.  Free
-    variables are set to zero; the values of ``x`` are ``Fraction``.
+    variables (the non-pivot columns) are set to zero, which makes ``x``
+    unique, so it does not depend on the order of the rows.  ``x`` holds
+    its nonzero values, as ``Fraction``, keyed in ascending column order.
     """
     # column ncols of the augmented rows holds the right-hand side
     aug = [{**row, ncols: b} if b else row for row, b in zip(rows, rhs)]
@@ -75,9 +99,10 @@ def solve(rows, rhs, ncols):
     if ncols in pivots:
         return None  # 0 = nonzero
     x = {}
-    for c in sorted(pivots, reverse=True):
+    cols = sorted(pivots)
+    for c in reversed(cols):
         row = pivots[c]
         v = row.get(ncols, 0) - sum(a * x[cc] for cc, a in row.items() if cc in x)
         if v:
             x[c] = Fraction(v) / row[c]  # int / int would be a float
-    return {c: x[c] for c in pivots if c in x}  # pivot order: callers iterate x
+    return {c: x[c] for c in cols if c in x}  # callers iterate x in this order

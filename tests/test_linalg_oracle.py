@@ -7,14 +7,20 @@ same rank, and ``solve`` the same solution (or ``None``) on every system.
 
 ``_fraction_rank_kernel`` is the forward eliminator in ``Fraction``
 arithmetic that the integer one replaced, also verbatim.  Every integer
-pivot must be a primitive ``int`` row equal by value to its pivot, on the
-seeded systems, on the Hochschild boundary and coboundary matrices, and on
-a dense rational system.
+pivot must be a primitive ``int`` row equal by value to its pivot when that
+eliminator is fed the rows leaders-first (``_leaders_first``), on the
+seeded systems, on the Hochschild boundary and coboundary matrices, on a
+dense rational system and on rows of mixed scalar types.
+
+``_in_order_rank_kernel`` is the one-pass integer eliminator that the
+two-pass one replaced, verbatim: it reduces every row in input order.  On
+the same systems the two must give the same rank and the same set of pivot
+columns, and ``solve`` must not depend on the order of the rows.
 """
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from formality_lab import hochschild as hh
 from formality_lab.algebras import dual_numbers, mat2_unital, trunc_poly_algebra
@@ -258,6 +264,87 @@ def _fraction_rank_kernel(rows, ncols):
     return len(pivots), pivots
 
 
+# -- reference: the one-pass integer eliminator, verbatim ------------------------
+
+def _int_normalize_row(row):
+    """Scale a sparse rational row to its primitive integer row: coprime
+    ``int`` entries with a positive leading (minimum-column) entry."""
+    if not row:
+        return row
+    ints = row
+    # the type, not the denominator: Fraction(k, 1) must be rescaled to int
+    if not all(type(v) is int for v in row.values()):
+        den = lcm(*(v.denominator for v in row.values()))
+        ints = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    g = gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        g = -g
+    return {c: v // g for c, v in ints.items()}
+
+
+def _in_order_rank_kernel(rows, ncols):
+    """Forward elimination of a sparse rational matrix: (rank, pivots).
+
+    ``rows``: iterable of dict col-index -> int or Fraction; they are not
+    modified.  ``pivots`` maps each pivot column to its echelon row as a
+    primitive ``int`` row (``_normalize_row``); the pivot is the row's
+    minimum column.  Normalization does not depend on scale, so each pivot
+    equals, by value, the normalized echelon row of elimination over the
+    rationals.  The rows are not back-substituted.
+    """
+    _normalize_row = _int_normalize_row  # the module-level name here is the Fraction one
+    pivots = {}
+    for raw in rows:
+        row = _normalize_row({c: v for c, v in raw.items() if v})
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                pivots[c] = _normalize_row(row)
+                break
+            g = gcd(piv[c], row[c])
+            a, b = piv[c] // g, row[c] // g  # a > 0: pivots lead positive
+            if a != 1:
+                row = {cc: a * vv for cc, vv in row.items()}
+            for cc, vv in piv.items():
+                w = row.get(cc, 0) - b * vv
+                if w:
+                    row[cc] = w
+                else:
+                    row.pop(cc, None)
+    return len(pivots), pivots
+
+
+def _leaders_first(rows):
+    """The rows reordered as the two-pass eliminator takes them: the first
+    row to lead at each column, in input order, then the other rows that
+    have a nonzero entry, in input order."""
+    leaders, rest, taken = [], [], set()
+    for row in rows:
+        lead = min((c for c, v in row.items() if v), default=None)
+        if lead is None:
+            continue
+        if lead in taken:
+            rest.append(row)
+        else:
+            taken.add(lead)
+            leaders.append(row)
+    return leaders + rest
+
+
+def _check_kernel(rows, ncols):
+    """``rank_kernel`` on ``rows`` against both references: the rank and
+    pivot columns of the in-order integer eliminator, and the pivot values
+    of the rational one fed the rows leaders-first.  Returns its result."""
+    rank, pivots = rank_kernel(_copy(rows), ncols)
+    in_order_rank, in_order = _in_order_rank_kernel(_copy(rows), ncols)
+    assert rank == in_order_rank and set(pivots) == set(in_order), (rows, ncols)
+    want_rank, want = _fraction_rank_kernel(_leaders_first(_copy(rows)), ncols)
+    assert rank == want_rank
+    _assert_primitive_pivots(pivots, want)
+    return rank, pivots
+
+
 def _assert_primitive_pivots(pivots, want):
     """Every pivot is a primitive ``int`` row led by a positive entry at its
     key, and equals by value the rational eliminator's normalized pivot."""
@@ -273,10 +360,7 @@ def test_pivots_are_primitive_int_rows_on_seeded_systems():
     rng = random.Random(20260418)
     for _ in range(1500):
         rows, rhs, ncols = _system(rng)
-        rank, pivots = rank_kernel(_copy(rows), ncols)
-        want_rank, want = _fraction_rank_kernel(_copy(rows), ncols)
-        assert rank == want_rank
-        _assert_primitive_pivots(pivots, want)
+        _check_kernel(rows, ncols)
 
 
 def _betti_matrices(monkeypatch, algebra, top, reduced):
@@ -302,11 +386,8 @@ def test_boundary_and_coboundary_matrices_match_reference(monkeypatch):
             assert len(matrices) == 6  # b into degrees 0..2, delta into 1..3
             for rows, ncols in matrices:
                 assert all(type(v) is int for row in rows for v in row.values())
-                rank, pivots = rank_kernel(_copy(rows), ncols)
+                rank, _ = _check_kernel(rows, ncols)
                 assert rank == _old_rank_kernel(_copy(rows), ncols)[0]
-                want_rank, want = _fraction_rank_kernel(_copy(rows), ncols)
-                assert rank == want_rank
-                _assert_primitive_pivots(pivots, want)
 
 
 def test_dense_rational_system_with_coefficient_growth():
@@ -317,9 +398,8 @@ def test_dense_rational_system_with_coefficient_growth():
         for _ in range(n)
     ]
     rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
-    rank, pivots = rank_kernel(_copy(rows), n)
+    rank, pivots = _check_kernel(rows, n)
     assert rank == _old_rank_kernel(_copy(rows), n)[0] == n
-    _assert_primitive_pivots(pivots, _fraction_rank_kernel(_copy(rows), n)[1])
     # the echelon rows outgrow the one-digit inputs far past a machine word
     assert max(abs(v) for row in pivots.values() for v in row.values()) > 2 ** 64
     x = solve(rows, list(rhs), n)
@@ -352,10 +432,8 @@ def test_rows_mixing_int_integral_fraction_and_proper_fraction():
                  for row in rows for v in row.values()}
         mixed += len(types) == 3
         rhs = [rng.choice(kinds)() if rng.random() < 0.7 else 0 for _ in rows]
-        rank, pivots = rank_kernel(_copy(rows), ncols)
-        want_rank, want = _fraction_rank_kernel(_copy(rows), ncols)
-        assert rank == want_rank == _old_rank_kernel(_copy(rows), ncols)[0]
-        _assert_primitive_pivots(pivots, want)
+        rank, _ = _check_kernel(rows, ncols)
+        assert rank == _old_rank_kernel(_copy(rows), ncols)[0]
         assert solve(_copy(rows), list(rhs), ncols) == _old_solve(
             _copy(rows), list(rhs), ncols
         ), (rows, rhs)
@@ -365,3 +443,45 @@ def test_rows_mixing_int_integral_fraction_and_proper_fraction():
     rank, pivots = rank_kernel([{0: Fraction(-2, 1), 3: Fraction(4, 1)}], 4)
     assert rank == 1 and pivots == {0: {0: 1, 3: -2}}
     assert all(type(v) is int for v in pivots[0].values())
+
+
+# -- solve does not depend on the row order ----------------------------------------
+
+def test_solve_is_the_same_for_shuffled_rows():
+    """Free variables at zero make the solution unique, so shuffling the rows
+    (which moves the leaders and the rows pass 2 reduces) must give the same
+    solution by value, keyed in ascending column order."""
+    rng = random.Random(20261019)
+    solved = 0
+    for _ in range(1500):
+        rows, rhs, ncols = _system(rng)
+        want = solve(_copy(rows), list(rhs), ncols)
+        order = list(range(len(rows)))
+        rng.shuffle(order)
+        got = solve([dict(rows[i]) for i in order], [rhs[i] for i in order], ncols)
+        assert got == want, (rows, rhs, order)
+        if got is not None:
+            solved += 1
+            assert list(got) == sorted(got)
+    assert 300 < solved < 1200
+
+
+def test_solve_when_rows_share_a_leading_column():
+    """Three rows lead at column 0: the first is pass 1's pivot, pass 2
+    reduces the second to a new pivot at column 1 and the third to zero."""
+    rows = [
+        {0: 2, 1: 4, 2: 2},  # leader at 0
+        {0: 1, 1: 3},  # reduces to {1: 1, 2: -1}
+        {0: Fraction(3, 2), 1: 4, 2: Fraction(1, 2)},  # = row 0 / 4 + row 1: reduces to zero
+        {2: 3},  # leader at 2
+    ]
+    rhs = [16, 11, 15, 6]
+    assert _leaders_first(rows) == [rows[0], rows[3], rows[1], rows[2]]
+    rank, pivots = _check_kernel(rows, 3)
+    assert rank == 3 and list(pivots) == [0, 2, 1]
+    assert pivots == {0: {0: 1, 1: 2, 2: 1}, 2: {2: 1}, 1: {1: 1, 2: -1}}
+    x = solve(_copy(rows), list(rhs), 3)
+    assert x == _old_solve(_copy(rows), list(rhs), 3)
+    assert list(x.items()) == [(0, Fraction(-4)), (1, Fraction(5)), (2, Fraction(2))]
+    # an inconsistent right-hand side on the row that reduces to zero
+    assert solve(_copy(rows), [16, 11, 16, 6], 3) is None
