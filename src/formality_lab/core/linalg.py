@@ -22,7 +22,10 @@ from math import gcd, lcm
 
 def _normalize_row(row):
     """Scale a sparse rational row to its primitive integer row: coprime
-    ``int`` entries with a positive leading (minimum-column) entry."""
+    ``int`` entries with a positive leading (minimum-column) entry.
+
+    A row that is already primitive is returned itself, not copied, so the
+    caller must own it."""
     if not row:
         return row
     ints = row
@@ -33,6 +36,8 @@ def _normalize_row(row):
     g = gcd(*ints.values())
     if ints[min(ints)] < 0:
         g = -g
+    if g == 1:
+        return ints
     return {c: v // g for c, v in ints.items()}
 
 

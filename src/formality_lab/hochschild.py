@@ -1,10 +1,11 @@
 """Cochains and chains of a finite-dimensional algebra, as lookup tables.
 
 Everything in this module is tabulated on basis tuples of a
-``StructureAlgebra``, so all the operator identities (square-zero
-differentials, bracket compatibilities, the chain-level action of
-cochains) hold exactly -- including on degree-capped polynomial models,
-which are honest finite-dimensional algebras.
+``StructureAlgebra`` (the Betti matrices on their integer indices), so all
+the operator identities (square-zero differentials, bracket
+compatibilities, the chain-level action of cochains) hold exactly --
+including on degree-capped polynomial models, which are honest
+finite-dimensional algebras.
 
 Degrees: an arity-n cochain has bracket degree n-1.  Chains of length
 n+1 (one unreduced slot plus n reducible ones) sit in homological
@@ -440,76 +441,111 @@ def lie_action(D, ch):
 
 
 # -- homology -----------------------------------------------------------------
+#
+# The Betti matrices are built on integer basis indices, never on tuples.  A
+# chain (i_0, .., i_n) has the mixed-radix index i_0 R^n + r(i_1) R^(n-1) +
+# .. + r(i_n), where r(i) is the position of i among the R indices a
+# reducible slot allows (all dim of them, or the bar indices); a cochain key
+# (t, k) has the index idx(t) dim + k, with idx(t) in radix R throughout.
+# These are the lexicographic orders of the bases.  A face that acts on a
+# block of adjacent slots and carries the rest through is then the block
+# I_p (x) M (x) I_s on those indices (``_add_block``).
 
-def _chain_tuples(algebra, n, reduced):
-    first = range(algebra.dim)
-    if reduced:
-        rest = algebra.bar_indices()
-    else:
-        rest = list(range(algebra.dim))
-    for head in first:
-        for tail in _cartesian(rest, repeat=n):
-            yield (head,) + tail
+
+def _add_block(rows, sign, p, m, ncols, s):
+    """rows[x][y] += sign * (I_p (x) m (x) I_s)[x, y], through ``add_term``.
+
+    ``m`` lists, for each of its rows, its (column, value) terms in order,
+    out of ``ncols`` columns.  Row (q, r, u) of the block is
+    rows[(q len(m) + r) s + u] and column (q, c, u) is (q ncols + c) s + u,
+    for q < p and u < s.  Each row gets its terms in the order of ``m``."""
+    nrows = len(m)
+    for q in range(p):
+        for r, terms in enumerate(m):
+            x = (q * nrows + r) * s
+            for c, v in terms:
+                y = (q * ncols + c) * s
+                v = sign * v
+                for u in range(s):
+                    add_term(rows[x + u], y + u, v)
 
 
 def homology_betti(algebra, top, reduced=True):
-    """Chain-complex Betti numbers in degrees 0..top."""
-    dims = []
-    tuple_index = {}
-    for n in range(top + 2):
-        tuples = list(_chain_tuples(algebra, n, reduced))
-        tuple_index[n] = {t: i for i, t in enumerate(tuples)}
-        dims.append(len(tuples))
-    # rank of b: C_n -> C_{n-1}; in the reduced complex the terms with the
-    # unit in a reducible slot are the ones missing from the index
-    table = algebra.table
+    """Chain-complex Betti numbers in degrees 0..top.
+
+    Each row of b is filled as ``_b_terms`` lists its terms: face i is
+    (-1)^i I (x) m (x) I on slots i and i + 1, then the wrap term.  In the
+    reduced complex a product in a reducible slot keeps only its bar
+    components, the terms missing from the normalized chains."""
+    dim, table = algebra.dim, algebra.table
+    rest = algebra.bar_indices() if reduced else list(range(dim))
+    R = len(rest)
+    pos = {i: r for r, i in enumerate(rest)}
+    # m on (slot 0, slot 1) -> slot 0, and on two reducible slots -> one
+    m_head = [list(table.get((a, b), {}).items()) for a in range(dim) for b in rest]
+    m_bar = [
+        [(pos[k], v) for k, v in table.get((a, b), {}).items() if k in pos]
+        for a in rest
+        for b in rest
+    ]
+    dims = [dim * R**n for n in range(top + 2)]
     ranks = [0] * (top + 2)
     for n in range(1, top + 2):
-        below = tuple_index[n - 1]
-        cols = []
-        for t in tuple_index[n]:
-            col = {}
-            for key, v in _b_terms(table, t):
-                i = below.get(key)
-                if i is not None:
-                    add_term(col, i, v)
-            if col:
-                cols.append(col)
-        rank, _ = rank_kernel(cols, dims[n - 1])
+        rows = [{} for _ in range(dims[n])]
+        _add_block(rows, 1, 1, m_head, dim, R ** (n - 1))
+        for i in range(1, n):
+            sign = -1 if i % 2 else 1
+            _add_block(rows, sign, dim * R ** (i - 1), m_bar, R, R ** (n - 1 - i))
+        # wrap: (i_0, mid, i_n) -> (m(i_n, i_0), mid), mid < R^(n-1)
+        sign = -1 if n % 2 else 1
+        mid = R ** (n - 1)
+        for a in range(dim):
+            for last, b in enumerate(rest):
+                x = a * R**n + last
+                for k, v in table.get((b, a), {}).items():
+                    y, v = k * mid, sign * v
+                    for u in range(mid):
+                        add_term(rows[x + u * R], y + u, v)
+        rank, _ = rank_kernel([row for row in rows if row], dims[n - 1])
         ranks[n] = rank
     return [dims[n] - ranks[n] - ranks[n + 1] for n in range(top + 1)]
 
 
 def cohomology_betti(algebra, top, reduced=True):
-    """Cochain-complex Betti numbers in degrees 0..top."""
-    if reduced:
-        slots = algebra.bar_indices()
-    else:
-        slots = list(range(algebra.dim))
+    """Cochain-complex Betti numbers in degrees 0..top.
+
+    Each row of delta is filled as ``_delta_terms`` lists its terms, read
+    off the same ``_delta_lookups``: ``left`` is I (x) L, ``right`` puts
+    the new input in front of t, and the split of slot j is
+    +-I (x) P (x) I."""
     dim = algebra.dim
-
-    def basis_keys(n):
-        return [
-            (t, k) for t in _cartesian(slots, repeat=n) for k in range(dim)
-        ]
-
-    key_index = {}
-    dims = []
-    for n in range(top + 2):
-        keys = basis_keys(n)
-        key_index[n] = {key: i for i, key in enumerate(keys)}
-        dims.append(len(keys))
-    lookups = _delta_lookups(algebra, slots)
+    slots = algebra.bar_indices() if reduced else list(range(dim))
+    R = len(slots)
+    pos = {i: r for r, i in enumerate(slots)}
+    left, right, pre = _delta_lookups(algebra, slots)
+    # L: k -> (b, output); P: t_j -> (a, b) with t_j's coefficient in m(a, b)
+    L = [
+        [(pos[b] * dim + kk, c) for b, v in left[k] for kk, c in v.items()]
+        for k in range(dim)
+    ]
+    P = [[(pos[a] * R + pos[b], c) for a, b, c in pre.get(tj, ())] for tj in slots]
+    dims = [R**n * dim for n in range(top + 2)]
     ranks = [0] * (top + 2)  # ranks[n] = rank of delta: C^n -> C^(n+1)
     for n in range(top + 1):
-        above = key_index[n + 1]
-        cols = []
-        for (t, k) in key_index[n]:
-            col = {}
-            for key, kk, c in _delta_terms(lookups, t, k):
-                add_term(col, above[(key, kk)], c)
-            if col:
-                cols.append(col)
-        rank, _ = rank_kernel(cols, dims[n + 1])
+        rows = [{} for _ in range(dims[n])]
+        T = R**n
+        _add_block(rows, 1, T, L, R * dim, 1)
+        sign = 1 if n % 2 else -1  # (-1)^(n-1)
+        # right: (t, k) -> ((a,) + t, output), t < T
+        for k in range(dim):
+            for a, v in right[k]:
+                for kk, c in v.items():
+                    y, c = pos[a] * T * dim + kk, sign * c
+                    for u in range(T):
+                        add_term(rows[u * dim + k], y + u * dim, c)
+        for j in range(n):
+            s = sign if j % 2 else -sign  # outer (-1)^j, as in _delta_terms
+            _add_block(rows, s, R**j, P, R * R, R ** (n - 1 - j) * dim)
+        rank, _ = rank_kernel([row for row in rows if row], dims[n + 1])
         ranks[n] = rank
     return [dims[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in range(top + 1)]

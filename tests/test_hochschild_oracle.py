@@ -1,13 +1,19 @@
-"""The Hochschild matrix rows from the structure constants against the rows
-the cochain and chain calculus built before.
+"""The Hochschild matrix rows that ``homology_betti`` and ``cohomology_betti``
+build on mixed-radix basis indices, against the builders before them.
 
-``_old_delta`` and ``_old_chain_b`` are the previous ``hochschild`` code,
-and ``_old_homology_rows`` and ``_old_cohomology_rows`` are the previous
-row builders of ``homology_betti`` and ``cohomology_betti`` with the
-elimination taken out, all kept verbatim as the reference.  The rows the
-current Betti functions hand to ``rank_kernel`` must equal them entry for
-entry, in both flavors and every degree, and ``delta`` must equal the
-bracket with the product cochain on seeded random cochains.
+``_old_delta`` and ``_old_chain_b`` are the earlier ``hochschild`` code,
+and ``_old_homology_rows`` and ``_old_cohomology_rows`` the row builders
+that went through them, with the elimination taken out.
+``_tuple_cohomology_rows`` is the builder that came next: it enumerated
+basis keys, looked each term of ``_delta_terms`` up in a {key: index}
+dict and filled the rows through ``add_term``; its b twin did the same
+with ``_b_terms`` over ``_chain_tuples``.  All are kept verbatim as the
+reference.  The rows the Betti functions hand to ``rank_kernel`` must
+equal them entry for entry, in both flavors and every degree, and list
+their keys in the tuple-index builders' order, which fixes the work
+``rank_kernel`` does.  The calculus-built b rows already have that order,
+so they pin it for b; the bracket-built delta rows do not.  ``delta`` must
+equal the bracket with the product cochain on seeded random cochains.
 """
 
 import random
@@ -68,11 +74,22 @@ def _old_chain_b(ch):
     return out
 
 
+def _chain_tuples(algebra, n, reduced):
+    first = range(algebra.dim)
+    if reduced:
+        rest = algebra.bar_indices()
+    else:
+        rest = list(range(algebra.dim))
+    for head in first:
+        for tail in _cartesian(rest, repeat=n):
+            yield (head,) + tail
+
+
 def _old_homology_rows(algebra, top, reduced=True):
     dims = []
     tuple_index = {}
     for n in range(top + 2):
-        tuples = list(hh._chain_tuples(algebra, n, reduced))
+        tuples = list(_chain_tuples(algebra, n, reduced))
         tuple_index[n] = {t: i for i, t in enumerate(tuples)}
         dims.append(len(tuples))
     matrices = []
@@ -126,6 +143,39 @@ def _old_cohomology_rows(algebra, top, reduced=True):
     return matrices
 
 
+def _tuple_cohomology_rows(algebra, top, reduced=True):
+    if reduced:
+        slots = algebra.bar_indices()
+    else:
+        slots = list(range(algebra.dim))
+    dim = algebra.dim
+
+    def basis_keys(n):
+        return [
+            (t, k) for t in _cartesian(slots, repeat=n) for k in range(dim)
+        ]
+
+    key_index = {}
+    dims = []
+    for n in range(top + 2):
+        keys = basis_keys(n)
+        key_index[n] = {key: i for i, key in enumerate(keys)}
+        dims.append(len(keys))
+    lookups = hh._delta_lookups(algebra, slots)
+    matrices = []
+    for n in range(top + 1):
+        above = key_index[n + 1]
+        cols = []
+        for (t, k) in key_index[n]:
+            col = {}
+            for key, kk, c in hh._delta_terms(lookups, t, k):
+                add_term(col, above[(key, kk)], c)
+            if col:
+                cols.append(col)
+        matrices.append((cols, dims[n + 1]))
+    return matrices
+
+
 # -- the rows the current code eliminates ------------------------------------------
 
 def _recorded(monkeypatch, fn, algebra, top, reduced):
@@ -150,7 +200,21 @@ CASES = [
     ("mat2-unital", mat2_unital, 2, (True, False)),
     ("mat2-elementary", mat2_elementary, 2, (False,)),  # no unit in the basis
     ("jet-2-2", lambda: jet_algebra(2, 2), 2, (True, False)),
+    ("dual-numbers-top-0", dual_numbers, 0, (True, False)),
+    ("mat2-elementary-top-0", mat2_elementary, 0, (False,)),
 ]
+
+
+def _assert_rows(got, want, where, ordered):
+    """``got`` equals ``want`` matrix by matrix and row by row, and, when
+    ``ordered``, each row lists its keys in the order of ``want``'s."""
+    assert len(got) == len(want)
+    for n, ((rows, ncols), (old_rows, old_ncols)) in enumerate(zip(got, want)):
+        assert ncols == old_ncols
+        assert rows == old_rows, where + (n,)
+        if ordered:
+            for row, old_row in zip(rows, old_rows):
+                assert list(row) == list(old_row), where + (n,)
 
 
 @pytest.mark.parametrize("name,make,top,flavors", CASES, ids=[c[0] for c in CASES])
@@ -158,17 +222,19 @@ def test_rows_match_the_calculus_built_rows(monkeypatch, name, make, top, flavor
     A = make()
     for reduced in flavors:
         got = _recorded(monkeypatch, homology_betti, A, top, reduced)
-        want = _old_homology_rows(A, top, reduced)
-        assert len(got) == len(want) == top + 1
-        for n, ((rows, ncols), (old_rows, old_ncols)) in enumerate(zip(got, want)):
-            assert ncols == old_ncols
-            assert rows == old_rows, (name, reduced, "b into degree", n)
+        assert len(got) == top + 1
+        where = (name, reduced, "b into degree")
+        _assert_rows(got, _old_homology_rows(A, top, reduced), where, True)
         got = _recorded(monkeypatch, cohomology_betti, A, top, reduced)
-        want = _old_cohomology_rows(A, top, reduced)
-        assert len(got) == len(want) == top + 1
-        for n, ((rows, ncols), (old_rows, old_ncols)) in enumerate(zip(got, want)):
-            assert ncols == old_ncols
-            assert rows == old_rows, (name, reduced, "delta from degree", n)
+        assert len(got) == top + 1
+        where = (name, reduced, "delta from degree")
+        _assert_rows(got, _old_cohomology_rows(A, top, reduced), where, False)
+        _assert_rows(got, _tuple_cohomology_rows(A, top, reduced), where, True)
+    if A.unit_index is None:
+        # the normalized complexes need the unit among the basis elements
+        for fn in (homology_betti, cohomology_betti):
+            with pytest.raises(ValueError):
+                fn(A, top, reduced=True)
 
 
 def _random_cochain(A, arity, rng):
