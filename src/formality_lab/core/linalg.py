@@ -47,7 +47,10 @@ def rank_kernel(rows, ncols):
     ``rows``: iterable of dict col-index -> int or Fraction; they are not
     modified.  ``pivots`` maps each pivot column to its echelon row as a
     primitive ``int`` row (``_normalize_row``); the pivot is the row's
-    minimum column.  Pass 1 drops zero entries and makes the first row to
+    minimum column.  A pass-1 pivot that was already a zero-free primitive
+    row is the caller's row itself, not a copy, so the caller must not
+    change it while it holds the pivots.  Pass 1 drops zero entries (it
+    copies only a row that holds one) and makes the first row to
     lead at each column that column's pivot, unreduced; pass 2 reduces
     every other nonzero row, in input order, against the pivots so far and
     adds a pivot where one survives.  Normalization does not depend on
@@ -62,7 +65,7 @@ def rank_kernel(rows, ncols):
     pivots = {}
     rest = []  # the caller's rows themselves; a filtered copy of each raises peak memory
     for raw in rows:
-        row = {c: v for c, v in raw.items() if v}
+        row = raw if all(raw.values()) else {c: v for c, v in raw.items() if v}
         if row:
             c = min(row)
             if c in pivots:

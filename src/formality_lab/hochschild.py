@@ -15,6 +15,7 @@ degree n.
 from __future__ import annotations
 
 from itertools import product as _cartesian
+from weakref import WeakKeyDictionary
 
 from .core.basis import Sparse, add_row, add_term, rational, vadd_into, vec
 from .core.linalg import rank_kernel
@@ -277,11 +278,17 @@ def _delta_terms(lookups, t, k):
             yield head + (a, b) + tail, k, s * c
 
 
+_ALL_LOOKUPS = WeakKeyDictionary()  # algebra -> _delta_lookups on every index
+
+
 def delta(D):
     """Coboundary: bracket with the product cochain, summed from the closed
-    form of ``_delta_terms`` over the table of ``D``."""
+    form of ``_delta_terms`` over the table of ``D``.  The lookups are
+    built once per algebra."""
     A = D.algebra
-    lookups = _delta_lookups(A, range(A.dim))
+    lookups = _ALL_LOOKUPS.get(A)
+    if lookups is None:
+        lookups = _ALL_LOOKUPS[A] = _delta_lookups(A, range(A.dim))
     acc = {}
     for t, v in D.table.items():
         for k, c in v.items():
@@ -442,14 +449,22 @@ def lie_action(D, ch):
 
 # -- homology -----------------------------------------------------------------
 #
-# The Betti matrices are built on integer basis indices, never on tuples.  A
+# Every Betti rank is taken from the small side of its map.  Each map has one
+# row per basis element of its smaller space: b_n: C_n -> C_(n-1) one per
+# chain of degree n - 1 (its matrix, the transpose of the rows b(e_t)), and
+# delta_n: C^n -> C^(n+1) one per cochain of degree n.  The maps are then
+# eliminated bottom-up, each cleared by the one below (``_cleared_ranks``).
+#
+# The matrices are built on integer basis indices, never on tuples.  A
 # chain (i_0, .., i_n) has the mixed-radix index i_0 R^n + r(i_1) R^(n-1) +
 # .. + r(i_n), where r(i) is the position of i among the R indices a
 # reducible slot allows (all dim of them, or the bar indices); a cochain key
 # (t, k) has the index idx(t) dim + k, with idx(t) in radix R throughout.
 # These are the lexicographic orders of the bases.  A face that acts on a
 # block of adjacent slots and carries the rest through is then the block
-# I_p (x) M (x) I_s on those indices (``_add_block``).
+# I_p (x) M (x) I_s on those indices (``_add_block``).  Its transpose is
+# I_p (x) M^T (x) I_s, so b's faces are the same blocks of the transposed
+# products (``_transpose``).
 
 
 def _add_block(rows, sign, p, m, ncols, s):
@@ -470,54 +485,115 @@ def _add_block(rows, sign, p, m, ncols, s):
                     add_term(rows[x + u], y + u, v)
 
 
+def _transpose(m, ncols):
+    """The transpose of ``m`` (rows of (column, value) terms, out of
+    ``ncols`` columns) in the same form, each row's terms in row order."""
+    out = [[] for _ in range(ncols)]
+    for r, terms in enumerate(m):
+        for c, v in terms:
+            out[c].append((r, v))
+    return out
+
+
+def _cleared_ranks(name, maps):
+    """The ranks of consecutive maps of a complex: check, clear, eliminate.
+
+    ``maps`` yields (n, rows, ncols) for name_n, one map after another, the
+    rows of each indexed by the columns of the one before.  First, each
+    echelon row z of the map before is multiplied into the rows exactly.
+    These z span the row space of the map before, so z rows = 0 for all of
+    them certifies that the two maps compose to zero; a nonzero entry
+    raises ``ValueError`` with that entry as the witness, and no rank is
+    returned.  Then the rows at the pivot columns of the map before are
+    dropped: z rows = 0 makes the row at z's pivot column a combination of
+    later rows, so, by induction from the largest pivot column down, the
+    dropped rows lie in the span of the kept ones.  ``rank_kernel``
+    eliminates the kept nonzero rows in index order, and its echelon rows
+    clear the next map.  This is the clearing of persistent homology
+    (Chen-Kerber) done on the small side of each map, as in the coboundary
+    form of de Silva-Morozov-Vejdemo-Johansson.
+    """
+    ranks = []
+    pivots = {}
+    for n, rows, ncols in maps:
+        for c, z in pivots.items():
+            acc = {}  # plain sums tested once: add_term per term is slower here
+            for x, zx in z.items():
+                for y, v in rows[x].items():
+                    acc[y] = acc.get(y, 0) + zx * v
+            if any(acc.values()):
+                y = min(y for y, w in acc.items() if w)
+                raise ValueError(
+                    f"{name}^2 != 0: the echelon row of {name}_{n - 1} at pivot "
+                    f"column {c} times {name}_{n} is {acc[y]} at column {y}"
+                )
+        rank, pivots = rank_kernel(
+            [row for x, row in enumerate(rows) if row and x not in pivots], ncols
+        )
+        ranks.append(rank)
+    return ranks
+
+
 def homology_betti(algebra, top, reduced=True):
     """Chain-complex Betti numbers in degrees 0..top.
 
-    Each row of b is filled as ``_b_terms`` lists its terms: face i is
-    (-1)^i I (x) m (x) I on slots i and i + 1, then the wrap term.  In the
-    reduced complex a product in a reducible slot keeps only its bar
-    components, the terms missing from the normalized chains."""
+    b_n has one row per chain of degree n - 1 and one column per chain of
+    degree n.  Face i is (-1)^i I (x) m^T (x) I on slots i and i + 1, then
+    the wrap term adds m(i_n, i_0) at column (i_0, mid, i_n) of row
+    (m(i_n, i_0), mid).  In the reduced complex a product in a reducible
+    slot keeps only its bar components, the terms missing from the
+    normalized chains.  The ranks come bottom-up from ``_cleared_ranks``,
+    which raises ``ValueError`` when b does not square to zero."""
     dim, table = algebra.dim, algebra.table
     rest = algebra.bar_indices() if reduced else list(range(dim))
     R = len(rest)
     pos = {i: r for r, i in enumerate(rest)}
-    # m on (slot 0, slot 1) -> slot 0, and on two reducible slots -> one
-    m_head = [list(table.get((a, b), {}).items()) for a in range(dim) for b in rest]
-    m_bar = [
-        [(pos[k], v) for k, v in table.get((a, b), {}).items() if k in pos]
-        for a in rest
-        for b in rest
-    ]
+    # m^T from slot 0 to (slot 0, slot 1), and from one reducible slot to two
+    m_head = _transpose(
+        [list(table.get((a, b), {}).items()) for a in range(dim) for b in rest], dim
+    )
+    m_bar = _transpose(
+        [
+            [(pos[k], v) for k, v in table.get((a, b), {}).items() if k in pos]
+            for a in rest
+            for b in rest
+        ],
+        R,
+    )
     dims = [dim * R**n for n in range(top + 2)]
-    ranks = [0] * (top + 2)
-    for n in range(1, top + 2):
-        rows = [{} for _ in range(dims[n])]
-        _add_block(rows, 1, 1, m_head, dim, R ** (n - 1))
-        for i in range(1, n):
-            sign = -1 if i % 2 else 1
-            _add_block(rows, sign, dim * R ** (i - 1), m_bar, R, R ** (n - 1 - i))
-        # wrap: (i_0, mid, i_n) -> (m(i_n, i_0), mid), mid < R^(n-1)
-        sign = -1 if n % 2 else 1
-        mid = R ** (n - 1)
-        for a in range(dim):
-            for last, b in enumerate(rest):
-                x = a * R**n + last
-                for k, v in table.get((b, a), {}).items():
-                    y, v = k * mid, sign * v
-                    for u in range(mid):
-                        add_term(rows[x + u * R], y + u, v)
-        rank, _ = rank_kernel([row for row in rows if row], dims[n - 1])
-        ranks[n] = rank
+
+    def maps():
+        for n in range(1, top + 2):
+            rows = [{} for _ in range(dims[n - 1])]
+            _add_block(rows, 1, 1, m_head, dim * R, R ** (n - 1))
+            for i in range(1, n):
+                sign = -1 if i % 2 else 1
+                _add_block(rows, sign, dim * R ** (i - 1), m_bar, R * R, R ** (n - 1 - i))
+            # wrap: (i_0, mid, i_n) -> (m(i_n, i_0), mid), mid < R^(n-1)
+            sign = -1 if n % 2 else 1
+            mid = R ** (n - 1)
+            for a in range(dim):
+                for last, b in enumerate(rest):
+                    x = a * R**n + last
+                    for k, v in table.get((b, a), {}).items():
+                        y, v = k * mid, sign * v
+                        for u in range(mid):
+                            add_term(rows[y + u], x + u * R, v)
+            yield n, rows, dims[n]
+
+    ranks = [0, *_cleared_ranks("b", maps())]  # ranks[n] = rank of b_n
     return [dims[n] - ranks[n] - ranks[n + 1] for n in range(top + 1)]
 
 
 def cohomology_betti(algebra, top, reduced=True):
     """Cochain-complex Betti numbers in degrees 0..top.
 
-    Each row of delta is filled as ``_delta_terms`` lists its terms, read
-    off the same ``_delta_lookups``: ``left`` is I (x) L, ``right`` puts
-    the new input in front of t, and the split of slot j is
-    +-I (x) P (x) I."""
+    delta_n has one row per cochain of degree n, filled as ``_delta_terms``
+    lists its terms, read off the same ``_delta_lookups``: ``left`` is
+    I (x) L, ``right`` puts the new input in front of t, and the split of
+    slot j is +-I (x) P (x) I.  The ranks come bottom-up from
+    ``_cleared_ranks``, which raises ``ValueError`` when delta does not
+    square to zero."""
     dim = algebra.dim
     slots = algebra.bar_indices() if reduced else list(range(dim))
     R = len(slots)
@@ -530,22 +606,24 @@ def cohomology_betti(algebra, top, reduced=True):
     ]
     P = [[(pos[a] * R + pos[b], c) for a, b, c in pre.get(tj, ())] for tj in slots]
     dims = [R**n * dim for n in range(top + 2)]
-    ranks = [0] * (top + 2)  # ranks[n] = rank of delta: C^n -> C^(n+1)
-    for n in range(top + 1):
-        rows = [{} for _ in range(dims[n])]
-        T = R**n
-        _add_block(rows, 1, T, L, R * dim, 1)
-        sign = 1 if n % 2 else -1  # (-1)^(n-1)
-        # right: (t, k) -> ((a,) + t, output), t < T
-        for k in range(dim):
-            for a, v in right[k]:
-                for kk, c in v.items():
-                    y, c = pos[a] * T * dim + kk, sign * c
-                    for u in range(T):
-                        add_term(rows[u * dim + k], y + u * dim, c)
-        for j in range(n):
-            s = sign if j % 2 else -sign  # outer (-1)^j, as in _delta_terms
-            _add_block(rows, s, R**j, P, R * R, R ** (n - 1 - j) * dim)
-        rank, _ = rank_kernel([row for row in rows if row], dims[n + 1])
-        ranks[n] = rank
+
+    def maps():
+        for n in range(top + 1):
+            rows = [{} for _ in range(dims[n])]
+            T = R**n
+            _add_block(rows, 1, T, L, R * dim, 1)
+            sign = 1 if n % 2 else -1  # (-1)^(n-1)
+            # right: (t, k) -> ((a,) + t, output), t < T
+            for k in range(dim):
+                for a, v in right[k]:
+                    for kk, c in v.items():
+                        y, c = pos[a] * T * dim + kk, sign * c
+                        for u in range(T):
+                            add_term(rows[u * dim + k], y + u * dim, c)
+            for j in range(n):
+                s = sign if j % 2 else -sign  # outer (-1)^j, as in _delta_terms
+                _add_block(rows, s, R**j, P, R * R, R ** (n - 1 - j) * dim)
+            yield n, rows, dims[n + 1]
+
+    ranks = _cleared_ranks("delta", maps())  # ranks[n] = rank of delta_n
     return [dims[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in range(top + 1)]

@@ -1,16 +1,20 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from formality_lab import suites
 from formality_lab.algebras import (
+    StructureAlgebra,
     dual_numbers,
     trunc_poly_algebra,
     mat2_unital,
     FunctionModel,
     jet_algebra,
 )
+from formality_lab.cli import _execute
 from formality_lab.core.basis import vec
 from formality_lab.hochschild import (
     Cochain,
@@ -25,6 +29,7 @@ from formality_lab.hochschild import (
     homology_betti,
     cohomology_betti,
 )
+from formality_lab.manifest import parse_manifest
 from formality_lab.poly import Poly
 from formality_lab.polydiff import PolyDiffOperator
 
@@ -249,3 +254,58 @@ def test_jet_algebra_betti_degree_zero():
     # center of a commutative algebra is the whole algebra
     A = jet_algebra(2, 2)
     assert cohomology_betti(A, 0, reduced=True) == [6]
+
+
+# -- complexes that are not complexes ------------------------------------------------
+
+def _non_associative():
+    """Q[x]/(x^3) with x * x^2 changed from 0 to x^2: still unital, but
+    (x x) x = 0 while x (x x) = x^2, so b and delta do not square to zero."""
+    A = trunc_poly_algebra(2)
+    table = dict(A.table)
+    table[(1, 2)] = {2: 1}
+    return StructureAlgebra(A.labels, table)
+
+
+# b_1 (x (x) x^2) = x^2 and b_1 (x^2 (x) x) = -x^2 make the echelon row of
+# b_1 (one row per basis element of C_0) the x^2 row {x (x) x^2: 1,
+# x^2 (x) x: -1}.  Times b_2 at x (x) x (x) x, whose boundary is
+# 2 x^2 (x) x - x (x) x^2, it is -1 - 2 = -3.
+WITNESSES = [
+    (homology_betti, True,
+     "b^2 != 0: the echelon row of b_1 at pivot column 3 times b_2 is -3 at column 4"),
+    (homology_betti, False,
+     "b^2 != 0: the echelon row of b_1 at pivot column 5 times b_2 is -3 at column 13"),
+    (cohomology_betti, True,
+     "delta^2 != 0: the echelon row of delta_0 at pivot column 5 times delta_1 is -1 at column 2"),
+    (cohomology_betti, False,
+     "delta^2 != 0: the echelon row of delta_0 at pivot column 8 times delta_1 is -1 at column 14"),
+]
+
+
+@pytest.mark.parametrize("fn,reduced,witness", WITNESSES)
+def test_square_nonzero_raises_with_an_exact_witness(fn, reduced, witness):
+    A = _non_associative()
+    assert A.unit_index == 0
+    assert A.mul(A.mul({1: 1}, {1: 1}), {1: 1}) != A.mul({1: 1}, A.mul({1: 1}, {1: 1}))
+    for top in (1, 2, 3):
+        with pytest.raises(ValueError) as e:
+            fn(A, top, reduced=reduced)
+        assert str(e.value) == witness
+    # degree 0 needs only the first map, so nothing composes yet
+    assert len(fn(A, 0, reduced=reduced)) == 1
+
+
+def test_betti_job_on_a_non_associative_algebra_fails_with_the_witness(monkeypatch):
+    monkeypatch.setitem(suites._PRESET_ALGEBRAS, "non-associative", _non_associative)
+    text = "jobs:\n  - {op: betti, name: j, algebra: non-associative, top: 2}\n"
+    mf = parse_manifest(text, known_ops=suites.OPS, expand=suites.expand_suite)
+    (job,) = mf.jobs
+    suites.check_job_args(job, mf)
+    out = _execute(job, mf)
+    assert out.status == "fail"
+    assert out.summary == "betti: ValueError"
+    assert out.data == {}
+    (witness,) = out.witnesses
+    frame = r"formality_lab\.hochschild\._cleared_ranks:\d+"
+    assert re.fullmatch(rf"ValueError at {frame}: " + re.escape(WITNESSES[0][2]), witness)

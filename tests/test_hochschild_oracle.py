@@ -1,19 +1,28 @@
-"""The Hochschild matrix rows that ``homology_betti`` and ``cohomology_betti``
-build on mixed-radix basis indices, against the builders before them.
+"""The Hochschild Betti matrices and tables that ``homology_betti`` and
+``cohomology_betti`` compute, against the code before them.
 
 ``_old_delta`` and ``_old_chain_b`` are the earlier ``hochschild`` code,
 and ``_old_homology_rows`` and ``_old_cohomology_rows`` the row builders
 that went through them, with the elimination taken out.
 ``_tuple_cohomology_rows`` is the builder that came next: it enumerated
 basis keys, looked each term of ``_delta_terms`` up in a {key: index}
-dict and filled the rows through ``add_term``; its b twin did the same
-with ``_b_terms`` over ``_chain_tuples``.  All are kept verbatim as the
-reference.  The rows the Betti functions hand to ``rank_kernel`` must
-equal them entry for entry, in both flavors and every degree, and list
-their keys in the tuple-index builders' order, which fixes the work
-``rank_kernel`` does.  The calculus-built b rows already have that order,
-so they pin it for b; the bracket-built delta rows do not.  ``delta`` must
-equal the bracket with the product cochain on seeded random cochains.
+dict and filled the rows through ``add_term``.  All are kept verbatim as
+the reference, except that the row builders now keep a row for every basis
+element, empty or not, so that a row's position is its basis index.
+
+Every map is checked twice.  The full matrix, before clearing, must equal
+the reference entry for entry: delta's rows directly (and in the tuple
+builder's key order), b's against the transpose of the calculus-built
+rows, since b is now built with one row per chain of the degree below.
+And the rows handed to ``rank_kernel`` must be exactly the nonzero rows
+of that matrix that clearing keeps: those not at a pivot column of the map
+before, which ``_leading_columns`` finds by its own elimination.
+
+``_old_homology_betti`` and ``_old_cohomology_betti`` are the Betti
+functions before clearing, verbatim: row-major, every nonzero row
+eliminated, nothing checked.  The tables must agree in all four flavors.
+``delta`` must equal the bracket with the product cochain on seeded random
+cochains.
 """
 
 import random
@@ -31,6 +40,7 @@ from formality_lab.algebras import (
     trunc_poly_algebra,
 )
 from formality_lab.core.basis import add_term
+from formality_lab.core.linalg import rank_kernel
 from formality_lab.hochschild import (
     Chain,
     Cochain,
@@ -100,8 +110,7 @@ def _old_homology_rows(algebra, top, reduced=True):
             if reduced:
                 img = img.normalized()
             col = {tuple_index[n - 1][s]: v for s, v in img.c.items()}
-            if col:
-                cols.append(col)
+            cols.append(col)
         matrices.append((cols, dims[n - 1]))
     return matrices
 
@@ -137,8 +146,7 @@ def _old_cohomology_rows(algebra, top, reduced=True):
                     continue
                 for kk, c in vv.items():
                     col[key_index[n + 1][(tt, kk)]] = c
-            if col:
-                cols.append(col)
+            cols.append(col)
         matrices.append((cols, dims[n + 1]))
     return matrices
 
@@ -170,26 +178,148 @@ def _tuple_cohomology_rows(algebra, top, reduced=True):
             col = {}
             for key, kk, c in hh._delta_terms(lookups, t, k):
                 add_term(col, above[(key, kk)], c)
-            if col:
-                cols.append(col)
+            cols.append(col)
         matrices.append((cols, dims[n + 1]))
     return matrices
 
 
-# -- the rows the current code eliminates ------------------------------------------
+# -- reference: the Betti functions before clearing, verbatim ----------------------
+
+def _old_homology_betti(algebra, top, reduced=True):
+    """Chain-complex Betti numbers in degrees 0..top.
+
+    Each row of b is filled as ``_b_terms`` lists its terms: face i is
+    (-1)^i I (x) m (x) I on slots i and i + 1, then the wrap term.  In the
+    reduced complex a product in a reducible slot keeps only its bar
+    components, the terms missing from the normalized chains."""
+    dim, table = algebra.dim, algebra.table
+    rest = algebra.bar_indices() if reduced else list(range(dim))
+    R = len(rest)
+    pos = {i: r for r, i in enumerate(rest)}
+    # m on (slot 0, slot 1) -> slot 0, and on two reducible slots -> one
+    m_head = [list(table.get((a, b), {}).items()) for a in range(dim) for b in rest]
+    m_bar = [
+        [(pos[k], v) for k, v in table.get((a, b), {}).items() if k in pos]
+        for a in rest
+        for b in rest
+    ]
+    dims = [dim * R**n for n in range(top + 2)]
+    ranks = [0] * (top + 2)
+    for n in range(1, top + 2):
+        rows = [{} for _ in range(dims[n])]
+        hh._add_block(rows, 1, 1, m_head, dim, R ** (n - 1))
+        for i in range(1, n):
+            sign = -1 if i % 2 else 1
+            hh._add_block(rows, sign, dim * R ** (i - 1), m_bar, R, R ** (n - 1 - i))
+        # wrap: (i_0, mid, i_n) -> (m(i_n, i_0), mid), mid < R^(n-1)
+        sign = -1 if n % 2 else 1
+        mid = R ** (n - 1)
+        for a in range(dim):
+            for last, b in enumerate(rest):
+                x = a * R**n + last
+                for k, v in table.get((b, a), {}).items():
+                    y, v = k * mid, sign * v
+                    for u in range(mid):
+                        add_term(rows[x + u * R], y + u, v)
+        rank, _ = rank_kernel([row for row in rows if row], dims[n - 1])
+        ranks[n] = rank
+    return [dims[n] - ranks[n] - ranks[n + 1] for n in range(top + 1)]
+
+
+def _old_cohomology_betti(algebra, top, reduced=True):
+    """Cochain-complex Betti numbers in degrees 0..top.
+
+    Each row of delta is filled as ``_delta_terms`` lists its terms, read
+    off the same ``_delta_lookups``: ``left`` is I (x) L, ``right`` puts
+    the new input in front of t, and the split of slot j is
+    +-I (x) P (x) I."""
+    dim = algebra.dim
+    slots = algebra.bar_indices() if reduced else list(range(dim))
+    R = len(slots)
+    pos = {i: r for r, i in enumerate(slots)}
+    left, right, pre = hh._delta_lookups(algebra, slots)
+    # L: k -> (b, output); P: t_j -> (a, b) with t_j's coefficient in m(a, b)
+    L = [
+        [(pos[b] * dim + kk, c) for b, v in left[k] for kk, c in v.items()]
+        for k in range(dim)
+    ]
+    P = [[(pos[a] * R + pos[b], c) for a, b, c in pre.get(tj, ())] for tj in slots]
+    dims = [R**n * dim for n in range(top + 2)]
+    ranks = [0] * (top + 2)  # ranks[n] = rank of delta: C^n -> C^(n+1)
+    for n in range(top + 1):
+        rows = [{} for _ in range(dims[n])]
+        T = R**n
+        hh._add_block(rows, 1, T, L, R * dim, 1)
+        sign = 1 if n % 2 else -1  # (-1)^(n-1)
+        # right: (t, k) -> ((a,) + t, output), t < T
+        for k in range(dim):
+            for a, v in right[k]:
+                for kk, c in v.items():
+                    y, c = pos[a] * T * dim + kk, sign * c
+                    for u in range(T):
+                        add_term(rows[u * dim + k], y + u * dim, c)
+        for j in range(n):
+            s = sign if j % 2 else -sign  # outer (-1)^j, as in _delta_terms
+            hh._add_block(rows, s, R**j, P, R * R, R ** (n - 1 - j) * dim)
+        rank, _ = rank_kernel([row for row in rows if row], dims[n + 1])
+        ranks[n] = rank
+    return [dims[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in range(top + 1)]
+
+
+# -- the matrices the current code builds, and the rows it eliminates ------------------
 
 def _recorded(monkeypatch, fn, algebra, top, reduced):
-    seen = []
-    real = hh.rank_kernel
+    """(full, fed): each map as ``_cleared_ranks`` receives it, before
+    clearing, and the rows then handed to ``rank_kernel``, both as
+    (rows, ncols) in degree order."""
+    full, fed = [], []
+    real_ranks, real_kernel = hh._cleared_ranks, hh.rank_kernel
+
+    def tee(maps):
+        for n, rows, ncols in maps:
+            full.append(([dict(r) for r in rows], ncols))
+            yield n, rows, ncols
 
     def record(rows, ncols):
-        seen.append(([dict(r) for r in rows], ncols))
-        return real(rows, ncols)
+        fed.append(([dict(r) for r in rows], ncols))
+        return real_kernel(rows, ncols)
 
     with monkeypatch.context() as m:
+        m.setattr(hh, "_cleared_ranks", lambda name, maps: real_ranks(name, tee(maps)))
         m.setattr(hh, "rank_kernel", record)
         fn(algebra, top, reduced=reduced)
-    return seen
+    return full, fed
+
+
+def _transposed(rows, ncols):
+    """The transpose of ``rows``, as a list of ``ncols`` dict rows."""
+    out = [{} for _ in range(ncols)]
+    for x, row in enumerate(rows):
+        for y, v in row.items():
+            out[y][x] = v
+    return out
+
+
+def _leading_columns(rows):
+    """The leading columns of the row space of ``rows``: Gaussian
+    elimination in ``Fraction``, each row reduced against the ones kept."""
+    pivots = {}
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                pivots[c] = row
+                break
+            f = row[c] / piv[c]
+            for cc, vv in piv.items():
+                w = row.get(cc, 0) - f * vv
+                if w:
+                    row[cc] = w
+                else:
+                    row.pop(cc, None)
+    return set(pivots)
 
 
 # (name, algebra, top, flavors): every degree up to ``top`` in each flavor
@@ -217,24 +347,57 @@ def _assert_rows(got, want, where, ordered):
                 assert list(row) == list(old_row), where + (n,)
 
 
+def _assert_cleared(full, fed, where):
+    """The rows fed for each map are its nonzero rows, in index order, less
+    those at the leading columns of the map before it."""
+    assert len(fed) == len(full)
+    cleared = set()
+    for n, ((rows, ncols), (fed_rows, fed_ncols)) in enumerate(zip(full, fed)):
+        assert fed_ncols == ncols
+        kept = [row for x, row in enumerate(rows) if row and x not in cleared]
+        assert fed_rows == kept, where + (n,)
+        cleared = _leading_columns(rows)
+
+
 @pytest.mark.parametrize("name,make,top,flavors", CASES, ids=[c[0] for c in CASES])
 def test_rows_match_the_calculus_built_rows(monkeypatch, name, make, top, flavors):
     A = make()
     for reduced in flavors:
-        got = _recorded(monkeypatch, homology_betti, A, top, reduced)
-        assert len(got) == top + 1
-        where = (name, reduced, "b into degree")
-        _assert_rows(got, _old_homology_rows(A, top, reduced), where, True)
-        got = _recorded(monkeypatch, cohomology_betti, A, top, reduced)
-        assert len(got) == top + 1
+        full, fed = _recorded(monkeypatch, homology_betti, A, top, reduced)
+        assert len(full) == top + 1
+        where = (name, reduced, "b from degree")
+        want = [
+            (_transposed(rows, ncols), len(rows))
+            for rows, ncols in _old_homology_rows(A, top, reduced)
+        ]
+        _assert_rows(full, want, where, False)
+        _assert_cleared(full, fed, where)
+        full, fed = _recorded(monkeypatch, cohomology_betti, A, top, reduced)
+        assert len(full) == top + 1
         where = (name, reduced, "delta from degree")
-        _assert_rows(got, _old_cohomology_rows(A, top, reduced), where, False)
-        _assert_rows(got, _tuple_cohomology_rows(A, top, reduced), where, True)
+        _assert_rows(full, _old_cohomology_rows(A, top, reduced), where, False)
+        _assert_rows(full, _tuple_cohomology_rows(A, top, reduced), where, True)
+        _assert_cleared(full, fed, where)
     if A.unit_index is None:
         # the normalized complexes need the unit among the basis elements
         for fn in (homology_betti, cohomology_betti):
             with pytest.raises(ValueError):
                 fn(A, top, reduced=True)
+
+
+def _tables(homology, cohomology, A, top, flavors):
+    return [
+        (reduced, homology(A, top, reduced=reduced), cohomology(A, top, reduced=reduced))
+        for reduced in flavors
+    ]
+
+
+@pytest.mark.parametrize("name,make,top,flavors", CASES, ids=[c[0] for c in CASES])
+def test_betti_tables_match_the_uncleared_functions(name, make, top, flavors):
+    A = make()
+    for t in sorted({top, 4}):
+        want = _tables(_old_homology_betti, _old_cohomology_betti, A, t, flavors)
+        assert _tables(homology_betti, cohomology_betti, A, t, flavors) == want, (name, t)
 
 
 def _random_cochain(A, arity, rng):
@@ -285,3 +448,5 @@ def test_homology_workload_tables_in_all_four_flavors():
         for reduced in (True, False):
             assert homology_betti(A, top, reduced=reduced) == want
             assert cohomology_betti(A, top, reduced=reduced) == want
+            assert _old_homology_betti(A, top, reduced=reduced) == want
+            assert _old_cohomology_betti(A, top, reduced=reduced) == want

@@ -15,7 +15,9 @@ dense rational system and on rows of mixed scalar types.
 ``_in_order_rank_kernel`` is the one-pass integer eliminator that the
 two-pass one replaced, verbatim: it reduces every row in input order.  On
 the same systems the two must give the same rank and the same set of pivot
-columns, and ``solve`` must not depend on the order of the rows.
+columns, and ``solve`` must not depend on the order of the rows.  On rows
+holding explicit zeros all of this holds too, and pass 1 may copy a row
+only when it holds a zero: a zero-free primitive leader is its own pivot.
 """
 
 import random
@@ -361,6 +363,58 @@ def test_pivots_are_primitive_int_rows_on_seeded_systems():
     for _ in range(1500):
         rows, rhs, ncols = _system(rng)
         _check_kernel(rows, ncols)
+
+
+def _with_zeros(rng, rows, ncols):
+    """Copies of ``rows``: about half of them with explicit zeros (``0`` or
+    ``Fraction(0)``) added at random columns, often before the leading
+    entry, and a quarter scaled to primitive ``int`` rows, as most
+    Hochschild rows come."""
+    out = []
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        roll = rng.random()
+        if ncols and roll < 0.5:
+            for c in rng.sample(range(ncols), rng.randint(1, ncols)):
+                row.setdefault(c, rng.choice([0, Fraction(0)]))
+        elif roll < 0.75:
+            row = _int_normalize_row(row)
+        out.append(row)
+    return out
+
+
+def test_rows_holding_explicit_zeros_are_copied_and_only_they():
+    """Pass 1 copies a row only when it holds a zero.  Such rows must give
+    the references' rank, pivots and solution; a zero-free row that is
+    already primitive becomes its pivot as itself; no input row changes."""
+    rng = random.Random(20261019)
+    kept = zeroed = 0
+    for _ in range(1500):
+        rows, rhs, ncols = _system(rng)
+        rows = _with_zeros(rng, rows, ncols)
+        snapshot = _copy(rows)
+        rank, _ = _check_kernel(rows, ncols)
+        assert rank == _old_rank_kernel(_copy(rows), ncols)[0], (rows, ncols)
+        assert solve(_copy(rows), list(rhs), ncols) == _old_solve(_copy(rows), list(rhs), ncols)
+        _, pivots = rank_kernel(rows, ncols)
+        assert rows == snapshot, "rank_kernel changed its input rows"
+        leads = set()
+        for row in rows:
+            lead = min((c for c, v in row.items() if v), default=None)
+            if lead is None or lead in leads:
+                continue
+            leads.add(lead)
+            primitive = all(type(v) is int for v in row.values()) and (
+                gcd(*row.values()) == 1 and row[lead] > 0
+            )
+            if not all(row.values()):
+                assert pivots[lead] is not row and 0 not in pivots[lead].values()
+                zeroed += 1
+            elif primitive:
+                assert pivots[lead] is row
+                kept += 1
+    # both kinds of leader occur in bulk
+    assert kept > 300 and zeroed > 500
 
 
 def _betti_matrices(monkeypatch, algebra, top, reduced):
