@@ -1,11 +1,11 @@
 """Constant symplectic calculus on series-valued forms.
 
 Forms carry two formal weights: a deformation order t (Laurent below, capped
-above like the scalar series ideal) and a periodicity weight u (hard window
-both ways).  On standard R^2n the module builds the twisted de Rham
-differentials, the finite exponential of the duality contraction, a duality
-star, and the composite that turns the volume normalization into the
-multiplication operator exp(-omega/(u t)).
+above like an ideal) and a periodicity weight u (the hard window [-4, 4]).
+On standard R^2n the module builds the twisted de Rham differentials, the
+finite exponential of the duality contraction, a duality star, and the
+composite that turns the volume normalization into the multiplication
+operator exp(-omega/(u t)).
 
 Two sign conventions, both recorded in the convention ledger.  First, the
 exponential arrows use the OPPOSITE sign of cartan.contract, so each
@@ -34,7 +34,6 @@ from .cartan import (
 from .core.basis import Sparse, add_term, rational
 from .core.linalg import rank_kernel, solve
 from .core.signs import koszul_sign
-from .core.series import WindowOverflow
 from .linfty import CheckReport
 from .poly import Poly, monomials_upto
 
@@ -70,20 +69,24 @@ class SymplecticData:
         return lie_derivative(self.pi0, alpha)
 
 
+class WindowOverflow(ValueError):
+    """A weight left the window of a series form with a nonzero part."""
+
+
 class SeriesForm(Sparse):
     """c[(kt, ku, k)] = homogeneous degree-k form at weight t^kt u^ku.
 
     kt above the window top drops silently (ideal semantics); kt below the
-    bottom or ku outside its window raises WindowOverflow.
+    bottom or ku outside [-4, 4] raises WindowOverflow, since a two-sided
+    window is no ideal and a dropped part would corrupt later weights.
     """
 
-    __slots__ = ("nvars", "twin", "uwin", "c")
-    _space = ("nvars", "twin", "uwin")
+    __slots__ = ("nvars", "twin", "c")
+    _space = ("nvars", "twin")
 
-    def __init__(self, nvars, parts=None, twin=(-4, 4), uwin=(-4, 4)):
+    def __init__(self, nvars, parts=None, twin=(-4, 4)):
         self.nvars = nvars
         self.twin = tuple(twin)
-        self.uwin = tuple(uwin)
         self.c = {}
         if parts:
             for (kt, ku, k), form in parts.items():
@@ -92,37 +95,30 @@ class SeriesForm(Sparse):
                 self._add(kt, ku, form)
 
     @classmethod
-    def zero(cls, nvars, twin=(-4, 4), uwin=(-4, 4)):
-        return cls(nvars, None, twin, uwin)
+    def zero(cls, nvars, twin=(-4, 4)):
+        return cls(nvars, None, twin)
 
     @classmethod
-    def wrap(cls, form, twin=(-4, 4), uwin=(-4, 4), kt=0, ku=0):
-        out = cls.zero(form.nvars, twin, uwin)
-        out._add(kt, ku, form)
+    def wrap(cls, form, twin=(-4, 4)):
+        out = cls.zero(form.nvars, twin)
+        out._add(0, 0, form)
         return out
 
     def _add(self, kt, ku, form):
         if not form or kt > self.twin[1]:
             return
-        if kt < self.twin[0] or not self.uwin[0] <= ku <= self.uwin[1]:
+        if kt < self.twin[0] or not -4 <= ku <= 4:
             raise WindowOverflow(f"t^{kt} u^{ku} left the window")
         add_term(self.c, (kt, ku, form.k), form)
 
     def _like(self, c):
         out = object.__new__(SeriesForm)
-        out.nvars, out.twin, out.uwin, out.c = self.nvars, self.twin, self.uwin, c
-        return out
-
-    def shift(self, dt, du, coeff=1):
-        """Multiply by coeff * t^dt u^du."""
-        out = SeriesForm.zero(self.nvars, self.twin, self.uwin)
-        for (kt, ku, _), form in self.c.items():
-            out._add(kt + dt, ku + du, coeff * form)
+        out.nvars, out.twin, out.c = self.nvars, self.twin, c
         return out
 
     def map_form(self, fn, dt=0, du=0):
         """Apply a linear form operation to every part, with a weight shift."""
-        out = SeriesForm.zero(self.nvars, self.twin, self.uwin)
+        out = SeriesForm.zero(self.nvars, self.twin)
         for (kt, ku, _), form in self.c.items():
             out._add(kt + dt, ku + du, fn(form))
         return out
@@ -150,7 +146,7 @@ def diff_td_uL(sd, alpha):
 
 def _parity_dress(alpha, fn, dt, du):
     """Apply fn weighted by (-1)^(deg+1) on each homogeneous part."""
-    out = SeriesForm.zero(alpha.nvars, alpha.twin, alpha.uwin)
+    out = SeriesForm.zero(alpha.nvars, alpha.twin)
     for (kt, ku, k), form in alpha.c.items():
         out._add(kt + dt, ku + du, Fraction((-1) ** (k + 1)) * fn(form))
     return out
@@ -180,7 +176,7 @@ def contract_exp(sd, alpha, dt, du, sign=1):
 
     Finite on every part: each contraction drops the form degree by two.
     """
-    out = SeriesForm.zero(alpha.nvars, alpha.twin, alpha.uwin)
+    out = SeriesForm.zero(alpha.nvars, alpha.twin)
     for (kt, ku, _), form in alpha.c.items():
         m = 0
         cur = form
@@ -279,7 +275,7 @@ def series_star(sd, alpha):
 
 def degree_twist(sd, alpha):
     """(-1)^n t^(k-n) on each degree-k part: regrades d into t*d."""
-    out = SeriesForm.zero(alpha.nvars, alpha.twin, alpha.uwin)
+    out = SeriesForm.zero(alpha.nvars, alpha.twin)
     sign = Fraction((-1) ** sd.n)
     for (kt, ku, k), form in alpha.c.items():
         out._add(kt + k - sd.n, ku, sign * form)
@@ -288,7 +284,7 @@ def degree_twist(sd, alpha):
 
 def u_regrade(sd, alpha):
     """u^(n-k) on each degree-k part."""
-    out = SeriesForm.zero(alpha.nvars, alpha.twin, alpha.uwin)
+    out = SeriesForm.zero(alpha.nvars, alpha.twin)
     for (kt, ku, k), form in alpha.c.items():
         out._add(kt, ku + sd.n - k, form)
     return out
@@ -338,14 +334,14 @@ def check_pipeline_chain_maps(sd, samples):
 _Z_TOKENS = {"t": (1, 0), "u": (0, 1), "t/u": (1, -1), "u/t": (-1, 1)}
 
 
-def exp_contract_identity(n, z="t/u", twin=(-4, 4), uwin=(-4, 4)):
+def exp_contract_identity(n, z="t/u"):
     """exp(z i)(omega^n/n!) versus sum_j z^(n-j) omega^j/j!, exactly."""
     if z not in _Z_TOKENS:
         raise ValueError(f"unknown weight token {z!r}")
     dt, du = _Z_TOKENS[z]
     sd = SymplecticData(n)
-    lhs = contract_exp(sd, SeriesForm.wrap(sd.volume(), twin, uwin), dt, du, sign=1)
-    rhs = SeriesForm.zero(sd.nvars, twin, uwin)
+    lhs = contract_exp(sd, SeriesForm.wrap(sd.volume()), dt, du, sign=1)
+    rhs = SeriesForm.zero(sd.nvars)
     for j in range(n + 1):
         rhs._add((n - j) * dt, (n - j) * du, sd.omega_power(j))
     return CheckReport(1, [] if lhs == rhs else [("exp-contract", lhs, rhs)])
@@ -408,7 +404,7 @@ class FlatExpansion:
         return f"FlatExpansion({state}, class={self.klass})"
 
 
-def ahat_flat(n, nt, uwin=(-4, 4)):
+def ahat_flat(n, nt):
     """Run the composite on 1 over flat R^2n and split class from exact junk.
 
     The degree-0 parts are the reported expansion; every positive-degree part
@@ -417,7 +413,7 @@ def ahat_flat(n, nt, uwin=(-4, 4)):
     """
     sd = SymplecticData(n)
     twin = (-max(n, nt), nt)
-    one = SeriesForm.wrap(Form.function(Poly.const(sd.nvars, 1)), twin, uwin)
+    one = SeriesForm.wrap(Form.function(Poly.const(sd.nvars, 1)), twin)
     value = nu0(sd, one)
     klass = {}
     primitives = {}

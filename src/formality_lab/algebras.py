@@ -159,9 +159,6 @@ class FunctionModel:
         self.index = {e: i for i, e in enumerate(self.monomials)}
         self.dim = len(self.monomials)
 
-    def mul(self, p, q):
-        return (p * q).truncate(self.cap)
-
     def basis_poly(self, i):
         return Poly.monomial(self.nvars, self.monomials[i])
 

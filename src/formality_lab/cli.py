@@ -12,7 +12,7 @@ parse, or resolution errors.
 import argparse
 import sys
 
-from .core.series import WindowOverflow
+from .ahat import WindowOverflow
 from .manifest import ManifestError, load_manifest
 from .report import Report, emit
 from .suites import OPS, JobOutcome, check_job_args, expand_suite, run_job

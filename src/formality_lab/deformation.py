@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 from . import polydiff as pd
 from .algebras import FunctionModel
 from .cartan import MultiVector, hkr, poisson_bracket
 from .core.basis import add_term, rational
-from .core.series import FormalSeries
 from .linfty import CheckReport, MCElement
 from .poly import Poly, monomials_upto
 
@@ -225,46 +224,49 @@ def star_to_mc(s):
 
 
 class TraceCandidate:
-    """Finite-order distribution at the origin with series coefficients:
-    tau(f) = sum_alpha c_alpha * (d^alpha f)(0)."""
+    """Finite-order distribution at the origin with rational coefficients:
+    tau(f) = sum_alpha c_alpha * (d^alpha f)(0).
+
+    ``weights`` holds c_alpha * alpha! per jet order alpha, the factor that
+    multiplies the coefficient of x^alpha in f.
+    """
 
     def __init__(self, nvars, coeffs, nt):
         self.nvars = nvars
         self.nt = nt
-        self.coeffs = {}
+        self.weights = {}
         for alpha, c in coeffs.items():
             alpha = tuple(alpha)
             if len(alpha) != nvars or any(a < 0 for a in alpha):
                 raise ValueError(f"jet order {alpha!r} needs {nvars} entries >= 0")
-            if not isinstance(c, FormalSeries):
-                c = FormalSeries.scalar(c, nt)
-            if c.nt != nt or (c.ulo, c.uhi) != (0, 0):
-                raise ValueError("coefficient caps differ")
-            if not c.is_zero():
-                self.coeffs[alpha] = c
+            c = rational(c)
+            if c:
+                self.weights[alpha] = c * prod(map(factorial, alpha))
 
     def evaluate(self, f):
-        out = FormalSeries.zero(self.nt)
-        for alpha, c in self.coeffs.items():
+        """tau(f), an exact scalar."""
+        out = 0
+        for alpha, w in self.weights.items():
             v = f.coeff(alpha)
             if v:
-                weight = v
-                for a in alpha:
-                    weight *= factorial(a)
-                out = out + weight * c
+                out += w * v
         return out
 
     def evaluate_orders(self, parts):
-        out = FormalSeries.zero(self.nt)
+        """{t-order: tau(part)} of a {t-order: polynomial} dict, zero-free;
+        orders above nt drop, as in a series truncated at t^nt."""
+        out = {}
         for m, f in parts.items():
-            v = self.evaluate(f)
-            if not v.is_zero():
-                out = out + FormalSeries.monomial(m, 0, self.nt) * v
+            if m <= self.nt:
+                v = self.evaluate(f)
+                if v:
+                    out[m] = v
         return out
 
 
 def trace_defect(tau, s, degree=None):
-    """tau(f*g - g*f) over monomial pairs; witnesses carry the series value.
+    """tau(f*g - g*f) over monomial pairs; witnesses carry the value as
+    {t-order: scalar}.
 
     Every product f*g is built once per call, in an N x N table, and serves
     as both f*g and g*f.
@@ -288,7 +290,7 @@ def trace_defect(tau, s, degree=None):
                     comm[k] = d
             val = tau.evaluate_orders(comm)
             checked += 1
-            if not val.is_zero():
+            if val:
                 witnesses.append(((ea, eb), val))
     return CheckReport(checked, witnesses)
 
@@ -305,6 +307,6 @@ def poisson_defect(tau, pi0, degree=4):
             fb = Poly.monomial(n, eb)
             val = tau.evaluate(poisson_bracket(pi0, fa, fb))
             checked += 1
-            if not val.is_zero():
+            if val:
                 witnesses.append(((ea, eb), val))
     return CheckReport(checked, witnesses)

@@ -20,7 +20,7 @@ sweep in the package, the star-product and pipeline checks included.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from .core.basis import Sparse, add_term
 from .core.signs import decalage_sign, unshuffle_sign
@@ -109,23 +109,18 @@ def linfty_residual(S, elements):
     return acc
 
 
-def check_linfty(S, max_arity=3, tuples=None):
+def check_linfty(S, max_arity=3):
     """Sweep the generalized Jacobi identity over generator tuples."""
-    from itertools import combinations_with_replacement
-
     witnesses = []
     checked = 0
-    if tuples is None:
-        tuples = []
-        for n in range(1, max_arity + 1):
-            tuples.extend(combinations_with_replacement(S.generators, n))
-    for tup in tuples:
-        names = [t[0] for t in tup]
-        elems = [t[1] for t in tup]
-        res = linfty_residual(S, elems)
-        checked += 1
-        if res is not None and not res.is_zero():
-            witnesses.append((tuple(names), len(elems), res))
+    for n in range(1, max_arity + 1):
+        for tup in combinations_with_replacement(S.generators, n):
+            names = [t[0] for t in tup]
+            elems = [t[1] for t in tup]
+            res = linfty_residual(S, elems)
+            checked += 1
+            if res is not None and not res.is_zero():
+                witnesses.append((tuple(names), len(elems), res))
     return CheckReport(checked, witnesses, max_arity)
 
 
@@ -207,26 +202,18 @@ def module_residual(M, elements, m):
     return acc
 
 
-def check_module(M, max_arity=2, tuples=None, module_samples=None):
-    from itertools import combinations_with_replacement
-
+def check_module(M, max_arity=2):
     witnesses = []
     checked = 0
-    if tuples is None:
-        gens = M.structure.generators
-        tuples = []
-        for n in range(0, max_arity + 1):
-            tuples.extend(combinations_with_replacement(gens, n))
-    if module_samples is None:
-        module_samples = M.samples
-    for tup in tuples:
-        names = [t[0] for t in tup]
-        elems = [t[1] for t in tup]
-        for mname, melem in module_samples:
-            res = module_residual(M, elems, melem)
-            checked += 1
-            if res is not None and not res.is_zero():
-                witnesses.append((tuple(names + [mname]), len(elems), res))
+    for n in range(0, max_arity + 1):
+        for tup in combinations_with_replacement(M.structure.generators, n):
+            names = [t[0] for t in tup]
+            elems = [t[1] for t in tup]
+            for mname, melem in M.samples:
+                res = module_residual(M, elems, melem)
+                checked += 1
+                if res is not None and not res.is_zero():
+                    witnesses.append((tuple(names + [mname]), len(elems), res))
     return CheckReport(checked, witnesses, max_arity)
 
 
@@ -284,13 +271,11 @@ def _series_bracket(S, n, series_list, nt):
     return out
 
 
-def mc_residual(S, pi, max_arity=None):
+def mc_residual(S, pi):
     """sum_n (1/n!) [pi, ..., pi]_n per formal order; zero iff flat."""
-    if max_arity is None:
-        max_arity = max(S.brackets) if S.brackets else 0
     total = {}
     fact = 1
-    for n in range(1, max_arity + 1):
+    for n in range(1, max(S.brackets, default=0) + 1):
         fact *= n
         if n not in S.brackets:
             continue

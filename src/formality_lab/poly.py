@@ -3,7 +3,7 @@
 Terms are a dict from exponent tuples to exact scalars (``int`` or
 ``Fraction``, see ``core.basis``) with no stored zeros.
 Nothing here ever truncates: the degree-capped quotient lives in
-``algebras.FunctionModel``, which wraps these with a truncating product.
+``algebras.FunctionModel``, whose structure algebra has a truncating product.
 """
 
 from __future__ import annotations
@@ -116,10 +116,6 @@ class Poly(Sparse):
             raise ValueError(f"multi-index {alpha!r} does not have {self.n} entries")
         d = diff_terms(self.c, alpha)
         return self if d is self.c else self._like(d)
-
-    def truncate(self, degree_cap):
-        """Drop all terms of total degree above the cap."""
-        return self._like({e: v for e, v in self.c.items() if sum(e) <= degree_cap})
 
     def __repr__(self):
         if not self.c:

@@ -984,6 +984,12 @@ def _degeneration_probe(args):
     return JobOutcome("pass", f"probe of {label} as expected at all caps", data)
 
 
+def _series_text(val):
+    """A {t-order: scalar} trace value in the report's series notation."""
+    terms = " + ".join(f"{v}*t^{k}*u^0" for k, v in sorted(val.items()))
+    return f"FormalSeries({terms})"
+
+
 @_op(
     "trace-defect",
     {
@@ -1013,7 +1019,8 @@ def _trace_defect(args):
     except ValueError:
         data["bracket-nonzero-pairs"] = "no leading bivector"
     witnesses = [
-        f"tau(x^{list(ea)} * x^{list(eb)} - x^{list(eb)} * x^{list(ea)}) = {val}"
+        f"tau(x^{list(ea)} * x^{list(eb)} - x^{list(eb)} * x^{list(ea)}) = "
+        + _series_text(val)
         for (ea, eb), val in rep.witnesses[:MAX_WITNESSES]
     ]
     expect = args["expect"]

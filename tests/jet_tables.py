@@ -11,6 +11,7 @@ from formality_lab.hochschild import Cochain
 
 
 def poly_to_vec(model, p):
+    """p in the model's basis; terms above the cap drop (the quotient)."""
     if p.n != model.nvars:
         raise ValueError("variable count mismatch")
     out = {}
@@ -24,13 +25,13 @@ def from_polydiff(op, model, algebra):
     """Tabulate a polydifferential operator on the degree-capped model.
 
     ``model`` is the FunctionModel whose monomials index ``algebra``
-    (see ``algebras.jet_algebra``); evaluation truncates at the cap.
+    (see ``algebras.jet_algebra``); ``poly_to_vec`` truncates each value at
+    the cap.
     """
     C = Cochain.zero(algebra, op.arity)
     for tup in _cartesian(range(model.dim), repeat=op.arity):
         args = [model.basis_poly(i) for i in tup]
-        val = op.apply(args).truncate(model.cap)
-        v = poly_to_vec(model, val)
+        v = poly_to_vec(model, op.apply(args))
         if v:
             C.table[tup] = v
     return C

@@ -1,11 +1,12 @@
-"""The hand-written vector-space methods of the seven sparse containers from
+"""The hand-written vector-space methods of the six sparse containers from
 before ``core.basis.Sparse``, kept as the reference for it.
 
 Each ``_<class>_<method>`` below is that class's own ``+``, ``-``,
 negation, scalar multiple, ``==``, truth value and ``is_zero``, with the
-helpers they called, verbatim apart from their names and two storage
-renames: ``PolyDiffOperator.terms`` and ``SeriesForm.parts`` /
-``MCElement.parts`` are now ``c``.  ``MCElement`` had no negation or
+helpers they called, verbatim apart from their names, two storage renames
+(``PolyDiffOperator.terms`` and ``SeriesForm.parts`` / ``MCElement.parts``
+are now ``c``) and ``SeriesForm``'s u-window, now a constant rather than a
+slot.  ``MCElement`` had no negation or
 difference; in the reference they are ``(-1) * x`` and ``x + (-1) * y``
 through its own ``+`` and scalar multiple.
 
@@ -21,7 +22,6 @@ from operator import add
 from formality_lab.ahat import SeriesForm
 from formality_lab.cartan import _Exterior, _make
 from formality_lab.core.basis import add_term, rational
-from formality_lab.core.series import FormalSeries
 from formality_lab.hochschild import Chain
 from formality_lab.linfty import MCElement
 from formality_lab.poly import Poly
@@ -78,54 +78,6 @@ def _poly_eq(self, other):
     if not isinstance(other, Poly):
         return NotImplemented
     return self.n == other.n and self.c == other.c
-
-
-# -- FormalSeries ------------------------------------------------------------------
-
-def _series_check_compatible(self, other):
-    if (self.nt, self.ulo, self.uhi) != (other.nt, other.ulo, other.uhi):
-        raise ValueError("series caps differ")
-
-
-def _series_bool(self):
-    return bool(self.c)
-
-
-def _series_is_zero(self):
-    return not self
-
-
-def _series_add(self, other):
-    self._check_compatible(other)
-    s = FormalSeries.zero(self.nt, (self.ulo, self.uhi))
-    s.c = dict(self.c)
-    for k, v in other.c.items():
-        add_term(s.c, k, v)
-    return s
-
-
-def _series_neg(self):
-    s = FormalSeries.zero(self.nt, (self.ulo, self.uhi))
-    s.c = {k: -v for k, v in self.c.items()}
-    return s
-
-
-def _series_sub(self, other):
-    return self + (-other)
-
-
-def _series_rmul(self, scalar):
-    v = rational(scalar)
-    s = FormalSeries.zero(self.nt, (self.ulo, self.uhi))
-    if v:
-        s.c = {k: v * w for k, w in self.c.items()}
-    return s
-
-
-def _series_eq(self, other):
-    if not isinstance(other, FormalSeries):
-        return NotImplemented
-    return (self.nt, self.ulo, self.uhi) == (other.nt, other.ulo, other.uhi) and self.c == other.c
 
 
 # -- PolyDiffOperator ----------------------------------------------------------------
@@ -302,13 +254,13 @@ def _exterior_is_zero(self):
 # -- SeriesForm ----------------------------------------------------------------------
 
 def _series_form_windows(self, other):
-    if self.nvars != other.nvars or self.twin != other.twin or self.uwin != other.uwin:
+    if self.nvars != other.nvars or self.twin != other.twin:
         raise ValueError("mismatched series forms")
 
 
 def _series_form_add(self, other):
     self._windows(other)
-    out = SeriesForm.zero(self.nvars, self.twin, self.uwin)
+    out = SeriesForm.zero(self.nvars, self.twin)
     out.c = dict(self.c)
     for (kt, ku, _), form in other.c.items():
         out._add(kt, ku, form)
@@ -316,7 +268,7 @@ def _series_form_add(self, other):
 
 
 def _series_form_neg(self):
-    out = SeriesForm.zero(self.nvars, self.twin, self.uwin)
+    out = SeriesForm.zero(self.nvars, self.twin)
     out.c = {key: -form for key, form in self.c.items()}
     return out
 
@@ -326,7 +278,7 @@ def _series_form_sub(self, other):
 
 
 def _series_form_rmul(self, scalar):
-    out = SeriesForm.zero(self.nvars, self.twin, self.uwin)
+    out = SeriesForm.zero(self.nvars, self.twin)
     for key, form in self.c.items():
         s = scalar * form
         if s:
@@ -340,7 +292,6 @@ def _series_form_eq(self, other):
     return (
         self.nvars == other.nvars
         and self.twin == other.twin
-        and self.uwin == other.uwin
         and self.c == other.c
     )
 
@@ -397,11 +348,6 @@ PARENT_METHODS = {
         "_check": _poly_check, "__add__": _poly_add, "__neg__": _poly_neg,
         "__sub__": _poly_sub, "__rmul__": _poly_rmul, "__eq__": _poly_eq,
         "__bool__": _poly_bool, "is_zero": _poly_is_zero,
-    },
-    FormalSeries: {
-        "_check_compatible": _series_check_compatible, "__add__": _series_add,
-        "__neg__": _series_neg, "__sub__": _series_sub, "__rmul__": _series_rmul,
-        "__eq__": _series_eq, "__bool__": _series_bool, "is_zero": _series_is_zero,
     },
     PolyDiffOperator: {
         "_check": _operator_check, "__add__": _operator_add, "__neg__": _operator_neg,

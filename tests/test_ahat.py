@@ -8,8 +8,8 @@ import pytest
 
 from formality_lab import ahat as ah
 from formality_lab import cartan as ct
+from formality_lab.ahat import WindowOverflow
 from formality_lab.core.signs import koszul_sign
-from formality_lab.core.series import WindowOverflow
 from formality_lab.poly import Poly, monomials_upto
 
 
@@ -110,17 +110,22 @@ def test_dressed_differentials_square_to_zero():
 
 def test_series_weight_windows():
     sd = ah.SymplecticData(1)
-    a = ah.SeriesForm.zero(2, (-2, 1), (-2, 2))
+    a = ah.SeriesForm.zero(2, (-2, 1))
     a._add(2, 0, sd.omega)  # above the t cap: ideal, dropped
     assert a.is_zero()
     with pytest.raises(WindowOverflow):
         a._add(-3, 0, sd.omega)
-    with pytest.raises(WindowOverflow):
-        a._add(0, 3, sd.omega)
-    # a run that walks u below its window must refuse, not wrap around
-    one = ah.SeriesForm.wrap(ct.Form.function(Poly.const(2, 1)), (-4, 4), (0, 4))
-    with pytest.raises(WindowOverflow):
-        ah.nu0(sd, one)
+    # u has the fixed window [-4, 4], closed on both sides
+    a._add(0, -4, sd.omega)
+    a._add(0, 4, sd.omega)
+    for ku in (-5, 5):
+        with pytest.raises(WindowOverflow):
+            a._add(0, ku, sd.omega)
+    a._add(0, 9, 0 * sd.omega)  # a part that cancelled is no overflow
+    # a run that walks u past its window must refuse, not wrap around:
+    # exp(u i) on the volume of R^10 reaches u^5
+    with pytest.raises(WindowOverflow, match="u\\^5"):
+        ah.exp_contract_identity(5, "u")
 
 
 def test_degree_twist_and_regrade():

@@ -97,15 +97,6 @@ def test_unit_solver_rejects_nonunital():
         StructureAlgebra(["n"], {(0, 0): {}})
 
 
-def test_function_model_product_truncates():
-    F = FunctionModel(1, 3)
-    x = Poly.var(1, 0)
-    p = F.mul(x * x, x * x)  # x^4 dies at cap 3
-    assert p.is_zero()
-    assert F.mul(x, x) == x * x
-    assert F.dim == 4
-
-
 def test_function_model_vectors():
     F = FunctionModel(2, 2)
     assert F.dim == 6

@@ -168,7 +168,7 @@ def _untabled_trace_defect(tau, s, degree=None):
                     comm[k] = d
             val = tau.evaluate_orders(comm)
             checked += 1
-            if not val.is_zero():
+            if val:
                 witnesses.append(((ea, eb), val))
     return CheckReport(checked, witnesses)
 

@@ -328,6 +328,38 @@ def test_raised_job_names_the_package_frame(tmp_path, capsys, monkeypatch):
         assert "/" not in witness
 
 
+TRACES = (
+    "model: {vars: 2, degree-cap: 4, nt: 4}\n"
+    "objects:\n"
+    '  moyal-half: {kind: star-product, matrix: [[0, "1/2"], ["-1/2", 0]]}\n'
+    '  origin-1: {kind: trace, nt: 1, coeffs: {"0,0": 1}}\n'
+    '  origin: {kind: trace, coeffs: {"0,0": 1}}\n'
+    '  jet: {kind: trace, coeffs: {"0,0": 1, "2,2": "1/4"}}\n'
+    "jobs:\n"
+    "  - {op: trace-defect, name: o1, trace: origin-1, star: moyal-half, max-degree: 3}\n"
+    "  - {op: trace-defect, name: o4, trace: origin, star: moyal-half, max-degree: 3}\n"
+    "  - {op: trace-defect, name: jet, trace: jet, star: moyal-half, max-degree: 3}\n"
+)
+
+
+def test_trace_witnesses_and_orders_above_the_trace_cap(tmp_path, capsys):
+    # on monomials of degree <= 3 the origin trace sees the commutator at
+    # t^1 (2 pairs) and at t^3 (4 more); a trace with nt 1 drops t^3
+    rc = main(["run", _write(tmp_path, TRACES), "--format", "structured"])
+    jobs = {j["name"]: j for j in json.loads(capsys.readouterr().out)["jobs"]}
+    assert rc == 0
+    assert {name: j["status"] for name, j in jobs.items()} == dict.fromkeys(jobs, "info")
+    assert jobs["o1"]["data"]["nonzero-pairs"] == 2
+    assert jobs["o4"]["data"]["nonzero-pairs"] == 6
+    assert jobs["o1"]["witnesses"][0] == (
+        "tau(x^[0, 1] * x^[1, 0] - x^[1, 0] * x^[0, 1]) = FormalSeries(-1*t^1*u^0)"
+    )
+    assert (
+        "tau(x^[0, 3] * x^[3, 0] - x^[3, 0] * x^[0, 3]) = "
+        "FormalSeries(-9*t^1*u^0 + -3/2*t^3*u^0)"
+    ) in jobs["jet"]["witnesses"]
+
+
 def test_series_window_overflow_fails_the_job(tmp_path, capsys):
     # the exp-contract series window is fixed at (-4, 4), so max-n 5
     # overflows it; the overflow is a job failure, not a manifest error

@@ -1,14 +1,11 @@
 from fractions import Fraction
 from itertools import permutations
 
-import pytest
-
 from formality_lab.core.signs import (
     koszul_sign,
     unshuffle_sign,
     decalage_sign,
 )
-from formality_lab.core.series import FormalSeries, WindowOverflow, series_mul
 from formality_lab.core.basis import add_term, vec, vadd_into
 from formality_lab.core.linalg import rank_kernel, solve
 
@@ -86,60 +83,6 @@ def test_decalage_sign():
     assert decalage_sign([2, 2]) == -1
     assert decalage_sign([2, 1]) == -1
     assert decalage_sign([1, 2]) == 1
-
-
-# -- formal series -------------------------------------------------------------
-
-def test_series_basic_arithmetic():
-    s = FormalSeries.monomial(1, 0, 3, (0, 2), coeff=Fraction(1, 2))
-    t = FormalSeries.monomial(2, 0, 3, (0, 2))
-    u = s + t
-    assert u.coeff(1, 0) == Fraction(1, 2)
-    assert u.coeff(2, 0) == 1
-    assert (u - u).is_zero()
-    assert (2 * s).coeff(1, 0) == 1
-
-
-def test_series_t_truncates_silently():
-    s = FormalSeries.monomial(2, 0, 2)  # t^2 with cap nt=2
-    p = series_mul(s, s)  # t^4 -> dropped without complaint
-    assert p.is_zero()
-
-
-def test_series_u_window_is_loud():
-    s = FormalSeries.monomial(0, 1, 3, (0, 1))  # u^1, window [0,1]
-    with pytest.raises(WindowOverflow):
-        series_mul(s, s)  # u^2 falls outside the window
-
-
-def test_series_u_window_cancellation_is_quiet():
-    # coefficients that cancel to zero outside the window do not raise
-    a = FormalSeries.monomial(0, 1, 2, (0, 1)) - FormalSeries.monomial(
-        0, 1, 2, (0, 1)
-    )
-    b = FormalSeries.monomial(0, 1, 2, (0, 1))
-    assert series_mul(a, b).is_zero()
-
-
-def test_series_scalar_and_zero():
-    z = FormalSeries.zero(2, (0, 2))
-    s = FormalSeries.scalar(Fraction(3, 4), 2, (0, 2))
-    assert (z + s).coeff(0, 0) == Fraction(3, 4)
-    assert z.is_zero()
-
-
-def test_series_negative_u_window():
-    # Laurent-style window in the second variable
-    s = FormalSeries.monomial(0, -1, 2, (-2, 0))
-    p = series_mul(s, s)
-    assert p.coeff(0, -2) == 1
-
-
-def test_series_cap_mismatch_rejected():
-    a = FormalSeries.zero(2, (0, 1))
-    b = FormalSeries.zero(3, (0, 1))
-    with pytest.raises(ValueError):
-        a + b
 
 
 # -- sparse vectors ------------------------------------------------------------

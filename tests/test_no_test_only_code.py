@@ -4,12 +4,14 @@ the program itself, so no library code exists only for the tests.
 A definition is unreachable when no identifier under the package refers to
 its name (a ``Name``, an ``Attribute``, an import alias, or a string constant
 that is an identifier, as used by ``getattr``) from outside its own body and
-outside the bodies of other unreachable definitions.  The scan runs to a fixed
-point, so helpers used only by dead code are dead too.  Dunder methods are
-called by the language, and handlers registered with ``@_op`` are called
-through the op table; both count as reachable.  Matching is by bare name, so
-the scan can miss dead code that shares a name with live code, never the
-other way round.
+outside the bodies of other unreachable definitions.  A method (a def
+directly in a class body) is reached only through an attribute, an import
+alias or a string: a bare ``Name`` of the same spelling is a local or a
+parameter, never the method.  The scan runs to a fixed point, so helpers used
+only by dead code are dead too.  Dunder methods are called by the language,
+and handlers registered with ``@_op`` are called through the op table; both
+count as reachable.  Matching is by bare name, so the scan can miss dead code
+that shares a name with live code, never the other way round.
 """
 
 import ast
@@ -28,33 +30,39 @@ def _registered(node):
 
 
 def _ref_name(node):
+    """(name, whether it is a bare ``Name``) of a reference, or None."""
     if isinstance(node, ast.Name):
-        return node.id
+        return node.id, True
     if isinstance(node, ast.Attribute):
-        return node.attr
+        return node.attr, False
     if isinstance(node, ast.alias):
-        return node.name.rsplit(".", 1)[-1]
+        return node.name.rsplit(".", 1)[-1], False
     if (
         isinstance(node, ast.Constant)
         and isinstance(node.value, str)
         and node.value.isidentifier()
     ):
-        return node.value
+        return node.value, False
     return None
 
 
 def _scan_module(tree, module, defs, refs):
-    """Record each definition as (qualified name, node) in ``defs`` and each
-    reference as name -> [tuple of enclosing definition nodes] in ``refs``."""
+    """Record each definition as (qualified name, node, whether it is a
+    method) in ``defs`` and each reference as name -> [(tuple of enclosing
+    definition nodes, whether it is a bare ``Name``)] in ``refs``."""
 
     def walk(node, qual, enclosing):
         for child in ast.iter_child_nodes(node):
-            name = _ref_name(child)
-            if name is not None:
-                refs.setdefault(name, []).append(enclosing)
+            ref = _ref_name(child)
+            if ref is not None:
+                name, bare = ref
+                refs.setdefault(name, []).append((enclosing, bare))
             if isinstance(child, _DEF):
                 q = f"{qual}.{child.name}"
-                defs.append((q, child))
+                method = isinstance(node, ast.ClassDef) and not isinstance(
+                    child, ast.ClassDef
+                )
+                defs.append((q, child, method))
                 walk(child, q, enclosing + (child,))
             else:
                 walk(child, qual, enclosing)
@@ -74,19 +82,21 @@ def unreachable_definitions(package_dir):
     grew = True
     while grew:
         grew = False
-        for _, node in defs:
+        for _, node, method in defs:
             if node in dead or _registered(node):
                 continue
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
             live = any(
-                node not in enclosing and dead.isdisjoint(enclosing)
-                for enclosing in refs.get(node.name, ())
+                node not in enclosing
+                and dead.isdisjoint(enclosing)
+                and not (method and bare)
+                for enclosing, bare in refs.get(node.name, ())
             )
             if not live:
                 dead.add(node)
                 grew = True
-    return sorted(q for q, node in defs if node in dead)
+    return sorted(q for q, node, _ in defs if node in dead)
 
 
 def test_src_holds_no_unreachable_definitions():

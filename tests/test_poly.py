@@ -50,13 +50,6 @@ def test_poly_diff():
     assert p.diff_multi((3, 0)).is_zero()
 
 
-def test_poly_truncate_and_eval():
-    x = Poly.var(1, 0)
-    p = x * x * x + x + Poly.const(1, 5)
-    assert p.truncate(1) == x + Poly.const(1, 5)
-    assert p.coeff((0,)) == 5
-
-
 def test_monomials_upto_graded_order():
     ms = monomials_upto(2, 2)
     assert ms[0] == (0, 0)

@@ -7,10 +7,10 @@ bracket that cancels, must leave an empty coefficient dict, and the truth
 value must agree with ``is_zero()``.  A float, as a constructor
 coefficient or as a scalar factor, raises ``TypeError``.
 
-The seven ``Sparse`` containers (``Poly``, ``FormalSeries``,
-``PolyDiffOperator``, ``Chain``, multivectors and forms, ``SeriesForm`` and
-``MCElement``) are compared against their own hand-written methods from
-before the base, kept in ``parent_vector_ops``: on seeded pairs, with
+The six ``Sparse`` containers (``Poly``, ``PolyDiffOperator``, ``Chain``,
+multivectors and forms, ``SeriesForm`` and ``MCElement``) are compared
+against their own hand-written methods from before the base, kept in
+``parent_vector_ops``: on seeded pairs, with
 cancelling sums, the scalars 0, 1, -1, ``Fraction(1, 1)`` and
 ``Fraction(-2, 3)``, zero forms of different degrees, chains over different
 algebras and other space mismatches, every ``+``, ``-``, negation, scalar
@@ -34,7 +34,6 @@ from formality_lab import polydiff as pd
 from formality_lab.algebras import StructureAlgebra, dual_numbers, trunc_poly_algebra
 from formality_lab.cartan import Form, MultiVector
 from formality_lab.core.basis import Sparse, rational
-from formality_lab.core.series import FormalSeries
 from formality_lab.deformation import moyal
 from formality_lab.hochschild import Chain, Cochain
 from formality_lab.poly import Poly
@@ -72,10 +71,6 @@ def _series_form():
     return ahat.SeriesForm(2, {(0, 0, 0): Form.function(X0 * X1), (1, -1, 1): _form()})
 
 
-def _formal_series():
-    return FormalSeries({(0, 0): 1, (1, 1): Fraction(-1, 3), (2, -1): 2}, nt=3, u_window=(-2, 2))
-
-
 def _mc_element():
     return lf.MCElement({1: pd.PolyDiffOperator.multiplication(2), 2: _operator()}, 3)
 
@@ -93,7 +88,6 @@ CONTAINERS = {
     "Cochain": (_cochain, lambda D: hh.delta(hh.delta(D))),
     "PolyDiffOperator": (_operator, lambda D: pd.delta(pd.delta(D))),
     "SeriesForm": (_series_form, lambda a: ahat.diff_d(None, ahat.diff_d(None, a))),
-    "FormalSeries": (_formal_series, lambda a: a * (a + a) - (a + a) * a),
     "MCElement": (
         _mc_element,
         lambda m: lf.MCElement({k: pd.delta(pd.delta(v)) for k, v in m.c.items()}, m.nt),
@@ -152,10 +146,6 @@ FLOATS = {
     "0.5 * Cochain": lambda: 0.5 * Cochain.multiplication(A),
     "PolyDiffOperator": lambda: PolyDiffOperator(2, 1, {((1, 0),): 0.5}),
     "0.5 * PolyDiffOperator": lambda: 0.5 * PolyDiffOperator.multiplication(2),
-    "FormalSeries": lambda: FormalSeries({(0, 0): 0.5}, nt=2),
-    "FormalSeries.scalar": lambda: FormalSeries.scalar(0.5, 2),
-    "0.5 * FormalSeries": lambda: 0.5 * FormalSeries.scalar(1, 2),
-    "FormalSeries * 0.5": lambda: FormalSeries.scalar(1, 2) * 0.5,
     "moyal": lambda: moyal([[0, 0.1], [-0.1, 0]], 1),
     "StructureAlgebra table": lambda: StructureAlgebra(["e"], {(0, 0): {0: 0.5}}, {0: 1}),
     "StructureAlgebra unit": lambda: StructureAlgebra(["e"], {(0, 0): {0: 1}}, {0: 1.0}),
@@ -263,13 +253,6 @@ def _roperator(rng, arity=2):
 # name -> (seeded element, seeded element of another space of the same type)
 SEEDED = {
     "Poly": (_rpoly, lambda rng: _rpoly(rng, 3)),
-    "FormalSeries": (
-        lambda rng: FormalSeries(
-            {(rng.randint(0, 3), rng.randint(-2, 2)): _scalar(rng) for _ in range(4)},
-            nt=3, u_window=(-2, 2),
-        ),
-        lambda rng: FormalSeries({(1, 0): _scalar(rng) or 1}, nt=2, u_window=(-2, 2)),
-    ),
     "PolyDiffOperator": (_roperator, lambda rng: _roperator(rng, 1)),
     "Chain": (
         lambda rng: Chain(
@@ -337,9 +320,9 @@ def _space_cases():
         ("chains over two algebras", Chain(T3, 1, {(0, 1): 1}), Chain(other, 1, {(0, 1): 1}), True),
         ("zero chains over two algebras", Chain(T3, 1), Chain(other, 1), True),
         (
-            "series forms with different u-windows",
+            "series forms with different t-windows",
             _series_form(),
-            ahat.SeriesForm(2, {(0, 0, 0): Form.function(X0)}, uwin=(-3, 3)),
+            ahat.SeriesForm(2, {(0, 0, 0): Form.function(X0)}, twin=(-3, 3)),
             True,
         ),
     ]
