@@ -269,11 +269,14 @@ def trace_defect(tau, s, degree=None):
     {t-order: scalar}.
 
     Every product f*g is built once per call, in an N x N table, and serves
-    as both f*g and g*f.
+    as both f*g and g*f.  ValueError unless tau and s have one variable
+    count.
     """
     if degree is None:
         degree = s.model.cap
     n = s.model.nvars
+    if tau.nvars != n:
+        raise ValueError(f"trace in {tau.nvars} variables, star product in {n}")
     monos = monomials_upto(n, degree)
     polys = [Poly.monomial(n, e) for e in monos]
     pair = [[s.star(f, g) for g in polys] for f in polys]
@@ -296,8 +299,11 @@ def trace_defect(tau, s, degree=None):
 
 
 def poisson_defect(tau, pi0, degree=4):
-    """tau({f,g}) over monomial pairs for a bivector's bracket."""
+    """tau({f,g}) over monomial pairs for a bivector's bracket; ValueError
+    unless tau and pi0 have one variable count."""
     n = pi0.nvars
+    if tau.nvars != n:
+        raise ValueError(f"trace in {tau.nvars} variables, bivector in {n}")
     monos = monomials_upto(n, degree)
     witnesses = []
     checked = 0

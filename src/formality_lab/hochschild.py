@@ -1,10 +1,11 @@
-"""Cochains and chains of a finite-dimensional algebra, as lookup tables.
+"""Cochains and chains of a finite-dimensional algebra, on its basis.
 
-Everything in this module is tabulated on basis tuples of a
-``StructureAlgebra`` (the Betti matrices on their integer indices), so all
-the operator identities (square-zero differentials, bracket
-compatibilities, the chain-level action of cochains) hold exactly --
-including on degree-capped polynomial models, which are honest
+Both are ``core.basis.Sparse`` vectors over basis keys of a
+``StructureAlgebra``: a chain keyed by its tensor (i_0..i_n), a cochain by
+(input tuple, output index); the Betti matrices run on the integer indices
+of those keys.  So all the operator identities (square-zero differentials,
+bracket compatibilities, the chain-level action of cochains) hold exactly
+-- including on degree-capped polynomial models, which are honest
 finite-dimensional algebras.
 
 Degrees: an arity-n cochain has bracket degree n-1.  Chains of length
@@ -17,33 +18,37 @@ from __future__ import annotations
 from itertools import product as _cartesian
 from weakref import WeakKeyDictionary
 
-from .core.basis import Sparse, add_row, add_term, rational, vadd_into, vec
+from .core.basis import Sparse, add_row, add_term, rational, vec
 from .core.linalg import rank_kernel
 
 
-class Cochain:
-    """Multilinear map A^arity -> A given by table[(i_1..i_n)] = output vec.
+class Cochain(Sparse):
+    """Multilinear map A^arity -> A: c[((i_1..i_n), k)] is the coefficient
+    of basis element k in its value on basis elements i_1..i_n."""
 
-    Not a ``core.basis.Sparse``: its values are sparse vectors, not scalars
-    or containers, and ``lie_action`` reads whole rows by input tuple, so
-    it keeps its own table arithmetic.
-    """
-
-    __slots__ = ("algebra", "arity", "table")
+    __slots__ = ("algebra", "arity", "c")
+    _space = ("algebra", "arity")
 
     def __init__(self, algebra, arity, table=None):
+        """``table`` maps input tuples to output vectors {index: scalar}."""
         if arity < 0:
             raise ValueError("arity must be >= 0")
         self.algebra = algebra
         self.arity = arity
-        self.table = {}
+        self.c = {}
         if table:
             dim = algebra.dim
             for tup, v in table.items():
                 tup = tuple(tup)
                 if len(tup) != arity or any(not 0 <= i < dim for i in tup):
                     raise ValueError(f"bad input tuple {tup!r}")
-                add_row(self.table, tup, vec(*v.items()))
+                for k, x in vec(*v.items()).items():
+                    add_term(self.c, (tup, k), x)
+
+    def _like(self, c):
+        out = object.__new__(Cochain)
+        out.algebra, out.arity, out.c = self.algebra, self.arity, c
+        return out
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -54,16 +59,15 @@ class Cochain:
     def multiplication(cls, algebra):
         c = cls(algebra, 2)
         for key, v in algebra.table.items():
-            if v:
-                c.table[key] = dict(v)
+            for k, x in v.items():
+                c.c[(key, k)] = x
         return c
 
     @classmethod
     def element(cls, algebra, vector):
         c = cls(algebra, 0)
-        vv = vec(*vector.items())
-        if vv:
-            c.table[()] = vv
+        for k, x in vec(*vector.items()).items():
+            c.c[((), k)] = x
         return c
 
     @property
@@ -78,70 +82,25 @@ class Cochain:
         if self.algebra is not other.algebra:
             raise ValueError("different algebras")
         out = Cochain(self.algebra, arity)
-        out.table = rows
+        out.c = {(t, k): v for t, row in rows.items() for k, v in row.items()}
         return out
-
-    # -- vector space ---------------------------------------------------------
-    def _check(self, other):
-        if self.algebra is not other.algebra or self.arity != other.arity:
-            raise ValueError("cochain shapes differ")
-
-    def __add__(self, other):
-        self._check(other)
-        out = Cochain(self.algebra, self.arity)
-        out.table = {t: dict(v) for t, v in self.table.items()}
-        for t, v in other.table.items():
-            add_row(out.table, t, v)
-        return out
-
-    def __neg__(self):
-        out = Cochain(self.algebra, self.arity)
-        out.table = {t: {k: -c for k, c in v.items()} for t, v in self.table.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        scalar = rational(scalar)
-        out = Cochain(self.algebra, self.arity)
-        if scalar:
-            out.table = {
-                t: {k: scalar * c for k, c in v.items()} for t, v in self.table.items()
-            }
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        return (
-            self.algebra is other.algebra
-            and self.arity == other.arity
-            and self.table == other.table
-        )
-
-    def __bool__(self):
-        return bool(self.table)
-
-    def is_zero(self):
-        return not self
 
     def __repr__(self):
-        return f"Cochain(arity={self.arity}, {len(self.table)} entries)"
+        return f"Cochain(arity={self.arity}, {len(self.c)} terms)"
 
     # -- evaluation -------------------------------------------------------------
     def apply(self, args):
         if len(args) != self.arity:
             raise ValueError("argument count mismatch")
         out = {}
-        for tup, val in self.table.items():
+        for (tup, k), v in self.c.items():
             c = 1
             for i, a in zip(tup, args):
                 c *= a.get(i, 0)
                 if not c:
                     break
             if c:
-                vadd_into(out, val, c)
+                add_term(out, k, c * v)
         return out
 
     # -- reduced (vanishing on the unit) subspace ---------------------------------
@@ -149,19 +108,15 @@ class Cochain:
         ui = self.algebra.unit_index
         if ui is None:
             raise ValueError("need a unit-adapted basis")
-        return all(ui not in tup for tup in self.table)
+        return all(ui not in tup for tup, _ in self.c)
 
     def reduce(self):
-        """Restrict inputs to the complement of the unit: the table entries
-        touching the unit index are dropped."""
+        """Restrict inputs to the complement of the unit: the terms whose
+        inputs touch the unit index are dropped."""
         ui = self.algebra.unit_index
         if ui is None:
             raise ValueError("need a unit-adapted basis")
-        out = Cochain(self.algebra, self.arity)
-        out.table = {
-            t: dict(v) for t, v in self.table.items() if ui not in t
-        }
-        return out
+        return self._like({key: v for key, v in self.c.items() if ui not in key[0]})
 
     # -- insertion --------------------------------------------------------------
     def insert_rows(self, other, pos):
@@ -171,15 +126,15 @@ class Cochain:
             raise ValueError("different algebras")
         if not 0 <= pos < self.arity:
             raise ValueError("insertion slot out of range")
+        by_output = {}  # output index -> [(input tuple of other, scalar)]
+        for (etup, k), c in other.c.items():
+            by_output.setdefault(k, []).append((etup, c))
         out = {}
-        for dtup, dvec in self.table.items():
-            k = dtup[pos]
-            for etup, evec in other.table.items():
-                c = evec.get(k)
-                if not c:
-                    continue
-                add_row(out, dtup[:pos] + etup + dtup[pos + 1 :], dvec, c)
-        return out
+        for (dtup, kk), v in self.c.items():
+            head, tail = dtup[:pos], dtup[pos + 1 :]
+            for etup, c in by_output.get(dtup[pos], ()):
+                add_term(out.setdefault(head + etup + tail, {}), kk, c * v)
+        return {key: row for key, row in out.items() if row}
 
 
 def _add_rows(acc, rows, sign):
@@ -225,12 +180,14 @@ def cup(D, E):
     n, m = D.arity, E.arity
     sign = -1 if (n * m) % 2 else 1
     out = Cochain(A, n + m)
-    for dtup, dvec in D.table.items():
-        for etup, evec in E.table.items():
-            prod = A.mul(dvec, evec)
+    for (dtup, i), a in D.c.items():
+        for (etup, j), b in E.c.items():
+            prod = A.table.get((i, j))
             if not prod:
                 continue
-            add_row(out.table, dtup + etup, prod, sign)
+            key, s = dtup + etup, sign * (a * b)
+            for k, v in prod.items():
+                add_term(out.c, (key, k), s * v)
     return out
 
 
@@ -283,19 +240,16 @@ _ALL_LOOKUPS = WeakKeyDictionary()  # algebra -> _delta_lookups on every index
 
 def delta(D):
     """Coboundary: bracket with the product cochain, summed from the closed
-    form of ``_delta_terms`` over the table of ``D``.  The lookups are
+    form of ``_delta_terms`` over the terms of ``D``.  The lookups are
     built once per algebra."""
     A = D.algebra
     lookups = _ALL_LOOKUPS.get(A)
     if lookups is None:
         lookups = _ALL_LOOKUPS[A] = _delta_lookups(A, range(A.dim))
-    acc = {}
-    for t, v in D.table.items():
-        for k, c in v.items():
-            for key, kk, w in _delta_terms(lookups, t, k):
-                add_term(acc.setdefault(key, {}), kk, c * w)
     out = Cochain(A, D.arity + 1)
-    out.table = {key: v for key, v in acc.items() if v}
+    for (t, k), c in D.c.items():
+        for key, kk, w in _delta_terms(lookups, t, k):
+            add_term(out.c, (key, kk), c * w)
     return out
 
 
@@ -309,7 +263,7 @@ def basis_cochains(algebra, arity, reduced=False):
     for tup in _cartesian(slots, repeat=arity):
         for k in range(algebra.dim):
             c = Cochain(algebra, arity)
-            c.table[tup] = {k: 1}
+            c.c[(tup, k)] = 1
             out.append(c)
     return out
 
@@ -425,24 +379,27 @@ def lie_action(D, ch):
     n = ch.n
     if d > n + 1:
         return Chain(A, 0)  # the action truncates to zero below the bottom
+    rows = {}  # input tuple -> [(output index, scalar)]
+    for (t, k), v in D.c.items():
+        rows.setdefault(t, []).append((k, v))
     out = Chain(A, n - d + 1)
     for tup, coeff in ch.c.items():
         for i in range(n - d + 1):
-            val = D.table.get(tup[i + 1 : i + d + 1])
+            val = rows.get(tup[i + 1 : i + d + 1])
             if not val:
                 continue
             sign = -1 if ((d - 1) * (i + 1)) % 2 else 1
             head, tail = tup[: i + 1], tup[i + d + 1 :]
-            for k, v in val.items():
+            for k, v in val:
                 add_term(out.c, head + (k,) + tail, sign * coeff * v)
         for j in range(max(n - d + 1, 0), n + 1):
             args = tup[j + 1 : n + 1] + tup[0 : d + j - n]
-            val = D.table.get(args)
+            val = rows.get(args)
             if not val:
                 continue
             sign = -1 if (n * (j + 1)) % 2 else 1
             rest = tup[d + j - n : j + 1]
-            for k, v in val.items():
+            for k, v in val:
                 add_term(out.c, (k,) + rest, sign * coeff * v)
     return out
 

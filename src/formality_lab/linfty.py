@@ -8,13 +8,13 @@ with the suspension sign from core.signs.decalage_sign, so the identities
 take the pure shifted-Koszul form: a differential graded Lie algebra
 packaged as (l1, l2) passes with no manual sign threading.
 
-Elements are vectors: a ``core.basis.Sparse`` container (chains,
-multivectors, forms, operators, series), whose +, scalar *, ==, is_zero
-and truth value are written once there, or a ``hochschild.Cochain``, which
-keeps its own table arithmetic.  The Gerstenhaber checker instead
-accumulates each law residual through the structure's accumulating product
-and bracket.  ``CheckReport`` is the one outcome record of every identity
-sweep in the package, the star-product and pipeline checks included.
+Elements are vectors: a ``core.basis.Sparse`` container (chains and
+cochains, multivectors, forms, operators, series), whose +, scalar *, ==,
+is_zero and truth value are written once there.  The Gerstenhaber checker
+instead accumulates each law residual through the structure's accumulating
+product and bracket.  ``CheckReport`` is the one outcome record of every
+identity sweep in the package, the star-product and pipeline checks
+included.
 """
 
 from __future__ import annotations
@@ -311,27 +311,8 @@ class EpsilonElement:
     def is_zero(self):
         return not self
 
-    def __eq__(self, other):
-        if not isinstance(other, EpsilonElement):
-            return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        return (
-            self.degree == other.degree
-            and _part_eq(self.body, other.body)
-            and _part_eq(self.tail, other.tail)
-        )
-
     def __repr__(self):
         return f"EpsilonElement(deg={self.degree}, body={self.body!r}, tail={self.tail!r})"
-
-
-def _part_eq(a, b):
-    if a is None:
-        return b is None or b.is_zero()
-    if b is None:
-        return a.is_zero()
-    return a == b
 
 
 class BodyTail:

@@ -18,7 +18,11 @@ and sums them with the containers' ``+`` and ``-``, multiplies ``Poly``
 objects term pair by term pair, differentiates each coefficient once per
 term pair and split, and brackets every ordered pair of orders.
 
-Inside ``parent_composition()`` the classes carry those methods again, and
+The cochain methods go on ``parent_cochain.Cochain``, the nested-table
+cochain from before ``hochschild.Cochain`` stored its terms flat, so the
+reference composes reference cochains (``parent_cochain.reference`` copies
+one in).  Inside ``parent_composition()`` the classes carry those methods
+again, and
 ``hochschild.bracket``, ``polydiff.bracket`` (which ``delta`` looks up
 there) and ``linfty._series_bracket`` are the reference functions, so a
 structure built inside the block from ``pd.bracket``, ``pd.delta`` or
@@ -32,8 +36,8 @@ from math import factorial
 
 from formality_lab import hochschild, linfty, polydiff
 from formality_lab.core.basis import add_row, add_term
-from formality_lab.hochschild import Cochain
 from formality_lab.polydiff import PolyDiffOperator
+from parent_cochain import Cochain
 
 
 # -- tools: one insertion, and the insertion sum on its own ------------------------

@@ -31,7 +31,6 @@ def from_polydiff(op, model, algebra):
     C = Cochain.zero(algebra, op.arity)
     for tup in _cartesian(range(model.dim), repeat=op.arity):
         args = [model.basis_poly(i) for i in tup]
-        v = poly_to_vec(model, op.apply(args))
-        if v:
-            C.table[tup] = v
+        for k, x in poly_to_vec(model, op.apply(args)).items():
+            C.c[(tup, k)] = x
     return C

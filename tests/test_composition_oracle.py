@@ -12,7 +12,9 @@ and ``-``, and every ordered pair of orders bracketed.  On seeded operators
 with polynomial coefficients, elements, the benchmark's star products, the
 suite's products and cochain tables, every composition must give the same
 keys in the same order, the same values and the same scalar type (``int``
-or ``Fraction``) per value, with no stored zero.  Residuals are compared
+or ``Fraction``) per value, with no stored zero.  A cochain is composed in
+the reference as a nested-table ``parent_cochain.Cochain``, and the flat
+result must hold that table's terms read row by row.  Residuals are compared
 the same way except for key order: a mirrored term is the negated
 [x_i, x_j], whose keys come in that bracket's order.
 """
@@ -38,6 +40,8 @@ from formality_lab import suites
 from formality_lab.algebras import dual_numbers, mat2_unital, trunc_poly_algebra
 from formality_lab.poly import Poly
 from formality_lab.polydiff import PolyDiffOperator
+from parent_cochain import Cochain as ParentCochain
+from parent_cochain import flat, reference
 from test_associativity_oracle import _mixed_order_product, _seeded_moyal
 
 # -- comparison --------------------------------------------------------------------
@@ -54,19 +58,19 @@ def _assert_same_scalars(new, old, ordered=True):
 
 def _assert_same(new, old, ordered=True):
     """Same keys (in the same order unless not ``ordered``), values and
-    scalar types."""
-    assert type(new) is type(old)
+    scalar types; a cochain against the reference table read row by row."""
     assert new.arity == old.arity
-    if isinstance(new, PolyDiffOperator):
-        assert new.nvars == old.nvars
-        rows, old_rows = new.c, old.c
-        for p in rows.values():
-            assert type(p) is Poly and p.n == new.nvars
-        rows = {key: p.c for key, p in rows.items()}
-        old_rows = {key: p.c for key, p in old_rows.items()}
-    else:
-        assert new.algebra is old.algebra
-        rows, old_rows = new.table, old.table
+    if isinstance(new, hh.Cochain):
+        assert type(old) is ParentCochain and new.algebra is old.algebra
+        _assert_same_scalars(new.c, flat(old), ordered)
+        return
+    assert type(new) is type(old) is PolyDiffOperator
+    assert new.nvars == old.nvars
+    rows, old_rows = new.c, old.c
+    for p in rows.values():
+        assert type(p) is Poly and p.n == new.nvars
+    rows = {key: p.c for key, p in rows.items()}
+    old_rows = {key: p.c for key, p in old_rows.items()}
     assert rows.keys() == old_rows.keys()
     assert not ordered or list(rows) == list(old_rows)
     for key, row in rows.items():
@@ -80,13 +84,19 @@ def _assert_same_residual(new, old):
         _assert_same(v, old[k], ordered=False)
 
 
+def _reference(x):
+    """A cochain as the reference cochain; an operator as it is."""
+    return reference(x) if isinstance(x, hh.Cochain) else x
+
+
 def _compare_compositions(D, E):
     """Every insertion, both insertion sums and the bracket of D and E."""
+    P, Q = _reference(D), _reference(E)
     with parent_composition():
         old = (
-            [D.insert(E, j) for j in range(D.arity)]
-            + [E.insert(D, j) for j in range(E.arity)]
-            + [_parent_circle(D, E), _parent_circle(E, D), hh.bracket(D, E)]
+            [P.insert(Q, j) for j in range(P.arity)]
+            + [Q.insert(P, j) for j in range(Q.arity)]
+            + [_parent_circle(P, Q), _parent_circle(Q, P), hh.bracket(P, Q)]
         )
     new = (
         [insert(D, E, j) for j in range(D.arity)]
@@ -106,8 +116,9 @@ def _operator_dgla():
 def _compare_residual(pi, make=_operator_dgla):
     """mc_residual against the ordered sum of the reference brackets."""
     new = lf.mc_residual(make(), pi)
+    ref = lf.MCElement({k: _reference(v) for k, v in pi.c.items()}, pi.nt)
     with parent_composition():
-        old = lf.mc_residual(make(), pi)
+        old = lf.mc_residual(make(), ref)
     _assert_same_residual(new, old)
     return new
 
@@ -330,4 +341,4 @@ def test_bracket_refuses_different_spaces(make):
         with pytest.raises(ValueError):
             hh.bracket(D, E)
         with parent_composition(), pytest.raises(ValueError):
-            hh.bracket(D, E)
+            hh.bracket(_reference(D), _reference(E))

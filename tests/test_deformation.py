@@ -181,6 +181,15 @@ def test_poisson_defect_flags_the_same_obstruction():
     assert vals[((1, 0), (0, 1))] == 1
 
 
+def test_defects_refuse_a_trace_in_other_variables():
+    s = moyal_plane()
+    tau = df.TraceCandidate(3, {(0, 0, 0): 1}, 4)
+    with pytest.raises(ValueError, match="trace in 3 variables, star product in 2"):
+        df.trace_defect(tau, s, degree=2)
+    with pytest.raises(ValueError, match="trace in 3 variables, bivector in 2"):
+        df.poisson_defect(tau, df.leading_poisson(s), degree=2)
+
+
 def test_zero_trace_is_silent():
     s = moyal_plane()
     tau = df.TraceCandidate(2, {}, 4)

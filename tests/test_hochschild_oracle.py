@@ -8,7 +8,9 @@ that went through them, with the elimination taken out.
 basis keys, looked each term of ``_delta_terms`` up in a {key: index}
 dict and filled the rows through ``add_term``.  All are kept verbatim as
 the reference, except that the row builders now keep a row for every basis
-element, empty or not, so that a row's position is its basis index.
+element, empty or not, so that a row's position is its basis index, and
+that ``_old_cohomology_rows`` writes and reads cochain terms by their flat
+(input tuple, output index) keys.
 
 Every map is checked twice.  The full matrix, before clearing, must equal
 the reference entry for entry: delta's rows directly (and in the tuple
@@ -138,14 +140,13 @@ def _old_cohomology_rows(algebra, top, reduced=True):
         cols = []
         for (t, k) in key_index[n]:
             e = Cochain(algebra, n)
-            e.table[t] = {k: 1}
+            e.c[(t, k)] = 1
             de = _old_delta(e)
             col = {}
-            for tt, vv in de.table.items():
+            for (tt, kk), c in de.c.items():
                 if reduced and any(i not in slots for i in tt):
                     continue
-                for kk, c in vv.items():
-                    col[key_index[n + 1][(tt, kk)]] = c
+                col[key_index[n + 1][(tt, kk)]] = c
             cols.append(col)
         matrices.append((cols, dims[n + 1]))
     return matrices

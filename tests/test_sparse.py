@@ -7,22 +7,30 @@ bracket that cancels, must leave an empty coefficient dict, and the truth
 value must agree with ``is_zero()``.  A float, as a constructor
 coefficient or as a scalar factor, raises ``TypeError``.
 
-The six ``Sparse`` containers (``Poly``, ``PolyDiffOperator``, ``Chain``,
-multivectors and forms, ``SeriesForm`` and ``MCElement``) are compared
-against their own hand-written methods from before the base, kept in
-``parent_vector_ops``: on seeded pairs, with
-cancelling sums, the scalars 0, 1, -1, ``Fraction(1, 1)`` and
-``Fraction(-2, 3)``, zero forms of different degrees, chains over different
-algebras and other space mismatches, every ``+``, ``-``, negation, scalar
-multiple, ``==``, truth value and ``is_zero`` must agree: the same type,
-space, keys in the same order and values of the same type, or
-``ValueError`` on both sides.  ``Cochain`` keeps its own arithmetic on a
-table of vectors.
+The ``Sparse`` containers (``Poly``, ``PolyDiffOperator``, ``Chain``,
+``Cochain``, multivectors and forms, ``SeriesForm`` and ``MCElement``) are
+compared against their own hand-written methods from before the base: on
+seeded pairs, with cancelling sums, the scalars 0, 1, -1,
+``Fraction(1, 1)`` and ``Fraction(-2, 3)``, zero forms of different
+degrees, chains over different algebras and other space mismatches, every
+``+``, ``-``, negation, scalar multiple, ``==``, truth value and
+``is_zero`` must agree, or raise ``ValueError`` on both sides.  Six of
+them run on those methods patched back from ``parent_vector_ops``, and must
+give the same type, space, keys in the same order and values of the same
+type.  ``Cochain`` runs against ``parent_cochain.Cochain``, its nested
+table of vectors, and is compared by value: the same space and the same
+value and scalar type per key, since a flat sum lists a new output of an
+existing input last.
+
+No class under ``src/`` but ``core.basis.Sparse`` writes ``+``, ``-``,
+negation or ``==``, and only ``Sparse`` containers write a product with a
+scalar (an AST scan).
 """
 
-from fractions import Fraction
-
+import ast
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +46,8 @@ from formality_lab.deformation import moyal
 from formality_lab.hochschild import Chain, Cochain
 from formality_lab.poly import Poly
 from formality_lab.polydiff import PolyDiffOperator
+from parent_cochain import Cochain as ParentCochain
+from parent_cochain import flat, reference
 from parent_vector_ops import parent_arithmetic
 
 X0, X1 = Poly.var(2, 0), Poly.var(2, 1)
@@ -75,10 +85,6 @@ def _mc_element():
     return lf.MCElement({1: pd.PolyDiffOperator.multiplication(2), 2: _operator()}, 3)
 
 
-def _terms(x):
-    return x.table if isinstance(x, Cochain) else x.c
-
-
 # name -> (a nonzero element, a product or bracket of it that cancels to zero)
 CONTAINERS = {
     "Poly": (_poly, lambda p: ct.poisson_bracket(MultiVector(2, 2, {(0, 1): ONE}), p, p)),
@@ -96,7 +102,7 @@ CONTAINERS = {
 
 
 def _assert_zero(z):
-    assert not _terms(z)
+    assert not z.c
     assert not z and z.is_zero()
 
 
@@ -104,7 +110,7 @@ def _assert_zero(z):
 def test_cancellation_leaves_no_stored_zeros(name):
     make, cancel = CONTAINERS[name]
     x = make()
-    assert _terms(x)
+    assert x.c
     assert x and not x.is_zero()
     _assert_zero(x + (-1) * x)
     _assert_zero(x - x)
@@ -217,11 +223,20 @@ def _shape(v):
     return type(v), v
 
 
-def _outcomes(x, y):
+def _value(v):
+    """A cochain, flat or reference, by value: its space and {flat key:
+    (scalar type, value)}."""
+    if isinstance(v, (Cochain, ParentCochain)):
+        terms = flat(v) if isinstance(v, ParentCochain) else v.c
+        return Cochain, (v.algebra, v.arity), {key: (type(w), w) for key, w in terms.items()}
+    return type(v), v
+
+
+def _outcomes(x, y, shape=_shape):
     out = {}
     for name, op in OPS.items():
         try:
-            out[name] = _shape(op(x, y))
+            out[name] = shape(op(x, y))
         except ValueError:
             out[name] = ValueError
     return out
@@ -275,6 +290,21 @@ SEEDED = {
         lambda rng: lf.MCElement({k: _roperator(rng) for k in (1, rng.randint(1, 3))}, 3),
         lambda rng: lf.MCElement({1: _roperator(rng)}, 2),
     ),
+    "Cochain": (
+        lambda rng: Cochain(
+            T3,
+            2,
+            {
+                (rng.randint(0, 3), rng.randint(0, 3)): {
+                    rng.randint(0, 3): _scalar(rng) for _ in range(2)
+                }
+                for _ in range(4)
+            },
+        ),
+        lambda rng: rng.choice(
+            (Cochain(T3, 1, {(0,): {1: 1}}), Cochain(A, 2, {(0, 1): {1: 1}}))
+        ),
+    ),
 }
 
 
@@ -299,6 +329,10 @@ def _pairs(name, seed):
 @pytest.mark.parametrize("name", sorted(SEEDED))
 def test_base_matches_each_containers_own_methods(name, seed):
     for x, y in _pairs(name, 1000 * seed + sorted(SEEDED).index(name)):
+        if name == "Cochain":
+            want = _outcomes(reference(x), reference(y), _value)
+            assert _outcomes(x, y, _value) == want, (x, y)
+            continue
         with parent_arithmetic():
             want = _outcomes(x, y)
         assert _outcomes(x, y) == want, (name, x, y)
@@ -336,3 +370,50 @@ def test_zero_of_any_degree_and_space_mismatches_match_the_reference(x, y, raise
     got = _outcomes(x, y)
     assert got == want
     assert (got["x + y"] is ValueError) == raises
+
+
+# -- the one base: no other class writes vector-space arithmetic ---------------
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "formality_lab"
+
+
+def _defined_names(node):
+    """The names a class body defines, by ``def`` or by assignment."""
+    for item in node.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield item.name
+        elif isinstance(item, ast.Assign):
+            yield from (t.id for t in item.targets if isinstance(t, ast.Name))
+
+
+def arithmetic_outside_the_base(package_dir):
+    """``module:Class.method`` for each ``__add__``, ``__sub__``, ``__neg__``
+    or ``__eq__`` a class outside ``core/basis.py`` defines, and each
+    ``__mul__`` or ``__rmul__`` of a class that is not a ``Sparse``
+    container.  Subclassing is followed by name through the package."""
+    classes = []
+    for path in sorted(Path(package_dir).rglob("*.py")):
+        module = path.relative_to(package_dir).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        classes += [(module, n) for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    sparse = {"Sparse"}
+    grown = True
+    while grown:
+        grown = False
+        for _, node in classes:
+            bases = {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+            if node.name not in sparse and bases & sparse:
+                sparse.add(node.name)
+                grown = True
+    found = []
+    for module, node in classes:
+        for name in _defined_names(node):
+            vector_op = name in ("__add__", "__sub__", "__neg__", "__eq__")
+            product = name in ("__mul__", "__rmul__")
+            if (vector_op and module != "core/basis.py") or (product and node.name not in sparse):
+                found.append(f"{module}:{node.name}.{name}")
+    return found
+
+
+def test_only_the_sparse_base_writes_vector_space_arithmetic():
+    assert arithmetic_outside_the_base(PACKAGE) == []
