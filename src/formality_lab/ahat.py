@@ -32,7 +32,7 @@ from .cartan import (
     lie_derivative,
 )
 from .core.basis import Sparse, add_term, rational
-from .core.linalg import rank_kernel, solve
+from .core.linalg import betti, solve
 from .core.signs import koszul_sign
 from .linfty import CheckReport
 from .poly import Poly, monomials_upto
@@ -192,15 +192,6 @@ def contract_exp(sd, alpha, dt, du, sign=1):
 # the duality star
 # ---------------------------------------------------------------------------
 
-def _pair_single(sd, i, j):
-    """The bivector pairing on coordinate covectors: <dz_i, dz_j>."""
-    if j == i + sd.n and i < sd.n:
-        return 1
-    if i == j + sd.n and j < sd.n:
-        return -1
-    return 0
-
-
 def _pair_det(sd, I, J):
     """Determinant extension of the covector pairing to increasing tuples.
 
@@ -214,7 +205,7 @@ def _pair_det(sd, I, J):
         b = a + sd.n if a < sd.n else a - sd.n
         if b not in J:
             return Fraction(0)
-        det *= _pair_single(sd, a, b)
+        det *= 1 if a < sd.n else -1  # <dz_a, dz_b> for a's partner b
         perm.append(J.index(b))
     return Fraction(det * koszul_sign(tuple(perm), [1] * len(I)))
 
@@ -357,31 +348,19 @@ def _form_basis(nvars, k, cap):
             yield key, e
 
 
-def d_primitive(form, cap=None):
-    """A beta with d(beta) = form, coefficients of degree <= cap, or None."""
+def d_primitive(form):
+    """A beta with d(beta) = form, or None.  beta's coefficients have degree
+    at most one more than form's."""
     if form.k == 0:
         return None
     nvars = form.nvars
-    if cap is None:
-        cap = 1 + max((sum(e) for _, e in form.c), default=0)
+    cap = 1 + max((sum(e) for _, e in form.c), default=0)
     cols = list(_form_basis(nvars, form.k - 1, cap))
-    images = []
-    eqs = {}
-    for key, e in cols:
-        img = deRham_d(Form(nvars, form.k - 1, {key: Poly.monomial(nvars, e)}))
-        images.append(img)
-        for term in img.c:
-            eqs.setdefault(term, len(eqs))
-    for term in form.c:
-        eqs.setdefault(term, len(eqs))
-    rows = [dict() for _ in range(len(eqs))]
-    for j, img in enumerate(images):
-        for term, v in img.c.items():
-            rows[eqs[term]][j] = v
-    rhs = [0] * len(eqs)
-    for term, v in form.c.items():
-        rhs[eqs[term]] = v
-    x = solve(rows, rhs, len(cols))
+    images = [
+        deRham_d(Form(nvars, form.k - 1, {key: Poly.monomial(nvars, e)})).c
+        for key, e in cols
+    ]
+    x = solve(images, form.c)
     if x is None:
         return None
     out = Form(nvars, form.k - 1)
@@ -468,45 +447,43 @@ class ProbeTable:
         return f"ProbeTable({state} at caps, nt={self.nt}, cap={self.cap})"
 
 
-def _graded_ranks(nvars, cap, nt, image):
-    """dims and ranks of a grade-raising map on forms x t-powers.
+def _graded_betti(nvars, cap, nt, image):
+    """Dimensions and Betti numbers, grade by grade, of a grade-raising
+    differential on forms x t-powers, through ``betti``.
 
     Basis vectors are (t-power, index tuple, monomial), graded by
     form degree + 2 * t-power.  ``image`` maps a basis vector to a list of
     (t-power, Form) pieces; anything above the caps must not appear.
     """
-    index = {}
-    grades = {}
+    grades = [[] for _ in range(nvars + 2 * nt)]  # the top one stays empty
     for j in range(nt):
         for k in range(nvars + 1):
             for key, e in _form_basis(nvars, k, cap):
-                grades.setdefault(k + 2 * j, []).append((j, key, e))
-    for J, vecs in grades.items():
-        for pos, v in enumerate(vecs):
-            index[v] = (J, pos)
-    dims = {J: len(vecs) for J, vecs in grades.items()}
-    ranks = {}
-    for J, vecs in sorted(grades.items()):
-        rows = []
-        ncols = dims.get(J + 1, 0)
-        for j, key, e in vecs:
-            row = {}
-            for jj, piece in image(j, key, e):
-                if jj >= nt:
-                    continue
-                for (fkey, ee), v in piece.c.items():
-                    if sum(ee) > cap:
-                        raise ValueError(
-                            "coefficient cap is not stable under the transport"
-                        )
-                    Jp, pos = index[(jj, fkey, ee)]
-                    if Jp != J + 1:
-                        raise ValueError("image is not grade-raising")
-                    add_term(row, pos, v)
-            rows.append(row)
-        rank, _ = rank_kernel(rows, ncols)
-        ranks[J] = rank
-    return dims, ranks
+                grades[k + 2 * j].append((j, key, e))
+    index = {v: (J, pos) for J, vecs in enumerate(grades) for pos, v in enumerate(vecs)}
+    dims = [len(vecs) for vecs in grades]
+
+    def maps():
+        for J, vecs in enumerate(grades[:-1]):
+            rows = []
+            for j, key, e in vecs:
+                row = {}
+                for jj, piece in image(j, key, e):
+                    if jj >= nt:
+                        continue
+                    for (fkey, ee), v in piece.c.items():
+                        if sum(ee) > cap:
+                            raise ValueError(
+                                "coefficient cap is not stable under the transport"
+                            )
+                        Jp, pos = index[(jj, fkey, ee)]
+                        if Jp != J + 1:
+                            raise ValueError("image is not grade-raising")
+                        add_term(row, pos, v)
+                rows.append(row)
+            yield J, rows
+
+    return dims[:-1], betti("d", dims, maps())
 
 
 def spectral_degeneration_probe(pi, cap, nt):
@@ -514,7 +491,10 @@ def spectral_degeneration_probe(pi, cap, nt):
 
     The prediction column counts classes of the plain d-model times the
     t-powers; equality of every row is what collapse of the t-filtration
-    looks like at these finite caps.  A probe, not a proof.
+    looks like at these finite caps.  A probe, not a proof.  ``betti``
+    certifies that (d + t*L)^2 vanishes below t^nt first, and raises
+    ``ValueError`` with a witness when it does not: t^2 L^2 is nonzero when
+    pi is not Poisson, so such a pi is refused from nt = 3 on.
     """
     nvars = pi.nvars
 
@@ -526,16 +506,10 @@ def spectral_degeneration_probe(pi, cap, nt):
         form = Form(nvars, len(key), {key: Poly.monomial(nvars, e)})
         return [(j, deRham_d(form))]
 
-    dims, ranks = _graded_ranks(nvars, cap, nt, image_full)
-    ddims, dranks = _graded_ranks(nvars, cap, 1, image_d)
-    betti_d = {
-        q: ddims[q] - dranks.get(q, 0) - dranks.get(q - 1, 0) for q in ddims
-    }
+    dims, hom = _graded_betti(nvars, cap, nt, image_full)
+    _, betti_d = _graded_betti(nvars, cap, 1, image_d)
     rows = []
-    for J in sorted(dims):
-        hom = dims[J] - ranks.get(J, 0) - ranks.get(J - 1, 0)
-        pred = sum(
-            betti_d.get(J - 2 * j, 0) for j in range(nt) if J - 2 * j >= 0
-        )
-        rows.append(ProbeRow(J, dims[J], hom, pred))
+    for J, dim in enumerate(dims):
+        pred = sum(betti_d[J - 2 * j] for j in range(nt) if 0 <= J - 2 * j <= nvars)
+        rows.append(ProbeRow(J, dim, hom[J], pred))
     return ProbeTable(rows, nt, cap)

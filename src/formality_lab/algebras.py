@@ -7,7 +7,7 @@ matching the vector helpers in ``core.basis``.
 
 from __future__ import annotations
 
-from .core.basis import vec, vadd_into
+from .core.basis import vec
 from .core.linalg import solve
 from .poly import Poly, monomials_upto
 
@@ -42,30 +42,16 @@ class StructureAlgebra:
                 self.unit_index = k
 
     def _solve_unit(self):
-        # u * b_j = b_j for all j: unknowns u_i, equations indexed by (j, k).
-        rows = []
-        rhs = []
-        for j in range(self.dim):
-            cols = {}
-            for i in range(self.dim):
-                for k, c in self.table.get((i, j), {}).items():
-                    cols.setdefault(k, {})[i] = c
-            for k in range(self.dim):
-                rows.append(cols.get(k, {}))
-                rhs.append(1 if k == j else 0)
-        u = solve(rows, rhs, self.dim)
+        # u * b_j = b_j for all j: unknowns u_i, equations keyed by (j, k)
+        table = self.table
+        images = [
+            {(j, k): c for j in range(self.dim) for k, c in table.get((i, j), {}).items()}
+            for i in range(self.dim)
+        ]
+        u = solve(images, {(j, j): 1 for j in range(self.dim)})
         if u is None:
             raise ValueError("algebra has no unit")
         return u
-
-    def mul(self, v, w):
-        out = {}
-        for i, a in v.items():
-            for j, b in w.items():
-                entry = self.table.get((i, j))
-                if entry:
-                    vadd_into(out, entry, a * b)
-        return out
 
     def bar_indices(self):
         """Basis indices spanning the complement of the unit line.
@@ -98,47 +84,26 @@ def trunc_poly_algebra(cap):
     return StructureAlgebra(labels, table)
 
 
-def mat2_elementary():
-    """2x2 matrices over k in the elementary-matrix basis e11,e12,e21,e22."""
-    labels = ["e11", "e12", "e21", "e22"]
-    idx = {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
-    table = {}
-    for (a, b), i in idx.items():
-        for (c, d), j in idx.items():
-            table[(i, j)] = {idx[(a, d)]: 1} if b == c else {}
-    return StructureAlgebra(labels, table)
-
-
 def mat2_unital():
     """2x2 matrices in a basis containing the identity: 1, e12, e21, e22.
 
     This is the basis to use for reduced-complex computations, where the
-    unit must be a basis element.
+    unit must be a basis element.  e11 = 1 - e22 in this basis.
     """
-    # e11 = 1 - e22 in this basis.
-    e12 = {1: 1}
-    e21 = {2: 1}
-    e22 = {3: 1}
-    e11 = {0: 1, 3: -1}
-
-    ref = mat2_elementary()
-    # express each product in the new basis via the change of basis
-    new_in_old = [
-        {0: 1, 3: 1},  # 1 = e11 + e22
-        {1: 1},
-        {2: 1},
-        {3: 1},
-    ]
-    # old elementary basis in the new basis
-    old_in_new = [e11, e12, e21, e22]
-    table = {}
-    for i in range(4):
-        for j in range(4):
-            prod_old = ref.mul(new_in_old[i], new_in_old[j])
-            entry = {}
-            for k, c in prod_old.items():
-                vadd_into(entry, old_in_new[k], c)
-            table[(i, j)] = entry
+    table = {
+        (0, 0): {0: 1},
+        (0, 1): {1: 1},
+        (0, 2): {2: 1},
+        (0, 3): {3: 1},
+        (1, 0): {1: 1},
+        (1, 2): {0: 1, 3: -1},  # e12 e21 = e11
+        (1, 3): {1: 1},
+        (2, 0): {2: 1},
+        (2, 1): {3: 1},
+        (3, 0): {3: 1},
+        (3, 2): {2: 1},
+        (3, 3): {3: 1},
+    }
     return StructureAlgebra(["1", "e12", "e21", "e22"], table)
 
 

@@ -1,7 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on sparse rows (dict col -> int or Fraction).  One
-forward eliminator serves both entry points, in two passes.  The first
+The checks ask two questions of linear algebra, and both are answered
+here.  ``solve`` takes a system as its columns, sparse vectors over any
+hashable keys, and a target vector, and numbers the equations itself.
+``betti`` takes a complex one map at a time, certifies that consecutive
+maps compose to zero, clears each map by the one before and returns the
+Betti numbers.
+
+Both work on sparse rows (dict col -> int or Fraction), through one
+forward eliminator, ``rank_kernel``, in two passes.  The first
 takes, in input order, each row that leads at a column no earlier row
 leads at as that column's pivot, with no reduction (the pivot detection of
 Faugère–Lachartre elimination); on the lexicographically ordered
@@ -93,17 +100,25 @@ def rank_kernel(rows, ncols):
     return len(pivots), pivots
 
 
-def solve(rows, rhs, ncols):
-    """One exact solution x of (rows) x = rhs, or None if inconsistent.
+def solve(columns, target):
+    """One exact x with sum_j x_j columns[j] = target, or None if there is none.
 
-    ``rows`` is a list of sparse rows; ``rhs`` aligns with it.  Free
-    variables (the non-pivot columns) are set to zero, which makes ``x``
-    unique, so it does not depend on the order of the rows.  ``x`` holds
-    its nonzero values, as ``Fraction``, keyed in ascending column order.
+    ``columns`` is a sequence of sparse vectors {key: scalar} over any
+    hashable keys, and ``target`` is one more.  Each key is one equation,
+    numbered as first met in the columns and then in the target; the target
+    fills the augmented column.  Free variables (the non-pivot columns) are
+    set to zero, which makes ``x`` unique, so it does not depend on the
+    order of the equations.  ``x`` holds its nonzero values, as
+    ``Fraction``, keyed by column position in ascending order.
     """
-    # column ncols of the augmented rows holds the right-hand side
-    aug = [{**row, ncols: b} if b else row for row, b in zip(rows, rhs)]
-    _, pivots = rank_kernel(aug, ncols + 1)
+    ncols = len(columns)
+    eqs = {}  # key -> its equation, a sparse row over the columns
+    for j, col in enumerate(columns):
+        for key, v in col.items():
+            eqs.setdefault(key, {})[j] = v
+    for key, v in target.items():
+        eqs.setdefault(key, {})[ncols] = v  # column ncols is the target
+    _, pivots = rank_kernel(eqs.values(), ncols + 1)
     if ncols in pivots:
         return None  # 0 = nonzero
     x = {}
@@ -114,3 +129,48 @@ def solve(rows, rhs, ncols):
         if v:
             x[c] = Fraction(v) / row[c]  # int / int would be a float
     return {c: x[c] for c in cols if c in x}  # callers iterate x in this order
+
+
+def betti(name, dims, maps):
+    """The Betti numbers of a complex V_0 -> V_1 -> .. -> V_k: check, clear,
+    eliminate.
+
+    ``dims`` lists dim V_0 .. dim V_k.  ``maps`` yields (n, rows) for each
+    map name_n: V_i -> V_(i+1) in turn, i = 0 .. k - 1, as one sparse row
+    per basis vector of V_i over the dims[i + 1] basis indices of V_(i+1).
+    (A chain complex hands in the transposes of its boundaries: the ranks
+    are the same.)  The result is dims[i] - rank in - rank out at each
+    V_i, i < k.
+
+    First, each echelon row z of the map before is multiplied into the
+    rows exactly.  These z span the row space of the map before, so
+    z rows = 0 for all of them certifies that the two maps compose to zero;
+    a nonzero entry raises ``ValueError`` with that entry as the witness,
+    and no rank is returned.  Then the rows at the pivot columns of the map
+    before are dropped: z rows = 0 makes the row at z's pivot column a
+    combination of later rows, so, by induction from the largest pivot
+    column down, the dropped rows lie in the span of the kept ones.
+    ``rank_kernel`` eliminates the kept nonzero rows in index order, and
+    its echelon rows clear the next map.  This is the clearing of
+    persistent homology (Chen-Kerber) done on the small side of each map,
+    as in the coboundary form of de Silva-Morozov-Vejdemo-Johansson.
+    """
+    ranks = [0]  # ranks[i] = rank of the map into V_i
+    pivots = {}
+    for i, (n, rows) in enumerate(maps):
+        for c, z in pivots.items():
+            acc = {}  # plain sums tested once: add_term per term is slower here
+            for x, zx in z.items():
+                for y, v in rows[x].items():
+                    acc[y] = acc.get(y, 0) + zx * v
+            if any(acc.values()):
+                y = min(y for y, w in acc.items() if w)
+                raise ValueError(
+                    f"{name}^2 != 0: the echelon row of {name}_{n - 1} at pivot "
+                    f"column {c} times {name}_{n} is {acc[y]} at column {y}"
+                )
+        rank, pivots = rank_kernel(
+            [row for x, row in enumerate(rows) if row and x not in pivots], dims[i + 1]
+        )
+        ranks.append(rank)
+    return [dims[i] - ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]

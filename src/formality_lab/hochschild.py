@@ -19,7 +19,7 @@ from itertools import product as _cartesian
 from weakref import WeakKeyDictionary
 
 from .core.basis import Sparse, add_row, add_term, rational, vec
-from .core.linalg import rank_kernel
+from .core.linalg import betti
 
 
 class Cochain(Sparse):
@@ -63,13 +63,6 @@ class Cochain(Sparse):
                 c.c[(key, k)] = x
         return c
 
-    @classmethod
-    def element(cls, algebra, vector):
-        c = cls(algebra, 0)
-        for k, x in vec(*vector.items()).items():
-            c.c[((), k)] = x
-        return c
-
     @property
     def lie_degree(self):
         return self.arity - 1
@@ -87,21 +80,6 @@ class Cochain(Sparse):
 
     def __repr__(self):
         return f"Cochain(arity={self.arity}, {len(self.c)} terms)"
-
-    # -- evaluation -------------------------------------------------------------
-    def apply(self, args):
-        if len(args) != self.arity:
-            raise ValueError("argument count mismatch")
-        out = {}
-        for (tup, k), v in self.c.items():
-            c = 1
-            for i, a in zip(tup, args):
-                c *= a.get(i, 0)
-                if not c:
-                    break
-            if c:
-                add_term(out, k, c * v)
-        return out
 
     # -- reduced (vanishing on the unit) subspace ---------------------------------
     def is_reduced(self):
@@ -410,7 +388,7 @@ def lie_action(D, ch):
 # row per basis element of its smaller space: b_n: C_n -> C_(n-1) one per
 # chain of degree n - 1 (its matrix, the transpose of the rows b(e_t)), and
 # delta_n: C^n -> C^(n+1) one per cochain of degree n.  The maps are then
-# eliminated bottom-up, each cleared by the one below (``_cleared_ranks``).
+# eliminated bottom-up, each cleared by the one below (``linalg.betti``).
 #
 # The matrices are built on integer basis indices, never on tuples.  A
 # chain (i_0, .., i_n) has the mixed-radix index i_0 R^n + r(i_1) R^(n-1) +
@@ -452,45 +430,6 @@ def _transpose(m, ncols):
     return out
 
 
-def _cleared_ranks(name, maps):
-    """The ranks of consecutive maps of a complex: check, clear, eliminate.
-
-    ``maps`` yields (n, rows, ncols) for name_n, one map after another, the
-    rows of each indexed by the columns of the one before.  First, each
-    echelon row z of the map before is multiplied into the rows exactly.
-    These z span the row space of the map before, so z rows = 0 for all of
-    them certifies that the two maps compose to zero; a nonzero entry
-    raises ``ValueError`` with that entry as the witness, and no rank is
-    returned.  Then the rows at the pivot columns of the map before are
-    dropped: z rows = 0 makes the row at z's pivot column a combination of
-    later rows, so, by induction from the largest pivot column down, the
-    dropped rows lie in the span of the kept ones.  ``rank_kernel``
-    eliminates the kept nonzero rows in index order, and its echelon rows
-    clear the next map.  This is the clearing of persistent homology
-    (Chen-Kerber) done on the small side of each map, as in the coboundary
-    form of de Silva-Morozov-Vejdemo-Johansson.
-    """
-    ranks = []
-    pivots = {}
-    for n, rows, ncols in maps:
-        for c, z in pivots.items():
-            acc = {}  # plain sums tested once: add_term per term is slower here
-            for x, zx in z.items():
-                for y, v in rows[x].items():
-                    acc[y] = acc.get(y, 0) + zx * v
-            if any(acc.values()):
-                y = min(y for y, w in acc.items() if w)
-                raise ValueError(
-                    f"{name}^2 != 0: the echelon row of {name}_{n - 1} at pivot "
-                    f"column {c} times {name}_{n} is {acc[y]} at column {y}"
-                )
-        rank, pivots = rank_kernel(
-            [row for x, row in enumerate(rows) if row and x not in pivots], ncols
-        )
-        ranks.append(rank)
-    return ranks
-
-
 def homology_betti(algebra, top, reduced=True):
     """Chain-complex Betti numbers in degrees 0..top.
 
@@ -499,8 +438,8 @@ def homology_betti(algebra, top, reduced=True):
     the wrap term adds m(i_n, i_0) at column (i_0, mid, i_n) of row
     (m(i_n, i_0), mid).  In the reduced complex a product in a reducible
     slot keeps only its bar components, the terms missing from the
-    normalized chains.  The ranks come bottom-up from ``_cleared_ranks``,
-    which raises ``ValueError`` when b does not square to zero."""
+    normalized chains.  ``linalg.betti`` takes the ranks bottom-up and
+    raises ``ValueError`` when b does not square to zero."""
     dim, table = algebra.dim, algebra.table
     rest = algebra.bar_indices() if reduced else list(range(dim))
     R = len(rest)
@@ -536,10 +475,9 @@ def homology_betti(algebra, top, reduced=True):
                         y, v = k * mid, sign * v
                         for u in range(mid):
                             add_term(rows[y + u], x + u * R, v)
-            yield n, rows, dims[n]
+            yield n, rows
 
-    ranks = [0, *_cleared_ranks("b", maps())]  # ranks[n] = rank of b_n
-    return [dims[n] - ranks[n] - ranks[n + 1] for n in range(top + 1)]
+    return betti("b", dims, maps())
 
 
 def cohomology_betti(algebra, top, reduced=True):
@@ -548,9 +486,8 @@ def cohomology_betti(algebra, top, reduced=True):
     delta_n has one row per cochain of degree n, filled as ``_delta_terms``
     lists its terms, read off the same ``_delta_lookups``: ``left`` is
     I (x) L, ``right`` puts the new input in front of t, and the split of
-    slot j is +-I (x) P (x) I.  The ranks come bottom-up from
-    ``_cleared_ranks``, which raises ``ValueError`` when delta does not
-    square to zero."""
+    slot j is +-I (x) P (x) I.  ``linalg.betti`` takes the ranks bottom-up
+    and raises ``ValueError`` when delta does not square to zero."""
     dim = algebra.dim
     slots = algebra.bar_indices() if reduced else list(range(dim))
     R = len(slots)
@@ -580,7 +517,6 @@ def cohomology_betti(algebra, top, reduced=True):
             for j in range(n):
                 s = sign if j % 2 else -sign  # outer (-1)^j, as in _delta_terms
                 _add_block(rows, s, R**j, P, R * R, R ** (n - 1 - j) * dim)
-            yield n, rows, dims[n + 1]
+            yield n, rows
 
-    ranks = _cleared_ranks("delta", maps())  # ranks[n] = rank of delta_n
-    return [dims[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in range(top + 1)]
+    return betti("delta", dims, maps())

@@ -111,11 +111,6 @@ class PolyDiffOperator(Sparse):
             op.c[()] = poly
         return op
 
-    @property
-    def lie_degree(self):
-        """Degree in the bracket grading: arity minus one."""
-        return self.arity - 1
-
     def _like(self, c):
         out = object.__new__(PolyDiffOperator)
         out.nvars, out.arity, out.c = self.nvars, self.arity, c
@@ -266,29 +261,14 @@ def delta_primitive(target):
     for (mono, tau), rhs_terms in _block_keys(target).items():
         basis = _splits(tau, arity)
         images = []
-        eq_keys = set(rhs_terms)
         for bkey in basis:
-            e = PolyDiffOperator(nv, arity, {bkey: Poly.monomial(nv, mono, 1)})
-            img = delta(e)
-            flat = {}
-            for tkey, poly in img.c.items():
-                cf = poly.c.get(mono)
-                if cf:
-                    flat[tkey] = cf
-            images.append(flat)
-            eq_keys.update(flat)
-        eq_list = sorted(eq_keys)
-        rows = []
-        rhs = []
-        for ek in eq_list:
-            rows.append({j: images[j][ek] for j in range(len(basis)) if ek in images[j]})
-            rhs.append(rhs_terms.get(ek, 0))
-        sol = solve(rows, rhs, len(basis))
+            img = delta(PolyDiffOperator(nv, arity, {bkey: Poly.monomial(nv, mono, 1)}))
+            images.append({tkey: p.c[mono] for tkey, p in img.c.items() if mono in p.c})
+        sol = solve(images, rhs_terms)
         if sol is None:
             return None
         for j, val in sol.items():
-            if val:
-                add_term(result.c, basis[j], Poly.monomial(nv, mono, val))
+            add_term(result.c, basis[j], Poly.monomial(nv, mono, val))
     return result
 
 

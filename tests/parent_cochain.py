@@ -6,8 +6,10 @@ The class below is the previous ``Cochain``, verbatim: a nested table
 scalar multiple, ``==``, truth value and ``is_zero``, and its ``apply``,
 ``reduce``, ``is_reduced``, ``insert_rows`` and ``assemble``.  ``cup``,
 ``delta`` and ``lie_action`` are the previous functions of that name,
-verbatim; ``delta`` reads the same ``_delta_lookups``/``_delta_terms`` as
-the program, and ``lie_action`` builds the program's ``Chain``.
+verbatim, except that ``cup`` multiplies with ``algebra_tools.mul``, the
+algebra's former ``mul`` method; ``delta`` reads the same
+``_delta_lookups``/``_delta_terms`` as the program, and ``lie_action``
+builds the program's ``Chain``.
 ``composition.parent_composition()`` installs the older ``insert`` and
 ``zero_of`` on this class, so the reference bracket runs on it too.
 
@@ -20,6 +22,8 @@ from weakref import WeakKeyDictionary
 
 from formality_lab.core.basis import add_row, add_term, rational, vadd_into, vec
 from formality_lab.hochschild import Chain, _delta_lookups, _delta_terms
+
+from algebra_tools import mul
 
 
 def reference(x):
@@ -208,7 +212,7 @@ def cup(D, E):
     out = Cochain(A, n + m)
     for dtup, dvec in D.table.items():
         for etup, evec in E.table.items():
-            prod = A.mul(dvec, evec)
+            prod = mul(A, dvec, evec)
             if not prod:
                 continue
             add_row(out.table, dtup + etup, prod, sign)

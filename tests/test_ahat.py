@@ -57,6 +57,15 @@ def test_duality_star_basics():
     assert ah.symplectic_star(sd, one_form(2, 1)) == one_form(2, 1)
 
 
+def _pair_single(sd, i, j):
+    """The bivector pairing on coordinate covectors: <dz_i, dz_j>."""
+    if j == i + sd.n and i < sd.n:
+        return 1
+    if i == j + sd.n and j < sd.n:
+        return -1
+    return 0
+
+
 def test_pair_det_is_the_leibniz_determinant():
     for n in (1, 2, 3):
         sd = ah.SymplecticData(n)
@@ -65,7 +74,7 @@ def test_pair_det_is_the_leibniz_determinant():
                 for J in combinations(range(sd.nvars), k):
                     det = sum(
                         koszul_sign(p, [1] * k)
-                        * prod(ah._pair_single(sd, I[i], J[p[i]]) for i in range(k))
+                        * prod(_pair_single(sd, I[i], J[p[i]]) for i in range(k))
                         for p in permutations(range(k))
                     )
                     assert ah._pair_det(sd, I, J) == det
@@ -190,9 +199,9 @@ def test_d_primitive_solves_and_refuses():
     sd = ah.SymplecticData(1)
     prim = ah.d_primitive(Fraction(-1) * sd.omega)
     assert ct.deRham_d(prim) == Fraction(-1) * sd.omega
-    # x dx ^ dy has no primitive with polynomial coefficients of degree <= 0
+    # x dy is not closed, so it has no primitive
+    assert ah.d_primitive(ct.Form(2, 1, {(1,): Poly.var(2, 0)})) is None
     target = ct.Form(2, 2, {(0, 1): Poly.var(2, 0)})
-    assert ah.d_primitive(target, cap=0) is None
     got = ah.d_primitive(target)
     assert ct.deRham_d(got) == target
 
@@ -284,6 +293,21 @@ def test_probe_flags_the_linear_bivector():
     assert not table.degenerate
     assert [(r.grade, r.homology, r.predicted) for r in table.rows] == [
         (0, 1, 1), (1, 4, 4), (2, 1, 4), (3, 1, 4), (4, 3, 3)]
+
+
+def test_probe_refuses_a_non_poisson_bivector_once_t_squared_is_kept():
+    # [pi, pi] != 0, so (d + t L)^2 = t^2 L^2 is nonzero: nt = 2 truncates
+    # it away, nt = 3 keeps it and the certified Betti loop refuses
+    pi = ct.MultiVector(3, 2, {(0, 1): Poly.const(3, 1), (1, 2): Poly.var(3, 1)})
+    table = ah.spectral_degeneration_probe(pi, 1, 2)
+    assert [(r.grade, r.dim, r.homology, r.predicted) for r in table.rows] == [
+        (0, 4, 1, 1), (1, 12, 6, 6), (2, 16, 6, 9), (3, 16, 3, 9), (4, 12, 5, 8),
+        (5, 4, 3, 3)]
+    with pytest.raises(ValueError) as e:
+        ah.spectral_degeneration_probe(pi, 1, 3)
+    assert str(e.value) == (
+        "d^2 != 0: the echelon row of d_2 at pivot column 0 times d_3 is -1 at column 12"
+    )
 
 
 def test_probe_rejects_cap_unstable_transport():

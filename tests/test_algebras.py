@@ -6,7 +6,6 @@ from formality_lab.algebras import (
     StructureAlgebra,
     dual_numbers,
     trunc_poly_algebra,
-    mat2_elementary,
     mat2_unital,
     FunctionModel,
     jet_algebra,
@@ -14,6 +13,7 @@ from formality_lab.algebras import (
 from formality_lab.core.basis import vec
 from formality_lab.poly import Poly
 
+from algebra_tools import mat2_elementary, mul
 from jet_tables import poly_to_vec
 
 
@@ -22,8 +22,8 @@ def check_associative(A):
         for j in range(A.dim):
             ij = A.table.get((i, j), {})
             for k in range(A.dim):
-                left = A.mul(ij, vec((k, 1)))
-                right = A.mul(vec((i, 1)), A.table.get((j, k), {}))
+                left = mul(A, ij, vec((k, 1)))
+                right = mul(A, vec((i, 1)), A.table.get((j, k), {}))
                 if left != right:
                     return False
     return True
@@ -32,7 +32,7 @@ def check_associative(A):
 def check_unital(A):
     for i in range(A.dim):
         b = vec((i, 1))
-        if A.mul(A.unit, b) != b or A.mul(b, A.unit) != b:
+        if mul(A, A.unit, b) != b or mul(A, b, A.unit) != b:
             return False
     return True
 
@@ -45,7 +45,7 @@ def test_dual_numbers():
     assert A.unit == {0: 1}
     assert A.unit_index == 0
     x = vec((1, 1))
-    assert A.mul(x, x) == {}
+    assert mul(A, x, x) == {}
     assert A.bar_indices() == [1]
 
 
@@ -55,9 +55,9 @@ def test_trunc_poly_algebra():
     assert check_associative(A)
     assert check_unital(A)
     x = vec((1, 1))
-    x2 = A.mul(x, x)
+    x2 = mul(A, x, x)
     assert x2 == {2: 1}
-    assert A.mul(x2, x2) == {}  # x^4 = 0
+    assert mul(A, x2, x2) == {}  # x^4 = 0
     assert A.labels == ["1", "x", "x^2", "x^3"]
 
 
@@ -72,9 +72,9 @@ def test_mat2_elementary():
         A.bar_indices()
     e12 = vec((1, 1))
     e21 = vec((2, 1))
-    assert A.mul(e12, e21) == {0: 1}  # e12 e21 = e11
-    assert A.mul(e21, e12) == {3: 1}  # e21 e12 = e22
-    assert A.mul(e12, e12) == {}
+    assert mul(A, e12, e21) == {0: 1}  # e12 e21 = e11
+    assert mul(A, e21, e12) == {3: 1}  # e21 e12 = e22
+    assert mul(A, e12, e12) == {}
 
 
 def test_mat2_unital_matches_elementary():
@@ -84,11 +84,11 @@ def test_mat2_unital_matches_elementary():
     assert A.unit_index == 0
     assert A.bar_indices() == [1, 2, 3]
     # e12 * e21 = e11 = 1 - e22 in this basis
-    assert A.mul(vec((1, 1)), vec((2, 1))) == {0: 1, 3: -1}
+    assert mul(A, vec((1, 1)), vec((2, 1))) == {0: 1, 3: -1}
     # e21 * e12 = e22
-    assert A.mul(vec((2, 1)), vec((1, 1))) == {3: 1}
+    assert mul(A, vec((2, 1)), vec((1, 1))) == {3: 1}
     # e22 * e22 = e22
-    assert A.mul(vec((3, 1)), vec((3, 1))) == {3: 1}
+    assert mul(A, vec((3, 1)), vec((3, 1))) == {3: 1}
 
 
 def test_unit_solver_rejects_nonunital():
@@ -119,7 +119,7 @@ def test_jet_algebra_structure():
     i_x0 = F.index[(1, 0)]
     i_x1 = F.index[(0, 1)]
     i_x0x1 = F.index[(1, 1)]
-    prod = A.mul(vec((i_x0, 1)), vec((i_x1, 1)))
+    prod = mul(A, vec((i_x0, 1)), vec((i_x1, 1)))
     assert prod == {i_x0x1: 1}
     i_x0sq = F.index[(2, 0)]
-    assert A.mul(vec((i_x0sq, 1)), vec((i_x1, 1))) == {}
+    assert mul(A, vec((i_x0sq, 1)), vec((i_x1, 1))) == {}

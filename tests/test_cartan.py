@@ -28,6 +28,7 @@ from formality_lab.algebras import FunctionModel, jet_algebra
 from formality_lab.hochschild import Chain, chain_b, connes_B
 from formality_lab.polydiff import bracket, cup, delta, delta_primitive
 
+from algebra_tools import apply
 from jet_tables import from_polydiff
 
 
@@ -488,7 +489,7 @@ def test_capped_tabulation_breaks_closedness():
     assert not dd.is_zero()
     y = model.index[(0, 1)]
     xy = model.index[(1, 1)]
-    assert dd.apply([vec((y, 1)), vec((y, 1)), vec((xy, 1))])
+    assert apply(dd, [vec((y, 1)), vec((y, 1)), vec((xy, 1))])
 
 
 def test_capped_chain_breaks_mu_boundary_identity():

@@ -304,6 +304,29 @@ def test_job_runtime_error_becomes_failing_outcome(tmp_path, capsys):
     assert "refused" in out and "cap" in out
 
 
+def test_probe_job_refuses_a_non_poisson_bivector(tmp_path, capsys):
+    # [pi, pi] != 0 makes (d + t L)^2 = t^2 L^2 nonzero; nt = 2 truncates
+    # the t^2 term away, nt = 3 keeps it and the probe refuses the complex
+    text = (
+        "objects:\n"
+        "  p:\n"
+        "    kind: multivector\n"
+        "    vars: 3\n"
+        "    degree: 2\n"
+        '    terms: {"0,1": {"0,0,0": 1}, "1,2": {"0,1,0": 1}}\n'
+        "jobs:\n"
+        "  - {op: degeneration-probe, name: j, multivector: p,"
+        " coefficient-cap: 1, nt-values: [2, 3]}\n"
+    )
+    rc = main(["run", _write(tmp_path, text), "--format", "structured"])
+    (job,) = json.loads(capsys.readouterr().out)["jobs"]
+    assert rc == 1
+    assert (job["status"], job["summary"]) == ("fail", "probe of p refused at nt=3")
+    assert job["witnesses"] == [
+        "d^2 != 0: the echelon row of d_2 at pivot column 0 times d_3 is -1 at column 12"
+    ]
+
+
 def test_raised_job_names_the_package_frame(tmp_path, capsys, monkeypatch):
     # the witness carries module.function:line of the innermost package
     # frame, and no file path, so the report is the same on every machine

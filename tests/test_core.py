@@ -1,13 +1,15 @@
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
+
 from formality_lab.core.signs import (
     koszul_sign,
     unshuffle_sign,
     decalage_sign,
 )
 from formality_lab.core.basis import add_term, vec, vadd_into
-from formality_lab.core.linalg import rank_kernel, solve
+from formality_lab.core.linalg import betti, rank_kernel, solve
 
 
 # -- signs -------------------------------------------------------------------
@@ -104,6 +106,15 @@ def test_vec_helpers():
 
 # -- linear algebra -------------------------------------------------------------
 
+def _solve(rows, rhs, ncols):
+    """``solve`` on the system with these rows: column j is {row: entry}."""
+    columns = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            columns[j][i] = v
+    return solve(columns, dict(enumerate(rhs)))
+
+
 def test_rank_kernel_simple():
     rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]
     rank, _ = rank_kernel(rows, 2)
@@ -124,7 +135,7 @@ def test_rank_kernel_zero_map():
 def test_solve_consistent():
     rows = [{0: Fraction(2), 1: Fraction(1)}, {1: Fraction(3)}]
     rhs = [Fraction(5), Fraction(6)]
-    x = solve(rows, rhs, 2)
+    x = _solve(rows, rhs, 2)
     assert x is not None
     for row, b in zip(rows, rhs):
         assert sum(c * x.get(i, Fraction(0)) for i, c in row.items()) == b
@@ -132,11 +143,40 @@ def test_solve_consistent():
 
 def test_solve_inconsistent():
     rows = [{0: Fraction(1)}, {0: Fraction(1)}]
-    assert solve(rows, [Fraction(1), Fraction(2)], 1) is None
+    assert _solve(rows, [Fraction(1), Fraction(2)], 1) is None
 
 
 def test_solve_underdetermined():
     rows = [{0: Fraction(1), 1: Fraction(1)}]
-    x = solve(rows, [Fraction(7)], 2)
+    x = _solve(rows, [Fraction(7)], 2)
     assert x is not None
     assert sum(x.get(i, Fraction(0)) for i in range(2)) == 7
+
+
+def test_solve_on_tuple_keys():
+    # d(a) = (1, 0) - (0, 1), d(b) = (0, 1): numbered as met, not sorted
+    columns = [{(1, 0): 1, (0, 1): -1}, {(0, 1): Fraction(1, 2)}]
+    assert solve(columns, {(1, 0): 3}) == {0: Fraction(3), 1: Fraction(6)}
+    assert solve(columns, {}) == {}
+
+
+def test_solve_refuses_a_target_key_no_column_reaches():
+    columns = [{(1, 0): 1, (0, 1): -1}, {(0, 1): Fraction(1, 2)}]
+    assert solve(columns, {(1, 0): 3, (2, 2): 1}) is None
+
+
+def test_betti_of_a_small_complex():
+    # Q -> Q^2 -> Q: 1 -> (1, 1), (a, b) -> a - b, ranks 1 and 1
+    maps = [(0, [{0: 1, 1: 1}]), (1, [{0: 1}, {0: -1}])]
+    assert betti("d", [1, 2, 1], iter(maps)) == [0, 0]
+    # the same spaces with the zero maps
+    assert betti("d", [1, 2, 1], iter([(0, [{}]), (1, [{}, {}])])) == [1, 2]
+
+
+def test_betti_refuses_maps_that_do_not_compose_to_zero():
+    maps = [(0, [{0: 1, 1: 1}]), (1, [{0: 1}, {0: 1}])]
+    with pytest.raises(ValueError) as e:
+        betti("d", [1, 2, 1], iter(maps))
+    assert str(e.value) == (
+        "d^2 != 0: the echelon row of d_0 at pivot column 0 times d_1 is 2 at column 0"
+    )

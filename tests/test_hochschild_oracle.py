@@ -37,10 +37,10 @@ from formality_lab import hochschild as hh
 from formality_lab.algebras import (
     dual_numbers,
     jet_algebra,
-    mat2_elementary,
     mat2_unital,
     trunc_poly_algebra,
 )
+from formality_lab.core import linalg
 from formality_lab.core.basis import add_term
 from formality_lab.core.linalg import rank_kernel
 from formality_lab.hochschild import (
@@ -53,6 +53,8 @@ from formality_lab.hochschild import (
     delta,
     homology_betti,
 )
+
+from algebra_tools import mat2_elementary
 
 
 # -- reference: the previous hochschild code, verbatim ---------------------------
@@ -270,24 +272,24 @@ def _old_cohomology_betti(algebra, top, reduced=True):
 # -- the matrices the current code builds, and the rows it eliminates ------------------
 
 def _recorded(monkeypatch, fn, algebra, top, reduced):
-    """(full, fed): each map as ``_cleared_ranks`` receives it, before
-    clearing, and the rows then handed to ``rank_kernel``, both as
-    (rows, ncols) in degree order."""
+    """(full, fed): each map as ``betti`` receives it, before clearing, and
+    the rows then handed to ``rank_kernel``, both as (rows, ncols) in
+    degree order."""
     full, fed = [], []
-    real_ranks, real_kernel = hh._cleared_ranks, hh.rank_kernel
+    real_betti, real_kernel = hh.betti, linalg.rank_kernel
 
-    def tee(maps):
-        for n, rows, ncols in maps:
-            full.append(([dict(r) for r in rows], ncols))
-            yield n, rows, ncols
+    def tee(dims, maps):
+        for i, (n, rows) in enumerate(maps):
+            full.append(([dict(r) for r in rows], dims[i + 1]))
+            yield n, rows
 
     def record(rows, ncols):
         fed.append(([dict(r) for r in rows], ncols))
         return real_kernel(rows, ncols)
 
     with monkeypatch.context() as m:
-        m.setattr(hh, "_cleared_ranks", lambda name, maps: real_ranks(name, tee(maps)))
-        m.setattr(hh, "rank_kernel", record)
+        m.setattr(hh, "betti", lambda name, dims, maps: real_betti(name, dims, tee(dims, maps)))
+        m.setattr(linalg, "rank_kernel", record)
         fn(algebra, top, reduced=reduced)
     return full, fed
 

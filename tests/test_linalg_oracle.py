@@ -25,6 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from formality_lab import hochschild as hh
+from formality_lab.core import linalg
 from formality_lab.algebras import dual_numbers, mat2_unital, trunc_poly_algebra
 from formality_lab.core.linalg import rank_kernel, solve
 
@@ -157,6 +158,15 @@ def _old_solve(rows, rhs, ncols):
     return x
 
 
+def _solve(rows, rhs, ncols):
+    """``solve`` on the system with these rows: column j is {row: entry}."""
+    columns = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            columns[j][i] = v
+    return solve(columns, dict(enumerate(rhs)))
+
+
 # -- seeded systems -------------------------------------------------------------
 
 def _entry(rng):
@@ -217,7 +227,7 @@ def test_rank_and_solve_match_reference_on_seeded_systems():
         rank, _ = rank_kernel(_copy(rows), ncols)
         assert rank == _old_rank_kernel(_copy(rows), ncols)[0], (rows, ncols)
         want = _old_solve(_copy(rows), list(rhs), ncols)
-        got = solve(rows, list(rhs), ncols)
+        got = _solve(rows, list(rhs), ncols)
         assert rows == snapshot, "solve changed its input rows"
         assert got == want, (rows, rhs, ncols)
         if want is None:
@@ -234,7 +244,7 @@ def test_zero_matrix_and_empty_systems_match_reference():
         for rows in ([], [{}], [{}, {}], [{c: 0 for c in range(ncols)}]):
             assert rank_kernel(_copy(rows), ncols)[0] == _old_rank_kernel(_copy(rows), ncols)[0] == 0
             for rhs in ([0] * len(rows), [Fraction(1)] * len(rows)):
-                assert solve(_copy(rows), rhs, ncols) == _old_solve(_copy(rows), rhs, ncols)
+                assert _solve(_copy(rows), rhs, ncols) == _old_solve(_copy(rows), rhs, ncols)
 
 
 # -- reference: the rational-arithmetic forward eliminator, verbatim ------------
@@ -395,7 +405,7 @@ def test_rows_holding_explicit_zeros_are_copied_and_only_they():
         snapshot = _copy(rows)
         rank, _ = _check_kernel(rows, ncols)
         assert rank == _old_rank_kernel(_copy(rows), ncols)[0], (rows, ncols)
-        assert solve(_copy(rows), list(rhs), ncols) == _old_solve(_copy(rows), list(rhs), ncols)
+        assert _solve(_copy(rows), list(rhs), ncols) == _old_solve(_copy(rows), list(rhs), ncols)
         _, pivots = rank_kernel(rows, ncols)
         assert rows == snapshot, "rank_kernel changed its input rows"
         leads = set()
@@ -427,7 +437,7 @@ def _betti_matrices(monkeypatch, algebra, top, reduced):
         return rank_kernel(rows, ncols)
 
     with monkeypatch.context() as m:
-        m.setattr(hh, "rank_kernel", record)
+        m.setattr(linalg, "rank_kernel", record)
         hh.homology_betti(algebra, top, reduced=reduced)
         hh.cohomology_betti(algebra, top, reduced=reduced)
     return seen
@@ -456,7 +466,7 @@ def test_dense_rational_system_with_coefficient_growth():
     assert rank == _old_rank_kernel(_copy(rows), n)[0] == n
     # the echelon rows outgrow the one-digit inputs far past a machine word
     assert max(abs(v) for row in pivots.values() for v in row.values()) > 2 ** 64
-    x = solve(rows, list(rhs), n)
+    x = _solve(rows, list(rhs), n)
     assert x == _old_solve(_copy(rows), list(rhs), n)
     assert all(type(v) is Fraction for v in x.values())
     for row, b in zip(rows, rhs):
@@ -488,7 +498,7 @@ def test_rows_mixing_int_integral_fraction_and_proper_fraction():
         rhs = [rng.choice(kinds)() if rng.random() < 0.7 else 0 for _ in rows]
         rank, _ = _check_kernel(rows, ncols)
         assert rank == _old_rank_kernel(_copy(rows), ncols)[0]
-        assert solve(_copy(rows), list(rhs), ncols) == _old_solve(
+        assert _solve(_copy(rows), list(rhs), ncols) == _old_solve(
             _copy(rows), list(rhs), ncols
         ), (rows, rhs)
     # most systems carry all three kinds of entry at once
@@ -509,10 +519,10 @@ def test_solve_is_the_same_for_shuffled_rows():
     solved = 0
     for _ in range(1500):
         rows, rhs, ncols = _system(rng)
-        want = solve(_copy(rows), list(rhs), ncols)
+        want = _solve(_copy(rows), list(rhs), ncols)
         order = list(range(len(rows)))
         rng.shuffle(order)
-        got = solve([dict(rows[i]) for i in order], [rhs[i] for i in order], ncols)
+        got = _solve([dict(rows[i]) for i in order], [rhs[i] for i in order], ncols)
         assert got == want, (rows, rhs, order)
         if got is not None:
             solved += 1
@@ -534,8 +544,8 @@ def test_solve_when_rows_share_a_leading_column():
     rank, pivots = _check_kernel(rows, 3)
     assert rank == 3 and list(pivots) == [0, 2, 1]
     assert pivots == {0: {0: 1, 1: 2, 2: 1}, 2: {2: 1}, 1: {1: 1, 2: -1}}
-    x = solve(_copy(rows), list(rhs), 3)
+    x = _solve(_copy(rows), list(rhs), 3)
     assert x == _old_solve(_copy(rows), list(rhs), 3)
     assert list(x.items()) == [(0, Fraction(-4)), (1, Fraction(5)), (2, Fraction(2))]
     # an inconsistent right-hand side on the row that reduces to zero
-    assert solve(_copy(rows), [16, 11, 16, 6], 3) is None
+    assert _solve(_copy(rows), [16, 11, 16, 6], 3) is None
