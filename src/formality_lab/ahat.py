@@ -281,20 +281,16 @@ def u_regrade(sd, alpha):
     return out
 
 
-def nu_pipeline(sd, alpha):
-    """degree twist, then exp((u/t) i), then the star, then exp(-(t/u) i)."""
-    val = degree_twist(sd, alpha)
-    val = contract_exp(sd, val, dt=-1, du=1, sign=1)
-    val = series_star(sd, val)
-    return contract_exp(sd, val, dt=1, du=-1, sign=-1)
-
-
 def nu0(sd, alpha):
-    return u_regrade(sd, nu_pipeline(sd, alpha))
+    """The composite of the pipeline stages, then the u regrading."""
+    for arrow, _, _ in pipeline_stages(sd):
+        alpha = arrow(sd, alpha)
+    return u_regrade(sd, alpha)
 
 
 def pipeline_stages(sd):
-    """The arrows with their (source, target) differentials, in order."""
+    """The arrows with their (source, target) differentials, in order:
+    degree twist, then exp((u/t) i), then the star, then exp(-(t/u) i)."""
     return [
         (degree_twist, diff_d, diff_td),
         (lambda s, a: contract_exp(s, a, dt=-1, du=1, sign=1), diff_td, diff_td_uL),

@@ -6,7 +6,9 @@ supplied element tuples.  Brackets are the "natural" ones
 (differential, binary bracket, ...), and every application is dressed
 with the suspension sign from core.signs.decalage_sign, so the identities
 take the pure shifted-Koszul form: a differential graded Lie algebra
-packaged as (l1, l2) passes with no manual sign threading.
+packaged as (l1, l2) passes with no manual sign threading.  A module is
+checked as the structure on the semidirect sum L + M in which M is an
+abelian ideal, so both identities are one generalized Jacobi residual.
 
 Elements are vectors: a ``core.basis.Sparse`` container (chains and
 cochains, multivectors, forms, operators, series), whose +, scalar *, ==,
@@ -49,17 +51,13 @@ class LInftyStructure:
         self.generators = list(generators)
 
     def apply(self, n, args):
-        fn = self.brackets.get(n)
-        if fn is None:
-            return None
-        return fn(list(args))
+        return self.brackets[n](list(args))
 
 
 def dgla(degree, differential, bracket_fn, generators=()):
     """Package a differential graded Lie algebra as a structure table."""
-    brackets = {2: lambda args: bracket_fn(args[0], args[1])}
-    if differential is not None:
-        brackets[1] = lambda args: differential(args[0])
+    brackets = {1: lambda args: differential(args[0]),
+                2: lambda args: bracket_fn(args[0], args[1])}
     return LInftyStructure(degree, brackets, generators)
 
 
@@ -89,7 +87,7 @@ def linfty_residual(S, elements):
     degs = [S.degree(x) for x in elements]
     acc = None
     for p in range(1, n + 1):
-        if p not in S.brackets:
+        if p not in S.brackets or n - p + 1 not in S.brackets:
             continue
         for I in combinations(range(n), p):
             block = [elements[i] for i in I]
@@ -97,8 +95,6 @@ def linfty_residual(S, elements):
             if inner is None or inner.is_zero():
                 continue
             rest_idx = [i for i in range(n) if i not in I]
-            if (len(rest_idx) + 1) not in S.brackets:
-                continue
             eps = unshuffle_sign(n, I, degs, shift=1)
             th_in = decalage_sign([degs[i] for i in I])
             ideg = sum(degs[i] for i in I) + 2 - p
@@ -131,7 +127,8 @@ class LInftyModule:
     """actions[p] : (p algebra elements, module element) -> module element.
 
     actions[0] is the module differential.  ``mdegree`` grades module
-    elements (only its parity enters the signs).
+    elements (only its parity enters the signs).  ``samples`` are the
+    (name, element) pairs the module sweep acts on.
     """
 
     def __init__(self, structure, mdegree, actions, samples=()):
@@ -140,69 +137,62 @@ class LInftyModule:
         self.actions = dict(actions)
         self.samples = list(samples)
 
-    def act(self, p, xs, m):
-        fn = self.actions.get(p)
-        if fn is None:
-            return None
-        return fn(list(xs), m)
+    def semidirect(self):
+        """The L-infinity structure on L + M of which M is an abelian ideal.
 
+        An L-infinity module structure on M is the same thing as this
+        structure (Lada-Markl 1995), so the module identity on (x_1 .. x_n,
+        m) is the generalized Jacobi identity of L + M on that tuple.  A
+        module element is told apart from an algebra element by its type:
+        it has the type of one of the samples (chains against cochains,
+        forms against multivectors), so the algebra's elements must not.
 
-def module_residual(M, elements, m):
-    """The module identity combines two families: brackets feeding the
-    action, and nested actions.  The nested family carries the extra sign
-    of the odd inner operator passing the untouched front block."""
-    S = M.structure
-    n = len(elements)
-    degs = [S.degree(x) for x in elements]
-    mdeg = M.mdegree(m)
-    acc = None
+        The brackets are the algebra's on algebra elements, and
+        [x_1 .. x_r, m] = actions[r](x_1 .. x_r, m); a bracket of two
+        module elements is zero.  The generalized Jacobi sum also meets a
+        module element in first place, [m, x_1 .. x_r], where an inner
+        action feeds an outer bracket.  Moving m to the end costs
+        (-1)^(|m| sum|x_i| + r).  In the suspended picture the dressed
+        bracket decalage_sign * [..] is graded symmetric in the shifted
+        degrees, so the move costs the Koszul sign (-1)^((|m|-1) sum(|x_i|-1));
+        the dressing of [m, x_1 .. x_r] is that of [x_1 .. x_r, m] times
+        (-1)^(r(|m|-1) + sum(|x_i|-1)).  The product of the two is the sign
+        above, the same as r transpositions of the natural graded
+        antisymmetric bracket, each -(-1)^(|m||x_i|).
+        """
+        S, actions, mdegree = self.structure, self.actions, self.mdegree
+        kinds = {type(m) for _, m in self.samples}
 
-    # family 1: l_p on a block, then the action of what remains
-    for p in range(1, n + 1):
-        if p not in S.brackets:
-            continue
-        for I in combinations(range(n), p):
-            block = [elements[i] for i in I]
-            inner = S.apply(p, block)
-            if inner is None or inner.is_zero():
-                continue
-            rest_idx = [i for i in range(n) if i not in I]
-            if (len(rest_idx) + 1) not in M.actions:
-                continue
-            eps = unshuffle_sign(n, I, degs, shift=1)
-            th_in = decalage_sign([degs[i] for i in I])
-            ideg = sum(degs[i] for i in I) + 2 - p
-            outer_degs = [ideg] + [degs[i] for i in rest_idx] + [mdeg]
-            th_out = decalage_sign(outer_degs)
-            term = M.act(
-                len(rest_idx) + 1, [inner] + [elements[i] for i in rest_idx], m
-            )
-            acc = _accumulate(acc, eps * th_in * th_out, term)
+        def degree(x):
+            return mdegree(x) if type(x) in kinds else S.degree(x)
 
-    # family 2: act with one block on m, then act with the complement
-    for q in range(0, n + 1):
-        if q not in M.actions:
-            continue
-        for J in combinations(range(n), q):
-            rest_idx = [i for i in range(n) if i not in J]
-            if len(rest_idx) not in M.actions:
-                continue
-            inner = M.act(q, [elements[i] for i in J], m)
-            if inner is None or inner.is_zero():
-                continue
-            eps = unshuffle_sign(n, tuple(rest_idx), degs, shift=1)
-            # the inner (odd) operator passes the untouched front block
-            pass_sign = -1 if sum(degs[i] - 1 for i in rest_idx) % 2 else 1
-            th_in = decalage_sign([degs[i] for i in J] + [mdeg])
-            inner_mdeg = sum(degs[i] for i in J) + mdeg + 1 - q
-            th_out = decalage_sign([degs[i] for i in rest_idx] + [inner_mdeg])
-            term = M.act(len(rest_idx), [elements[i] for i in rest_idx], inner)
-            acc = _accumulate(acc, eps * pass_sign * th_in * th_out, term)
+        def bracket(k):
+            own, act = S.brackets.get(k), actions.get(k - 1)
 
-    return acc
+            def fn(args):
+                if type(args[-1]) in kinds:
+                    return None if act is None else act(args[:-1], args[-1])
+                if type(args[0]) not in kinds:
+                    return None if own is None else own(args)
+                if act is None:
+                    return None
+                m, xs = args[0], args[1:]
+                out = act(xs, m)
+                odd = (mdegree(m) * sum(map(S.degree, xs)) + k - 1) % 2
+                return -out if odd else out
+
+            return fn
+
+        arities = set(S.brackets) | {p + 1 for p in actions}
+        return LInftyStructure(degree, {k: bracket(k) for k in arities})
 
 
 def check_module(M, max_arity=2):
+    """Sweep the module identity over generator tuples and module samples:
+    the generalized Jacobi identity of ``M.semidirect()`` on each tuple
+    followed by one sample.  A witness names the tuple and the sample; its
+    arity counts the algebra elements."""
+    T = M.semidirect()
     witnesses = []
     checked = 0
     for n in range(0, max_arity + 1):
@@ -210,7 +200,7 @@ def check_module(M, max_arity=2):
             names = [t[0] for t in tup]
             elems = [t[1] for t in tup]
             for mname, melem in M.samples:
-                res = module_residual(M, elems, melem)
+                res = linfty_residual(T, elems + [melem])
                 checked += 1
                 if res is not None and not res.is_zero():
                     witnesses.append((tuple(names + [mname]), len(elems), res))

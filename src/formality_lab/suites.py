@@ -190,11 +190,11 @@ def _chain_samples(A, top=2):
     return out
 
 
-def _chains_module(A, S):
+def _chains_module(A, S, boundary):
     return lf.LInftyModule(
         S,
         lambda ch: -ch.n,
-        {0: lambda xs, m: hh.chain_b(m), 1: lambda xs, m: hh.lie_action(xs[0], m)},
+        {0: lambda xs, m: boundary(m), 1: lambda xs, m: hh.lie_action(xs[0], m)},
         _chain_samples(A),
     )
 
@@ -680,7 +680,7 @@ def _linfty_suite(args):
         rep2.ok,
         lambda: f"multivector bracket table fails: {len(rep2.witnesses)} witnesses",
     )
-    M = _chains_module(A, S)
+    M = _chains_module(A, S, hh.chain_b)
     rep3 = lf.check_module(M, max_arity=2)
     t.ok(rep3.ok, lambda: f"chains module fails: {len(rep3.witnesses)} witnesses")
     forms = [
@@ -714,15 +714,7 @@ def _linfty_suite(args):
         not repb.ok,
         lambda: "perturbed differential slipped through the structure sweep",
     )
-    badM = lf.LInftyModule(
-        S,
-        lambda ch: -ch.n,
-        {
-            0: lambda xs, m: 2 * hh.chain_b(m),
-            1: lambda xs, m: hh.lie_action(xs[0], m),
-        },
-        _chain_samples(A),
-    )
+    badM = _chains_module(A, S, lambda m: 2 * hh.chain_b(m))
     repc = lf.check_module(badM, max_arity=1)
     t.ok(
         not repc.ok,

@@ -261,10 +261,14 @@ def test_mc_residual_of_mixed_degrees_matches_reference():
     # [y, x] = -(-1)^(|x||y|) [x, y].  There is no differential, which
     # would put arity k + 1 at order k.
     def operator_bracket():
-        return lf.dgla(lambda op: op.arity - 1, None, pd.bracket, [])
+        return lf.LInftyStructure(
+            lambda op: op.arity - 1, {2: lambda a: pd.bracket(a[0], a[1])}
+        )
 
     def cochain_bracket():
-        return lf.dgla(lambda c: c.arity - 1, None, hh.bracket)
+        return lf.LInftyStructure(
+            lambda c: c.arity - 1, {2: lambda a: hh.bracket(a[0], a[1])}
+        )
 
     rng = random.Random(18004)
     A = trunc_poly_algebra(3)

@@ -13,6 +13,7 @@ from formality_lab.linfty import CheckReport, _accumulate
 from formality_lab.poly import Poly
 
 from jet_tables import from_polydiff
+from parent_module import act
 
 
 def cochain_dgla(A, arities=(1, 2)):
@@ -333,7 +334,7 @@ def module_morphism_residual(phi, elements, m):
     for q in range(0, n + 1):
         for J in combinations(range(n), q):
             rest_idx = [i for i in range(n) if i not in J]
-            inner = M.act(q, [elements[i] for i in J], m)
+            inner = act(M, q, [elements[i] for i in J], m)
             if inner is None or inner.is_zero():
                 continue
             eps = unshuffle_sign(n, tuple(rest_idx), degs, shift=1)
@@ -355,7 +356,7 @@ def module_morphism_residual(phi, elements, m):
             th_in = decalage_sign([degs[i] for i in J] + [mdeg])
             inner_mdeg = sum(degs[i] for i in J) + mdeg - q
             th_out = decalage_sign([degs[i] for i in rest_idx] + [inner_mdeg])
-            term = N.act(len(rest_idx), [elements[i] for i in rest_idx], inner)
+            term = act(N, len(rest_idx), [elements[i] for i in rest_idx], inner)
             acc = _accumulate(acc, -eps * th_in * th_out, term)
 
     return acc
