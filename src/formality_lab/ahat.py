@@ -29,13 +29,14 @@ from .cartan import (
     MultiVector,
     contract,
     deRham_d,
+    frame_monomials,
     lie_derivative,
 )
 from .core.basis import Sparse, add_term, rational
 from .core.linalg import betti, solve
 from .core.signs import koszul_sign
 from .linfty import CheckReport
-from .poly import Poly, monomials_upto
+from .poly import Poly
 
 
 class SymplecticData:
@@ -338,12 +339,6 @@ def exp_contract_identity(n, z="t/u"):
 # exactness and the flat expansion
 # ---------------------------------------------------------------------------
 
-def _form_basis(nvars, k, cap):
-    for key in combinations(range(nvars), k):
-        for e in monomials_upto(nvars, cap):
-            yield key, e
-
-
 def d_primitive(form):
     """A beta with d(beta) = form, or None.  beta's coefficients have degree
     at most one more than form's."""
@@ -351,7 +346,7 @@ def d_primitive(form):
         return None
     nvars = form.nvars
     cap = 1 + max((sum(e) for _, e in form.c), default=0)
-    cols = list(_form_basis(nvars, form.k - 1, cap))
+    cols = list(frame_monomials(nvars, (form.k - 1,), cap))
     images = [
         deRham_d(Form(nvars, form.k - 1, {key: Poly.monomial(nvars, e)})).c
         for key, e in cols
@@ -454,7 +449,7 @@ def _graded_betti(nvars, cap, nt, image):
     grades = [[] for _ in range(nvars + 2 * nt)]  # the top one stays empty
     for j in range(nt):
         for k in range(nvars + 1):
-            for key, e in _form_basis(nvars, k, cap):
+            for key, e in frame_monomials(nvars, (k,), cap):
                 grades[k + 2 * j].append((j, key, e))
     index = {v: (J, pos) for J, vecs in enumerate(grades) for pos, v in enumerate(vecs)}
     dims = [len(vecs) for vecs in grades]

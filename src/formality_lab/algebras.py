@@ -68,20 +68,12 @@ class StructureAlgebra:
 
 def dual_numbers():
     """k[x]/(x^2) with basis 1, x."""
-    return StructureAlgebra(
-        ["1", "x"],
-        {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {}},
-    )
+    return jet_algebra(1, 1)
 
 
 def trunc_poly_algebra(cap):
-    """k[x]/(x^(cap+1)) with basis 1, x, ..., x^cap."""
-    labels = ["1"] + [f"x^{k}" if k > 1 else "x" for k in range(1, cap + 1)]
-    table = {}
-    for i in range(cap + 1):
-        for j in range(cap + 1):
-            table[(i, j)] = {i + j: 1} if i + j <= cap else {}
-    return StructureAlgebra(labels, table)
+    """k[x]/(x^(cap+1)) with basis 1, x, x^2, ..., x^cap."""
+    return jet_algebra(1, cap)
 
 
 def mat2_unital():

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 from operator import add
 
 from .core.basis import Sparse, add_term
-from .poly import Poly
+from .poly import Poly, monomials_upto
 from .polydiff import PolyDiffOperator
 
 
@@ -93,6 +93,10 @@ class _Exterior(Sparse):
         return cls(nvars, k)
 
     @classmethod
+    def function(cls, poly):
+        return cls(poly.n, 0, {(): poly})
+
+    @classmethod
     def maker(cls, nvars):
         """``(k, c) ->`` the degree-k element of this class in ``nvars``
         variables whose flat dict is ``c``, taken over unchecked: how a
@@ -151,17 +155,20 @@ def _make(cls, nvars, k, c):
 class MultiVector(_Exterior):
     """Sum of c_I(x) * frame_I with I strictly increasing; k = |I|."""
 
-    @classmethod
-    def function(cls, poly):
-        return cls(poly.n, 0, {(): poly})
-
 
 class Form(_Exterior):
     """Sum of c_I(x) * dx^I with I strictly increasing."""
 
-    @classmethod
-    def function(cls, poly):
-        return cls(poly.n, 0, {(): poly})
+
+def frame_monomials(nvars, degrees, cap):
+    """The (frame, exponent) keys of the monomial basis of multivectors or
+    forms: each strictly increasing frame of each degree in ``degrees``,
+    in order, times each exponent of total degree at most ``cap``."""
+    exponents = monomials_upto(nvars, cap)
+    for k in degrees:
+        for key in combinations(range(nvars), k):
+            for e in exponents:
+                yield key, e
 
 
 def pairing(mv, form):

@@ -13,17 +13,22 @@ abelian ideal, so both identities are one generalized Jacobi residual.
 Elements are vectors: a ``core.basis.Sparse`` container (chains and
 cochains, multivectors, forms, operators, series), whose +, scalar *, ==,
 is_zero and truth value are written once there.  The Gerstenhaber checker
-instead accumulates each law residual through the structure's accumulating
-product and bracket.  ``CheckReport`` is the one outcome record of every
-identity sweep in the package, the star-product and pipeline checks
+instead accumulates each law residual, a flat dict, through the structure's
+accumulating product and bracket.  Its extension over an odd square-zero
+parameter e is not a second element type: e is one more odd frame symbol
+of the multivectors, and the twisted product is one cached frame rule of
+``cartan._monomial_pairs``.  ``CheckReport`` is the one outcome record of
+every identity sweep in the package, the star-product and pipeline checks
 included.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 
+from .cartan import MultiVector, _monomial_pairs
 from .core.basis import Sparse, add_term
 from .core.signs import decalage_sign, unshuffle_sign
 
@@ -279,144 +284,19 @@ def mc_residual(S, pi):
     return total
 
 
-# ------------------------------------------------------- odd-parameter extension
-
-
-class EpsilonElement:
-    """Pair (body, tail) standing for body + e*tail, where e is an odd
-    square-zero parameter of degree +1.  A homogeneous element of degree k
-    has body of degree k and tail of degree k-1.  Either part may be None
-    (zero)."""
-
-    __slots__ = ("body", "tail", "degree")
-
-    def __init__(self, body, tail, degree):
-        self.body = None if (body is None or body.is_zero()) else body
-        self.tail = None if (tail is None or tail.is_zero()) else tail
-        self.degree = degree
-
-    def __bool__(self):
-        return self.body is not None or self.tail is not None
-
-    def is_zero(self):
-        return not self
-
-    def __repr__(self):
-        return f"EpsilonElement(deg={self.degree}, body={self.body!r}, tail={self.tail!r})"
-
-
-class BodyTail:
-    """What the extended product and bracket accumulate into: one flat
-    dict for the body and one for the tail.  True when either holds a
-    term."""
-
-    __slots__ = ("body", "tail")
-
-    def __init__(self):
-        self.body = {}
-        self.tail = {}
-
-    def __bool__(self):
-        return bool(self.body or self.tail)
-
-
-class EpsilonAlgebra:
-    """Graded-commutative product and odd bracket extended over an odd
-    parameter e of degree +1.
-
-    The extended product twists the naive bilinear extension by the
-    bracket of the two bodies; the extended bracket drops the e*e terms.
-    Both accumulate into a ``BodyTail`` through the plain algebra's
-    accumulating kernels (see GerstenhaberData).  ``delta`` differentiates
-    along e, and together with the product it regenerates the bracket (a
-    second-order-operator identity whose overall sign ``delta_defect``
-    measures).
-    """
-
-    accumulator = BodyTail
-
-    def __init__(self, degree, mul_into, bracket_into, element, generators=()):
-        self._deg = degree
-        self._mul = mul_into
-        self._brk = bracket_into
-        self._element = element
-        self.generators = list(generators)
-
-    def embed(self, a):
-        return EpsilonElement(a, None, self._deg(a))
-
-    def embed_tail(self, b):
-        return EpsilonElement(None, b, self._deg(b) + 1)
-
-    def degree(self, x):
-        return x.degree
-
-    def element(self, k, acc):
-        """The degree-k element holding what ``acc`` accumulated."""
-        make = self._element
-        return EpsilonElement(
-            make(k, acc.body) if acc.body else None,
-            make(k - 1, acc.tail) if acc.tail else None,
-            k,
-        )
-
-    def mul_into(self, acc, x, y, sign):
-        """acc += sign * xy: body x.body y.body, tail x.tail y.body +
-        (-1)^|x| (x.body y.tail + [x.body, y.body])."""
-        mul = self._mul
-        s = -sign if x.degree % 2 else sign
-        if y.body is not None:
-            if x.body is not None:
-                mul(acc.body, x.body, y.body, sign)
-            if x.tail is not None:
-                mul(acc.tail, x.tail, y.body, sign)
-        if x.body is not None:
-            if y.tail is not None:
-                mul(acc.tail, x.body, y.tail, s)
-            if y.body is not None:
-                self._brk(acc.tail, x.body, y.body, s)
-
-    def bracket_into(self, acc, x, y, sign):
-        """acc += sign * [x, y]: body [x.body, y.body], tail
-        [x.tail, y.body] + (-1)^(|x|+1) [x.body, y.tail]."""
-        brk = self._brk
-        if y.body is not None:
-            if x.body is not None:
-                brk(acc.body, x.body, y.body, sign)
-            if x.tail is not None:
-                brk(acc.tail, x.tail, y.body, sign)
-        if x.body is not None and y.tail is not None:
-            brk(acc.tail, x.body, y.tail, sign if x.degree % 2 else -sign)
-
-    def delta(self, x):
-        """Derivative along the odd parameter: body + e*tail -> tail."""
-        return EpsilonElement(x.tail, None, x.degree - 1)
-
-    def delta_defect(self, x, y):
-        """delta(xy) - delta(x) y - (-1)^|x| (x delta(y) + [x, y]),
-        accumulated: empty exactly when the second-order defect of delta on
-        (x, y) is the bracket."""
-        xy = BodyTail()
-        self.mul_into(xy, x, y, 1)
-        r = BodyTail()
-        r.body = xy.tail  # delta(xy): the tail of the product, as a body
-        s = 1 if x.degree % 2 else -1
-        self.mul_into(r, self.delta(x), y, -1)
-        self.mul_into(r, x, self.delta(y), s)
-        self.bracket_into(r, x, y, s)
-        return r
+# ------------------------------------------------------------ Gerstenhaber algebras
 
 
 class GerstenhaberData:
-    """Plain graded product and odd bracket, given as accumulating kernels.
+    """Graded product and odd bracket, given as accumulating kernels.
 
     ``mul_into(acc, x, y, sign)`` and ``bracket_into(acc, x, y, sign)`` add
     sign * xy and sign * [x, y] to the flat coefficient dict ``acc``, as
     ``cartan.wedge_into`` and ``cartan.schouten_into`` do, and
     ``element(k, acc)`` is the degree-k element whose dict is ``acc``.
-    There is no delta operator."""
+    ``delta`` is None, or an odd operator of degree -1 whose second-order
+    defect should be the bracket (``epsilon_extend`` installs one)."""
 
-    accumulator = dict
     delta = None
 
     def __init__(self, degree, mul_into, bracket_into, element, generators=()):
@@ -426,17 +306,79 @@ class GerstenhaberData:
         self.element = element
         self.generators = list(generators)
 
+    def delta_defect(self, x, y):
+        """delta(xy) - delta(x) y - (-1)^|x| (x delta(y) + [x, y]) as a flat
+        dict: empty exactly when the second-order defect of delta on (x, y)
+        is the bracket."""
+        delta, mul = self.delta, self.mul_into
+        dx = self.degree(x)
+        xy = {}
+        mul(xy, x, y, 1)
+        r = delta(self.element(dx + self.degree(y), xy)).c
+        s = 1 if dx % 2 else -1
+        mul(r, delta(x), y, -1)
+        mul(r, x, delta(y), s)
+        self.bracket_into(r, x, y, s)
+        return r
 
-def epsilon_extend(degree, mul_into, bracket_into, element, generators=()):
-    """Extend (V, product, bracket) over the odd parameter; the generator
-    list of the result contains both the embedded generators and their
-    parameter multiples."""
-    E = EpsilonAlgebra(degree, mul_into, bracket_into, element)
+
+def epsilon_extend(nvars, mul_rule, bracket_rule, generators=()):
+    """Extend multivectors in ``nvars`` variables over an odd square-zero
+    parameter e of degree +1.  The product and bracket are given as frame
+    rules of ``cartan._monomial_pairs`` (``cartan._wedge_rule`` and
+    ``cartan._schouten_rule``).
+
+    e is one more odd frame symbol: frame index n = ``nvars``, on a variable
+    x_n that nothing depends on, so the result is a plain
+    ``GerstenhaberData`` over multivectors in n + 1 variables.  Each
+    generator g enters as itself and as e*g, where e ^ frame_I =
+    (-1)^|I| frame_(I + (n,)).  The extended product is
+    x * y = x ^ y + (-1)^|x| e ^ [x, y] on e-free x and y: one cached rule
+    per frame pair, the product entries plus, on an e-free pair, the
+    bracket entries moved behind e.  The extended bracket is the plain
+    rule without its entries that differentiate along x_n, which vanish.
+    ``delta`` is the odd derivative along e; its second-order defect
+    regenerates the bracket."""
+    n = nvars
+    make = MultiVector.maker(n + 1)
+
+    @cache
+    def twisted(fa, fb):
+        entries = mul_rule(fa, fb)
+        if n in fa or n in fb:
+            return entries
+        s = -1 if len(fa) % 2 else 1
+        return entries + tuple(
+            (merged + (n,), -s * w if len(merged) % 2 else s * w, i, side)
+            for merged, w, i, side in bracket_rule(fa, fb)
+        )
+
+    @cache
+    def bracket(fa, fb):
+        return tuple(t for t in bracket_rule(fa, fb) if t[2] != n)
+
+    def mul_into(acc, x, y, sign):
+        _monomial_pairs(acc, x, y, twisted, sign)
+
+    def bracket_into(acc, x, y, sign):
+        _monomial_pairs(acc, x, y, bracket, sign)
+
+    def delta(x):
+        c = {}
+        for (f, a), v in x.c.items():
+            if n in f:
+                c[f[:-1], a] = v if len(f) % 2 else -v
+        return make(max(x.k - 1, 0), c)
+
     gens = []
     for name, g in generators:
-        gens.append((name, E.embed(g)))
-        gens.append(("e*" + name, E.embed_tail(g)))
-    E.generators = gens
+        body, tail = {}, {}
+        for (f, a), v in g.c.items():
+            body[f, a + (0,)] = v
+            tail[f + (n,), a + (0,)] = -v if len(f) % 2 else v
+        gens += [(name, make(g.k, body)), ("e*" + name, make(g.k + 1, tail))]
+    E = GerstenhaberData(lambda a: a.k, mul_into, bracket_into, make, gens)
+    E.delta = delta
     return E
 
 
@@ -450,8 +392,8 @@ def check_gerstenhaber(A):
     delta when A has one.  Returns a CheckReport whose witnesses are
     (law, generator names, residual).
 
-    Each law residual is one ``A.accumulator()``, into which
-    ``A.mul_into`` and ``A.bracket_into`` add every signed term; an element
+    Each law residual is one flat dict, into which ``A.mul_into`` and
+    ``A.bracket_into`` add every signed term; an element
     (``A.element``) is made only for a witness and for the N x N tables P
     and B of pairwise products and brackets, which the triple laws read.
     The Jacobi residual of (i, j, k) sums the same three signed terms as
@@ -460,7 +402,6 @@ def check_gerstenhaber(A):
     rotation still counts as a check and reports its own witness."""
     mul = A.mul_into
     brk = A.bracket_into
-    new = A.accumulator
     element = A.element
     delta = A.delta
     gens = A.generators
@@ -473,7 +414,7 @@ def check_gerstenhaber(A):
         for x, dx in zip(elems, degs):
             row = []
             for y, dy in zip(elems, degs):
-                r = new()
+                r = {}
                 op(r, x, y, 1)
                 # the bracket of two functions is a zero of degree 0
                 row.append(element(max(dx + dy + shift, 0), r))
@@ -491,13 +432,13 @@ def check_gerstenhaber(A):
         for j in range(i, n):
             ny, y, dy = names[j], elems[j], degs[j]
             checked += 1
-            r = new()
+            r = {}
             mul(r, x, y, 1)
             mul(r, y, x, -_sign(dx * dy))
             if r:
                 witnesses.append(("commutativity", (nx, ny), element(dx + dy, r)))
             checked += 1
-            r = new()
+            r = {}
             brk(r, x, y, 1)
             brk(r, y, x, _sign((dx - 1) * (dy - 1)))
             if r:
@@ -524,13 +465,13 @@ def check_gerstenhaber(A):
         d = dx + dy + dz
         label = (names[i], names[j], names[k])
         checked += 1
-        r = new()
+        r = {}
         mul(r, P[i][j], z, 1)
         mul(r, x, P[j][k], -1)
         if r:
             witnesses.append(("associativity", label, element(d, r)))
         checked += 1
-        r = new()
+        r = {}
         brk(r, x, P[j][k], 1)
         mul(r, B[i][j], z, -1)
         mul(r, y, B[i][k], -_sign((dx - 1) * dy))
@@ -539,7 +480,7 @@ def check_gerstenhaber(A):
         checked += 1
         orbit = min((i, j, k), (j, k, i), (k, i, j))
         if orbit == (i, j, k):
-            r = new()
+            r = {}
             brk(r, B[i][j], z, _sign((dx - 1) * (dz - 1)))
             brk(r, B[j][k], x, _sign((dy - 1) * (dx - 1)))
             brk(r, B[k][i], y, _sign((dz - 1) * (dy - 1)))

@@ -123,3 +123,40 @@ def test_jet_algebra_structure():
     assert prod == {i_x0x1: 1}
     i_x0sq = F.index[(2, 0)]
     assert mul(A, vec((i_x0sq, 1)), vec((i_x1, 1))) == {}
+
+
+# -- the presets against their own builders from before they were jet algebras
+
+def _parent_dual_numbers():
+    """k[x]/(x^2) with basis 1, x."""
+    return StructureAlgebra(
+        ["1", "x"],
+        {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {}},
+    )
+
+
+def _parent_trunc_poly_algebra(cap):
+    """k[x]/(x^(cap+1)) with basis 1, x, ..., x^cap."""
+    labels = ["1"] + [f"x^{k}" if k > 1 else "x" for k in range(1, cap + 1)]
+    table = {}
+    for i in range(cap + 1):
+        for j in range(cap + 1):
+            table[(i, j)] = {i + j: 1} if i + j <= cap else {}
+    return StructureAlgebra(labels, table)
+
+
+def _exactly(A):
+    """Labels, table with its key order and value types, and the unit."""
+    return (
+        A.labels,
+        [(key, [(i, v, type(v)) for i, v in entry.items()]) for key, entry in A.table.items()],
+        [(i, v, type(v)) for i, v in A.unit.items()],
+        A.unit_index,
+    )
+
+
+@pytest.mark.parametrize("cap", range(1, 6))
+def test_presets_are_the_one_variable_jet_algebras(cap):
+    assert _exactly(trunc_poly_algebra(cap)) == _exactly(_parent_trunc_poly_algebra(cap))
+    if cap == 1:
+        assert _exactly(dual_numbers()) == _exactly(_parent_dual_numbers())

@@ -22,12 +22,26 @@ same order, with every residual equal by value: type, degree and every
 coefficient with its scalar type.  Accumulating term by term stores the
 coefficients in another order than adding built elements does, so the order
 is not compared.
+
+Extended over the odd parameter e, the current structure is
+``linfty.epsilon_extend``: multivectors in one more variable, e being the
+odd frame symbol of index 2, with the product and bracket given as frame
+rules (``cartan._wedge_rule``, ``cartan._schouten_rule`` and the broken
+``_*_rule`` fixtures).  A reference residual body + e*tail is compared
+through ``_lift``; a broken rule is keyed on the body degree, the frame
+length not counting e, so that it breaks the same structure as its kernel
+does on bodies and tails.  The last section compares the extension with
+the accumulating (body, tail) extension it replaced, kept verbatim in
+``parent_epsilon``: on the sweep, and on every pairwise product, bracket
+and second-order defect of delta, and every delta.
 """
 
+from functools import cache
 from itertools import combinations, product
 
 import pytest
 
+import parent_epsilon
 from formality_lab import cartan as ct
 from formality_lab import linfty as lf
 from formality_lab.linfty import CheckReport
@@ -456,19 +470,41 @@ def _doubled_into(acc, a, b, sign):
     ct.schouten_into(acc, a, b, 2 * sign if {a.k, b.k} == {1, 2} else sign)
 
 
-WEDGE = (_wedge, ct.wedge_into)
-SCHOUTEN = (ct.schouten, ct.schouten_into)
-TRUNCATED = (_truncated, _truncated_into)
-SKEWED = (_skewed, _skewed_into)
-DOUBLED = (_doubled, _doubled_into)
+# The same three as frame rules of the extension, keyed on the body degree:
+# the frame length not counting e, the frame index 2.
+
+E_INDEX = 2
+
+
+def _body(frame):
+    return len(frame) - (E_INDEX in frame)
+
+
+@cache
+def _skewed_rule(fa, fb):
+    w = 2 if _body(fa) > _body(fb) else 1
+    return tuple((m, w * s, i, side) for m, s, i, side in ct._wedge_rule(fa, fb))
+
+
+@cache
+def _doubled_rule(fa, fb):
+    w = 2 if {_body(fa), _body(fb)} == {1, 2} else 1
+    return tuple((m, w * s, i, side) for m, s, i, side in ct._schouten_rule(fa, fb))
+
+
+WEDGE = (_wedge, ct.wedge_into, ct._wedge_rule)
+SCHOUTEN = (ct.schouten, ct.schouten_into, ct._schouten_rule)
+TRUNCATED = (_truncated, _truncated_into, None)
+SKEWED = (_skewed, _skewed_into, _skewed_rule)
+DOUBLED = (_doubled, _doubled_into, _doubled_rule)
 
 
 def _structures(extended, mul, brk, generators):
     """(the structure the current sweep checks, the reference structure)."""
-    (mul_elem, mul_into), (brk_elem, brk_into) = mul, brk
+    (mul_elem, mul_into, mul_rule), (brk_elem, brk_into, brk_rule) = mul, brk
     if extended:
         return (
-            lf.epsilon_extend(_degree, mul_into, brk_into, MAKE, generators),
+            lf.epsilon_extend(E_INDEX, mul_rule, brk_rule, generators),
             built_epsilon_extend(_degree, mul_elem, brk_elem, generators),
         )
     return (
@@ -477,13 +513,27 @@ def _structures(extended, mul, brk, generators):
     )
 
 
+def _lift(body, tail):
+    """The flat dict of body + e*tail on multivectors with e as frame index
+    2: x^a frame_I -> x^(a, 0) frame_I, and e * x^a frame_I ->
+    (-1)^|I| x^(a, 0) frame_(I + (2,))."""
+    c = {}
+    for (f, a), v in body.items():
+        c[f, a + (0,)] = v
+    for (f, a), v in tail.items():
+        c[f + (E_INDEX,), a + (0,)] = -v if len(f) % 2 else v
+    return c
+
+
 def _by_value(r):
     """A residual by value: type, degree and every coefficient with its
-    scalar type, in no particular order."""
+    scalar type, in no particular order.  An extended reference residual
+    is taken through the lift."""
     if r is None:
         return None
     if hasattr(r, "tail"):
-        return ("eps", r.degree, _by_value(r.body), _by_value(r.tail))
+        parts = [{} if p is None else p.c for p in (r.body, r.tail)]
+        return _by_value(ct.MultiVector.maker(E_INDEX + 1)(r.degree, _lift(*parts)))
     return (
         type(r).__name__,
         r.k,
@@ -539,3 +589,74 @@ def test_orbit_sweep_matches_the_table_sweep(case):
     new = lf.check_gerstenhaber(A)
     _assert_same_report(new, _table_check_gerstenhaber(ref))
     assert any(law == "jacobi" for law, _, _ in new.witnesses)
+
+
+# -- the multivector extension against the (body, tail) extension -------------------
+
+def _suite_generators():
+    """The extended sweep's generators in ``suites._gerstenhaber_suite``."""
+    return [
+        (name, g) for name, g in _monomial_generators(3)
+        if max(sum(e) for _, e in g.c) <= 1
+    ]
+
+
+PARENT_CASES = {
+    f"{gens}-{law}": (gens, mul, brk)
+    for gens in ("suite", "generators")
+    for law, mul, brk in (
+        ("passing", WEDGE, SCHOUTEN),
+        ("skewed-product", SKEWED, SCHOUTEN),
+        ("doubled-bracket", WEDGE, DOUBLED),
+    )
+}
+
+
+def _both_extensions(case):
+    """(the multivector extension, the parent's (body, tail) extension)."""
+    gens, (_, mul_into, mul_rule), (_, brk_into, brk_rule) = PARENT_CASES[case]
+    generators = _suite_generators() if gens == "suite" else _generators()
+    return (
+        lf.epsilon_extend(E_INDEX, mul_rule, brk_rule, generators),
+        parent_epsilon.epsilon_extend(_degree, mul_into, brk_into, MAKE, generators),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(PARENT_CASES))
+def test_extension_sweep_matches_the_body_tail_sweep(case):
+    E, ref = _both_extensions(case)
+    new = lf.check_gerstenhaber(E)
+    _assert_same_report(new, parent_epsilon.check_gerstenhaber(ref))
+    assert new.checked == (42396 if case.startswith("suite") else 8561)
+    assert new.ok == case.endswith("passing")
+    if case == "suite-doubled-bracket":
+        assert len(new.witnesses) == 1462
+
+
+@pytest.mark.parametrize("case", sorted(PARENT_CASES))
+def test_extension_kernels_match_the_body_tail_kernels(case):
+    """Every generator lifts, and every pairwise product, bracket and
+    second-order defect of delta, and every delta, is the lift of the
+    reference's.  On the e-free pairs, the 144 checks of the suite, the
+    defect is empty on both sides."""
+    E, ref = _both_extensions(case)
+    assert [name for name, _ in E.generators] == [name for name, _ in ref.generators]
+    pairs = list(zip(E.generators, ref.generators))
+    for (_, x), (_, x0) in pairs:
+        assert _by_value(x) == _by_value(x0)
+        d, d0 = E.delta(x), ref.delta(x0)
+        if d0:
+            assert _by_value(d) == _by_value(d0)
+        else:
+            assert not d  # the reference's zero has degree -1 on a function
+        for (_, y), (_, y0) in pairs:
+            for ours, theirs in ((E.mul_into, ref.mul_into), (E.bracket_into, ref.bracket_into)):
+                r, r0 = {}, parent_epsilon.BodyTail()
+                ours(r, x, y, 1)
+                theirs(r0, x0, y0, 1)
+                assert r == _lift(r0.body, r0.tail)
+            r0 = ref.delta_defect(x0, y0)
+            assert E.delta_defect(x, y) == _lift(r0.body, r0.tail)
+    body = E.generators[::2]
+    assert len(body) ** 2 == (144 if case.startswith("suite") else 49)
+    assert not any(E.delta_defect(x, y) for _, x in body for _, y in body)

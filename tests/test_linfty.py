@@ -10,7 +10,7 @@ from formality_lab import polydiff as pd
 from formality_lab.algebras import FunctionModel, dual_numbers
 from formality_lab.core.signs import decalage_sign, koszul_sign, unshuffle_sign
 from formality_lab.linfty import CheckReport, _accumulate
-from formality_lab.poly import Poly
+from formality_lab.poly import Poly, monomials_upto
 
 from jet_tables import from_polydiff
 from parent_module import act
@@ -37,8 +37,10 @@ def schouten_structure(gens=()):
 ONE2 = Poly.const(2, 1)
 X2 = Poly.var(2, 0)
 Y2 = Poly.var(2, 1)
-# the wedge and the Schouten bracket as accumulating kernels, in 2 variables
+# the wedge and the Schouten bracket as accumulating kernels, in 2 variables,
+# and as the frame rules the odd-parameter extension takes
 KERNELS = (ct.wedge_into, ct.schouten_into, ct.MultiVector.maker(2))
+RULES = (ct._wedge_rule, ct._schouten_rule)
 
 
 def schouten_generators():
@@ -463,9 +465,12 @@ def test_module_morphism_requires_shared_structure():
 
 def test_trace_map_audit_reports_transport_gap():
     # chains over the order-3 jet model vs differential forms: the trace
-    # map connes_mu is a chain map (b |-> 0) but does not intertwine the
-    # two transports on the nose; the checker must hand back the exact
-    # discrepancy mu(L_D ch) - L_pi(mu ch) rather than a bare failure.
+    # map connes_mu is a chain map (b |-> 0).  The checker must hand back
+    # the exact discrepancy mu(L_D ch) - L_pi(mu ch), D = hkr(pi), rather
+    # than a bare failure.  On cycles that discrepancy is a normalization,
+    # not a failure to intertwine: cartan.hkr expands the pairing with no
+    # 1/k! (ledger entry 11) while mu divides by n! (entry 6), so on a
+    # cycle mu(L_D ch) = k! L_pi(mu ch), with k! = 2 for the bivector pi.
     model = FunctionModel(2, 3)
     A = model.as_structure_algebra()
     pi = mv(2, 2, {(0, 1): ONE2})
@@ -502,6 +507,18 @@ def test_trace_map_audit_reports_transport_gap():
     ch = hh.Chain.elementary(A, (model.index[(1, 0)], model.index[(0, 1)]))
     res = module_morphism_residual(mu, [pi], ch)
     assert res is not None and not res.is_zero()
+
+    # x (x) y is a cycle, b(x (x) y) = xy - yx = 0: with k! = 2 the two
+    # transports agree on it and on the other cycle samples
+    one, x, y = 0, model.index[(1, 0)], model.index[(0, 1)]
+    for tup in [(x,), (one, x), (x, y), (y, x)]:
+        ch = hh.Chain.elementary(A, tup)
+        assert hh.chain_b(ch).is_zero()
+        lhs = ct.connes_mu_chain(model, act_chain([pi], ch))
+        mu_ch = ct.connes_mu_chain(model, ch)
+        assert lhs == 2 * ct.lie_derivative(pi, mu_ch)
+        if len(set(tup) - {one}) == 2:
+            assert lhs != ct.lie_derivative(pi, mu_ch)
 
 
 # -- flatness --------------------------------------------------------------------
@@ -541,7 +558,7 @@ def test_multivector_laws_plain_and_extended():
     plain = lf.GerstenhaberData(lambda a: a.k, *KERNELS, gens)
     assert lf.check_gerstenhaber(plain).ok
 
-    E = lf.epsilon_extend(lambda a: a.k, *KERNELS, gens)
+    E = lf.epsilon_extend(2, *RULES, gens)
     assert len(E.generators) == 2 * len(gens)
     rep = lf.check_gerstenhaber(E)
     assert rep.ok
@@ -562,29 +579,62 @@ def test_truncated_bracket_breaks_leibniz():
 
 
 def test_epsilon_derivative_squares_to_zero_and_extracts_tail():
-    E = lf.epsilon_extend(lambda a: a.k, *KERNELS, schouten_generators())
-    g = ct.MultiVector.function(X2)
-    lifted = E.embed_tail(g)
-    d, e = E.delta(lifted), E.embed(g)
-    assert (d.degree, d.body, d.tail) == (e.degree, e.body, e.tail)
-    assert E.delta(E.embed(g)).is_zero()
+    # e is the odd frame symbol of index 2; each generator g enters as g
+    # and as e*g, and delta(e*g) = g
+    E = lf.epsilon_extend(2, *RULES, [("g", ct.MultiVector.function(X2))])
+    (_, e), (_, lifted) = E.generators
+    d = E.delta(lifted)
+    assert (d.nvars, d.k, d) == (3, e.k, e)
+    assert all(2 not in frame for frame, _ in e.c)
+    assert all(2 in frame for frame, _ in lifted.c)
+    assert E.delta(e).is_zero()
     assert E.delta(E.delta(lifted)).is_zero()
 
 
 def test_second_order_defect_of_delta_is_the_bracket():
     # on embedded (parameter-free) elements the defect of delta against
     # the Leibniz rule equals the bracket up to the recorded sign
-    E = lf.epsilon_extend(lambda a: a.k, *KERNELS, schouten_generators())
-    X = E.embed(mv(2, 1, {(0,): Y2}))
-    rho = E.embed(mv(2, 2, {(0, 1): X2}))
+    E = lf.epsilon_extend(
+        2, *RULES, [("X", mv(2, 1, {(0,): Y2})), ("rho", mv(2, 2, {(0, 1): X2}))]
+    )
+    X, rho = E.generators[0][1], E.generators[2][1]
     nonzero = 0
     for x, y in [(X, rho), (rho, X), (X, X), (rho, rho)]:
-        sgn = -1 if x.degree % 2 else 1
+        sgn = -1 if x.k % 2 else 1
         assert not E.delta_defect(x, y)
-        # delta x = delta y = 0, so delta(xy), the tail of xy, is sgn [x, y]
-        xy, bracket = E.accumulator(), E.accumulator()
+        # delta x = delta y = 0, so delta(xy), the e-part of xy, is sgn [x, y]
+        xy, bracket = {}, {}
         E.mul_into(xy, x, y, 1)
         E.bracket_into(bracket, x, y, sgn)
-        assert xy.tail == bracket.body and not bracket.tail
+        assert E.delta(E.element(x.k + y.k, xy)).c == bracket
+        assert all(2 not in frame for frame, _ in bracket)
         nonzero += bool(bracket)
     assert nonzero
+
+
+def test_dropped_or_flipped_twist_fails_only_the_delta_laws():
+    # x * y = x ^ y + (-1)^|x| e ^ [x, y]: without the twist, or with its sign
+    # flipped, the product is still graded commutative and associative and
+    # the bracket still a Leibniz bracket of it; only the second-order
+    # defect of delta, which no bracket can fail, sees the twist
+    gens = [
+        (f"v{k}{key}_{e}", mv(2, k, {key: Poly.monomial(2, e)}))
+        for k in range(3)
+        for key in combinations(range(2), k)
+        for e in monomials_upto(2, 1)
+    ]
+    E = lf.epsilon_extend(2, *RULES, gens)
+    twisted = E.mul_into
+
+    def flipped(acc, x, y, sign):
+        # x ^ y - (-1)^|x| e ^ [x, y] = 2 x ^ y - x * y
+        ct.wedge_into(acc, x, y, 2 * sign)
+        twisted(acc, x, y, -sign)
+
+    assert lf.check_gerstenhaber(E).ok
+    for mutant in (ct.wedge_into, flipped):
+        E.mul_into = mutant
+        rep = lf.check_gerstenhaber(E)
+        assert rep.checked == 42396
+        assert {law for law, _, _ in rep.witnesses} == {"second-order-delta"}
+        assert len(rep.witnesses) == 87

@@ -118,23 +118,27 @@ def test_cancellation_leaves_no_stored_zeros(name):
 
 
 def test_epsilon_accumulator_keeps_no_stored_zeros():
-    # the extended product and bracket add into one dict for the body and
-    # one for the tail; a sum that cancels leaves both empty
-    E = lf.epsilon_extend(lambda v: v.k, ct.wedge_into, ct.schouten_into, MultiVector.maker(2))
-    x, tail = E.embed(FIELD), E.embed_tail(MultiVector.function(_poly()))
+    # the extended product and bracket add into one flat dict, e being the
+    # odd frame symbol of index 2; a sum that cancels leaves it empty
+    E = lf.epsilon_extend(
+        2, ct._wedge_rule, ct._schouten_rule,
+        [("X", FIELD), ("f", MultiVector.function(_poly())), ("Xf", _poly() * FIELD)],
+    )
+    (_, x), _, _, (_, tail), (_, xf), _ = E.generators
     for op in (E.mul_into, E.bracket_into):
         for y in (x, tail):
-            r = E.accumulator()
+            r = {}
             op(r, x, y, 1)
             op(r, y, x, 1)
             op(r, x, y, -1)
             op(r, y, x, -1)
-            assert not r and r.body == {} and r.tail == {}
-    r = E.accumulator()
+            assert r == {}
+    r = {}
     E.bracket_into(r, x, x, 1)  # [X, X] = 0 for a vector field
-    assert not r and r.body == {} and r.tail == {}
+    assert r == {}
     E.mul_into(r, x, tail, 1)  # X (e f) = (-1)^|X| e (X f)
-    assert r and not r.body and E.element(2, r).tail == -(_poly() * FIELD)
+    assert r and all(2 in frame for frame, _ in r)
+    assert E.delta(E.element(2, r)) == -xf
 
 
 # every way a float can reach a container: constructors and scalar factors
