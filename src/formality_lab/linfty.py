@@ -17,9 +17,15 @@ instead accumulates each law residual, a flat dict, through the structure's
 accumulating product and bracket.  Its extension over an odd square-zero
 parameter e is not a second element type: e is one more odd frame symbol
 of the multivectors, and the twisted product is one cached frame rule of
-``cartan._monomial_pairs``.  ``CheckReport`` is the one outcome record of
-every identity sweep in the package, the star-product and pipeline checks
-included.
+``cartan._monomial_pairs``.  When the product and bracket are such frame
+rules, the triple laws of the Gerstenhaber sweep are certified rather than
+evaluated on every triple: each law residual's coefficients are polynomials
+of low degree in the exponent entries, so the laws are evaluated on the
+principal lattice of exponents and "checked" counts every triple that the
+evaluation and the degree argument together certify, as the Jacobi orbits
+already count rotations they do not evaluate.  ``CheckReport`` is the one
+outcome record of every identity sweep in the package, the star-product and
+pipeline checks included.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from itertools import combinations, combinations_with_replacement, product
 from .cartan import MultiVector, _monomial_pairs
 from .core.basis import Sparse, add_term
 from .core.signs import decalage_sign, unshuffle_sign
+from .poly import monomials_upto
 
 
 def _accumulate(acc, coeff, elem):
@@ -295,9 +302,13 @@ class GerstenhaberData:
     ``cartan.wedge_into`` and ``cartan.schouten_into`` do, and
     ``element(k, acc)`` is the degree-k element whose dict is ``acc``.
     ``delta`` is None, or an odd operator of degree -1 whose second-order
-    defect should be the bracket (``epsilon_extend`` installs one)."""
+    defect should be the bracket (``epsilon_extend`` installs one).
+    ``rules`` is None, or (nvars, mul_rule, bracket_rule) when the kernels
+    are ``cartan._monomial_pairs`` over those frame rules (``from_rules``);
+    ``check_gerstenhaber`` reads their exponent degrees off the rules."""
 
     delta = None
+    rules = None
 
     def __init__(self, degree, mul_into, bracket_into, element, generators=()):
         self.degree = degree
@@ -305,6 +316,24 @@ class GerstenhaberData:
         self.bracket_into = bracket_into
         self.element = element
         self.generators = list(generators)
+
+    @classmethod
+    def from_rules(cls, nvars, mul_rule, bracket_rule, generators=()):
+        """Multivectors in ``nvars`` variables whose product and bracket are
+        given as frame rules of ``cartan._monomial_pairs``, such as
+        ``cartan._wedge_rule`` and ``cartan._schouten_rule``."""
+
+        def mul_into(acc, x, y, sign):
+            _monomial_pairs(acc, x, y, mul_rule, sign)
+
+        def bracket_into(acc, x, y, sign):
+            _monomial_pairs(acc, x, y, bracket_rule, sign)
+
+        A = cls(
+            lambda a: a.k, mul_into, bracket_into, MultiVector.maker(nvars), generators
+        )
+        A.rules = (nvars, mul_rule, bracket_rule)
+        return A
 
     def delta_defect(self, x, y):
         """delta(xy) - delta(x) y - (-1)^|x| (x delta(y) + [x, y]) as a flat
@@ -357,12 +386,6 @@ def epsilon_extend(nvars, mul_rule, bracket_rule, generators=()):
     def bracket(fa, fb):
         return tuple(t for t in bracket_rule(fa, fb) if t[2] != n)
 
-    def mul_into(acc, x, y, sign):
-        _monomial_pairs(acc, x, y, twisted, sign)
-
-    def bracket_into(acc, x, y, sign):
-        _monomial_pairs(acc, x, y, bracket, sign)
-
     def delta(x):
         c = {}
         for (f, a), v in x.c.items():
@@ -377,13 +400,83 @@ def epsilon_extend(nvars, mul_rule, bracket_rule, generators=()):
             body[f, a + (0,)] = v
             tail[f + (n,), a + (0,)] = -v if len(f) % 2 else v
         gens += [(name, make(g.k, body)), ("e*" + name, make(g.k + 1, tail))]
-    E = GerstenhaberData(lambda a: a.k, mul_into, bracket_into, make, gens)
+    E = GerstenhaberData.from_rules(n + 1, twisted, bracket, gens)
     E.delta = delta
     return E
 
 
 def _sign(e):
     return -1 if e % 2 else 1
+
+
+def _exponent_degree(rule, nvars):
+    """The degree in the exponent entries of the ``_monomial_pairs`` kernel
+    over ``rule``: 0 when no entry, over the 4^n frame pairs, has a
+    derivative index, and 1 otherwise, since an entry multiplies by at most
+    one exponent entry."""
+    frames = [f for k in range(nvars + 1) for f in combinations(range(nvars), k)]
+    return int(any(
+        i is not None for fa in frames for fb in frames for _, _, i, _ in rule(fa, fb)
+    ))
+
+
+def _principal_lattice(nvars, d):
+    """The exponent triples (ea, eb, ec) in ``nvars`` variables with
+    |ea| + |eb| + |ec| <= d.  They are unisolvent for the polynomials of
+    total degree <= d in the 3 * nvars exponent entries (Chung-Yao, On
+    lattices admitting unique Lagrange interpolations, 1977): such a
+    polynomial that vanishes on them is zero."""
+    return [
+        (ea, eb, ec)
+        for ea in monomials_upto(nvars, d)
+        for eb in monomials_upto(nvars, d - sum(ea))
+        for ec in monomials_upto(nvars, d - sum(ea) - sum(eb))
+    ]
+
+
+def _lattice(A):
+    """The generator triples on which ``check_gerstenhaber`` evaluates each
+    triple law to certify it on every triple, as an iterator of
+    (law, i, j, k), or None when the certificate does not apply and the full
+    sweep runs.
+
+    Fix the frames of a triple of single-term generators.  Each law residual
+    is then a sum over output keys (merged frame, ea + eb + ec - s), one
+    fixed shift s per term shape, so distinct shapes never share a key, and
+    the coefficient of each is a polynomial in the exponent entries: of
+    total degree 2 d_mul for associativity, d_mul + d_brk for
+    bracket-Leibniz and 2 d_brk for Jacobi, where d is a kernel's
+    ``_exponent_degree``.  A derivative skipped on a zero exponent entry is
+    the polynomial's own zero, and a generator's coefficient only scales
+    the residual.  So a law that vanishes on the principal lattice of that
+    degree vanishes on every exponent triple of those frames.
+
+    It applies when A's kernels are frame rules (``A.rules``), every
+    generator is a single term, and for each frame (and degree) the
+    generators hold every exponent e with |e| <= the largest law degree, so
+    every lattice point is a generator triple."""
+    if A.rules is None:
+        return None
+    nvars, mul_rule, bracket_rule = A.rules
+    dm = _exponent_degree(mul_rule, nvars)
+    db = _exponent_degree(bracket_rule, nvars)
+    degrees = {"associativity": 2 * dm, "bracket-leibniz": dm + db, "jacobi": 2 * db}
+    groups = {}  # (frame, degree) -> {exponent: its first generator's index}
+    for idx, (_, g) in enumerate(A.generators):
+        if len(g.c) != 1:
+            return None
+        ((frame, e),) = g.c
+        groups.setdefault((frame, A.degree(g)), {}).setdefault(e, idx)
+    cover = monomials_upto(nvars, max(degrees.values()))
+    if not all(e in group for group in groups.values() for e in cover):
+        return None
+    lattices = {law: _principal_lattice(nvars, d) for law, d in degrees.items()}
+    return (
+        (law, ga[ea], gb[eb], gc[ec])
+        for ga, gb, gc in product(groups.values(), repeat=3)
+        for law, lattice in lattices.items()
+        for ea, eb, ec in lattice
+    )
 
 
 def check_gerstenhaber(A):
@@ -396,9 +489,15 @@ def check_gerstenhaber(A):
     ``A.bracket_into`` add every signed term; an element
     (``A.element``) is made only for a witness and for the N x N tables P
     and B of pairwise products and brackets, which the triple laws read.
-    The Jacobi residual of (i, j, k) sums the same three signed terms as
-    those of its rotations, so it is computed once per cyclic orbit, at
-    the orbit's least rotation, which product order visits first; every
+
+    The triple laws are first evaluated on the lattice triples of
+    ``_lattice`` when it applies.  If every one vanishes, all N^3 triples of
+    each law are certified and counted as checked.  Otherwise, and when the
+    certificate does not apply, every triple is evaluated, and the
+    witnesses, their order and the count are those of the full sweep.  The
+    Jacobi residual of (i, j, k) sums the same three signed terms as those
+    of its rotations, so the full sweep computes it once per cyclic orbit,
+    at the orbit's least rotation, which product order visits first; every
     rotation still counts as a check and reports its own witness."""
     mul = A.mul_into
     brk = A.bracket_into
@@ -457,36 +556,50 @@ def check_gerstenhaber(A):
             r = delta(delta(x))
             if r:
                 witnesses.append(("delta-squared", (nx,), r))
+    checked += 3 * n**3
 
-    jacobi = {}  # least rotation -> its nonzero Jacobi residual
-    for i, j, k in product(range(n), repeat=3):
-        x, y, z = elems[i], elems[j], elems[k]
-        dx, dy, dz = degs[i], degs[j], degs[k]
-        d = dx + dy + dz
-        label = (names[i], names[j], names[k])
-        checked += 1
+    def associativity(i, j, k):
         r = {}
-        mul(r, P[i][j], z, 1)
-        mul(r, x, P[j][k], -1)
+        mul(r, P[i][j], elems[k], 1)
+        mul(r, elems[i], P[j][k], -1)
+        return r
+
+    def leibniz(i, j, k):
+        r = {}
+        brk(r, elems[i], P[j][k], 1)
+        mul(r, B[i][j], elems[k], -1)
+        mul(r, elems[j], B[i][k], -_sign((degs[i] - 1) * degs[j]))
+        return r
+
+    def jacobi(i, j, k):
+        di, dj, dk = degs[i] - 1, degs[j] - 1, degs[k] - 1
+        r = {}
+        brk(r, B[i][j], elems[k], _sign(di * dk))
+        brk(r, B[j][k], elems[i], _sign(dj * di))
+        brk(r, B[k][i], elems[j], _sign(dk * dj))
+        return r
+
+    laws = {"associativity": associativity, "bracket-leibniz": leibniz, "jacobi": jacobi}
+    lattice = _lattice(A)
+    if lattice is not None and not any(laws[law](i, j, k) for law, i, j, k in lattice):
+        return CheckReport(checked, witnesses, 3)
+
+    orbits = {}  # least rotation -> its nonzero Jacobi residual
+    for i, j, k in product(range(n), repeat=3):
+        d = degs[i] + degs[j] + degs[k]
+        label = (names[i], names[j], names[k])
+        r = associativity(i, j, k)
         if r:
             witnesses.append(("associativity", label, element(d, r)))
-        checked += 1
-        r = {}
-        brk(r, x, P[j][k], 1)
-        mul(r, B[i][j], z, -1)
-        mul(r, y, B[i][k], -_sign((dx - 1) * dy))
+        r = leibniz(i, j, k)
         if r:
             witnesses.append(("bracket-leibniz", label, element(d - 1, r)))
-        checked += 1
         orbit = min((i, j, k), (j, k, i), (k, i, j))
         if orbit == (i, j, k):
-            r = {}
-            brk(r, B[i][j], z, _sign((dx - 1) * (dz - 1)))
-            brk(r, B[j][k], x, _sign((dy - 1) * (dx - 1)))
-            brk(r, B[k][i], y, _sign((dz - 1) * (dy - 1)))
+            r = jacobi(i, j, k)
             if r:
-                jacobi[orbit] = element(d - 2, r)
-        r = jacobi.get(orbit)
+                orbits[orbit] = element(d - 2, r)
+        r = orbits.get(orbit)
         if r is not None:
             witnesses.append(("jacobi", label, r))
     return CheckReport(checked, witnesses, 3)

@@ -201,11 +201,13 @@ def _chains_module(A, S, boundary):
 OPS = {}
 
 
-def _op(name, schema=None):
+def _op(name, schema=None, agree=None):
     """Register an op with the schema of its arguments (see
-    ``manifest.check``); the op is called with the checked values."""
+    ``manifest.check``); the op is called with the checked values.
+    ``agree(values, where)``, when given, raises ``ManifestError`` on checked
+    values that are each valid but do not fit together."""
     def wrap(fn):
-        OPS[name] = SimpleNamespace(fn=fn, schema=schema or {})
+        OPS[name] = SimpleNamespace(fn=fn, schema=schema or {}, agree=agree)
         return fn
 
     return wrap
@@ -216,9 +218,10 @@ def check_job_args(job, manifest):
     loads, and keep the checked values for ``run_job``.  The manifest must
     have been loaded with ``known_ops=OPS``."""
     where = f"job {job.name!r}"
-    job.values = check(
-        OPS[job.op].schema, job.args, where, manifest, f"{job.op} argument"
-    )
+    op = OPS[job.op]
+    job.values = check(op.schema, job.args, where, manifest, f"{job.op} argument")
+    if op.agree is not None:
+        op.agree(job.values, where)
 
 
 def run_job(job, manifest):
@@ -792,9 +795,7 @@ def _gerstenhaber_suite(args):
         for g in _mv_basis(2, 2, 3)
         for key, e in g.c  # the one term of g
     ]
-    plain = lf.GerstenhaberData(
-        lambda a: a.k, ct.wedge_into, ct.schouten_into, ct.MultiVector.maker(2), gens3
-    )
+    plain = lf.GerstenhaberData.from_rules(2, ct._wedge_rule, ct._schouten_rule, gens3)
     rep = lf.check_gerstenhaber(plain)
     t.ok(
         rep.ok,
@@ -979,6 +980,17 @@ def _series_text(val):
     return f"FormalSeries({terms})"
 
 
+def _same_variables(values, where):
+    """A trace is evaluated on the star product's polynomials, so the two
+    must have one variable count."""
+    (tlabel, tau), (slabel, s) = values["trace"], values["star"]
+    if tau.nvars != s.model.nvars:
+        raise ManifestError(
+            f"{where}: trace {tlabel!r} is in {tau.nvars} variables,"
+            f" star product {slabel!r} in {s.model.nvars}"
+        )
+
+
 @_op(
     "trace-defect",
     {
@@ -987,6 +999,7 @@ def _series_text(val):
         "max-degree": (integer(0), None),
         "expect": (choice("zero", "nonzero"), None),
     },
+    _same_variables,
 )
 def _trace_defect(args):
     """Commutator defect of a candidate trace against a star product, plus

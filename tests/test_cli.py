@@ -383,24 +383,21 @@ def test_trace_witnesses_and_orders_above_the_trace_cap(tmp_path, capsys):
     ) in jobs["jet"]["witnesses"]
 
 
-def test_trace_in_other_variables_fails_the_job(tmp_path, capsys):
+def test_trace_in_other_variables_is_refused_at_load(tmp_path, capsys):
     # a 3-variable trace reads 0 on every 2-variable commutator, so its
-    # defect used to pass as zero; the job now fails naming both counts
+    # defect would pass as zero; the manifest is refused before any job runs
     text = TRACES.split("  origin-1:")[0] + (
         '  t3: {kind: trace, vars: 3, coeffs: {"0,0,0": 1}}\n'
         "jobs:\n"
         "  - {op: trace-defect, name: t3, trace: t3, star: moyal-half, expect: zero}\n"
     )
     rc = main(["run", _write(tmp_path, text), "--format", "structured"])
-    (job,) = json.loads(capsys.readouterr().out)["jobs"]
-    assert rc == 1
-    assert (job["status"], job["summary"]) == ("fail", "trace-defect: ValueError")
-    (witness,) = job["witnesses"]
-    assert re.fullmatch(
-        r"ValueError at formality_lab\.deformation\.trace_defect:\d+: "
-        r"trace in 3 variables, star product in 2",
-        witness,
-    )
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert (
+        "job 't3': trace 't3' is in 3 variables, star product 'moyal-half' in 2"
+    ) in err
 
 
 def test_series_window_overflow_fails_the_job(tmp_path, capsys):

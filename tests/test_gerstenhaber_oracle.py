@@ -34,16 +34,25 @@ does on bodies and tails.  The last section compares the extension with
 the accumulating (body, tail) extension it replaced, kept verbatim in
 ``parent_epsilon``: on the sweep, and on every pairwise product, bracket
 and second-order defect of delta, and every delta.
+
+The certified sweep, which evaluates the triple laws of a structure given
+by frame rules on the principal lattice of exponents only, is compared with
+the full sweep of the same kernels passed as plain callables, on passing
+and broken rules.  The tests after it pin the mathematics it rests on, and
+the cases that must keep the full sweep.
 """
 
+from collections import Counter
 from functools import cache
 from itertools import combinations, product
+from math import prod
 
 import pytest
 
 import parent_epsilon
 from formality_lab import cartan as ct
 from formality_lab import linfty as lf
+from formality_lab.core.linalg import rank_kernel
 from formality_lab.linfty import CheckReport
 from formality_lab.poly import Poly, monomials_upto
 
@@ -660,3 +669,165 @@ def test_extension_kernels_match_the_body_tail_kernels(case):
     body = E.generators[::2]
     assert len(body) ** 2 == (144 if case.startswith("suite") else 49)
     assert not any(E.delta_defect(x, y) for _, x in body for _, y in body)
+
+
+# -- the certified sweep against the full sweep ------------------------------------
+
+@cache
+def _side0_doubled_rule(fa, fb):
+    # the Schouten rule with its side-0 entries doubled: it breaks Jacobi
+    return tuple(
+        (m, 2 * w if side == 0 else w, i, side) for m, w, i, side in ct._schouten_rule(fa, fb)
+    )
+
+
+RULES = {
+    "passing": (ct._wedge_rule, ct._schouten_rule),
+    "skewed-product": (_skewed_rule, ct._schouten_rule),
+    "doubled-bracket": (ct._wedge_rule, _doubled_rule),
+    "side0-doubled-bracket": (ct._wedge_rule, _side0_doubled_rule),
+}
+
+GENERATOR_SETS = {
+    # the plain sweep's 40 generators in ``suites._gerstenhaber_suite``
+    "suite": lambda: _monomial_generators(3),
+    "generators": _generators,
+    "monomials-2": lambda: _monomial_generators(2),
+}
+
+
+def _as_callables(A):
+    """A with the same kernels given as plain callables: the full sweep."""
+    full = lf.GerstenhaberData(A.degree, A.mul_into, A.bracket_into, A.element, A.generators)
+    full.delta = A.delta
+    return full
+
+
+def _from_rules(rules, generators):
+    return lf.GerstenhaberData.from_rules(2, *RULES[rules], generators)
+
+
+@pytest.mark.parametrize("gens", sorted(GENERATOR_SETS))
+@pytest.mark.parametrize("rules", sorted(RULES))
+def test_certified_sweep_matches_the_full_sweep(rules, gens):
+    A = _from_rules(rules, GENERATOR_SETS[gens]())
+    full = _as_callables(A)
+    assert lf._lattice(full) is None
+    # ``_generators()`` holds two-term generators
+    assert (lf._lattice(A) is None) == (gens == "generators")
+    new = lf.check_gerstenhaber(A)
+    _assert_same_report(new, lf.check_gerstenhaber(full))
+    assert new.ok == (rules == "passing")
+
+
+def test_the_suite_lattice_has_2304_triples():
+    A = _from_rules("passing", GENERATOR_SETS["suite"]())
+    lattice = Counter(law for law, _, _, _ in lf._lattice(A))
+    assert lattice == {
+        "associativity": 64 * 1,
+        "bracket-leibniz": 64 * 7,
+        "jacobi": 64 * 28,
+    }
+    assert lf.check_gerstenhaber(A).checked == 193640
+
+
+# -- the mathematics of the certificate ---------------------------------------------
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_the_principal_lattice_is_unisolvent(d):
+    """The evaluation matrix of the monomials of degree <= d in the six
+    exponent entries of (ea, eb, ec), on the lattice points, has full rank:
+    a polynomial of degree <= d that vanishes on the lattice is zero."""
+    points = lf._principal_lattice(2, d)
+    monomials = monomials_upto(6, d)
+    assert len(points) == len(monomials) == (1, 7, 28)[d]
+    rows = [
+        {c: prod(v**m for v, m in zip(ea + eb + ec, mono)) for c, mono in enumerate(monomials)}
+        for ea, eb, ec in points
+    ]
+    rank, _ = rank_kernel(rows, len(monomials))
+    assert rank == len(monomials)
+
+
+def _frames(nvars):
+    return [f for k in range(nvars + 1) for f in combinations(range(nvars), k)]
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_rule_entries_take_at_most_one_derivative(nvars):
+    """Every entry is (merged, w, i, side) with one derivative index i or
+    none, so a kernel multiplies by at most one exponent entry per entry;
+    the wedge takes none.  The twisted rule is that of the extension of
+    multivectors in nvars - 1 variables."""
+    twisted = lf.epsilon_extend(nvars - 1, ct._wedge_rule, ct._schouten_rule).rules[1]
+    degrees = {}
+    for name, rule in (
+        ("wedge", ct._wedge_rule), ("schouten", ct._schouten_rule), ("twisted", twisted)
+    ):
+        indices = set()
+        for fa in _frames(nvars):
+            for fb in _frames(nvars):
+                for entry in rule(fa, fb):
+                    merged, _, i, side = entry
+                    assert list(merged) == sorted(set(merged))
+                    assert i is None or i in range(nvars)
+                    assert side in (0, 1)
+                    indices.add(i)
+        if name == "wedge":
+            assert indices == {None}
+        degrees[name] = lf._exponent_degree(rule, nvars)
+    # with no body variable the extension has no bracket entries to twist in
+    assert degrees == {"wedge": 0, "schouten": 1, "twisted": int(nvars > 1)}
+
+
+# -- kernels and generators that keep the full sweep ---------------------------------
+
+def _weighted_into(acc, a, b, sign):
+    # Schouten times 1 + sum_i e_i (e_i - 1) of each left term's exponent e:
+    # the bracket itself wherever every left exponent entry is at most 1
+    for (f, e), c in a.c.items():
+        w = 1 + sum(m * (m - 1) for m in e)
+        ct.schouten_into(acc, MAKE(a.k, {(f, e): c}), b, w * sign)
+
+
+def test_a_callable_kernel_gets_the_full_sweep_and_fails_off_the_lattice():
+    A = lf.GerstenhaberData(_degree, ct.wedge_into, _weighted_into, MAKE, _monomial_generators(3))
+    assert lf._lattice(A) is None
+    rep = lf.check_gerstenhaber(A)
+    assert rep.checked == 193640
+    assert "jacobi" in {law for law, _, _ in rep.witnesses}
+    terms = {name: next(iter(g.c)) for name, g in A.generators}
+    by_frames = {}  # frame triple -> the |ea| + |eb| + |ec| of its Jacobi failures
+    for law, names, _ in rep.witnesses:
+        if law == "jacobi":
+            frames = tuple(terms[x][0] for x in names)
+            by_frames.setdefault(frames, []).append(sum(sum(terms[x][1]) for x in names))
+    # Jacobi's lattice has degree 2; on some frame triples every failure lies
+    # off it, where only the full sweep finds them
+    assert any(min(sizes) > 2 for sizes in by_frames.values())
+
+
+@pytest.mark.parametrize("rules", ["passing", "doubled-bracket"])
+def test_sweeps_without_the_lattice_keep_the_full_sweep(rules):
+    """The extended sweep, whose every law has degree 2 on generators with
+    |e| <= 1, and a plain sweep on those generators."""
+    mul, brk = RULES[rules]
+    E = lf.epsilon_extend(E_INDEX, mul, brk, _suite_generators())
+    plain = lf.GerstenhaberData.from_rules(2, mul, brk, _monomial_generators(1))
+    for A in (E, plain):
+        assert lf._lattice(A) is None
+        new = lf.check_gerstenhaber(A)
+        _assert_same_report(new, lf.check_gerstenhaber(_as_callables(A)))
+        assert new.ok == (rules == "passing")
+    assert lf.check_gerstenhaber(E).checked == 42396
+
+
+@pytest.mark.parametrize("rules", ["passing", "side0-doubled-bracket"])
+def test_a_generator_with_two_terms_falls_back_to_the_full_sweep(rules):
+    gens = _monomial_generators(2)
+    assert lf._lattice(_from_rules(rules, gens)) is not None
+    A = _from_rules(rules, gens + [("Z", _mv(1, {(0,): X, (1,): -3 * Y}))])
+    assert lf._lattice(A) is None
+    new = lf.check_gerstenhaber(A)
+    _assert_same_report(new, lf.check_gerstenhaber(_as_callables(A)))
+    assert new.ok == (rules == "passing")
