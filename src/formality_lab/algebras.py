@@ -7,7 +7,7 @@ matching the vector helpers in ``core.basis``.
 
 from __future__ import annotations
 
-from .core.basis import vec
+from .core.basis import vadd_into, vec
 from .core.linalg import solve
 from .poly import Poly, monomials_upto
 
@@ -15,7 +15,9 @@ from .poly import Poly, monomials_upto
 class StructureAlgebra:
     """Associative unital algebra with a fixed basis and multiplication table.
 
-    table[(i, j)] is the sparse expansion of (basis i) * (basis j).
+    table[(i, j)] is the sparse expansion of (basis i) * (basis j).  The
+    constructor checks (b_i b_j) b_k = b_i (b_j b_k) on all dim^3 basis
+    triples and refuses a table that fails one.
     """
 
     def __init__(self, labels, table, unit_vector=None):
@@ -31,6 +33,7 @@ class StructureAlgebra:
                     raise ValueError(f"table value index {k} out of range")
             if entry:
                 self.table[(i, j)] = entry
+        self._check_associative()
         if unit_vector is None:
             unit_vector = self._solve_unit()
         self.unit = vec(*unit_vector.items())
@@ -40,6 +43,28 @@ class StructureAlgebra:
             ((k, c),) = self.unit.items()
             if c == 1:
                 self.unit_index = k
+
+    def _check_associative(self):
+        """ValueError naming the first basis triple (i, j, k), in
+        lexicographic order, with (b_i b_j) b_k != b_i (b_j b_k)."""
+        table = self.table
+        dim = self.dim
+        for i in range(dim):
+            for j in range(dim):
+                ij = table.get((i, j), {})
+                for k in range(dim):
+                    lhs = {}
+                    for l, c in ij.items():
+                        vadd_into(lhs, table.get((l, k), {}), c)
+                    rhs = {}
+                    for l, c in table.get((j, k), {}).items():
+                        vadd_into(rhs, table.get((i, l), {}), c)
+                    if lhs != rhs:
+                        a, b, c = (self.labels[t] for t in (i, j, k))
+                        raise ValueError(
+                            f"table is not associative on basis triple {(i, j, k)}:"
+                            f" ({a}*{b})*{c} = {lhs} but {a}*({b}*{c}) = {rhs}"
+                        )
 
     def _solve_unit(self):
         # u * b_j = b_j for all j: unknowns u_i, equations keyed by (j, k)

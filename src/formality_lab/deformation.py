@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import factorial, prod
+from math import factorial, lcm, perm, prod
+from operator import add, sub
 
 from . import polydiff as pd
 from .algebras import FunctionModel
@@ -142,37 +143,85 @@ def moyal(pi, nt, model=None):
 def check_associativity(s, degree=None):
     """(f*g)*h - f*(g*h) on all monomial triples up to ``degree``.
 
-    Witnesses are (exponent triple, t-order, defect polynomial).  Every
-    correction is bilinear, so (f*g)*h is the sum over the terms
-    c t^k x^e of f*g of c t^k (x^e * h), truncated at order nt, and
-    f*(g*h) likewise over the terms of g*h.  Each monomial product
-    x^e1 * x^e2 is built once per call, the first time it is needed, into
-    a table that lives only for this call.
+    Witnesses are (exponent triple, t-order, defect polynomial), by triple
+    and then by order.  Every correction is bilinear, so (f*g)*h is the sum,
+    over the terms c t^k x^e of f*g, of c t^k (x^e * h) truncated at order
+    nt, and f*(g*h) likewise over the terms of g*h.
+
+    The sweep runs on integers.  ``den`` is the lcm of the denominators of
+    the corrections' coefficients, and a monomial product x^e1 * x^e2 is a
+    list of (t-order, exponent, ``int`` multiple of 1/den), read straight
+    off the correction terms by the falling-factorial rule of
+    ``poly.diff_terms``: den at x^(e1+e2) in order 0, and for each term
+    ((alpha, beta), p) of order m, p * perm(e1, alpha) * perm(e2, beta) at
+    x^(e1+e2-alpha-beta) times p's monomials.  The terms are grouped by
+    alpha, and the nonzero weights perm(e, alpha) and perm(e, beta) are
+    found once per exponent, so a group whose alpha kills x^e1 is skipped
+    whole.  Each product is built the first time it is needed, into a table
+    that lives only for this call.  Defects accumulate as numerators over
+    den^2 and become exact scalars only in a witness.
     """
     if degree is None:
         degree = s.model.cap
     n = s.model.nvars
     nt = s.nt
+    den = 1
+    for op in s.ops.values():
+        for p in op.c.values():
+            for v in p.c.values():
+                den = lcm(den, v.denominator)
+    groups = {}  # alpha -> [(order, beta, [(exponent, scalar * den)])]
+    for m, op in s.ops.items():
+        for (alpha, beta), p in op.c.items():
+            groups.setdefault(alpha, []).append((m, beta, [
+                (e, v.numerator * (den // v.denominator)) for e, v in p.c.items()
+            ]))
+    alphas = [(alpha, sum(alpha)) for alpha in groups]
+    betas = {beta for rows in groups.values() for _, beta, _ in rows}
+    betas = [(beta, sum(beta)) for beta in betas]
+    lefts, rights = {}, {}
+
+    def weights(memo, derivs, e):
+        """{t: perm(e, t)} over the multi-indices t of ``derivs`` that do
+        not kill x^e, computed once per exponent e and slot."""
+        out = memo.get(e)
+        if out is None:
+            d = sum(e)
+            out = memo[e] = {
+                t: w for t, dt in derivs if dt <= d and (w := prod(map(perm, e, t)))
+            }
+        return out
+
     monos = monomials_upto(n, degree)
     table = {}
 
     def times(e1, e2):
-        """x^e1 * x^e2 as a list of (t-order, exponent, scalar)."""
+        """x^e1 * x^e2 as a list of (t-order, exponent, scalar * den)."""
         terms = table.get((e1, e2))
         if terms is None:
-            prod = s.star(Poly.monomial(n, e1), Poly.monomial(n, e2))
-            terms = table[e1, e2] = [
-                (k, e, v) for k, f in prod.items() for e, v in f.c.items()
-            ]
+            top = tuple(map(add, e1, e2))
+            acc = {(0, top): den}
+            right = weights(rights, betas, e2)
+            for alpha, w1 in weights(lefts, alphas, e1).items() if right else ():
+                rest = tuple(map(sub, top, alpha))
+                for m, beta, coeffs in groups[alpha]:
+                    w2 = right.get(beta)
+                    if w2:
+                        w = w1 * w2
+                        at = tuple(map(sub, rest, beta))
+                        for e, v in coeffs:
+                            add_term(acc, (m, tuple(map(add, at, e))), w * v)
+            terms = table[e1, e2] = [(k, e, v) for (k, e), v in acc.items()]
         return terms
 
+    scale = den * den
     witnesses = []
     checked = 0
     for ea in monos:
         for eb in monos:
             ab = times(ea, eb)
             for ec in monos:
-                defect = {}  # (t-order, exponent) -> scalar of lhs - rhs
+                defect = {}  # (t-order, exponent) -> numerator of lhs - rhs
                 for k, e, v in ab:
                     for k2, e2, v2 in times(e, ec):
                         if k + k2 <= nt:
@@ -186,7 +235,7 @@ def check_associativity(s, degree=None):
                 if defect:
                     orders = {}
                     for (k, e), v in defect.items():
-                        orders.setdefault(k, {})[e] = v
+                        orders.setdefault(k, {})[e] = Fraction(v, scale)
                     for k in sorted(orders):
                         witnesses.append(((ea, eb, ec), k, Poly(n, orders[k])))
     return CheckReport(checked, witnesses)

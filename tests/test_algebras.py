@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from formality_lab import suites
 from formality_lab.algebras import (
     StructureAlgebra,
     dual_numbers,
@@ -95,6 +96,26 @@ def test_unit_solver_rejects_nonunital():
     # the zero product on a 1-dim space has no unit
     with pytest.raises(ValueError):
         StructureAlgebra(["n"], {(0, 0): {}})
+
+
+def test_non_associative_table_is_refused_with_its_first_triple():
+    A = trunc_poly_algebra(2)
+    table = dict(A.table)
+    table[(1, 2)] = {2: 1}  # x * x^2 = x^2, so (x x) x = 0 but x (x x) = x^2
+    with pytest.raises(ValueError) as e:
+        StructureAlgebra(A.labels, table)
+    assert str(e.value) == (
+        "table is not associative on basis triple (1, 1, 1): (x*x)*x = {} but x*(x*x) = {2: 1}"
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [*suites._PRESET_ALGEBRAS.values(), mat2_elementary, lambda: jet_algebra(2, 4)],
+)
+def test_associative_algebras_still_build(build):
+    A = build()
+    assert check_associative(A)
 
 
 def test_function_model_vectors():

@@ -5,10 +5,15 @@ the guarded ``star_series`` against the unguarded.
 ``deformation.check_associativity``, kept verbatim as a reference: it builds
 f*g and g*h afresh for every triple.  ``_pair_table_check_associativity`` is
 the body that followed it, also verbatim: it reads f*g and g*h from an N x N
-table of pairwise products and convolves them with ``star_series``.  The
-current sweep expands both sides by bilinearity over a table of monomial
-products; it must count the same checks as both references and return the
-same witnesses in the same order, the defect polynomials compared by value.
+table of pairwise products and convolves them with ``star_series``.
+``_monomial_table_check_associativity`` is the body after that, verbatim: it
+expands both sides by bilinearity over a per-call table of monomial products,
+each built with ``s.star`` on ``Fraction`` and ``Poly`` arithmetic.  The
+current sweep expands the same way over a table of integer numerators read
+straight off the correction terms; it must count the same checks as every
+reference and return the same witnesses in the same order, the defect
+polynomials compared by value.  On an associative product it must build no
+more ``Fraction`` objects than its corrections hold scalars.
 
 ``_untabled_trace_defect`` is the previous ``deformation.trace_defect``, also
 verbatim: it builds f*g and g*f for every ordered pair.  The current one
@@ -93,6 +98,59 @@ def _pair_table_check_associativity(s, degree=None):
     return CheckReport(checked, witnesses)
 
 
+def _monomial_table_check_associativity(s, degree=None):
+    """(f*g)*h - f*(g*h) on all monomial triples up to ``degree``.
+
+    Witnesses are (exponent triple, t-order, defect polynomial).  Every
+    correction is bilinear, so (f*g)*h is the sum over the terms
+    c t^k x^e of f*g of c t^k (x^e * h), truncated at order nt, and
+    f*(g*h) likewise over the terms of g*h.  Each monomial product
+    x^e1 * x^e2 is built once per call, the first time it is needed, into
+    a table that lives only for this call.
+    """
+    if degree is None:
+        degree = s.model.cap
+    n = s.model.nvars
+    nt = s.nt
+    monos = monomials_upto(n, degree)
+    table = {}
+
+    def times(e1, e2):
+        """x^e1 * x^e2 as a list of (t-order, exponent, scalar)."""
+        terms = table.get((e1, e2))
+        if terms is None:
+            prod = s.star(Poly.monomial(n, e1), Poly.monomial(n, e2))
+            terms = table[e1, e2] = [
+                (k, e, v) for k, f in prod.items() for e, v in f.c.items()
+            ]
+        return terms
+
+    witnesses = []
+    checked = 0
+    for ea in monos:
+        for eb in monos:
+            ab = times(ea, eb)
+            for ec in monos:
+                defect = {}  # (t-order, exponent) -> scalar of lhs - rhs
+                for k, e, v in ab:
+                    for k2, e2, v2 in times(e, ec):
+                        if k + k2 <= nt:
+                            add_term(defect, (k + k2, e2), v * v2)
+                for k, e, v in times(eb, ec):
+                    v = -v
+                    for k2, e2, v2 in times(ea, e):
+                        if k + k2 <= nt:
+                            add_term(defect, (k + k2, e2), v * v2)
+                checked += 1
+                if defect:
+                    orders = {}
+                    for (k, e), v in defect.items():
+                        orders.setdefault(k, {})[e] = v
+                    for k in sorted(orders):
+                        witnesses.append(((ea, eb, ec), k, Poly(n, orders[k])))
+    return CheckReport(checked, witnesses)
+
+
 def _assert_same_report(s, degree=None, reference=_untabled_check_associativity):
     fields = set(vars(s))
     new = df.check_associativity(s, degree=degree)
@@ -139,12 +197,93 @@ def test_seeded_moyal_matches_pair_table_sweep():
 
 def test_mixed_order_product_matches_both_sweeps():
     s = _mixed_order_product()
-    for reference in (_pair_table_check_associativity, _untabled_check_associativity):
+    for reference in (
+        _monomial_table_check_associativity,
+        _pair_table_check_associativity,
+        _untabled_check_associativity,
+    ):
         rep = _assert_same_report(s, reference=reference)
     assert rep.witnesses and rep.checked == 6 ** 3
     # the corrections carry polynomial coefficients, so defects reach the
     # monomials the corrections multiply in
     assert any(d.c and any(e[0] for e in d.c) for _, _, d in rep.witnesses)
+
+
+def test_moyal_plane_matches_monomial_table_sweep():
+    rep = _assert_same_report(
+        suites._moyal_plane(), degree=4, reference=_monomial_table_check_associativity
+    )
+    assert rep.ok and rep.checked == 15 ** 3
+
+
+def test_skewed_product_matches_monomial_table_sweep():
+    s = suites._skewed_product()
+    low = _assert_same_report(s, degree=2, reference=_monomial_table_check_associativity)
+    assert {k for _, k, _ in low.witnesses} == {2} and low.checked == 6 ** 3
+    rep = _assert_same_report(s, degree=4, reference=_monomial_table_check_associativity)
+    assert len(rep.witnesses) == 700 and rep.checked == 15 ** 3
+
+
+def test_seeded_moyal_matches_monomial_table_sweep():
+    for seed in (5, 17, 29):
+        for s in (
+            _seeded_moyal(4, 4, ((0, 1), (2, 3)), seed=seed),
+            _seeded_moyal(3, 3, ((0, 1), (1, 2)), seed=seed),
+        ):
+            rep = _assert_same_report(s, reference=_monomial_table_check_associativity)
+            assert rep.ok and rep.checked == len(monomials_upto(s.model.nvars, 2)) ** 3
+
+
+def _coprime_product():
+    """A non-associative product whose corrections carry the denominators 2, 3
+    and 5 and polynomial coefficients.  On x*y times y^2 the two order-1
+    terms land on y^3 with 2/3 and -2/3, so that product has no order-1 part."""
+    x, y = Poly.var(2, 0), Poly.var(2, 1)
+    third = Fraction(1, 3)
+    p1 = pd.PolyDiffOperator(
+        2, 2, {((1, 0), (0, 1)): third * y, ((1, 1), (0, 2)): -third * y * y * y}
+    )
+    p2 = pd.PolyDiffOperator(
+        2, 2, {((0, 1), (1, 0)): Fraction(1, 2), ((1, 0), (1, 1)): Fraction(1, 5) * x}
+    )
+    return df.StarProduct(FunctionModel(2, 2), {1: p1, 2: p2}, 2)
+
+
+def test_coprime_denominators_match_monomial_table_sweep():
+    s = _coprime_product()
+    n = s.model.nvars
+    assert s.star(Poly.monomial(n, (1, 1)), Poly.monomial(n, (0, 2))) == {
+        0: Poly.monomial(n, (1, 3))
+    }
+    for degree in (1, 2, 3):
+        rep = _assert_same_report(
+            s, degree=degree, reference=_monomial_table_check_associativity
+        )
+        assert rep.witnesses
+    values = [v for _, _, d in rep.witnesses for v in d.c.values()]
+    assert any(isinstance(v, Fraction) for v in values)
+    assert all(type(v) is int for v in values if v == int(v))
+
+
+def test_associative_sweep_builds_no_fractions_beyond_its_corrections():
+    s = suites._moyal_plane()
+    scalars = sum(len(p.c) for op in s.ops.values() for p in op.c.values())
+    built = 0
+    original = Fraction.__dict__["__new__"]
+
+    def counted_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted_new)
+    try:
+        rep = df.check_associativity(s)
+    finally:
+        Fraction.__new__ = original
+    assert rep.ok and rep.checked == 15 ** 3
+    assert scalars == 14
+    assert built <= scalars
 
 
 def _untabled_trace_defect(tau, s, degree=None):

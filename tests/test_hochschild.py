@@ -7,7 +7,6 @@ import pytest
 
 from formality_lab import suites
 from formality_lab.algebras import (
-    StructureAlgebra,
     dual_numbers,
     trunc_poly_algebra,
     mat2_unital,
@@ -261,11 +260,12 @@ def test_jet_algebra_betti_degree_zero():
 
 def _non_associative():
     """Q[x]/(x^3) with x * x^2 changed from 0 to x^2: still unital, but
-    (x x) x = 0 while x (x x) = x^2, so b and delta do not square to zero."""
+    (x x) x = 0 while x (x x) = x^2, so b and delta do not square to zero.
+    ``StructureAlgebra`` refuses such a table, so it is changed after the
+    algebra is built."""
     A = trunc_poly_algebra(2)
-    table = dict(A.table)
-    table[(1, 2)] = {2: 1}
-    return StructureAlgebra(A.labels, table)
+    A.table[(1, 2)] = {2: 1}
+    return A
 
 
 # b_1 (x (x) x^2) = x^2 and b_1 (x^2 (x) x) = -x^2 make the echelon row of
