@@ -13,11 +13,15 @@ otherwise.  Arithmetic on values that are all integers therefore never
 builds a ``Fraction``.  Products such as ``Fraction(1, 2) * 2`` may still
 store ``Fraction(1, 1)``; values are compared by value (``1 ==
 Fraction(1)`` and their hashes agree), so nothing renormalizes them.
+``common_denominator`` and ``rescaled`` let a computation run on ``int``
+numerators instead: clear a nested container's denominators once, and
+divide once per output scalar at the end, normalized by ``rational``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def rational(v):
@@ -44,6 +48,34 @@ def add_term(d, key, value):
         d[key] = value
     else:
         d.pop(key, None)
+
+
+def common_denominator(x):
+    """The lcm of the denominators of every scalar in ``x``: an exact
+    scalar, or a ``Sparse`` whose values are scalars or ``Sparse``."""
+    if isinstance(x, Sparse):
+        return lcm(1, *map(common_denominator, x.c.values()))
+    return rational(x).denominator
+
+
+def rescaled(x, s):
+    """s * x for a nonzero exact scalar ``s`` and ``x`` as in
+    ``common_denominator``, every scalar normalized by ``rational``: an
+    ``int`` wherever it is integral, never ``Fraction(n, 1)``.  Each product
+    is formed on integer numerators and denominators, so only a non-integral
+    result builds a ``Fraction``."""
+    s = rational(s)
+    sn, sd = s.numerator, s.denominator
+
+    def walk(v):
+        if isinstance(v, Sparse):
+            return v._like({key: walk(w) for key, w in v.c.items()})
+        v = rational(v)
+        n, d = sn * v.numerator, sd * v.denominator
+        g = gcd(n, d)
+        return n // g if g == d else Fraction(n // g, d // g)
+
+    return walk(x)
 
 
 def vadd_into(acc, other, scale=1):

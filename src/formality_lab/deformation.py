@@ -19,7 +19,7 @@ from operator import add, sub
 from . import polydiff as pd
 from .algebras import FunctionModel
 from .cartan import MultiVector, hkr, poisson_bracket
-from .core.basis import add_term, rational
+from .core.basis import add_term, common_denominator, rational
 from .linfty import CheckReport, MCElement
 from .poly import Poly, monomials_upto
 
@@ -165,11 +165,7 @@ def check_associativity(s, degree=None):
         degree = s.model.cap
     n = s.model.nvars
     nt = s.nt
-    den = 1
-    for op in s.ops.values():
-        for p in op.c.values():
-            for v in p.c.values():
-                den = lcm(den, v.denominator)
+    den = lcm(1, *map(common_denominator, s.ops.values()))
     groups = {}  # alpha -> [(order, beta, [(exponent, scalar * den)])]
     for m, op in s.ops.items():
         for (alpha, beta), p in op.c.items():

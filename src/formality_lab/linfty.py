@@ -33,9 +33,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, product
+from math import factorial
 
 from .cartan import MultiVector, _monomial_pairs
-from .core.basis import Sparse, add_term
+from .core.basis import Sparse, add_term, common_denominator, rescaled
 from .core.signs import decalage_sign, unshuffle_sign
 from .poly import monomials_upto
 
@@ -274,21 +275,28 @@ def _series_bracket(S, n, series_list, nt):
 
 
 def mc_residual(S, pi):
-    """sum_n (1/n!) [pi, ..., pi]_n per formal order; zero iff flat."""
+    """sum_n (1/n!) [pi, ..., pi]_n per formal order; zero iff flat.
+
+    The series handed to the brackets holds ``int`` scalars only.  With
+    ``den`` the lcm of every denominator in ``pi`` (an operator's
+    coefficient polynomials included), N the largest arity that contributes
+    and L = N! den^N, multilinearity gives
+    L * residual = sum_n (L / (n! den^n)) [den pi, ..., den pi]_n, all of
+    whose weights are integers; each order is divided by L once, scalar by
+    scalar, at the end."""
+    # each argument carries at least one order: arities beyond the cap
+    # contribute nothing
+    arities = sorted(n for n in S.brackets if 1 <= n <= max(pi.nt, 1))
+    top = max(arities, default=0)
+    den = common_denominator(pi)
+    P = rescaled(pi, den)
+    L = factorial(top) * den**top
     total = {}
-    fact = 1
-    for n in range(1, max(S.brackets, default=0) + 1):
-        fact *= n
-        if n not in S.brackets:
-            continue
-        if n > pi.nt and n > 1:
-            # each argument carries at least one order: contributions of
-            # arity beyond the cap vanish
-            continue
-        contrib = _series_bracket(S, n, [pi] * n, pi.nt)
-        for k, v in contrib.items():
-            add_term(total, k, Fraction(1, fact) * v)
-    return total
+    for n in arities:
+        w = L // (factorial(n) * den**n)
+        for k, v in _series_bracket(S, n, [P] * n, P.nt).items():
+            add_term(total, k, w * v)
+    return {k: rescaled(v, Fraction(1, L)) for k, v in total.items()}
 
 
 # ------------------------------------------------------------ Gerstenhaber algebras

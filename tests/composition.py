@@ -11,7 +11,13 @@ The program composes only through ``hochschild.bracket``; ``insert`` and
 ``PolyDiffOperator.insert``/``zero_of``, ``Cochain.insert``/``zero_of``,
 ``hochschild.circle``/``bracket`` and ``linfty._series_bracket``, verbatim
 apart from their names and that of the row helper ``hochschild._add_vec``,
-now ``core.basis.add_row``; ``_parent_compositions`` and
+now ``core.basis.add_row``.  ``_parent_mc_residual`` is the
+``linfty.mc_residual`` from before the residual was summed on integer
+numerators, verbatim apart from its name and that it calls
+``linfty._series_bracket`` through the module: it sums ``Fraction(1, n!)``
+times each bracket of the series as given, so it takes any element with
+``+``, scalar ``*`` and ``is_zero``, reference cochains included.
+``_parent_compositions`` and
 ``_parent_leibniz_splits`` are the helpers the operator ``insert`` called.
 The reference builds one ``PolyDiffOperator`` or ``Cochain`` per insertion
 and sums them with the containers' ``+`` and ``-``, multiplies ``Poly``
@@ -30,6 +36,7 @@ structure built inside the block from ``pd.bracket``, ``pd.delta`` or
 """
 
 from contextlib import contextmanager
+from fractions import Fraction
 from itertools import product
 from itertools import product as _cartesian
 from math import factorial
@@ -177,6 +184,24 @@ def _parent_series_bracket(S, n, series_list, nt):
         if val is not None:
             add_term(out, k, val)
     return out
+
+
+def _parent_mc_residual(S, pi):
+    """sum_n (1/n!) [pi, ..., pi]_n per formal order; zero iff flat."""
+    total = {}
+    fact = 1
+    for n in range(1, max(S.brackets, default=0) + 1):
+        fact *= n
+        if n not in S.brackets:
+            continue
+        if n > pi.nt and n > 1:
+            # each argument carries at least one order: contributions of
+            # arity beyond the cap vanish
+            continue
+        contrib = linfty._series_bracket(S, n, [pi] * n, pi.nt)
+        for k, v in contrib.items():
+            add_term(total, k, Fraction(1, fact) * v)
+    return total
 
 
 _METHODS = [

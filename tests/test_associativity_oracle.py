@@ -37,6 +37,7 @@ from formality_lab.core.basis import add_term
 from formality_lab.deformation import TraceCandidate
 from formality_lab.linfty import CheckReport
 from formality_lab.poly import Poly, monomials_upto
+from fraction_count import counting_fractions
 
 
 def _untabled_check_associativity(s, degree=None):
@@ -268,22 +269,11 @@ def test_coprime_denominators_match_monomial_table_sweep():
 def test_associative_sweep_builds_no_fractions_beyond_its_corrections():
     s = suites._moyal_plane()
     scalars = sum(len(p.c) for op in s.ops.values() for p in op.c.values())
-    built = 0
-    original = Fraction.__dict__["__new__"]
-
-    def counted_new(cls, *args, **kwargs):
-        nonlocal built
-        built += 1
-        return original.__func__(cls, *args, **kwargs)
-
-    Fraction.__new__ = staticmethod(counted_new)
-    try:
+    with counting_fractions() as count:
         rep = df.check_associativity(s)
-    finally:
-        Fraction.__new__ = original
     assert rep.ok and rep.checked == 15 ** 3
     assert scalars == 14
-    assert built <= scalars
+    assert count.built <= scalars
 
 
 def _untabled_trace_defect(tau, s, degree=None):

@@ -14,9 +14,23 @@ suite's products and cochain tables, every composition must give the same
 keys in the same order, the same values and the same scalar type (``int``
 or ``Fraction``) per value, with no stored zero.  A cochain is composed in
 the reference as a nested-table ``parent_cochain.Cochain``, and the flat
-result must hold that table's terms read row by row.  Residuals are compared
-the same way except for key order: a mirrored term is the negated
-[x_i, x_j], whose keys come in that bracket's order.
+result must hold that table's terms read row by row.
+
+``mc_residual`` clears the series' denominators once and brackets integer
+numerators.  Its reference is the previous body, kept verbatim in
+``composition.py`` as ``_parent_mc_residual`` and run on the reference
+series inside ``parent_composition()``: the ``Fraction(1, n!)`` sum of every
+ordered bracket.  On the benchmark's star products at three seeds, the
+suite's products, a series with coprime denominators, series of mixed
+degrees and curved Schouten series, the residuals must have the same orders
+and be equal by value, and every scalar of the program's residual must be
+nonzero and ``rational``-normal (an ``int`` when integral, never
+``Fraction(n, 1)``).  Scalar types are not compared there: the reference
+stores ``Fraction(n, 1)`` where a ``Fraction(1, n!)`` multiple is integral,
+and key order is not compared either, since a mirrored term is the negated
+[x_i, x_j], whose keys come in that bracket's order.  The program only tests
+a residual for zero or evaluates it.  On flat products the residual builds
+no more ``Fraction``s than its series holds scalars.
 """
 
 import random
@@ -28,20 +42,25 @@ import pytest
 from composition import (
     _parent_circle,
     _parent_leibniz_splits,
+    _parent_mc_residual,
     circle,
     insert,
     parent_composition,
 )
+from formality_lab import cartan as ct
 from formality_lab import deformation as df
 from formality_lab import hochschild as hh
 from formality_lab import linfty as lf
 from formality_lab import polydiff as pd
 from formality_lab import suites
 from formality_lab.algebras import dual_numbers, mat2_unital, trunc_poly_algebra
+from formality_lab.core.basis import common_denominator, rational
 from formality_lab.poly import Poly
 from formality_lab.polydiff import PolyDiffOperator
+from fraction_count import counting_fractions
 from parent_cochain import Cochain as ParentCochain
 from parent_cochain import flat, reference
+from shared_tools import leaves, schouten_structure
 from test_associativity_oracle import _mixed_order_product, _seeded_moyal
 
 # -- comparison --------------------------------------------------------------------
@@ -78,10 +97,20 @@ def _assert_same(new, old, ordered=True):
 
 
 def _assert_same_residual(new, old):
+    """Equal by value at every order, and every scalar of ``new`` nonzero and
+    ``rational``-normal: an ``int`` when integral, never ``Fraction(n, 1)``.
+    The reference sums ``Fraction(1, n!)`` multiples and may store
+    ``Fraction(n, 1)`` where the program stores ``n``."""
     assert list(new) == list(old)
     for k, v in new.items():
-        assert v, f"stored zero residual at order {k}"
-        _assert_same(v, old[k], ordered=False)
+        w = old[k]
+        if isinstance(v, hh.Cochain):
+            assert type(w) is ParentCochain and v.algebra is w.algebra
+            assert v.arity == w.arity and v.c == flat(w)
+        else:
+            assert type(v) is type(w) and v == w
+        for x in leaves(v):
+            assert x and type(x) in (int, Fraction) and rational(x) is x, (k, x)
 
 
 def _reference(x):
@@ -114,11 +143,12 @@ def _operator_dgla():
 
 
 def _compare_residual(pi, make=_operator_dgla):
-    """mc_residual against the ordered sum of the reference brackets."""
+    """mc_residual against the reference residual of the reference series:
+    the ``Fraction(1, n!)`` sum of every ordered bracket."""
     new = lf.mc_residual(make(), pi)
     ref = lf.MCElement({k: _reference(v) for k, v in pi.c.items()}, pi.nt)
     with parent_composition():
-        old = lf.mc_residual(make(), ref)
+        old = _parent_mc_residual(make(), ref)
     _assert_same_residual(new, old)
     return new
 
@@ -159,6 +189,34 @@ def _star_corrections():
         _seeded_moyal(4, 4, ((0, 1), (2, 3)), seed=5),
         _seeded_moyal(3, 3, ((0, 1), (1, 2)), seed=17),
     ]
+
+
+def _benchmark_stars():
+    """The benchmark's 4- and 3-variable products at three seeds each."""
+    return [
+        star
+        for seed in (5, 17, 29)
+        for star in (
+            _seeded_moyal(4, 4, ((0, 1), (2, 3)), seed=seed),
+            _seeded_moyal(3, 3, ((0, 1), (1, 2)), seed=seed),
+        )
+    ]
+
+
+def _coprime_series():
+    """A non-flat operator series whose scalars carry the coprime
+    denominators 2, 3 and 5, on polynomial coefficients."""
+    x, y = Poly.var(2, 0), Poly.var(2, 1)
+    half, third, fifth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)
+    p1 = PolyDiffOperator(
+        2, 2, {((1, 0), (0, 1)): half * y, ((0, 1), (1, 0)): -third, ((1, 1), (0, 0)): fifth * x}
+    )
+    one = Poly.const(2, 1)
+    p2 = PolyDiffOperator(
+        2, 2, {((1, 1), (0, 1)): 2 * fifth * x * y, ((2, 0), (0, 0)): third * x + half * one}
+    )
+    p3 = PolyDiffOperator(2, 2, {((0, 1), (0, 2)): fifth * y * y - third * one})
+    return lf.MCElement({1: p1, 2: p2, 3: p3}, 4)
 
 
 def _suite_products():
@@ -247,10 +305,45 @@ def _cochain(rng, A, arity):
 
 def test_mc_residuals_match_reference():
     residuals = []
-    for s in _star_corrections() + _suite_products():
+    for s in _benchmark_stars() + _suite_products():
         residuals.append(_compare_residual(df.star_to_mc(s)))
     # flat products have no residual; the skewed and the mixed-order ones do
-    assert [sorted(r) for r in residuals] == [[], [], [], [2], [1, 2, 3]]
+    assert [sorted(r) for r in residuals] == [[]] * 7 + [[2], [1, 2, 3]]
+
+
+def test_mc_residual_builds_no_fractions_beyond_its_series():
+    # the series is cleared and bracketed on integer numerators: only a
+    # non-integral scalar of the residual builds a Fraction, and these
+    # products are flat
+    S = _operator_dgla()
+    for s, scalars in ((suites._moyal_plane(), 14), (_star_corrections()[0], 69)):
+        pi = df.star_to_mc(s)
+        assert sum(len(p.c) for op in pi.c.values() for p in op.c.values()) == scalars
+        with counting_fractions() as count:
+            assert lf.mc_residual(S, pi) == {}
+        assert count.built <= scalars
+
+
+def test_mc_residual_with_coprime_denominators_matches_reference():
+    pi = _coprime_series()
+    assert common_denominator(pi) == 30
+    res = _compare_residual(pi)
+    assert sorted(res) == [1, 2, 3, 4]
+    assert any(type(x) is Fraction for v in res.values() for x in leaves(v))
+
+
+def test_curved_schouten_residuals_match_reference():
+    # the curved series of test_linfty, and one with fractional scalars and
+    # a second order
+    one3, x3, y3 = Poly.const(3, 1), Poly.var(3, 0), Poly.var(3, 1)
+    curved = ct.MultiVector(3, 2, {(0, 1): one3, (0, 2): x3})
+    second = ct.MultiVector(3, 2, {(1, 2): Fraction(1, 3) * x3 * y3, (0, 1): Fraction(-1, 2) * y3})
+    fractional = ct.MultiVector(3, 2, {(0, 1): Fraction(1, 2) * one3, (0, 2): Fraction(2, 5) * x3})
+    res = _compare_residual(lf.MCElement({1: curved}, 4), schouten_structure)
+    assert sorted(res) == [2] and res[2] == ct.jacobiator(curved)
+    res = _compare_residual(lf.MCElement({1: fractional, 2: second}, 4), schouten_structure)
+    assert sorted(res) == [2, 3]
+    assert any(type(x) is Fraction for v in res.values() for x in leaves(v))
 
 
 def test_mc_residual_of_mixed_degrees_matches_reference():

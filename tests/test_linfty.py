@@ -14,6 +14,7 @@ from formality_lab.poly import Poly, monomials_upto
 
 from jet_tables import from_polydiff
 from parent_module import act
+from shared_tools import schouten_structure
 
 
 def cochain_dgla(A, arities=(1, 2)):
@@ -26,12 +27,6 @@ def cochain_dgla(A, arities=(1, 2)):
 
 def mv(n, k, entries):
     return ct.MultiVector(n, k, entries)
-
-
-def schouten_structure(gens=()):
-    return lf.LInftyStructure(
-        lambda v: v.k - 1, {2: lambda a: ct.schouten(a[0], a[1])}, gens
-    )
 
 
 ONE2 = Poly.const(2, 1)

@@ -41,7 +41,7 @@ from formality_lab import linfty as lf
 from formality_lab import polydiff as pd
 from formality_lab.algebras import StructureAlgebra, dual_numbers, trunc_poly_algebra
 from formality_lab.cartan import Form, MultiVector
-from formality_lab.core.basis import Sparse, rational
+from formality_lab.core.basis import Sparse, common_denominator, rational, rescaled
 from formality_lab.deformation import moyal
 from formality_lab.hochschild import Chain, Cochain
 from formality_lab.poly import Poly
@@ -49,6 +49,7 @@ from formality_lab.polydiff import PolyDiffOperator
 from parent_cochain import Cochain as ParentCochain
 from parent_cochain import flat, reference
 from parent_vector_ops import parent_arithmetic
+from shared_tools import leaves
 
 X0, X1 = Poly.var(2, 0), Poly.var(2, 1)
 ONE = Poly.const(2, 1)
@@ -189,6 +190,37 @@ def test_rational_takes_only_exact_scalars():
     for bad in (0.5, "1/2", None):
         with pytest.raises(TypeError):
             rational(bad)
+
+
+# name -> an element with scalars whose denominators exceed 1
+DENOMINATED = {
+    "Poly": _poly,
+    "PolyDiffOperator": _operator,
+    "Cochain": lambda: (
+        Fraction(1, 3) * hh.basis_cochains(A, 1)[1] + Fraction(3, 4) * hh.basis_cochains(A, 1)[2]
+    ),
+    "MultiVector": lambda: MultiVector(
+        2, 1, {(0,): Fraction(1, 2) * X0 * X1, (1,): ONE + Fraction(2, 3) * X0}
+    ),
+    "MCElement": _mc_element,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENOMINATED))
+def test_common_denominator_clears_and_rescales_back(name):
+    x = DENOMINATED[name]()
+    den = common_denominator(x)
+    assert den > 1
+    cleared = rescaled(x, den)
+    assert type(cleared) is type(x) and cleared == den * x
+    assert all(type(v) is int and v for v in leaves(cleared))
+    assert common_denominator(cleared) == 1
+    back = rescaled(cleared, Fraction(1, den))
+    assert type(back) is type(x) and back == x
+    # nonzero, and rational-normal: never Fraction(n, 1)
+    assert all(v and rational(v) is v for v in leaves(back))
+    with pytest.raises(TypeError):
+        rescaled(x, 0.5)
 
 
 def test_int_and_fraction_coefficients_are_one_value():
