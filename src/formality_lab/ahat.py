@@ -112,11 +112,6 @@ class SeriesForm(Sparse):
             raise WindowOverflow(f"t^{kt} u^{ku} left the window")
         add_term(self.c, (kt, ku, form.k), form)
 
-    def _like(self, c):
-        out = object.__new__(SeriesForm)
-        out.nvars, out.twin, out.c = self.nvars, self.twin, c
-        return out
-
     def map_form(self, fn, dt=0, du=0):
         """Apply a linear form operation to every part, with a weight shift."""
         out = SeriesForm.zero(self.nvars, self.twin)
@@ -147,10 +142,7 @@ def diff_td_uL(sd, alpha):
 
 def _parity_dress(alpha, fn, dt, du):
     """Apply fn weighted by (-1)^(deg+1) on each homogeneous part."""
-    out = SeriesForm.zero(alpha.nvars, alpha.twin)
-    for (kt, ku, k), form in alpha.c.items():
-        out._add(kt + dt, ku + du, Fraction((-1) ** (k + 1)) * fn(form))
-    return out
+    return alpha.map_form(lambda form: fn(form) if form.k % 2 else -fn(form), dt, du)
 
 
 def diff_tL_ud_dressed(sd, alpha):
@@ -214,13 +206,7 @@ def _pair_det(sd, I, J):
 def _complement_sign(I, nvars):
     """dz_I ^ dz_{I^c} = sign * dz_{0..nvars-1}."""
     Ic = tuple(i for i in range(nvars) if i not in I)
-    seq = I + Ic
-    sign = 1
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                sign = -sign
-    return sign, Ic
+    return koszul_sign(I + Ic, (1,) * nvars), Ic
 
 
 def symplectic_star(sd, form):
@@ -493,12 +479,9 @@ def spectral_degeneration_probe(pi, cap, nt):
         form = Form(nvars, len(key), {key: Poly.monomial(nvars, e)})
         return [(j, deRham_d(form)), (j + 1, lie_derivative(pi, form))]
 
-    def image_d(j, key, e):
-        form = Form(nvars, len(key), {key: Poly.monomial(nvars, e)})
-        return [(j, deRham_d(form))]
-
     dims, hom = _graded_betti(nvars, cap, nt, image_full)
-    _, betti_d = _graded_betti(nvars, cap, 1, image_d)
+    # at nt = 1 the t*L pieces leave the complex: the plain d-model
+    _, betti_d = _graded_betti(nvars, cap, 1, image_full)
     rows = []
     for J, dim in enumerate(dims):
         pred = sum(betti_d[J - 2 * j] for j in range(nt) if 0 <= J - 2 * j <= nvars)

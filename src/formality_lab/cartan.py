@@ -29,6 +29,7 @@ from math import factorial
 from operator import add
 
 from .core.basis import Sparse, add_term
+from .core.signs import koszul_sign
 from .poly import Poly, monomials_upto
 from .polydiff import PolyDiffOperator
 
@@ -103,9 +104,6 @@ class _Exterior(Sparse):
         checker turns what ``wedge_into``/``schouten_into`` accumulated into
         an element."""
         return partial(_make, cls, nvars)
-
-    def _like(self, c):
-        return _make(type(self), self.nvars, self.k, c)
 
     def _same(self, other):
         """A zero of any degree (over-contracting gives degree 0) adds to
@@ -383,10 +381,7 @@ def hkr(mv):
     terms = {}
     for key, p in polys.items():
         for perm in permutations(range(k)):
-            inv = sum(
-                1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b]
-            )
-            sgn = -1 if inv % 2 else 1
+            sgn = koszul_sign(perm, (1,) * k)
             tkey = []
             for b in range(k):
                 e = [0] * n

@@ -107,9 +107,9 @@ class Sparse:
     """A vector stored as the zero-free dict ``c``: basis key -> exact
     scalar, or -> a nonzero container that is itself a vector.
 
-    A subclass names in ``_space`` the slots that fix its vector space and
-    builds an element of that space around a zero-free dict in ``_like``;
-    its ``__init__`` checks outside input.  Sums, differences, negation,
+    A subclass names in ``_space`` the slots that fix its vector space, and
+    its ``__init__`` checks outside input.  Building an element of that
+    space around a zero-free dict (``_like``), sums, differences, negation,
     scalar multiples, equality and the zero test are defined here, once.
     Elements of different spaces (or types) raise ``ValueError`` when
     added and are unequal.
@@ -119,8 +119,14 @@ class Sparse:
     _space = ()
 
     def _like(self, c):
-        """The element of this element's space whose dict is ``c``, unchecked."""
-        raise NotImplementedError
+        """The element of this element's space whose dict is ``c``, taken
+        over unchecked: a new object of this type with every ``_space`` slot
+        copied."""
+        out = object.__new__(type(self))
+        for slot in self._space:
+            setattr(out, slot, getattr(self, slot))
+        out.c = c
+        return out
 
     def _same(self, other):
         """Raise ValueError unless ``other`` lies in this element's space;

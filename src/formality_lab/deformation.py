@@ -106,6 +106,8 @@ def moyal(pi, nt, model=None):
                   d_{i1..im} f * d_{j1..jm} g.
     """
     n = len(pi)
+    if not n:
+        raise ValueError("matrix must have at least one row")
     for row in pi:
         if len(row) != n:
             raise ValueError("matrix must be square")

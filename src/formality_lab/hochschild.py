@@ -45,11 +45,6 @@ class Cochain(Sparse):
                 for k, x in vec(*v.items()).items():
                     add_term(self.c, (tup, k), x)
 
-    def _like(self, c):
-        out = object.__new__(Cochain)
-        out.algebra, out.arity, out.c = self.algebra, self.arity, c
-        return out
-
     # -- constructors -------------------------------------------------------
     @classmethod
     def zero(cls, algebra, arity):
@@ -271,11 +266,6 @@ class Chain(Sparse):
     @classmethod
     def elementary(cls, algebra, tup):
         return cls(algebra, len(tup) - 1, {tuple(tup): 1})
-
-    def _like(self, c):
-        out = object.__new__(Chain)
-        out.algebra, out.n, out.c = self.algebra, self.n, c
-        return out
 
     def normalized(self):
         """Kill terms with the unit in a reducible slot (positions 1..n)."""

@@ -239,11 +239,6 @@ class MCElement(Sparse):
             if k <= nt and v is not None and not v.is_zero():
                 self.c[k] = v
 
-    def _like(self, c):
-        out = object.__new__(MCElement)
-        out.nt, out.c = self.nt, c
-        return out
-
 
 def _series_bracket(S, n, series_list, nt):
     """Order-by-order n-ary bracket of formal series elements.
@@ -434,12 +429,8 @@ def _principal_lattice(nvars, d):
     total degree <= d in the 3 * nvars exponent entries (Chung-Yao, On
     lattices admitting unique Lagrange interpolations, 1977): such a
     polynomial that vanishes on them is zero."""
-    return [
-        (ea, eb, ec)
-        for ea in monomials_upto(nvars, d)
-        for eb in monomials_upto(nvars, d - sum(ea))
-        for ec in monomials_upto(nvars, d - sum(ea) - sum(eb))
-    ]
+    n = nvars
+    return [(e[:n], e[n : 2 * n], e[2 * n :]) for e in monomials_upto(3 * n, d)]
 
 
 def _lattice(A):

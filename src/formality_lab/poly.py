@@ -88,12 +88,6 @@ class Poly(Sparse):
         return sorted(self.c.items())
 
     # -- arithmetic (the vector-space half is ``Sparse``'s) -----------------
-    def _like(self, c):
-        p = object.__new__(Poly)
-        p.n = self.n
-        p.c = c
-        return p
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             if not isinstance(other, (int, Fraction)):

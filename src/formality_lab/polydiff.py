@@ -111,11 +111,6 @@ class PolyDiffOperator(Sparse):
             op.c[()] = poly
         return op
 
-    def _like(self, c):
-        out = object.__new__(PolyDiffOperator)
-        out.nvars, out.arity, out.c = self.nvars, self.arity, c
-        return out
-
     def assemble(self, other, arity, rows):
         """The operator of ``arity`` whose rows {slot multi-indices:
         {exponent: scalar}} are ``rows``, summed from insertions of
@@ -236,16 +231,6 @@ def _block_keys(target):
     return blocks
 
 
-def _splits(tau, slots):
-    """All ordered tuples of ``slots`` multi-indices summing to tau: one
-    composition of each tau[v] per variable, the first variable slowest
-    (``solve``'s free-variable choice depends on this column order)."""
-    return [
-        tuple(tuple(comp[s] for comp in choice) for s in range(slots))
-        for choice in _cartesian(*(_compositions(t, slots) for t in tau))
-    ]
-
-
 def delta_primitive(target):
     """Solve delta(X) = target for X of one lower arity; None if not exact.
 
@@ -259,7 +244,9 @@ def delta_primitive(target):
     arity = target.arity - 1
     result = PolyDiffOperator(nv, arity)
     for (mono, tau), rhs_terms in _block_keys(target).items():
-        basis = _splits(tau, arity)
+        # every ordered split of tau over the slots, the first variable
+        # slowest (``solve``'s free-variable choice depends on this order)
+        basis = [split for split, _ in _leibniz_splits(tau, arity)]
         images = []
         for bkey in basis:
             img = delta(PolyDiffOperator(nv, arity, {bkey: Poly.monomial(nv, mono, 1)}))

@@ -590,6 +590,17 @@ def test_object_integer_out_of_bounds_exits_two(tmp_path, capsys, spec, message)
     assert f"objects.a: {message}" in capsys.readouterr().err
 
 
+def test_empty_star_product_matrix_exits_two(tmp_path, capsys):
+    # a 0-variable product would pass every mc-star check vacuously
+    text = (
+        "objects:\n  s: {kind: star-product, matrix: []}\n"
+        "jobs:\n  - {op: mc-star, name: j, star: s}\n"
+    )
+    rc = main(["run", _write(tmp_path, text)])
+    assert rc == 2
+    assert "objects.s: matrix must have at least one row" in capsys.readouterr().err
+
+
 def test_job_values_are_checked_resolved_and_defaulted():
     from formality_lab.suites import check_job_args
 

@@ -61,7 +61,7 @@ from fraction_count import counting_fractions
 from parent_cochain import Cochain as ParentCochain
 from parent_cochain import flat, reference
 from shared_tools import leaves, schouten_structure
-from test_associativity_oracle import _mixed_order_product, _seeded_moyal
+from star_products import _mixed_order_product, _seeded_moyal
 
 # -- comparison --------------------------------------------------------------------
 

@@ -23,8 +23,11 @@ value and scalar type per key, since a flat sum lists a new output of an
 existing input last.
 
 No class under ``src/`` but ``core.basis.Sparse`` writes ``+``, ``-``,
-negation or ``==``, and only ``Sparse`` containers write a product with a
-scalar (an AST scan).
+negation, ``==`` or ``_like``, and only ``Sparse`` containers write a
+product with a scalar (an AST scan).  ``Sparse._like`` copies the ``_space``
+slots, so every container's slots are its ``_space`` and ``c``, and on
+every container ``_like`` keeps the type and the space objects and takes
+its dict over.
 """
 
 import ast
@@ -423,8 +426,8 @@ def _defined_names(node):
 
 
 def arithmetic_outside_the_base(package_dir):
-    """``module:Class.method`` for each ``__add__``, ``__sub__``, ``__neg__``
-    or ``__eq__`` a class outside ``core/basis.py`` defines, and each
+    """``module:Class.method`` for each ``__add__``, ``__sub__``, ``__neg__``,
+    ``__eq__`` or ``_like`` a class outside ``core/basis.py`` defines, and each
     ``__mul__`` or ``__rmul__`` of a class that is not a ``Sparse``
     container.  Subclassing is followed by name through the package."""
     classes = []
@@ -444,7 +447,7 @@ def arithmetic_outside_the_base(package_dir):
     found = []
     for module, node in classes:
         for name in _defined_names(node):
-            vector_op = name in ("__add__", "__sub__", "__neg__", "__eq__")
+            vector_op = name in ("__add__", "__sub__", "__neg__", "__eq__", "_like")
             product = name in ("__mul__", "__rmul__")
             if (vector_op and module != "core/basis.py") or (product and node.name not in sparse):
                 found.append(f"{module}:{node.name}.{name}")
@@ -453,3 +456,30 @@ def arithmetic_outside_the_base(package_dir):
 
 def test_only_the_sparse_base_writes_vector_space_arithmetic():
     assert arithmetic_outside_the_base(PACKAGE) == []
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_seeded_containers_are_every_sparse_class():
+    concrete = {
+        cls
+        for cls in _subclasses(Sparse)
+        if cls.__module__.startswith("formality_lab.") and not cls.__subclasses__()
+    }
+    assert concrete == {type(make(random.Random(0))) for make, _ in SEEDED.values()}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_like_keeps_the_type_and_space_and_takes_the_dict_over(name):
+    x = SEEDED[name][0](random.Random(sorted(SEEDED).index(name)))
+    slots = {s for cls in type(x).__mro__ for s in getattr(cls, "__slots__", ())}
+    assert slots == set(x._space) | {"c"}
+    for c in ({}, dict(x.c)):
+        y = x._like(c)
+        assert type(y) is type(x)
+        assert all(getattr(y, slot) is getattr(x, slot) for slot in x._space)
+        assert y.c is c
