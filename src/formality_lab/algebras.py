@@ -20,7 +20,7 @@ class StructureAlgebra:
     triples and refuses a table that fails one.
     """
 
-    def __init__(self, labels, table, unit_vector=None):
+    def __init__(self, labels, table):
         self.labels = list(labels)
         self.dim = len(self.labels)
         self.table = {}
@@ -34,9 +34,7 @@ class StructureAlgebra:
             if entry:
                 self.table[(i, j)] = entry
         self._check_associative()
-        if unit_vector is None:
-            unit_vector = self._solve_unit()
-        self.unit = vec(*unit_vector.items())
+        self.unit = vec(*self._solve_unit().items())
         # index of the unit when it is literally a basis element
         self.unit_index = None
         if len(self.unit) == 1:

@@ -57,9 +57,6 @@ class StarProduct:
             self.ops[m] = pd.PolyDiffOperator(op.nvars, 2, op.c)
             self.reach[m] = reach
 
-    def correction(self, m):
-        return self.ops.get(m)
-
     def star(self, f, g):
         """f*g as {t-order: polynomial}, zero orders omitted."""
         return self.star_series({0: f}, {0: g})
@@ -253,7 +250,7 @@ def leading_poisson(s):
     describes it.
     """
     n = s.model.nvars
-    P1 = s.correction(1) or pd.PolyDiffOperator(n, 2)
+    P1 = s.ops.get(1) or pd.PolyDiffOperator(n, 2)
     anti = P1 - _opposite(P1)
     out = MultiVector(n, 2, {
         (i, j): anti.apply([Poly.var(n, i), Poly.var(n, j)])
@@ -311,6 +308,17 @@ class TraceCandidate:
         return out
 
 
+def _pair_sweep(monos, value):
+    """``value(a, b)`` on every ordered pair of indices into ``monos``: a
+    witness ((ea, eb), v) for each nonzero value v."""
+    witnesses = []
+    for (a, ea), (b, eb) in product(enumerate(monos), repeat=2):
+        v = value(a, b)
+        if v:
+            witnesses.append(((ea, eb), v))
+    return CheckReport(len(monos) ** 2, witnesses)
+
+
 def trace_defect(tau, s, degree=None):
     """tau(f*g - g*f) over monomial pairs; witnesses carry the value as
     {t-order: scalar}.
@@ -327,22 +335,15 @@ def trace_defect(tau, s, degree=None):
     monos = monomials_upto(n, degree)
     polys = [Poly.monomial(n, e) for e in monos]
     pair = [[s.star(f, g) for g in polys] for f in polys]
-    witnesses = []
-    checked = 0
-    for ia, ea in enumerate(monos):
-        for ib, eb in enumerate(monos):
-            fwd = pair[ia][ib]
-            bwd = pair[ib][ia]
-            comm = {}
-            for k in set(fwd) | set(bwd):
-                d = fwd.get(k, Poly.zero(n)) - bwd.get(k, Poly.zero(n))
-                if not d.is_zero():
-                    comm[k] = d
-            val = tau.evaluate_orders(comm)
-            checked += 1
-            if val:
-                witnesses.append(((ea, eb), val))
-    return CheckReport(checked, witnesses)
+
+    def value(a, b):
+        fwd, bwd = pair[a][b], pair[b][a]
+        zero = Poly.zero(n)
+        return tau.evaluate_orders(
+            {k: fwd.get(k, zero) - bwd.get(k, zero) for k in set(fwd) | set(bwd)}
+        )
+
+    return _pair_sweep(monos, value)
 
 
 def poisson_defect(tau, pi0, degree=4):
@@ -352,14 +353,7 @@ def poisson_defect(tau, pi0, degree=4):
     if tau.nvars != n:
         raise ValueError(f"trace in {tau.nvars} variables, bivector in {n}")
     monos = monomials_upto(n, degree)
-    witnesses = []
-    checked = 0
-    for ea in monos:
-        fa = Poly.monomial(n, ea)
-        for eb in monos:
-            fb = Poly.monomial(n, eb)
-            val = tau.evaluate(poisson_bracket(pi0, fa, fb))
-            checked += 1
-            if val:
-                witnesses.append(((ea, eb), val))
-    return CheckReport(checked, witnesses)
+    polys = [Poly.monomial(n, e) for e in monos]
+    return _pair_sweep(
+        monos, lambda a, b: tau.evaluate(poisson_bracket(pi0, polys[a], polys[b]))
+    )

@@ -8,7 +8,8 @@ with the suspension sign from core.signs.decalage_sign, so the identities
 take the pure shifted-Koszul form: a differential graded Lie algebra
 packaged as (l1, l2) passes with no manual sign threading.  A module is
 checked as the structure on the semidirect sum L + M in which M is an
-abelian ideal, so both identities are one generalized Jacobi residual.
+abelian ideal, so both identities are one generalized Jacobi residual,
+swept by one loop.
 
 Elements are vectors: a ``core.basis.Sparse`` container (chains and
 cochains, multivectors, forms, operators, series), whose +, scalar *, ==,
@@ -118,19 +119,26 @@ def linfty_residual(S, elements):
     return acc
 
 
-def check_linfty(S, max_arity=3):
-    """Sweep the generalized Jacobi identity over generator tuples."""
+def _jacobi_sweep(S, generators, lowest, max_arity, tails):
+    """The generalized Jacobi identity of S on each tuple of ``generators``
+    of length ``lowest`` .. ``max_arity``, followed by each tail in
+    ``tails``; generators and tails are (name, element) pairs.  A witness is
+    (the names of the tuple and its tail, the tuple's length, residual)."""
     witnesses = []
     checked = 0
-    for n in range(1, max_arity + 1):
-        for tup in combinations_with_replacement(S.generators, n):
-            names = [t[0] for t in tup]
-            elems = [t[1] for t in tup]
-            res = linfty_residual(S, elems)
-            checked += 1
-            if res is not None and not res.is_zero():
-                witnesses.append((tuple(names), len(elems), res))
+    for n in range(lowest, max_arity + 1):
+        for tup in combinations_with_replacement(generators, n):
+            for tail in tails:
+                res = linfty_residual(S, [x for _, x in tup + tail])
+                checked += 1
+                if res is not None and not res.is_zero():
+                    witnesses.append((tuple(name for name, _ in tup + tail), n, res))
     return CheckReport(checked, witnesses, max_arity)
+
+
+def check_linfty(S, max_arity=3):
+    """Sweep the generalized Jacobi identity over generator tuples."""
+    return _jacobi_sweep(S, S.generators, 1, max_arity, [()])
 
 
 # ------------------------------------------------------------------ modules
@@ -205,19 +213,8 @@ def check_module(M, max_arity=2):
     the generalized Jacobi identity of ``M.semidirect()`` on each tuple
     followed by one sample.  A witness names the tuple and the sample; its
     arity counts the algebra elements."""
-    T = M.semidirect()
-    witnesses = []
-    checked = 0
-    for n in range(0, max_arity + 1):
-        for tup in combinations_with_replacement(M.structure.generators, n):
-            names = [t[0] for t in tup]
-            elems = [t[1] for t in tup]
-            for mname, melem in M.samples:
-                res = linfty_residual(T, elems + [melem])
-                checked += 1
-                if res is not None and not res.is_zero():
-                    witnesses.append((tuple(names + [mname]), len(elems), res))
-    return CheckReport(checked, witnesses, max_arity)
+    tails = [(s,) for s in M.samples]
+    return _jacobi_sweep(M.semidirect(), M.structure.generators, 0, max_arity, tails)
 
 
 # ------------------------------------------------------------------ Maurer-Cartan

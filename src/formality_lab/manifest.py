@@ -91,13 +91,16 @@ def check(schema, raw, where, manifest, what):
     return out
 
 
-def integer(minimum, many=False):
-    """An integer >= minimum or, ``many``, a nonempty list of them."""
+def integer(minimum, many=False, maximum=None):
+    """An integer >= minimum, and <= maximum when there is one, or, ``many``,
+    a nonempty list of them."""
     def ok(x):
-        return not isinstance(x, bool) and isinstance(x, int) and x >= minimum
+        if isinstance(x, bool) or not isinstance(x, int):
+            return False
+        return minimum <= x and (maximum is None or x <= maximum)
 
     def parse(v, where, key, manifest):
-        bound = f">= {minimum}"
+        bound = f">= {minimum}" + ("" if maximum is None else f" and <= {maximum}")
         if many and not (isinstance(v, list) and v and all(map(ok, v))):
             raise ManifestError(f"{where}: {key} must be a list of integers {bound}")
         if not many and not ok(v):

@@ -12,6 +12,7 @@ default caps; individual ops accept small overrides where noted.
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import comb
 from types import SimpleNamespace
 
 from . import ahat as ah
@@ -118,10 +119,11 @@ def _rand_mv(rng, n, k, deg=1):
     )
 
 
-def _mv_basis(n, kmax, deg):
-    """Monomial multivector basis: one coefficient monomial per index tuple."""
+def _monomial_basis(cls, n, kmax, deg):
+    """Monomial basis of multivectors or forms (``cls``) of degree at most
+    ``kmax``: one coefficient monomial per index tuple."""
     return [
-        ct.MultiVector(n, len(key), {key: Poly.monomial(n, e)})
+        cls(n, len(key), {key: Poly.monomial(n, e)})
         for key, e in ct.frame_monomials(n, range(kmax + 1), deg)
     ]
 
@@ -129,14 +131,6 @@ def _mv_basis(n, kmax, deg):
 def _mv_label(v):
     parts = [f"{c}*x^{list(e)}@{list(key)}" for (key, e), c in sorted(v.c.items())]
     return " + ".join(parts) if parts else "0"
-
-
-def _form_samples(sd, cap=2):
-    n = sd.nvars
-    return [
-        ct.Form(n, len(key), {key: Poly.monomial(n, e)})
-        for key, e in ct.frame_monomials(n, range(n + 1), cap)
-    ]
 
 
 def _moyal_plane(nt=4, cap=4):
@@ -180,11 +174,8 @@ def _schouten_generators():
 
 
 def _chain_samples(A, top=2):
-    out = []
-    for n in range(0, top + 1):
-        for tup in product(range(A.dim), repeat=n + 1):
-            out.append((f"ch{tup}", hh.Chain.elementary(A, tup)))
-    return out
+    chains = (ch for n in range(top + 1) for ch in _all_chains(A, n))
+    return [(f"ch{next(iter(ch.c))}", ch) for ch in chains]
 
 
 def _chains_module(A, S, boundary):
@@ -257,9 +248,15 @@ def _weights(v, where, key, manifest):
 
 # ------------------------------------------------------------------ cochain laws
 
+_POOL = (1, 1, 2, 2, 3)  # arities of the seeded cochains the Jacobi triples draw
+
+
 @_op(
     "identity-suite",
-    {"algebra": (_ALGEBRA, None), "jacobi-samples": (integer(1), 20)},
+    {
+        "algebra": (_ALGEBRA, None),
+        "jacobi-samples": (integer(1, maximum=comb(len(_POOL) + 2, 3)), 20),
+    },
 )
 def _identity_suite(args):
     """Square-zero differential, graded Jacobi, product Leibniz, and closure
@@ -291,7 +288,7 @@ def _identity_suite(args):
                     ),
                 )
         rng = random.Random(101)
-        pool = [_rand_cochain(A, a, rng) for a in (1, 1, 2, 2, 3)]
+        pool = [_rand_cochain(A, a, rng) for a in _POOL]
         triples = list(combinations_with_replacement(range(len(pool)), 3))
         for idx in triples[:nsamp]:
             D, E, F = (pool[i] for i in idx)
@@ -507,36 +504,39 @@ def _hkr_suite(args):
             pd.delta(ct.hkr(piv)).is_zero(),
             lambda i=i: f"operator of sampled multivector {i} is not closed",
         )
-    rng = random.Random(304)
-    for i in range(3):
-        piv = ct.MultiVector(2, 2, {(0, 1): _rand_poly(rng, 2, 2)})
-        psi = ct.MultiVector(2, 2, {(0, 1): _rand_poly(rng, 2, 2)})
-        defect = pd.bracket(ct.hkr(piv), ct.hkr(psi)) - ct.hkr(ct.schouten(piv, psi))
+    for defect, i, what in _hkr_defects():
         Y = pd.delta_primitive(defect)
         t.ok(
             Y is not None and pd.delta(Y) == defect,
-            lambda i=i: f"bracket defect {i} has no solved primitive",
-        )
-    rng = random.Random(305)
-    for i in range(3):
-        piv = ct.MultiVector(2, 2, {(0, 1): _rand_poly(rng, 2, 1)})
-        psi = ct.MultiVector(2, 2, {(0, 1): _rand_poly(rng, 2, 1)})
-        defect = pd.cup(ct.hkr(piv), ct.hkr(psi)) - ct.hkr(piv.wedge(psi))
-        Y = pd.delta_primitive(defect)
-        t.ok(
-            Y is not None and pd.delta(Y) == defect,
-            lambda i=i: f"product defect {i} has no solved primitive",
+            lambda i=i, what=what: f"{what} defect {i} has no solved primitive",
         )
     return t.outcome("symbol-map suite")
 
 
-@_op("mu-suite", {"max-degree": (integer(1), 3)})
+def _hkr_defects():
+    """(defect, index, law) of the symbol map against the bracket and the
+    product, on three seeded bivector pairs each."""
+    for seed, deg, op, law, what in (
+        (304, 2, pd.bracket, ct.schouten, "bracket"),
+        (305, 1, pd.cup, ct.MultiVector.wedge, "product"),
+    ):
+        rng = random.Random(seed)
+        for i in range(3):
+            piv = ct.MultiVector(2, 2, {(0, 1): _rand_poly(rng, 2, deg)})
+            psi = ct.MultiVector(2, 2, {(0, 1): _rand_poly(rng, 2, deg)})
+            yield op(ct.hkr(piv), ct.hkr(psi)) - ct.hkr(law(piv, psi)), i, what
+
+
+# the suite's work about doubles with each degree: 8,330 checks at degree 6
+@_op("mu-suite", {"max-degree": (integer(1, maximum=6), 3)})
 def _mu_suite(args):
     """The chain-to-form map kills boundaries and turns the cyclic
-    operator into the exterior derivative, on monomial chains."""
+    operator into the exterior derivative, on monomial chains.  The jet
+    algebra is cut off at the largest chain weight, so no product of a
+    sampled chain is truncated."""
     maxdeg = args["max-degree"]
-    model = FunctionModel(2, 4)
-    A = jet_algebra(2, 4)
+    model = FunctionModel(2, maxdeg)
+    A = jet_algebra(2, maxdeg)
     t = _Tally()
     for nn in range(0, 4):
         for tup in product(range(model.dim), repeat=nn + 1):
@@ -566,7 +566,7 @@ def _schouten_suite(args):
     nbiv = args["bivector-samples"]
     t = _Tally()
     # shifted antisymmetry: exhaustive over the monomial basis, deep coefficients
-    basis4 = _mv_basis(3, 3, 2)
+    basis4 = _monomial_basis(ct.MultiVector, 3, 3, 2)
     for a, b in combinations_with_replacement(range(len(basis4)), 2):
         A, B = basis4[a], basis4[b]
         r = {}
@@ -580,7 +580,7 @@ def _schouten_suite(args):
         )
     # shifted Jacobi and wedge Leibniz: exhaustive over the linear-coefficient
     # basis, with every bracket of two basis elements read from one table
-    basis1 = _mv_basis(3, 3, 1)
+    basis1 = _monomial_basis(ct.MultiVector, 3, 3, 1)
     S = [[ct.schouten(A, B) for B in basis1] for A in basis1]
     for ia, ib, icx in combinations_with_replacement(range(len(basis1)), 3):
         A, B, C = basis1[ia], basis1[ib], basis1[icx]
@@ -792,7 +792,7 @@ def _gerstenhaber_suite(args):
     t = _Tally()
     gens3 = [
         (f"v{g.k}{''.join(map(str, key))}_{e[0]}{e[1]}", g)
-        for g in _mv_basis(2, 2, 3)
+        for g in _monomial_basis(ct.MultiVector, 2, 2, 3)
         for key, e in g.c  # the one term of g
     ]
     plain = lf.GerstenhaberData.from_rules(2, ct._wedge_rule, ct._schouten_rule, gens3)
@@ -843,7 +843,8 @@ def _pipeline_chain_maps(args):
     total = 0
     for n in planes:
         sd = ah.SymplecticData(n)
-        samples = [ah.SeriesForm.wrap(f) for f in _form_samples(sd, cap)]
+        forms = _monomial_basis(ct.Form, sd.nvars, sd.nvars, cap)
+        samples = [ah.SeriesForm.wrap(f) for f in forms]
         rep = ah.check_pipeline_chain_maps(sd, samples)
         total += rep.checked
         t.ok(
@@ -892,7 +893,7 @@ def _flat_transport(args):
         )
         # function-linearity on coordinate multiples of sample forms
         x0 = Poly.var(sd.nvars, 0)
-        for f in _form_samples(sd, 1):
+        for f in _monomial_basis(ct.Form, sd.nvars, sd.nvars, 1):
             lhs = ah.nu0(sd, ah.SeriesForm.wrap(x0 * f))
             rhs = ah.nu0(sd, ah.SeriesForm.wrap(f)).map_form(lambda g: x0 * g)
             t.ok(

@@ -1,8 +1,6 @@
 """Helpers that several test modules share: the scalars of a nested
-``Sparse``, and the Schouten bracket as an L-infinity structure."""
+``Sparse``."""
 
-from formality_lab import cartan as ct
-from formality_lab import linfty as lf
 from formality_lab.core.basis import Sparse
 
 
@@ -15,9 +13,3 @@ def leaves(x):
             yield from leaves(v)
         else:
             yield v
-
-
-def schouten_structure(gens=()):
-    return lf.LInftyStructure(
-        lambda v: v.k - 1, {2: lambda a: ct.schouten(a[0], a[1])}, gens
-    )

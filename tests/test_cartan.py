@@ -27,6 +27,7 @@ from formality_lab.core.basis import add_term, vec
 from formality_lab.algebras import FunctionModel, jet_algebra
 from formality_lab.hochschild import Chain, chain_b, connes_B
 from formality_lab.polydiff import bracket, cup, delta, delta_primitive
+from formality_lab.suites import _rand_poly as rand_poly
 
 from algebra_tools import apply
 from jet_tables import from_polydiff
@@ -35,16 +36,6 @@ from jet_tables import from_polydiff
 def coeff(x, key):
     """The polynomial coefficient of the frame ``key`` in a multivector or form."""
     return Poly(x.nvars, {e: v for (f, e), v in x.c.items() if f == key})
-
-
-def rand_poly(rng, n, deg, nterms=2):
-    p = Poly.zero(n)
-    for _ in range(nterms):
-        e = [0] * n
-        for _ in range(rng.randint(0, deg)):
-            e[rng.randrange(n)] += 1
-        p = p + Poly.monomial(n, tuple(e), Fraction(rng.randint(-2, 2)))
-    return p
 
 
 def rand_mv(rng, n, k, deg=1):

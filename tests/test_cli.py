@@ -480,7 +480,15 @@ OBJECTS = (
             "{op: identity-suite, name: q, jacobi-samples: 0}",
             "'jacobi-samples' must be an integer >= 1",
         ),
+        (
+            "{op: identity-suite, name: q, jacobi-samples: 36}",
+            "'jacobi-samples' must be an integer >= 1 and <= 35",
+        ),
         ("{op: mu-suite, name: q, max-degree: 0}", "'max-degree' must be an integer >= 1"),
+        (
+            "{op: mu-suite, name: q, max-degree: 7}",
+            "'max-degree' must be an integer >= 1 and <= 6",
+        ),
         ("{op: flat-transport, name: q, planes: []}", "planes must be a list of integers"),
         ("{op: ahat-flat, name: q, nt-values: [1]}", "nt-values must be a list of integers"),
         ("{op: degeneration-probe, name: q, multivector: v}", "'v' must have degree 2"),
@@ -614,6 +622,22 @@ def test_job_values_are_checked_resolved_and_defaulted():
     assert values["algebra"] == ("a", mf.objects["a"][1])
     assert [values[k] for k in ("top", "reduced", "kind", "expect")] == [
         4, True, "homology", None
+    ]
+
+
+def test_mu_suite_passes_above_the_default_degree(tmp_path, capsys):
+    # the jet algebra is cut off at max-degree, so no sampled chain's
+    # product is truncated into a false failure
+    text = (
+        "jobs:\n"
+        "  - {op: mu-suite, name: d4, max-degree: 4}\n"
+        "  - {op: mu-suite, name: d5, max-degree: 5}\n"
+    )
+    rc = main(["run", _write(tmp_path, text), "--format", "structured"])
+    jobs = json.loads(capsys.readouterr().out)["jobs"]
+    assert rc == 0
+    assert [(job["status"], job["data"]["checked"]) for job in jobs] == [
+        ("pass", 1580), ("pass", 3792)
     ]
 
 

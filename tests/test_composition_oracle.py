@@ -60,7 +60,7 @@ from formality_lab.polydiff import PolyDiffOperator
 from fraction_count import counting_fractions
 from parent_cochain import Cochain as ParentCochain
 from parent_cochain import flat, reference
-from shared_tools import leaves, schouten_structure
+from shared_tools import leaves
 from star_products import _mixed_order_product, _seeded_moyal
 
 # -- comparison --------------------------------------------------------------------
@@ -138,11 +138,7 @@ def _compare_compositions(D, E):
     return new[-1]
 
 
-def _operator_dgla():
-    return lf.dgla(lambda op: op.arity - 1, pd.delta, pd.bracket, [])
-
-
-def _compare_residual(pi, make=_operator_dgla):
+def _compare_residual(pi, make=suites._operator_dgla):
     """mc_residual against the reference residual of the reference series:
     the ``Fraction(1, n!)`` sum of every ordered bracket."""
     new = lf.mc_residual(make(), pi)
@@ -315,7 +311,7 @@ def test_mc_residual_builds_no_fractions_beyond_its_series():
     # the series is cleared and bracketed on integer numerators: only a
     # non-integral scalar of the residual builds a Fraction, and these
     # products are flat
-    S = _operator_dgla()
+    S = suites._operator_dgla()
     for s, scalars in ((suites._moyal_plane(), 14), (_star_corrections()[0], 69)):
         pi = df.star_to_mc(s)
         assert sum(len(p.c) for op in pi.c.values() for p in op.c.values()) == scalars
@@ -339,9 +335,10 @@ def test_curved_schouten_residuals_match_reference():
     curved = ct.MultiVector(3, 2, {(0, 1): one3, (0, 2): x3})
     second = ct.MultiVector(3, 2, {(1, 2): Fraction(1, 3) * x3 * y3, (0, 1): Fraction(-1, 2) * y3})
     fractional = ct.MultiVector(3, 2, {(0, 1): Fraction(1, 2) * one3, (0, 2): Fraction(2, 5) * x3})
-    res = _compare_residual(lf.MCElement({1: curved}, 4), schouten_structure)
+    schouten = suites._schouten_structure
+    res = _compare_residual(lf.MCElement({1: curved}, 4), schouten)
     assert sorted(res) == [2] and res[2] == ct.jacobiator(curved)
-    res = _compare_residual(lf.MCElement({1: fractional, 2: second}, 4), schouten_structure)
+    res = _compare_residual(lf.MCElement({1: fractional, 2: second}, 4), schouten)
     assert sorted(res) == [2, 3]
     assert any(type(x) is Fraction for v in res.values() for x in leaves(v))
 

@@ -7,6 +7,7 @@ import pytest
 from formality_lab import deformation as df
 from formality_lab import linfty as lf
 from formality_lab import polydiff as pd
+from formality_lab import suites
 from formality_lab.algebras import FunctionModel
 from formality_lab.cartan import MultiVector, jacobiator
 from formality_lab.poly import Poly, monomials_upto
@@ -18,16 +19,6 @@ Y = Poly.var(2, 1)
 
 def moyal_plane():
     return df.moyal([[0, HALF], [-HALF, 0]], 4)
-
-
-def operator_dgla():
-    return lf.dgla(lambda op: op.arity - 1, pd.delta, pd.bracket, [])
-
-
-def skewed_product():
-    """Unit-normalized single correction that does not extend: P1 = dx (x) dx."""
-    op = pd.PolyDiffOperator(2, 2, {((1, 0), (1, 0)): 1})
-    return df.StarProduct(FunctionModel(2, 4), {1: op}, 3)
 
 
 def test_coordinate_products():
@@ -95,7 +86,7 @@ def test_moyal_is_associative_to_full_order():
 
 
 def test_skewed_product_fails_exactly_at_second_order():
-    rep = df.check_associativity(skewed_product(), degree=2)
+    rep = df.check_associativity(suites._skewed_product(), degree=2)
     assert not rep.ok
     assert {order for _, order, _ in rep.witnesses} == {2}
     # the order-2 defect is d2f*dg*dh - df*dg*d2h; on (x^2, x, x) that is 2
@@ -103,7 +94,7 @@ def test_skewed_product_fails_exactly_at_second_order():
     trip = ((2, 0), (1, 0), (1, 0))
     assert defects[trip] == Poly.const(2, 2)
     assert len(defects) == 12
-    s = skewed_product()
+    s = suites._skewed_product()
     f = X * X
     lhs = s.star_series(s.star(f, X), {0: X})
     rhs = s.star_series({0: f}, s.star(X, X))
@@ -111,10 +102,10 @@ def test_skewed_product_fails_exactly_at_second_order():
 
 
 def test_flatness_residual_equals_associator_order_by_order():
-    S = operator_dgla()
+    S = suites._operator_dgla()
     assert lf.mc_residual(S, df.star_to_mc(moyal_plane())) == {}
 
-    s = skewed_product()
+    s = suites._skewed_product()
     res = lf.mc_residual(S, df.star_to_mc(s))
     assert sorted(res) == [2]
     A2 = res[2]

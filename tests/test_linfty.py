@@ -1,12 +1,13 @@
 """Homotopy-Lie checkers: bracket tables, morphisms, modules, flatness."""
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 
 from formality_lab import cartan as ct
 from formality_lab import hochschild as hh
 from formality_lab import linfty as lf
 from formality_lab import polydiff as pd
+from formality_lab import suites
 from formality_lab.algebras import FunctionModel, dual_numbers
 from formality_lab.core.signs import decalage_sign, koszul_sign, unshuffle_sign
 from formality_lab.linfty import CheckReport, _accumulate
@@ -14,15 +15,6 @@ from formality_lab.poly import Poly, monomials_upto
 
 from jet_tables import from_polydiff
 from parent_module import act
-from shared_tools import schouten_structure
-
-
-def cochain_dgla(A, arities=(1, 2)):
-    gens = []
-    for ar in arities:
-        for i, c in enumerate(hh.basis_cochains(A, ar)):
-            gens.append((f"c{ar}_{i}", c))
-    return lf.dgla(lambda c: c.arity - 1, hh.delta, hh.bracket, gens)
 
 
 def mv(n, k, entries):
@@ -52,7 +44,7 @@ def schouten_generators():
 
 
 def test_cochain_dgla_passes():
-    S = cochain_dgla(dual_numbers())
+    S = suites._cochain_dgla(dual_numbers())
     rep = lf.check_linfty(S, max_arity=3)
     assert rep.ok
     assert rep.checked == 454
@@ -60,7 +52,7 @@ def test_cochain_dgla_passes():
 
 def test_perturbed_differential_fails_with_witness():
     A = dual_numbers()
-    S = cochain_dgla(A)
+    S = suites._cochain_dgla(A)
     E = hh.basis_cochains(A, 1)[1]
     bad = lf.dgla(
         lambda c: c.arity - 1,
@@ -92,7 +84,7 @@ def test_polydiff_dgla_passes():
 
 
 def test_multivector_bracket_passes():
-    S = schouten_structure(schouten_generators())
+    S = suites._schouten_structure(schouten_generators())
     rep = lf.check_linfty(S, max_arity=3)
     assert rep.ok
 
@@ -100,26 +92,18 @@ def test_multivector_bracket_passes():
 # -- modules ----------------------------------------------------------------------
 
 
-def chain_samples(A, top=2):
-    out = []
-    for n in range(0, top + 1):
-        for tup in product(range(A.dim), repeat=n + 1):
-            out.append((f"ch{tup}", hh.Chain.elementary(A, tup)))
-    return out
-
-
 def chains_module(A, S):
     return lf.LInftyModule(
         S,
         lambda ch: -ch.n,
         {0: lambda xs, m: hh.chain_b(m), 1: lambda xs, m: hh.lie_action(xs[0], m)},
-        chain_samples(A),
+        suites._chain_samples(A),
     )
 
 
 def test_chains_are_a_module_over_cochains():
     A = dual_numbers()
-    S = cochain_dgla(A)
+    S = suites._cochain_dgla(A)
     M = chains_module(A, S)
     rep = lf.check_module(M, max_arity=2)
     assert rep.ok
@@ -137,7 +121,7 @@ def form_samples():
 
 
 def test_forms_are_a_module_under_lie_transport():
-    S = schouten_structure(schouten_generators())
+    S = suites._schouten_structure(schouten_generators())
     for with_d in (True, False):
         acts = {1: lambda xs, m: ct.lie_derivative(xs[0], m)}
         if with_d:
@@ -151,11 +135,11 @@ def test_rescaled_differential_breaks_module_identity():
     # doubling the boundary scales the nested terms but not the
     # bracket-into-action terms, so the defect is the honest transport
     A = dual_numbers()
-    S = cochain_dgla(A)
+    S = suites._cochain_dgla(A)
     M = lf.LInftyModule(S, lambda ch: -ch.n,
                         {0: lambda xs, m: 2 * hh.chain_b(m),
                          1: lambda xs, m: hh.lie_action(xs[0], m)},
-                        chain_samples(A))
+                        suites._chain_samples(A))
     rep = lf.check_module(M, max_arity=1)
     assert not rep.ok
     for names, arity, res in rep.witnesses:
@@ -384,13 +368,13 @@ def check_module_morphism(phi, max_arity=2, tuples=None, module_samples=None):
 
 
 def test_identity_morphism_passes():
-    S = cochain_dgla(dual_numbers())
+    S = suites._cochain_dgla(dual_numbers())
     ident = LInftyMorphism(S, S, {1: lambda xs: xs[0]})
     assert check_morphism(ident, max_arity=3).ok
 
 
 def test_doubled_first_component_fails_only_at_pairs():
-    S = cochain_dgla(dual_numbers())
+    S = suites._cochain_dgla(dual_numbers())
     doubled = LInftyMorphism(S, S, {1: lambda xs: 2 * xs[0]})
     rep = check_morphism(doubled, max_arity=2)
     assert not rep.ok
@@ -403,7 +387,7 @@ def test_symbol_to_operator_map_obstruction():
     # and the checker must report exactly that gap
     gens = schouten_generators()
     lookup = dict(gens)
-    Ss = schouten_structure(gens)
+    Ss = suites._schouten_structure(gens)
     Spd = lf.dgla(lambda op: op.arity - 1, pd.delta, pd.bracket, [])
     f = LInftyMorphism(Ss, Spd, {1: lambda xs: ct.hkr(xs[0])})
     rep = check_morphism(f, max_arity=2)
@@ -431,7 +415,7 @@ def test_symbol_to_operator_map_obstruction():
 
 def test_identity_module_morphism_passes():
     A = dual_numbers()
-    S = cochain_dgla(A)
+    S = suites._cochain_dgla(A)
     M = chains_module(A, S)
     ident = LInftyModuleMorphism(M, M, {0: lambda xs, m: m})
     rep = check_module_morphism(ident, max_arity=2)
@@ -440,7 +424,7 @@ def test_identity_module_morphism_passes():
 
 def test_scaled_module_morphism_passes():
     A = dual_numbers()
-    S = cochain_dgla(A)
+    S = suites._cochain_dgla(A)
     M = chains_module(A, S)
     half = LInftyModuleMorphism(M, M, {0: lambda xs, m: Fraction(1, 2) * m})
     assert check_module_morphism(half, max_arity=1).ok
@@ -448,8 +432,8 @@ def test_scaled_module_morphism_passes():
 
 def test_module_morphism_requires_shared_structure():
     A = dual_numbers()
-    M1 = chains_module(A, cochain_dgla(A))
-    M2 = chains_module(A, cochain_dgla(A))
+    M1 = chains_module(A, suites._cochain_dgla(A))
+    M2 = chains_module(A, suites._cochain_dgla(A))
     try:
         LInftyModuleMorphism(M1, M2, {})
     except ValueError:
@@ -469,7 +453,7 @@ def test_trace_map_audit_reports_transport_gap():
     model = FunctionModel(2, 3)
     A = model.as_structure_algebra()
     pi = mv(2, 2, {(0, 1): ONE2})
-    S = schouten_structure([("pi", pi)])
+    S = suites._schouten_structure([("pi", pi)])
 
     def act_chain(xs, m):
         op = ct.hkr(xs[0])
@@ -520,14 +504,14 @@ def test_trace_map_audit_reports_transport_gap():
 
 
 def test_mc_residual_flat_and_curved():
-    S2 = schouten_structure()
+    S2 = suites._schouten_structure()
     flat = lf.MCElement({1: mv(2, 2, {(0, 1): ONE2})}, 4)
     assert lf.mc_residual(S2, flat) == {}
 
     one3 = Poly.const(3, 1)
     x3 = Poly.var(3, 0)
     curved0 = mv(3, 2, {(0, 1): one3, (0, 2): x3})
-    S3 = schouten_structure()
+    S3 = suites._schouten_structure()
     curved = lf.MCElement({1: curved0}, 4)
     res = lf.mc_residual(S3, curved)
     assert sorted(res) == [2]

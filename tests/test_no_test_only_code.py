@@ -1,5 +1,7 @@
-"""Guard: every def and class under ``src/formality_lab`` is reachable from
-the program itself, so no library code exists only for the tests.
+"""Guards: every def and class under ``src/formality_lab`` is reachable from
+the program itself, so no library code exists only for the tests; and no
+test function is a copy of a package function, so the tests import the
+builders they share with the program instead of restating them.
 
 A definition is unreachable when no identifier under the package refers to
 its name (a ``Name``, an ``Attribute``, an import alias, or a string constant
@@ -105,4 +107,56 @@ def test_src_holds_no_unreachable_definitions():
         f"{len(names)} definitions under src/ are reached by no program code "
         "(delete them, or move them under tests/ if a test uses them as a "
         "tool):\n  " + "\n  ".join(names)
+    )
+
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def _key(node):
+    """The AST dump of a function's arguments and of its body without the
+    docstring: two functions share it exactly when they differ at most in
+    name, decorators, docstring and comments."""
+    body = node.body
+    if ast.get_docstring(node, clean=False) is not None:
+        body = body[1:]
+    return ast.dump(node.args) + "".join(map(ast.dump, body))
+
+
+def _functions(root, top_level):
+    """(module.name, key) of every non-dunder function under ``root``, or of
+    the module-level ones only when ``top_level``."""
+    root = Path(root)
+    for path in sorted(root.rglob("*.py")):
+        module = ".".join(path.relative_to(root).with_suffix("").parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body if top_level else ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield f"{module}.{node.name}", _key(node)
+
+
+def copied_definitions(tests_dir, package_dir):
+    """The module-level test functions that are AST-identical to a function
+    of the package, as (test function, package function) pairs.  The
+    ``parent_*`` modules are exempt: they keep earlier package code verbatim,
+    as oracles for its rewrites."""
+    package = {}
+    for name, key in _functions(package_dir, top_level=False):
+        package.setdefault(key, name)
+    return sorted(
+        (name, package[key])
+        for name, key in _functions(tests_dir, top_level=True)
+        if key in package and not name.startswith("parent_")
+    )
+
+
+def test_tests_hold_no_copies_of_package_functions():
+    pairs = copied_definitions(TESTS, PACKAGE)
+    assert not pairs, (
+        f"{len(pairs)} test functions copy a package function (import the "
+        "package's instead):\n  "
+        + "\n  ".join(f"{copy} == {original}" for copy, original in pairs)
     )

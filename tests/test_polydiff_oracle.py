@@ -19,7 +19,10 @@ operator ``insert`` from before insertions were summed as rows, which
 ``_parent_splits`` is an earlier body of ``polydiff._splits``, verbatim:
 two nested recursive closures.  ``delta_primitive`` now reads its columns
 off ``_leibniz_splits`` without the weights, and solves for them in that
-order, so the lists must be equal, order included.
+order, so the lists must be equal, order included.  That order is
+observable: the cup-product defects of the hkr-suite have many primitives,
+and ``solve``'s free-variable choice picks one by the column order, which
+the pinned primitives below fix.
 """
 
 import random
@@ -32,7 +35,7 @@ import pytest
 from formality_lab import deformation as df
 from formality_lab import suites
 from formality_lab.poly import Poly, monomials_upto
-from formality_lab.polydiff import PolyDiffOperator, _leibniz_splits
+from formality_lab.polydiff import PolyDiffOperator, _leibniz_splits, delta_primitive
 from composition import insert, parent_composition
 from star_products import _monomial_table_check_associativity
 
@@ -348,3 +351,30 @@ def test_splits_match_reference_in_order():
     for tau, slots in cases:
         got = [split for split, _ in _leibniz_splits(tau, slots)]
         assert got == _parent_splits(tau, slots), (tau, slots)
+
+
+# the primitives of the hkr-suite's seeded product defects 0 and 2 (seed
+# 305), as {derivative key: {exponent: coefficient}}
+PINNED_PRIMITIVES = {
+    0: {
+        ((0, 1), (0, 1), (2, 0)): {(0, 0): 2, (0, 1): 2},
+        ((0, 1), (1, 0), (1, 1)): {(0, 0): 2, (0, 1): 2},
+        ((0, 1), (1, 1), (1, 0)): {(0, 0): 4, (0, 1): 4},
+        ((1, 0), (0, 1), (1, 1)): {(0, 0): -2, (0, 1): -2},
+        ((1, 0), (0, 2), (1, 0)): {(0, 0): -2, (0, 1): -2},
+    },
+    2: {
+        ((0, 1), (0, 1), (2, 0)): {(0, 1): -1},
+        ((0, 1), (1, 0), (1, 1)): {(0, 1): -1},
+        ((0, 1), (1, 1), (1, 0)): {(0, 1): -2},
+        ((1, 0), (0, 1), (1, 1)): {(0, 1): 1},
+        ((1, 0), (0, 2), (1, 0)): {(0, 1): 1},
+    },
+}
+
+
+def test_delta_primitive_picks_the_pinned_primitive():
+    defects = {i: d for d, i, what in suites._hkr_defects() if what == "product"}
+    for i, want in PINNED_PRIMITIVES.items():
+        Y = delta_primitive(defects[i])
+        assert {key: dict(p.c) for key, p in Y.c.items()} == want, i

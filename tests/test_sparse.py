@@ -161,8 +161,7 @@ FLOATS = {
     "PolyDiffOperator": lambda: PolyDiffOperator(2, 1, {((1, 0),): 0.5}),
     "0.5 * PolyDiffOperator": lambda: 0.5 * PolyDiffOperator.multiplication(2),
     "moyal": lambda: moyal([[0, 0.1], [-0.1, 0]], 1),
-    "StructureAlgebra table": lambda: StructureAlgebra(["e"], {(0, 0): {0: 0.5}}, {0: 1}),
-    "StructureAlgebra unit": lambda: StructureAlgebra(["e"], {(0, 0): {0: 1}}, {0: 1.0}),
+    "StructureAlgebra table": lambda: StructureAlgebra(["e"], {(0, 0): {0: 0.5}}),
 }
 
 
