@@ -164,14 +164,14 @@ def cup(D, E):
     return out
 
 
-def _delta_lookups(algebra, slots):
-    """The structure constants as the coboundary reads them, with every
-    new input index drawn from ``slots``: left[k] lists (b, m(k, b)),
-    right[k] lists (a, m(a, k)), and pre[c] lists (a, b, m(a, b)_c) for
-    each nonzero c-coefficient."""
+def _delta_lookups(algebra):
+    """The structure constants as the coboundary reads them: left[k] lists
+    (b, m(k, b)), right[k] lists (a, m(a, k)), and pre[c] lists
+    (a, b, m(a, b)_c) for each nonzero c-coefficient."""
     table = algebra.table
+    slots = range(algebra.dim)
     left, right, pre = {}, {}, {}
-    for k in range(algebra.dim):
+    for k in slots:
         left[k] = [(b, table[(k, b)]) for b in slots if (k, b) in table]
         right[k] = [(a, table[(a, k)]) for a in slots if (a, k) in table]
     for a in slots:
@@ -208,7 +208,7 @@ def _delta_terms(lookups, t, k):
             yield head + (a, b) + tail, k, s * c
 
 
-_ALL_LOOKUPS = WeakKeyDictionary()  # algebra -> _delta_lookups on every index
+_ALL_LOOKUPS = WeakKeyDictionary()  # algebra -> _delta_lookups
 
 
 def delta(D):
@@ -218,7 +218,7 @@ def delta(D):
     A = D.algebra
     lookups = _ALL_LOOKUPS.get(A)
     if lookups is None:
-        lookups = _ALL_LOOKUPS[A] = _delta_lookups(A, range(A.dim))
+        lookups = _ALL_LOOKUPS[A] = _delta_lookups(A)
     out = Cochain(A, D.arity + 1)
     for (t, k), c in D.c.items():
         for key, kk, w in _delta_terms(lookups, t, k):
@@ -376,17 +376,19 @@ def lie_action(D, ch):
 #
 # Every Betti rank is taken from the small side of its map.  Each map has one
 # row per basis element of its smaller space: b_n: C_n -> C_(n-1) one per
-# chain of degree n - 1 (its matrix, the transpose of the rows b(e_t)), and
-# delta_n: C^n -> C^(n+1) one per cochain of degree n.  The maps are then
-# eliminated bottom-up, each cleared by the one below (``linalg.betti``).
+# chain of degree n - 1 (its matrix, the transpose of the rows b(e_t)).  The
+# cochains are the dual of the chains with coefficients in A*, and delta is
+# b transposed there, up to sign (``cohomology_betti``), so the same rows
+# are delta's, one per cochain of the degree it leaves.  The maps are then eliminated
+# bottom-up, each cleared by the one below (``linalg.betti``).
 #
 # The matrices are built on integer basis indices, never on tuples.  A
 # chain (i_0, .., i_n) has the mixed-radix index i_0 R^n + r(i_1) R^(n-1) +
 # .. + r(i_n), where r(i) is the position of i among the R indices a
-# reducible slot allows (all dim of them, or the bar indices); a cochain key
-# (t, k) has the index idx(t) dim + k, with idx(t) in radix R throughout.
-# These are the lexicographic orders of the bases.  A face that acts on a
-# block of adjacent slots and carries the rest through is then the block
+# reducible slot allows (all dim of them, or the bar indices); the cochain
+# key (t, k) is the chain (k,) + t of A* (x) A^(x)n.  These are the
+# lexicographic orders of the chains.  A face that acts on a block of
+# adjacent slots and carries the rest through is then the block
 # I_p (x) M (x) I_s on those indices (``_add_block``).  Its transpose is
 # I_p (x) M^T (x) I_s, so b's faces are the same blocks of the transposed
 # products (``_transpose``).
@@ -420,23 +422,28 @@ def _transpose(m, ncols):
     return out
 
 
-def homology_betti(algebra, top, reduced=True):
-    """Chain-complex Betti numbers in degrees 0..top.
+def _betti(algebra, top, reduced, right, left, name):
+    """Betti numbers in degrees 0..top of the chains M (x) A^(x)n of a
+    bimodule M over ``algebra``, on a basis of ``algebra.dim`` elements:
+    right[(k, a)] is m_k a and left[(a, k)] is a m_k, as sparse vectors.
 
     b_n has one row per chain of degree n - 1 and one column per chain of
-    degree n.  Face i is (-1)^i I (x) m^T (x) I on slots i and i + 1, then
-    the wrap term adds m(i_n, i_0) at column (i_0, mid, i_n) of row
-    (m(i_n, i_0), mid).  In the reduced complex a product in a reducible
-    slot keeps only its bar components, the terms missing from the
-    normalized chains.  ``linalg.betti`` takes the ranks bottom-up and
-    raises ``ValueError`` when b does not square to zero."""
+    degree n.  Face 0 is m^T (x) I from the right action, face i > 0 is
+    (-1)^i I (x) m^T (x) I on slots i and i + 1, then the wrap term adds
+    left[(i_n, i_0)] at column (i_0, mid, i_n) of row (i_n i_0, mid).  In the
+    reduced complex a product in a reducible slot keeps only its bar
+    components, the terms missing from the normalized chains.  The maps are
+    named ``name``: "b" numbers b_n by its source C_n, "delta" numbers it
+    delta_(n-1) by its target, the cochain degree it leaves.
+    ``linalg.betti`` takes the ranks bottom-up and raises ``ValueError``
+    when the maps do not square to zero."""
     dim, table = algebra.dim, algebra.table
     rest = algebra.bar_indices() if reduced else list(range(dim))
     R = len(rest)
     pos = {i: r for r, i in enumerate(rest)}
     # m^T from slot 0 to (slot 0, slot 1), and from one reducible slot to two
     m_head = _transpose(
-        [list(table.get((a, b), {}).items()) for a in range(dim) for b in rest], dim
+        [list(right.get((a, b), {}).items()) for a in range(dim) for b in rest], dim
     )
     m_bar = _transpose(
         [
@@ -447,6 +454,7 @@ def homology_betti(algebra, top, reduced=True):
         R,
     )
     dims = [dim * R**n for n in range(top + 2)]
+    shift = 1 if name == "delta" else 0
 
     def maps():
         for n in range(1, top + 2):
@@ -455,58 +463,39 @@ def homology_betti(algebra, top, reduced=True):
             for i in range(1, n):
                 sign = -1 if i % 2 else 1
                 _add_block(rows, sign, dim * R ** (i - 1), m_bar, R * R, R ** (n - 1 - i))
-            # wrap: (i_0, mid, i_n) -> (m(i_n, i_0), mid), mid < R^(n-1)
+            # wrap: (i_0, mid, i_n) -> (i_n i_0, mid), mid < R^(n-1)
             sign = -1 if n % 2 else 1
             mid = R ** (n - 1)
             for a in range(dim):
                 for last, b in enumerate(rest):
                     x = a * R**n + last
-                    for k, v in table.get((b, a), {}).items():
+                    for k, v in left.get((b, a), {}).items():
                         y, v = k * mid, sign * v
                         for u in range(mid):
                             add_term(rows[y + u], x + u * R, v)
-            yield n, rows
+            yield n - shift, rows
 
-    return betti("b", dims, maps())
+    return betti(name, dims, maps())
+
+
+def homology_betti(algebra, top, reduced=True):
+    """Betti numbers of the chains C(A, A) in degrees 0..top (``_betti``)."""
+    return _betti(algebra, top, reduced, algebra.table, algebra.table, "b")
 
 
 def cohomology_betti(algebra, top, reduced=True):
-    """Cochain-complex Betti numbers in degrees 0..top.
+    """Betti numbers of the cochains C(A, A) in degrees 0..top.
 
-    delta_n has one row per cochain of degree n, filled as ``_delta_terms``
-    lists its terms, read off the same ``_delta_lookups``: ``left`` is
-    I (x) L, ``right`` puts the new input in front of t, and the split of
-    slot j is +-I (x) P (x) I.  ``linalg.betti`` takes the ranks bottom-up
-    and raises ``ValueError`` when delta does not square to zero."""
-    dim = algebra.dim
-    slots = algebra.bar_indices() if reduced else list(range(dim))
-    R = len(slots)
-    pos = {i: r for r, i in enumerate(slots)}
-    left, right, pre = _delta_lookups(algebra, slots)
-    # L: k -> (b, output); P: t_j -> (a, b) with t_j's coefficient in m(a, b)
-    L = [
-        [(pos[b] * dim + kk, c) for b, v in left[k] for kk, c in v.items()]
-        for k in range(dim)
-    ]
-    P = [[(pos[a] * R + pos[b], c) for a, b, c in pre.get(tj, ())] for tj in slots]
-    dims = [R**n * dim for n in range(top + 2)]
-
-    def maps():
-        for n in range(top + 1):
-            rows = [{} for _ in range(dims[n])]
-            T = R**n
-            _add_block(rows, 1, T, L, R * dim, 1)
-            sign = 1 if n % 2 else -1  # (-1)^(n-1)
-            # right: (t, k) -> ((a,) + t, output), t < T
-            for k in range(dim):
-                for a, v in right[k]:
-                    for kk, c in v.items():
-                        y, c = pos[a] * T * dim + kk, sign * c
-                        for u in range(T):
-                            add_term(rows[u * dim + k], y + u * dim, c)
-            for j in range(n):
-                s = sign if j % 2 else -sign  # outer (-1)^j, as in _delta_terms
-                _add_block(rows, s, R**j, P, R * R, R ** (n - 1 - j) * dim)
-            yield n, rows
-
-    return betti("delta", dims, maps())
+    C^n(A, A) = Hom(A^(x)n, A) is the dual of the chains C_n(A, A*), with
+    the cochain (t, k) paired to phi_k (x) t, and delta_n is b_(n+1)
+    transposed there, times (-1)^(n+1); the normalized cochains are dual to
+    the normalized chains.  So
+    these are the chain Betti numbers with coefficients in A*, whose
+    actions are phi_k a_i = sum_j m(a_i, a_j)_k phi_j and
+    a_j phi_k = sum_i m(a_i, a_j)_k phi_i."""
+    right, left = {}, {}
+    for (i, j), v in algebra.table.items():
+        for k, c in v.items():
+            right.setdefault((k, i), {})[j] = c
+            left.setdefault((j, k), {})[i] = c
+    return _betti(algebra, top, reduced, right, left, "delta")

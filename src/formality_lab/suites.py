@@ -427,6 +427,26 @@ _BETTI = {
     "top": (integer(0), 4),
     "expect": (integer(0, many=True), None),
 }
+# a Betti job's largest space has dim R^(top + 1) chains, R = dim - 1 in a
+# reduced complex: truncated-poly-3 at top 6 is the bound, all four flavors
+# in about half a second
+_BETTI_BOUND = 4**8
+
+
+def _betti_bound(full):
+    """The ``agree`` hook of a Betti op, which builds the unnormalized
+    complex always when ``full`` and otherwise as ``reduced`` says: refuse
+    a job whose largest space is above ``_BETTI_BOUND``."""
+    def agree(values, where):
+        (label, A), top = values["algebra"], values["top"]
+        R = A.dim if full or not values["reduced"] else A.dim - 1
+        # R^17 > the bound unless R <= 1, so the power stays small
+        if A.dim * R ** min(top + 1, 17) > _BETTI_BOUND:
+            raise ManifestError(
+                f"{where}: top {top} needs {A.dim} x {R}^{top + 1} chains of"
+                f" {label!r} in degree {top + 1}, above the bound {_BETTI_BOUND}"
+            )
+    return agree
 
 
 @_op(
@@ -436,6 +456,7 @@ _BETTI = {
         "reduced": (boolean, True),
         "kind": (choice("homology", "cohomology"), "homology"),
     },
+    _betti_bound(full=False),
 )
 def _betti(args):
     """Betti numbers of the (co)chain complex of an algebra, optionally
@@ -457,7 +478,7 @@ def _betti(args):
     )
 
 
-@_op("betti-agreement", _BETTI)
+@_op("betti-agreement", _BETTI, _betti_bound(full=True))
 def _betti_agreement(args):
     """Betti numbers of the normalized and unnormalized complexes agree,
     for homology and cohomology both."""
@@ -527,6 +548,20 @@ def _hkr_defects():
             yield op(ct.hkr(piv), ct.hkr(psi)) - ct.hkr(law(piv, psi)), i, what
 
 
+def _light_tuples(weights, length, budget):
+    """The index tuples of ``length`` whose weights sum to at most
+    ``budget``, in lexicographic order.  ``weights`` never decreases, so an
+    index too heavy for what is left ends its slot's loop."""
+    if not length:
+        yield ()
+        return
+    for i, w in enumerate(weights):
+        if w > budget:
+            break
+        for tail in _light_tuples(weights, length - 1, budget - w):
+            yield (i,) + tail
+
+
 # the suite's work about doubles with each degree: 8,330 checks at degree 6
 @_op("mu-suite", {"max-degree": (integer(1, maximum=6), 3)})
 def _mu_suite(args):
@@ -537,11 +572,10 @@ def _mu_suite(args):
     maxdeg = args["max-degree"]
     model = FunctionModel(2, maxdeg)
     A = jet_algebra(2, maxdeg)
+    weights = [sum(e) for e in model.monomials]
     t = _Tally()
     for nn in range(0, 4):
-        for tup in product(range(model.dim), repeat=nn + 1):
-            if sum(sum(model.monomials[i]) for i in tup) > maxdeg:
-                continue
+        for tup in _light_tuples(weights, nn + 1, maxdeg):
             ch = hh.Chain.elementary(A, tup)
             t.ok(
                 ct.connes_mu_chain(model, hh.chain_b(ch)).is_zero(),

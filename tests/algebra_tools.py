@@ -1,5 +1,5 @@
-"""Products of algebra vectors, cochains evaluated on vectors, and the 2x2
-matrices in their elementary basis.
+"""Products of algebra vectors, cochains evaluated on vectors, the 2x2
+matrices in their elementary basis and the upper-triangular 2x2 matrices.
 
 The program works on multiplication tables and on the terms of cochains; it
 never multiplies two vectors, evaluates a cochain on arguments, or needs an
@@ -32,6 +32,22 @@ def mat2_elementary():
         for (c, d), j in idx.items():
             table[(i, j)] = {idx[(a, d)]: 1} if b == c else {}
     return StructureAlgebra(labels, table)
+
+
+def upper_triangular_2():
+    """2x2 upper-triangular matrices T_2 in the basis 1, e12, e22.  Not a
+    symmetric algebra: HH^0 is its center, 1-dimensional, while HH_0 =
+    T_2/[T_2, T_2] is 2-dimensional."""
+    table = {
+        (0, 0): {0: 1},
+        (0, 1): {1: 1},
+        (0, 2): {2: 1},
+        (1, 0): {1: 1},
+        (1, 2): {1: 1},  # e12 e22 = e12
+        (2, 0): {2: 1},
+        (2, 2): {2: 1},
+    }
+    return StructureAlgebra(["1", "e12", "e22"], table)
 
 
 def element(algebra, vector):

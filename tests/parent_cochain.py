@@ -219,7 +219,7 @@ def cup(D, E):
     return out
 
 
-_ALL_LOOKUPS = WeakKeyDictionary()  # algebra -> _delta_lookups on every index
+_ALL_LOOKUPS = WeakKeyDictionary()  # algebra -> _delta_lookups
 
 
 def delta(D):
@@ -229,7 +229,7 @@ def delta(D):
     A = D.algebra
     lookups = _ALL_LOOKUPS.get(A)
     if lookups is None:
-        lookups = _ALL_LOOKUPS[A] = _delta_lookups(A, range(A.dim))
+        lookups = _ALL_LOOKUPS[A] = _delta_lookups(A)
     acc = {}
     for t, v in D.table.items():
         for k, c in v.items():

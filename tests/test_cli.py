@@ -3,10 +3,12 @@
 import json
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from formality_lab import conventions
+from formality_lab.algebras import FunctionModel
 from formality_lab.cartan import MultiVector
 from formality_lab.cli import main
 from formality_lab.manifest import (
@@ -16,7 +18,7 @@ from formality_lab.manifest import (
 )
 from formality_lab.poly import Poly
 from formality_lab.report import canonical
-from formality_lab.suites import OPS, expand_suite
+from formality_lab.suites import OPS, _light_tuples, expand_suite
 
 
 # -- exact numbers in manifests ---------------------------------------------------
@@ -470,6 +472,7 @@ OBJECTS = (
     "  v: {kind: multivector, degree: 1}\n"
     "  s: {kind: star-product, matrix: [[0, 1], [-1, 0]]}\n"
     "  t: {kind: trace}\n"
+    "  j: {kind: algebra, preset: jets, vars: 3, cap: 3}\n"
 )
 
 
@@ -488,6 +491,18 @@ OBJECTS = (
         (
             "{op: mu-suite, name: q, max-degree: 7}",
             "'max-degree' must be an integer >= 1 and <= 6",
+        ),
+        (
+            "{op: betti-agreement, name: q, algebra: matrix-2x2, top: 40}",
+            "top 40 needs 4 x 4^41 chains of 'matrix-2x2' in degree 41, above the bound 65536",
+        ),
+        (
+            "{op: betti, name: q, algebra: j, top: 4, reduced: false}",
+            "top 4 needs 20 x 20^5 chains of 'j' in degree 5, above the bound 65536",
+        ),
+        (
+            "{op: betti, name: q, algebra: truncated-poly-3, top: 8}",
+            "top 8 needs 4 x 3^9 chains of 'truncated-poly-3' in degree 9, above the bound 65536",
         ),
         ("{op: flat-transport, name: q, planes: []}", "planes must be a list of integers"),
         ("{op: ahat-flat, name: q, nt-values: [1]}", "nt-values must be a list of integers"),
@@ -639,6 +654,18 @@ def test_mu_suite_passes_above_the_default_degree(tmp_path, capsys):
     assert [(job["status"], job["data"]["checked"]) for job in jobs] == [
         ("pass", 1580), ("pass", 3792)
     ]
+
+
+def test_mu_suite_walks_the_tuples_the_weight_filter_keeps():
+    for maxdeg in range(1, 6):
+        weights = [sum(e) for e in FunctionModel(2, maxdeg).monomials]
+        for length in range(1, 5):
+            want = [
+                tup
+                for tup in product(range(len(weights)), repeat=length)
+                if sum(weights[i] for i in tup) <= maxdeg
+            ]
+            assert list(_light_tuples(weights, length, maxdeg)) == want
 
 
 def test_manifest_error_inside_a_running_job_only_fails_that_job(

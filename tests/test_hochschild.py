@@ -278,10 +278,13 @@ WITNESSES = [
     (homology_betti, False,
      "b^2 != 0: the echelon row of b_1 at pivot column 5 times b_2 is -3 at column 13"),
     (cohomology_betti, True,
-     "delta^2 != 0: the echelon row of delta_0 at pivot column 5 times delta_1 is -1 at column 2"),
+     "delta^2 != 0: the echelon row of delta_0 at pivot column 5 times delta_1 is -1 at column 8"),
     (cohomology_betti, False,
-     "delta^2 != 0: the echelon row of delta_0 at pivot column 8 times delta_1 is -1 at column 14"),
+     "delta^2 != 0: the echelon row of delta_0 at pivot column 8 times delta_1 is -1 at column 22"),
 ]
+# delta's columns index the chains A* (x) A^(x)n it is dual to: in both
+# flavors the pivot is at phi_(x^2) (x) x^2 and the entry at
+# phi_(x^2) (x) x (x) x, phi_k the basis of A* dual to the basis of A.
 
 
 @pytest.mark.parametrize("fn,reduced,witness", WITNESSES)

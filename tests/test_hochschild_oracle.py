@@ -3,26 +3,30 @@
 
 ``_old_delta`` and ``_old_chain_b`` are the earlier ``hochschild`` code,
 and ``_old_homology_rows`` and ``_old_cohomology_rows`` the row builders
-that went through them, with the elimination taken out.
-``_tuple_cohomology_rows`` is the builder that came next: it enumerated
-basis keys, looked each term of ``_delta_terms`` up in a {key: index}
-dict and filled the rows through ``add_term``.  All are kept verbatim as
-the reference, except that the row builders now keep a row for every basis
-element, empty or not, so that a row's position is its basis index, and
-that ``_old_cohomology_rows`` writes and reads cochain terms by their flat
-(input tuple, output index) keys.
+that went through them, with the elimination taken out.  Both are kept
+verbatim as the reference, except that the row builders now keep a row for
+every basis element, empty or not, so that a row's position is its basis
+index, and that ``_old_cohomology_rows`` writes and reads cochain terms by
+their flat (input tuple, output index) keys.  ``_bimodule_rows`` builds b
+on the chains M (x) A^(x)n of a bimodule M on basis tuples, face by face;
+``_dual_actions`` reads the actions of M = A* off their definitions.
 
-Every map is checked twice.  The full matrix, before clearing, must equal
-the reference entry for entry: delta's rows directly (and in the tuple
-builder's key order), b's against the transpose of the calculus-built
-rows, since b is now built with one row per chain of the degree below.
+Every map is checked three times.  The full matrix, before clearing, must
+equal the reference entry for entry: b's against the transpose of the
+calculus-built rows, since b is built with one row per chain of the degree
+below, and delta's against the calculus-built rows of delta moved through
+the pairing of C^n(A, A) with C_n(A, A*).  Both must also equal
+``_bimodule_rows``, with A and A* as the bimodule, key for key in order.
 And the rows handed to ``rank_kernel`` must be exactly the nonzero rows
 of that matrix that clearing keeps: those not at a pivot column of the map
 before, which ``_leading_columns`` finds by its own elimination.
 
 ``_old_homology_betti`` and ``_old_cohomology_betti`` are the Betti
 functions before clearing, verbatim: row-major, every nonzero row
-eliminated, nothing checked.  The tables must agree in all four flavors.
+eliminated, nothing checked, and delta built from its closed form, on its
+own copy of the lookups it read then (``_old_delta_lookups``).  The tables
+must agree in all four flavors, also on algebras that are not symmetric,
+where a wrong dual bimodule changes the cochain table.
 ``delta`` must equal the bracket with the product cochain on seeded random
 cochains.
 """
@@ -41,7 +45,7 @@ from formality_lab.algebras import (
     trunc_poly_algebra,
 )
 from formality_lab.core import linalg
-from formality_lab.core.basis import add_term
+from formality_lab.core.basis import add_term, vec
 from formality_lab.core.linalg import rank_kernel
 from formality_lab.hochschild import (
     Chain,
@@ -54,7 +58,7 @@ from formality_lab.hochschild import (
     homology_betti,
 )
 
-from algebra_tools import mat2_elementary
+from algebra_tools import mat2_elementary, mul, upper_triangular_2
 
 
 # -- reference: the previous hochschild code, verbatim ---------------------------
@@ -154,36 +158,46 @@ def _old_cohomology_rows(algebra, top, reduced=True):
     return matrices
 
 
-def _tuple_cohomology_rows(algebra, top, reduced=True):
-    if reduced:
-        slots = algebra.bar_indices()
-    else:
-        slots = list(range(algebra.dim))
-    dim = algebra.dim
-
-    def basis_keys(n):
-        return [
-            (t, k) for t in _cartesian(slots, repeat=n) for k in range(dim)
-        ]
-
-    key_index = {}
-    dims = []
-    for n in range(top + 2):
-        keys = basis_keys(n)
-        key_index[n] = {key: i for i, key in enumerate(keys)}
-        dims.append(len(keys))
-    lookups = hh._delta_lookups(algebra, slots)
+def _bimodule_rows(algebra, top, reduced, right, left):
+    """b_n on the chains M (x) A^(x)n of a bimodule M, n = 1..top + 1, built
+    on basis tuples, as (rows, ncols): one row per chain of degree n - 1,
+    {column: coefficient}.  right[(k, a)] is m_k a and left[(a, k)] is
+    a m_k.  The rows are filled face by face, face 0 (the right action),
+    faces 1..n - 1 (the product), then the wrap (the left action), each
+    face over the chains of degree n in lexicographic order; in the reduced
+    complex a term with the unit in a reducible slot is dropped."""
     matrices = []
-    for n in range(top + 1):
-        above = key_index[n + 1]
-        cols = []
-        for (t, k) in key_index[n]:
-            col = {}
-            for key, kk, c in hh._delta_terms(lookups, t, k):
-                add_term(col, above[(key, kk)], c)
-            cols.append(col)
-        matrices.append((cols, dims[n + 1]))
+    for n in range(1, top + 2):
+        below = {t: x for x, t in enumerate(_chain_tuples(algebra, n - 1, reduced))}
+        chains = list(_chain_tuples(algebra, n, reduced))
+        rows = [{} for _ in below]
+        for i in range(n + 1):
+            sign = -1 if i % 2 else 1
+            for y, t in enumerate(chains):
+                if i == n:
+                    prod = left.get((t[n], t[0]), {})
+                    terms = [((k,) + t[1:n], v) for k, v in prod.items()]
+                else:
+                    prod = (right if i == 0 else algebra.table).get((t[i], t[i + 1]), {})
+                    terms = [(t[:i] + (k,) + t[i + 2 :], v) for k, v in prod.items()]
+                for s, v in terms:
+                    if s in below:
+                        add_term(rows[below[s]], y, sign * v)
+        matrices.append((rows, len(chains)))
     return matrices
+
+
+def _dual_actions(algebra):
+    """(right, left) of the dual bimodule A*, read off the definitions
+    (phi a)(x) = phi(a x) and (a phi)(x) = phi(x a) on basis elements."""
+    dim = algebra.dim
+    right, left = {}, {}
+    for k in range(dim):
+        for a in range(dim):
+            ax = [(x, mul(algebra, {a: 1}, {x: 1}).get(k, 0)) for x in range(dim)]
+            xa = [(x, mul(algebra, {x: 1}, {a: 1}).get(k, 0)) for x in range(dim)]
+            right[(k, a)], left[(a, k)] = vec(*ax), vec(*xa)
+    return right, left
 
 
 # -- reference: the Betti functions before clearing, verbatim ----------------------
@@ -229,18 +243,35 @@ def _old_homology_betti(algebra, top, reduced=True):
     return [dims[n] - ranks[n] - ranks[n + 1] for n in range(top + 1)]
 
 
+def _old_delta_lookups(algebra, slots):
+    """The structure constants as the coboundary reads them, with every
+    new input index drawn from ``slots``: left[k] lists (b, m(k, b)),
+    right[k] lists (a, m(a, k)), and pre[c] lists (a, b, m(a, b)_c) for
+    each nonzero c-coefficient."""
+    table = algebra.table
+    left, right, pre = {}, {}, {}
+    for k in range(algebra.dim):
+        left[k] = [(b, table[(k, b)]) for b in slots if (k, b) in table]
+        right[k] = [(a, table[(a, k)]) for a in slots if (a, k) in table]
+    for a in slots:
+        for b in slots:
+            for c, v in table.get((a, b), {}).items():
+                pre.setdefault(c, []).append((a, b, v))
+    return left, right, pre
+
+
 def _old_cohomology_betti(algebra, top, reduced=True):
     """Cochain-complex Betti numbers in degrees 0..top.
 
     Each row of delta is filled as ``_delta_terms`` lists its terms, read
-    off the same ``_delta_lookups``: ``left`` is I (x) L, ``right`` puts
-    the new input in front of t, and the split of slot j is
-    +-I (x) P (x) I."""
+    off the parent ``_delta_lookups`` (``_old_delta_lookups``): ``left`` is
+    I (x) L, ``right`` puts the new input in front of t, and the split of
+    slot j is +-I (x) P (x) I."""
     dim = algebra.dim
     slots = algebra.bar_indices() if reduced else list(range(dim))
     R = len(slots)
     pos = {i: r for r, i in enumerate(slots)}
-    left, right, pre = hh._delta_lookups(algebra, slots)
+    left, right, pre = _old_delta_lookups(algebra, slots)
     # L: k -> (b, output); P: t_j -> (a, b) with t_j's coefficient in m(a, b)
     L = [
         [(pos[b] * dim + kk, c) for b, v in left[k] for kk, c in v.items()]
@@ -335,6 +366,10 @@ CASES = [
     ("jet-2-2", lambda: jet_algebra(2, 2), 2, (True, False)),
     ("dual-numbers-top-0", dual_numbers, 0, (True, False)),
     ("mat2-elementary-top-0", mat2_elementary, 0, (False,)),
+    # not symmetric (A and A* are different bimodules), so HH^n != HH_n
+    ("upper-triangular-2", upper_triangular_2, 3, (True, False)),
+    ("jet-2-1", lambda: jet_algebra(2, 1), 3, (True, False)),
+    ("jet-3-1", lambda: jet_algebra(3, 1), 2, (True, False)),
 ]
 
 
@@ -362,6 +397,25 @@ def _assert_cleared(full, fed, where):
         cleared = _leading_columns(rows)
 
 
+def _paired(rows, algebra, n, reduced):
+    """(-1)^(n+1) delta_n's rows, one per cochain (t, k) of degree n, each
+    row and column moved to the chain (k,) + t of A* (x) A^(x)n that the
+    cochain pairs with: index k R^n + idx(t) instead of idx(t) dim + k.
+    Under the pairing, b of A* is the transpose of delta up to that sign."""
+    dim = algebra.dim
+    R = len(algebra.bar_indices()) if reduced else dim
+    sign = -1 if n % 2 == 0 else 1
+
+    def move(x, m):
+        t, k = divmod(x, dim)
+        return k * R**m + t
+
+    out = [None] * len(rows)
+    for x, row in enumerate(rows):
+        out[move(x, n)] = {move(y, n + 1): sign * v for y, v in row.items()}
+    return out
+
+
 @pytest.mark.parametrize("name,make,top,flavors", CASES, ids=[c[0] for c in CASES])
 def test_rows_match_the_calculus_built_rows(monkeypatch, name, make, top, flavors):
     A = make()
@@ -374,12 +428,19 @@ def test_rows_match_the_calculus_built_rows(monkeypatch, name, make, top, flavor
             for rows, ncols in _old_homology_rows(A, top, reduced)
         ]
         _assert_rows(full, want, where, False)
+        _assert_rows(full, _bimodule_rows(A, top, reduced, A.table, A.table), where, True)
         _assert_cleared(full, fed, where)
+        # the cochains, as the chains with coefficients in A*
         full, fed = _recorded(monkeypatch, cohomology_betti, A, top, reduced)
         assert len(full) == top + 1
         where = (name, reduced, "delta from degree")
-        _assert_rows(full, _old_cohomology_rows(A, top, reduced), where, False)
-        _assert_rows(full, _tuple_cohomology_rows(A, top, reduced), where, True)
+        dual = _bimodule_rows(A, top, reduced, *_dual_actions(A))
+        _assert_rows(full, dual, where, True)
+        want = [
+            (_paired(rows, A, n, reduced), ncols)
+            for n, (rows, ncols) in enumerate(_old_cohomology_rows(A, top, reduced))
+        ]
+        _assert_rows(full, want, where, False)
         _assert_cleared(full, fed, where)
     if A.unit_index is None:
         # the normalized complexes need the unit among the basis elements
@@ -401,6 +462,22 @@ def test_betti_tables_match_the_uncleared_functions(name, make, top, flavors):
     for t in sorted({top, 4}):
         want = _tables(_old_homology_betti, _old_cohomology_betti, A, t, flavors)
         assert _tables(homology_betti, cohomology_betti, A, t, flavors) == want, (name, t)
+
+
+def test_upper_triangular_tells_the_cochains_from_the_chains():
+    """T_2 is not symmetric: HH^n is 1, 0, 0, 0 and HH_n is 2, 0, 0, 0, so
+    its own table in place of A*'s changes the cochain table.  With the two
+    dual actions swapped, A* is no bimodule, and b does not square to zero
+    on T_2 or on M_2."""
+    A = upper_triangular_2()
+    for reduced in (True, False):
+        assert homology_betti(A, 3, reduced=reduced) == [2, 0, 0, 0]
+        assert cohomology_betti(A, 3, reduced=reduced) == [1, 0, 0, 0]
+    for A in (upper_triangular_2(), mat2_unital()):
+        right, left = _dual_actions(A)
+        for reduced in (True, False):
+            with pytest.raises(ValueError, match=r"^delta\^2 != 0: "):
+                hh._betti(A, 3, reduced, left, right, "delta")
 
 
 def _random_cochain(A, arity, rng):
