@@ -21,7 +21,6 @@ it changes no kernel, image, or class.
 """
 
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
 
 from .cartan import (
@@ -185,24 +184,6 @@ def contract_exp(sd, alpha, dt, du, sign=1):
 # the duality star
 # ---------------------------------------------------------------------------
 
-def _pair_det(sd, I, J):
-    """Determinant extension of the covector pairing to increasing tuples.
-
-    Each coordinate covector pairs to +-1 with exactly one other, so the
-    pairing matrix is a signed permutation matrix, or has a zero row when a
-    partner of I is missing from J.
-    """
-    det = 1
-    perm = []
-    for a in I:
-        b = a + sd.n if a < sd.n else a - sd.n
-        if b not in J:
-            return Fraction(0)
-        det *= 1 if a < sd.n else -1  # <dz_a, dz_b> for a's partner b
-        perm.append(J.index(b))
-    return Fraction(det * koszul_sign(tuple(perm), [1] * len(I)))
-
-
 def _complement_sign(I, nvars):
     """dz_I ^ dz_{I^c} = sign * dz_{0..nvars-1}."""
     Ic = tuple(i for i in range(nvars) if i not in I)
@@ -222,24 +203,28 @@ def symplectic_star(sd, form):
     if k > sd.nvars:
         # only the zero form lives above the top degree
         return Form(sd.nvars, 0)
+    n = sd.n
     vol = sd.volume()
     vcoeff = vol.c.get((tuple(range(sd.nvars)), (0,) * sd.nvars), 0)
-    images = {}  # J -> [(Ic, scalar)], once per frame
+    images = {}  # J -> (Ic, scalar), once per frame
     out = Form(sd.nvars, sd.nvars - k)
     for (J, e), v in form.c.items():
         image = images.get(J)
         if image is None:
-            image = images[J] = []
-            for I in combinations(range(sd.nvars), k):
-                lam = _pair_det(sd, I, J)
-                if not lam:
-                    continue
-                sign, Ic = _complement_sign(I, sd.nvars)
-                # alpha = dz_I forces the Ic coefficient: sign * coeff = lam * vcoeff,
-                # and sign is +-1, so dividing by it is multiplying by it
-                image.append((Ic, rational(lam * vcoeff * sign)))
-        for Ic, s in image:
-            add_term(out.c, (Ic, e), v if s == 1 else s * v)
+            # <dz_a, dz_(a+n)> = 1 = -<dz_(a+n), dz_a> and every other pair is
+            # 0, so dz_I with I the partners of J is the one frame pairing
+            # with dz_J; lam is the one nonzero term of that Leibniz determinant
+            P = [a + n if a < n else a - n for a in J]
+            I = tuple(sorted(P))
+            lam = koszul_sign(tuple(map(P.index, I)), (1,) * k)
+            if sum(a >= n for a in I) % 2:
+                lam = -lam
+            sign, Ic = _complement_sign(I, sd.nvars)
+            # alpha = dz_I forces the Ic coefficient: sign * coeff = lam * vcoeff,
+            # and sign is +-1, so dividing by it is multiplying by it
+            image = images[J] = (Ic, rational(lam * vcoeff * sign))
+        Ic, s = image
+        add_term(out.c, (Ic, e), v if s == 1 else s * v)
     return out
 
 

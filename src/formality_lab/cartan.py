@@ -47,15 +47,6 @@ def _merge_sign(left, right):
     return (-1 if inv % 2 else 1, merged)
 
 
-def _remove_index(key, i):
-    """Odd partial derivative / first-slot insertion on a basis symbol:
-    returns (sign, key minus i) or None if i is absent."""
-    if i not in key:
-        return None
-    pos = key.index(i)
-    return (-1 if pos % 2 else 1, key[:pos] + key[pos + 1 :])
-
-
 class _Exterior(Sparse):
     """Shared shape of multivectors and forms: graded, exterior, sparse.
 
@@ -121,10 +112,10 @@ class _Exterior(Sparse):
             return Sparse.__rmul__(self, scalar)
         if scalar.n != self.nvars:
             raise ValueError("variable counts differ")
+        # the function as a degree-0 element: its multiple is a wedge
+        f = _make(type(self), self.nvars, 0, {((), e): v for e, v in scalar.c.items()})
         c = {}
-        for e1, v1 in scalar.c.items():
-            for (key, e2), v2 in self.c.items():
-                add_term(c, (key, tuple(map(add, e1, e2))), v1 * v2)
+        wedge_into(c, f, self, 1)
         return self._like(c)
 
     def wedge(self, other):
@@ -186,7 +177,7 @@ def pairing(mv, form):
     return p
 
 
-# -- the monomial-pair kernel of wedge and Schouten ---------------------------------
+# -- the monomial-pair kernel of wedge, Schouten and contraction ------------------
 
 def _monomial_pairs(acc, A, B, rule, sign):
     """Accumulate sign * sum over term pairs of
@@ -320,16 +311,18 @@ def deRham_d(alpha):
 
 @cache
 def _contract_rule(kv, kf):
-    """i_frame_kv on dx^kf as (sign, remaining frame), or None when it vanishes."""
-    sign = 1
-    key = kf
-    for i in reversed(kv):  # innermost factor inserts first
-        rem = _remove_index(key, i)
-        if rem is None:
-            return None
-        s, key = rem
-        sign *= s
-    return sign, key
+    """Unit-frame entry of i_frame_kv on dx^kf for ``_monomial_pairs``.
+
+    With dx^kf = s * dx^kv ^ dx^rest, inserting the k factors of frame_kv
+    innermost first (i_{X^Y} = i_X o i_Y, first-slot single insertions)
+    gives (-1)^(k(k-1)/2) * s * dx^rest; nothing when kv is not in kf.
+    """
+    if not set(kv) <= set(kf):
+        return ()
+    rest = tuple(i for i in kf if i not in kv)
+    k = len(kv)
+    s = _merge_sign(kv, rest)[0]
+    return ((rest, -s if k * (k - 1) // 2 % 2 else s, None, 0),)
 
 
 def contract(mv, alpha):
@@ -340,14 +333,7 @@ def contract(mv, alpha):
     if mv.k > alpha.k:
         return Form.zero(n, 0)
     c = {}
-    fitems = alpha.c.items()
-    for (kv, ev), cv in mv.c.items():
-        for (kf, ef), cf in fitems:
-            rule = _contract_rule(kv, kf)
-            if rule is not None:
-                sign, key = rule
-                v = cv * cf
-                add_term(c, (key, tuple(map(add, ev, ef))), v if sign == 1 else -v)
+    _monomial_pairs(c, mv, alpha, _contract_rule, 1)
     return _make(Form, n, alpha.k - mv.k, c)
 
 

@@ -47,15 +47,15 @@ def unshuffle_sign(n, subset, degrees, shift=0):
     return koszul_sign(perm, degrees, shift)
 
 
-def decalage_sign(degrees, shift=1):
+def decalage_sign(degrees):
     """Suspension bookkeeping sign for applying a k-ary bracket.
 
     For arguments of (unshifted) degrees d_1 .. d_k this is
-    (-1)^(sum_{a=1}^{k} (k-a) * (d_a - shift)), the sign relating a graded
+    (-1)^(sum_{a=1}^{k} (k-a) * (d_a - 1)), the sign relating a graded
     multilinear map to its suspended counterpart.  The homotopy-Lie and
     homotopy-module identities hold with pure shifted Koszul unshuffle
     signs once every bracket application carries this factor.
     """
     k = len(degrees)
-    total = sum((k - 1 - a) * (degrees[a] - shift) for a in range(k))
+    total = sum((k - 1 - a) * (degrees[a] - 1) for a in range(k))
     return -1 if total % 2 else 1

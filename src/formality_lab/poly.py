@@ -9,7 +9,6 @@ Nothing here ever truncates: the degree-capped quotient lives in
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as _cartesian
 from math import perm, prod
 from operator import add, sub
 
@@ -121,9 +120,18 @@ class Poly(Sparse):
         return " + ".join(bits)
 
 
+def compositions(total, parts):
+    """Each way to write ``total`` as an ordered sum of ``parts`` naturals,
+    in lexicographic order."""
+    if parts < 2:
+        if parts or not total:
+            yield (total,) * parts
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def monomials_upto(n, cap):
     """All exponent tuples in n variables of total degree <= cap, graded-lex."""
-    out = []
-    for d in range(cap + 1):
-        out.extend(e for e in _cartesian(range(d + 1), repeat=n) if sum(e) == d)
-    return out
+    return [e for d in range(cap + 1) for e in compositions(d, n)]

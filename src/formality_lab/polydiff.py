@@ -22,16 +22,7 @@ from operator import add, gt, le
 from .core.basis import Sparse, add_row, add_term
 from .core.linalg import solve
 from .hochschild import bracket
-from .poly import Poly, diff_terms, mul_terms
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+from .poly import Poly, compositions, diff_terms, mul_terms
 
 
 def _leibniz_splits(alpha, parts):
@@ -40,7 +31,7 @@ def _leibniz_splits(alpha, parts):
     per_var = []
     for a_v in alpha:
         opts = []
-        for comp in _compositions(a_v, parts):
+        for comp in compositions(a_v, parts):
             w = factorial(a_v)
             for p in comp:
                 w //= factorial(p)

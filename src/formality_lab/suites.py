@@ -88,10 +88,10 @@ class _Tally:
 
 # ------------------------------------------------------------------ helpers
 
-def _rand_cochain(A, arity, rng, nterms=3):
+def _rand_cochain(A, arity, rng):
     basis = hh.basis_cochains(A, arity)
     c = hh.Cochain.zero(A, arity)
-    for e in rng.sample(basis, min(nterms, len(basis))):
+    for e in rng.sample(basis, min(3, len(basis))):
         c = c + rng.choice([1, 2, -1]) * e
     return c
 
@@ -103,9 +103,9 @@ def _all_chains(A, n, reduced=False):
             yield hh.Chain.elementary(A, (head,) + tail)
 
 
-def _rand_poly(rng, n, deg, nterms=2):
+def _rand_poly(rng, n, deg):
     p = Poly.zero(n)
-    for _ in range(nterms):
+    for _ in range(2):
         e = [0] * n
         for _ in range(rng.randint(0, deg)):
             e[rng.randrange(n)] += 1
@@ -133,8 +133,8 @@ def _mv_label(v):
     return " + ".join(parts) if parts else "0"
 
 
-def _moyal_plane(nt=4, cap=4):
-    return df.moyal([[0, HALF], [-HALF, 0]], nt, FunctionModel(2, cap))
+def _moyal_plane():
+    return df.moyal([[0, HALF], [-HALF, 0]], 4, FunctionModel(2, 4))
 
 
 def _skewed_product():
@@ -146,9 +146,9 @@ def _operator_dgla():
     return lf.dgla(lambda op: op.arity - 1, pd.delta, pd.bracket, [])
 
 
-def _cochain_dgla(A, arities=(1, 2)):
+def _cochain_dgla(A):
     gens = []
-    for ar in arities:
+    for ar in (1, 2):
         for i, c in enumerate(hh.basis_cochains(A, ar)):
             gens.append((f"c{ar}_{i}", c))
     return lf.dgla(lambda c: c.arity - 1, hh.delta, hh.bracket, gens)
@@ -173,8 +173,8 @@ def _schouten_generators():
     ]
 
 
-def _chain_samples(A, top=2):
-    chains = (ch for n in range(top + 1) for ch in _all_chains(A, n))
+def _chain_samples(A):
+    chains = (ch for n in range(3) for ch in _all_chains(A, n))
     return [(f"ch{next(iter(ch.c))}", ch) for ch in chains]
 
 
@@ -424,12 +424,13 @@ def _random_tuples(dim, count, rng):
 
 _BETTI = {
     "algebra": (_ALGEBRA, "dual-numbers"),
-    "top": (integer(0), 4),
+    "top": (integer(0, maximum=14), 4),
     "expect": (integer(0, many=True), None),
 }
 # a Betti job's largest space has dim R^(top + 1) chains, R = dim - 1 in a
 # reduced complex: truncated-poly-3 at top 6 is the bound, all four flavors
-# in about half a second
+# in about half a second.  R >= 2 is above it at top 15 (2 x 2^16 chains),
+# so the top maximum 14 refuses nothing more there; it bounds R <= 1.
 _BETTI_BOUND = 4**8
 
 
@@ -440,8 +441,7 @@ def _betti_bound(full):
     def agree(values, where):
         (label, A), top = values["algebra"], values["top"]
         R = A.dim if full or not values["reduced"] else A.dim - 1
-        # R^17 > the bound unless R <= 1, so the power stays small
-        if A.dim * R ** min(top + 1, 17) > _BETTI_BOUND:
+        if A.dim * R ** (top + 1) > _BETTI_BOUND:
             raise ManifestError(
                 f"{where}: top {top} needs {A.dim} x {R}^{top + 1} chains of"
                 f" {label!r} in degree {top + 1}, above the bound {_BETTI_BOUND}"

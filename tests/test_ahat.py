@@ -66,18 +66,31 @@ def _pair_single(sd, i, j):
     return 0
 
 
-def test_pair_det_is_the_leibniz_determinant():
+def test_star_of_each_frame_is_the_leibniz_determinant_construction():
+    # alpha ^ star(dz_J) = <alpha, dz_J> vol with <dz_I, dz_J> the Leibniz
+    # determinant of the covector pairing: the dz_Ic coefficient of
+    # star(dz_J) is det(I, J) * vol coefficient * (dz_I ^ dz_Ic sign)
     for n in (1, 2, 3):
         sd = ah.SymplecticData(n)
+        top = tuple(range(sd.nvars))
+        vcoeff = sd.volume().c[(top, (0,) * sd.nvars)]
         for k in range(sd.nvars + 1):
-            for I in combinations(range(sd.nvars), k):
-                for J in combinations(range(sd.nvars), k):
+            for J in combinations(top, k):
+                want = ct.Form(sd.nvars, sd.nvars - k)
+                for I in combinations(top, k):
                     det = sum(
                         koszul_sign(p, [1] * k)
                         * prod(_pair_single(sd, I[i], J[p[i]]) for i in range(k))
                         for p in permutations(range(k))
                     )
-                    assert ah._pair_det(sd, I, J) == det
+                    Ic = tuple(i for i in top if i not in I)
+                    sign = koszul_sign(I + Ic, [1] * sd.nvars)
+                    if det:
+                        want = want + ct.Form(
+                            sd.nvars, sd.nvars - k, {Ic: Poly.const(sd.nvars, det * vcoeff * sign)}
+                        )
+                b = ct.Form(sd.nvars, k, {J: Poly.const(sd.nvars, 1)})
+                assert ah.symplectic_star(sd, b) == want
 
 
 def test_star_of_degree_above_top_is_zero():

@@ -444,6 +444,15 @@ def test_bad_weight_is_refused_before_the_first_job(tmp_path, capsys, monkeypatc
     [
         ("{op: betti, name: q, top: -1}", "'top' must be an integer >= 0"),
         ("{op: betti-agreement, name: q, top: -1}", "'top' must be an integer >= 0"),
+        # reduced dual numbers have R = 1: the size bound alone would admit any top
+        (
+            "{op: betti, name: q, algebra: dual-numbers, top: 1000000000}",
+            "'top' must be an integer >= 0 and <= 14",
+        ),
+        (
+            "{op: betti, name: q, algebra: dual-numbers, top: 15}",
+            "'top' must be an integer >= 0 and <= 14",
+        ),
         ("{op: betti, name: q, reduced: 1}", "'reduced' must be true or false"),
         ("{op: betti, name: q, kind: torsion}", "kind must be homology or cohomology"),
         ("{op: betti, name: q, expect: [1, true]}", "expect must be a list of integers"),
@@ -493,8 +502,8 @@ OBJECTS = (
             "'max-degree' must be an integer >= 1 and <= 6",
         ),
         (
-            "{op: betti-agreement, name: q, algebra: matrix-2x2, top: 40}",
-            "top 40 needs 4 x 4^41 chains of 'matrix-2x2' in degree 41, above the bound 65536",
+            "{op: betti-agreement, name: q, algebra: matrix-2x2, top: 14}",
+            "top 14 needs 4 x 4^15 chains of 'matrix-2x2' in degree 15, above the bound 65536",
         ),
         (
             "{op: betti, name: q, algebra: j, top: 4, reduced: false}",
@@ -638,6 +647,17 @@ def test_job_values_are_checked_resolved_and_defaulted():
     assert [values[k] for k in ("top", "reduced", "kind", "expect")] == [
         4, True, "homology", None
     ]
+
+
+def test_top_maximum_admits_full_dual_numbers_at_the_size_bound():
+    # 2 x 2^15 = 65536 chains in degree 15: at the bound, so admitted (not run)
+    from formality_lab.suites import check_job_args
+
+    for job in ("{op: betti, reduced: false", "{op: betti-agreement"):
+        text = f"jobs:\n  - {job}, name: j, algebra: dual-numbers, top: 14}}\n"
+        mf = parse_manifest(text, known_ops=OPS)
+        check_job_args(mf.jobs[0], mf)
+        assert mf.jobs[0].values["top"] == 14
 
 
 def test_mu_suite_passes_above_the_default_degree(tmp_path, capsys):

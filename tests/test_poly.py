@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -58,3 +59,16 @@ def test_monomials_upto_graded_order():
     degs = [sum(e) for e in ms]
     assert degs == sorted(degs)
     assert len(monomials_upto(3, 3)) == 20  # C(3+3,3)
+
+
+def test_monomials_upto_matches_the_product_filter():
+    # the enumeration before it was built from compositions
+    def filtered(n, cap):
+        out = []
+        for d in range(cap + 1):
+            out.extend(e for e in product(range(d + 1), repeat=n) if sum(e) == d)
+        return out
+
+    for n in range(7):
+        for cap in range(6):
+            assert monomials_upto(n, cap) == filtered(n, cap), (n, cap)

@@ -8,7 +8,9 @@ and ``NestedForm``, and ``nested_pairing``, ``_nested_monomial_pairs``,
 ``nested_lie_derivative`` and ``nested_hkr``.  They are ``cartan``'s
 ``_Exterior`` arithmetic and operators from when a field was a dict
 ``{frame: Poly}``, their bodies verbatim apart from the ``Nested`` and
-``nested_`` names; the frame rules are the package's.  ``_nested`` rebuilds
+``nested_`` names; the frame rules are the package's, except
+``_remove_index``, the frame-sign helper of the contraction before it was
+a kernel rule, which ``parent_exterior`` keeps.  ``_nested`` rebuilds
 a flat element as ``{frame: Poly}`` with its scalars untouched; every
 reference below runs on its output, and the comparisons with the older
 bodies read the flat shape only through it.
@@ -55,13 +57,13 @@ from formality_lab.cartan import (
     Form,
     MultiVector,
     _merge_sign,
-    _remove_index,
     _schouten_rule,
     _wedge_rule,
 )
 from formality_lab.core.basis import add_term, rational
 from formality_lab.poly import Poly
 from formality_lab.polydiff import PolyDiffOperator
+from parent_exterior import _remove_index
 from parent_vector_ops import _poly_check, patched
 
 NV = 3
