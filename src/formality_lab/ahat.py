@@ -20,7 +20,9 @@ an on-the-nose chain map, and since the dressing is an invertible diagonal
 it changes no kernel, image, or class.
 """
 
+from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .cartan import (
@@ -73,6 +75,16 @@ class WindowOverflow(ValueError):
     """A weight left the window of a series form with a nonzero part."""
 
 
+TWIN = (-4, 4)  # the default t-window; the u-window is always [-4, 4]
+
+
+def window_refuses(twin, kt, ku):
+    """Whether a nonzero part at t^kt u^ku raises ``WindowOverflow`` in a
+    series with t-window ``twin``: kt above the top drops, so only kt below
+    the bottom or ku outside [-4, 4] is refused."""
+    return kt <= twin[1] and (kt < twin[0] or not -4 <= ku <= 4)
+
+
 class SeriesForm(Sparse):
     """c[(kt, ku, k)] = homogeneous degree-k form at weight t^kt u^ku.
 
@@ -84,7 +96,7 @@ class SeriesForm(Sparse):
     __slots__ = ("nvars", "twin", "c")
     _space = ("nvars", "twin")
 
-    def __init__(self, nvars, parts=None, twin=(-4, 4)):
+    def __init__(self, nvars, parts=None, twin=TWIN):
         self.nvars = nvars
         self.twin = tuple(twin)
         self.c = {}
@@ -95,28 +107,36 @@ class SeriesForm(Sparse):
                 self._add(kt, ku, form)
 
     @classmethod
-    def zero(cls, nvars, twin=(-4, 4)):
+    def zero(cls, nvars, twin=TWIN):
         return cls(nvars, None, twin)
 
     @classmethod
-    def wrap(cls, form, twin=(-4, 4)):
+    def wrap(cls, form, twin=TWIN):
         out = cls.zero(form.nvars, twin)
         out._add(0, 0, form)
         return out
 
     def _add(self, kt, ku, form):
-        if not form or kt > self.twin[1]:
+        if not form:
             return
-        if kt < self.twin[0] or not -4 <= ku <= 4:
+        if window_refuses(self.twin, kt, ku):
             raise WindowOverflow(f"t^{kt} u^{ku} left the window")
-        add_term(self.c, (kt, ku, form.k), form)
+        if kt <= self.twin[1]:
+            add_term(self.c, (kt, ku, form.k), form)
+
+    def map_parts(self, pieces):
+        """The one loop over the parts: ``pieces(form)`` yields (dt, du,
+        image) triples, and each image is added at its part's weight shifted
+        by (dt, du).  A part's degree is its form's ``.k``."""
+        out = SeriesForm.zero(self.nvars, self.twin)
+        for (kt, ku, _), form in self.c.items():
+            for dt, du, image in pieces(form):
+                out._add(kt + dt, ku + du, image)
+        return out
 
     def map_form(self, fn, dt=0, du=0):
         """Apply a linear form operation to every part, with a weight shift."""
-        out = SeriesForm.zero(self.nvars, self.twin)
-        for (kt, ku, _), form in self.c.items():
-            out._add(kt + dt, ku + du, fn(form))
-        return out
+        return self.map_parts(lambda form: ((dt, du, fn(form)),))
 
     def __repr__(self):
         keys = ", ".join(f"t^{kt}u^{ku}:deg{k}" for kt, ku, k in sorted(self.c))
@@ -136,12 +156,12 @@ def diff_td(sd, alpha):
 
 
 def diff_td_uL(sd, alpha):
-    return alpha.map_form(deRham_d, dt=1) + alpha.map_form(sd.lie, du=1)
+    return alpha.map_parts(lambda f: ((1, 0, deRham_d(f)), (0, 1, sd.lie(f))))
 
 
-def _parity_dress(alpha, fn, dt, du):
-    """Apply fn weighted by (-1)^(deg+1) on each homogeneous part."""
-    return alpha.map_form(lambda form: fn(form) if form.k % 2 else -fn(form), dt, du)
+def _dressed(form, image):
+    """image * (-1)^(deg+1), deg the degree of ``form``, the input."""
+    return image if form.k % 2 else -image
 
 
 def diff_tL_ud_dressed(sd, alpha):
@@ -155,12 +175,14 @@ def diff_tL_ud_dressed(sd, alpha):
     invertible diagonal, so kernels, images and classes agree with the
     undressed t*L + u*d.
     """
-    return _parity_dress(alpha, sd.lie, 1, 0) + _parity_dress(alpha, deRham_d, 0, 1)
+    return alpha.map_parts(
+        lambda f: ((1, 0, _dressed(f, sd.lie(f))), (0, 1, _dressed(f, deRham_d(f))))
+    )
 
 
 def diff_ud_dressed(sd, alpha):
     """(-1)^(deg+1) u*d, the dressing carried past the final conjugation."""
-    return _parity_dress(alpha, deRham_d, 0, 1)
+    return alpha.map_form(lambda f: _dressed(f, deRham_d(f)), du=1)
 
 
 def contract_exp(sd, alpha, dt, du, sign=1):
@@ -168,16 +190,14 @@ def contract_exp(sd, alpha, dt, du, sign=1):
 
     Finite on every part: each contraction drops the form degree by two.
     """
-    out = SeriesForm.zero(alpha.nvars, alpha.twin)
-    for (kt, ku, _), form in alpha.c.items():
+    def pieces(form):
         m = 0
-        cur = form
-        while cur:
-            coeff = Fraction(sign ** m, factorial(m))
-            out._add(kt + m * dt, ku + m * du, coeff * cur)
-            cur = sd.contract(cur)
+        while form:
+            yield m * dt, m * du, Fraction(sign**m, factorial(m)) * form
+            form = sd.contract(form)
             m += 1
-    return out
+
+    return alpha.map_parts(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +208,26 @@ def _complement_sign(I, nvars):
     """dz_I ^ dz_{I^c} = sign * dz_{0..nvars-1}."""
     Ic = tuple(i for i in range(nvars) if i not in I)
     return koszul_sign(I + Ic, (1,) * nvars), Ic
+
+
+@cache
+def _star_frame(n, J):
+    """star(dz_J) = s dz_Ic on R^2n, as (Ic, s) with s = +-1 an int.
+
+    <dz_a, dz_(a+n)> = 1 = -<dz_(a+n), dz_a> and every other pair is 0, so
+    dz_I with I the partners of J is the one frame pairing with dz_J; lam is
+    the one nonzero term of that Leibniz determinant.  alpha = dz_I forces
+    the Ic coefficient: sign * s = lam * v, with sign = +-1 from
+    dz_I ^ dz_Ic and v = (-1)^(n(n-1)/2) the top coefficient of
+    vol = omega^n/n!.
+    """
+    P = [a + n if a < n else a - n for a in J]
+    I = tuple(sorted(P))
+    lam = koszul_sign(tuple(map(P.index, I)), (1,) * len(J))
+    if sum(a >= n for a in I) % 2:
+        lam = -lam
+    sign, Ic = _complement_sign(I, 2 * n)
+    return Ic, lam * sign * (-1) ** (n * (n - 1) // 2)
 
 
 def symplectic_star(sd, form):
@@ -203,28 +243,10 @@ def symplectic_star(sd, form):
     if k > sd.nvars:
         # only the zero form lives above the top degree
         return Form(sd.nvars, 0)
-    n = sd.n
-    vol = sd.volume()
-    vcoeff = vol.c.get((tuple(range(sd.nvars)), (0,) * sd.nvars), 0)
-    images = {}  # J -> (Ic, scalar), once per frame
     out = Form(sd.nvars, sd.nvars - k)
     for (J, e), v in form.c.items():
-        image = images.get(J)
-        if image is None:
-            # <dz_a, dz_(a+n)> = 1 = -<dz_(a+n), dz_a> and every other pair is
-            # 0, so dz_I with I the partners of J is the one frame pairing
-            # with dz_J; lam is the one nonzero term of that Leibniz determinant
-            P = [a + n if a < n else a - n for a in J]
-            I = tuple(sorted(P))
-            lam = koszul_sign(tuple(map(P.index, I)), (1,) * k)
-            if sum(a >= n for a in I) % 2:
-                lam = -lam
-            sign, Ic = _complement_sign(I, sd.nvars)
-            # alpha = dz_I forces the Ic coefficient: sign * coeff = lam * vcoeff,
-            # and sign is +-1, so dividing by it is multiplying by it
-            image = images[J] = (Ic, rational(lam * vcoeff * sign))
-        Ic, s = image
-        add_term(out.c, (Ic, e), v if s == 1 else s * v)
+        Ic, s = _star_frame(sd.n, J)
+        add_term(out.c, (Ic, e), v if s == 1 else -v)
     return out
 
 
@@ -238,19 +260,13 @@ def series_star(sd, alpha):
 
 def degree_twist(sd, alpha):
     """(-1)^n t^(k-n) on each degree-k part: regrades d into t*d."""
-    out = SeriesForm.zero(alpha.nvars, alpha.twin)
     sign = Fraction((-1) ** sd.n)
-    for (kt, ku, k), form in alpha.c.items():
-        out._add(kt + k - sd.n, ku, sign * form)
-    return out
+    return alpha.map_parts(lambda f: ((f.k - sd.n, 0, sign * f),))
 
 
 def u_regrade(sd, alpha):
     """u^(n-k) on each degree-k part."""
-    out = SeriesForm.zero(alpha.nvars, alpha.twin)
-    for (kt, ku, k), form in alpha.c.items():
-        out._add(kt, ku + sd.n - k, form)
-    return out
+    return alpha.map_parts(lambda f: ((0, sd.n - f.k, f),))
 
 
 def nu0(sd, alpha):
@@ -331,18 +347,8 @@ def d_primitive(form):
     return out
 
 
-class FlatExpansion:
-    """The weight-0 class plus exhibited primitives for every positive part."""
-
-    def __init__(self, value, klass, primitives, ok):
-        self.value = value
-        self.klass = klass
-        self.primitives = primitives
-        self.ok = ok
-
-    def __repr__(self):
-        state = "ok" if self.ok else "INCOMPLETE"
-        return f"FlatExpansion({state}, class={self.klass})"
+# the weight-0 class plus exhibited primitives for every positive part
+FlatExpansion = namedtuple("FlatExpansion", "value klass primitives ok")
 
 
 def ahat_flat(n, nt):
@@ -374,39 +380,13 @@ def ahat_flat(n, nt):
 # degeneration probe
 # ---------------------------------------------------------------------------
 
-class ProbeRow:
-    __slots__ = ("grade", "dim", "homology", "predicted")
-
-    def __init__(self, grade, dim, homology, predicted):
-        self.grade = grade
-        self.dim = dim
-        self.homology = homology
-        self.predicted = predicted
-
-    @property
-    def match(self):
-        return self.homology == self.predicted
-
-    def __repr__(self):
-        return (
-            f"ProbeRow(J={self.grade}, dim={self.dim}, "
-            f"H={self.homology}, E1={self.predicted})"
-        )
+ProbeRow = namedtuple("ProbeRow", "grade dim homology predicted")
 
 
-class ProbeTable:
-    def __init__(self, rows, nt, cap):
-        self.rows = rows
-        self.nt = nt
-        self.cap = cap
-
+class ProbeTable(namedtuple("ProbeTable", "rows nt cap")):
     @property
     def degenerate(self):
-        return all(r.match for r in self.rows)
-
-    def __repr__(self):
-        state = "degenerate" if self.degenerate else "NOT degenerate"
-        return f"ProbeTable({state} at caps, nt={self.nt}, cap={self.cap})"
+        return all(r.homology == r.predicted for r in self.rows)
 
 
 def _graded_betti(nvars, cap, nt, image):

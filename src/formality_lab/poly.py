@@ -95,9 +95,6 @@ class Poly(Sparse):
         self._same(other)
         return self._like(mul_terms(self.c, other.c))
 
-    def __hash__(self):
-        return hash((self.n, frozenset(self.c.items())))
-
     # -- calculus -----------------------------------------------------------
     def diff(self, i):
         alpha = [0] * self.n

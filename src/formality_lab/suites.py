@@ -890,9 +890,25 @@ def _pipeline_chain_maps(args):
     return t.outcome("pipeline chain-map suite", {"pairs-checked": total})
 
 
+def _exp_contract_window(values, where):
+    """The ``agree`` hook of ``exp-contract``: at n = max-n the identity
+    has a nonzero part at z^m for every m <= n, so refuse a weight z whose
+    part would leave the series window."""
+    n = values["max-n"]
+    for z in values["weights"]:
+        dt, du = ah._Z_TOKENS[z]
+        for m in range(n + 1):
+            if ah.window_refuses(ah.TWIN, m * dt, m * du):
+                raise ManifestError(
+                    f"{where}: max-n {n} takes weight {z!r} to t^{m * dt} u^{m * du},"
+                    f" outside the series window"
+                )
+
+
 @_op(
     "exp-contract",
     {"max-n": (integer(1), 4), "weights": (_weights, ["t", "u", "t/u"])},
+    _exp_contract_window,
 )
 def _exp_contract(args):
     """The exponential-contraction identity on volume powers, for each

@@ -403,17 +403,29 @@ def test_trace_in_other_variables_is_refused_at_load(tmp_path, capsys):
 
 
 def test_series_window_overflow_fails_the_job(tmp_path, capsys):
-    # the exp-contract series window is fixed at (-4, 4), so max-n 5
-    # overflows it; the overflow is a job failure, not a manifest error
+    # the flat transport's series window is fixed at (-4, 4), and on R^10 its
+    # degree twist takes 1 to t^-5; the overflow is a job failure, not a
+    # manifest error
     text = (
         "jobs:\n"
-        "  - {op: exp-contract, name: e5, max-n: 5}\n"
+        "  - {op: flat-transport, name: f5, planes: [5]}\n"
     )
     rc = main(["run", _write(tmp_path, text), "--format", "structured"])
     doc = json.loads(capsys.readouterr().out)
     assert rc == 1
-    assert [(j["name"], j["status"]) for j in doc["jobs"]] == [("e5", "fail")]
+    assert [(j["name"], j["status"]) for j in doc["jobs"]] == [("f5", "fail")]
     assert "window overflow" in doc["jobs"][0]["summary"]
+
+
+@pytest.mark.parametrize("weight", ["t", "t/u"])
+def test_exp_contract_parts_above_the_t_window_load_and_drop(tmp_path, capsys, weight):
+    # z^5 with z = t or t/u lies above the t-window's top, so the ideal
+    # drops it whatever its u-weight: no part raises, and the identity holds
+    text = f"jobs:\n  - {{op: exp-contract, name: e, max-n: 5, weights: [{weight}]}}\n"
+    rc = main(["run", _write(tmp_path, text), "--format", "structured"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert [(j["name"], j["status"]) for j in doc["jobs"]] == [("e", "pass")]
 
 
 def test_unknown_weight_token_exits_two(tmp_path, capsys):
@@ -512,6 +524,14 @@ OBJECTS = (
         (
             "{op: betti, name: q, algebra: truncated-poly-3, top: 8}",
             "top 8 needs 4 x 3^9 chains of 'truncated-poly-3' in degree 9, above the bound 65536",
+        ),
+        (
+            "{op: exp-contract, name: q, max-n: 5}",
+            "max-n 5 takes weight 'u' to t^0 u^5, outside the series window",
+        ),
+        (
+            "{op: exp-contract, name: q, max-n: 6, weights: [u/t]}",
+            "max-n 6 takes weight 'u/t' to t^-5 u^5, outside the series window",
         ),
         ("{op: flat-transport, name: q, planes: []}", "planes must be a list of integers"),
         ("{op: ahat-flat, name: q, nt-values: [1]}", "nt-values must be a list of integers"),

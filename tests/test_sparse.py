@@ -228,7 +228,7 @@ def test_common_denominator_clears_and_rescales_back(name):
 def test_int_and_fraction_coefficients_are_one_value():
     p, q = Poly.const(2, 1), Poly.const(2, 1)
     q.c = {(0, 0): Fraction(1)}  # as a product like Fraction(1, 2) * 2 stores it
-    assert p == q and hash(p) == hash(q)
+    assert p == q
     assert type(p.coeff((0, 0))) is int and type(q.coeff((0, 0))) is Fraction
     assert p.coeff((1, 0)) == 0 and type(p.coeff((1, 0))) is int
 
