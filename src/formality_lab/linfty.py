@@ -13,20 +13,20 @@ swept by one loop.
 
 Elements are vectors: a ``core.basis.Sparse`` container (chains and
 cochains, multivectors, forms, operators, series), whose +, scalar *, ==,
-is_zero and truth value are written once there.  The Gerstenhaber checker
-instead accumulates each law residual, a flat dict, through the structure's
-accumulating product and bracket.  Its extension over an odd square-zero
-parameter e is not a second element type: e is one more odd frame symbol
-of the multivectors, and the twisted product is one cached frame rule of
-``cartan._monomial_pairs``.  When the product and bracket are such frame
-rules, the triple laws of the Gerstenhaber sweep are certified rather than
-evaluated on every triple: each law residual's coefficients are polynomials
-of low degree in the exponent entries, so the laws are evaluated on the
-principal lattice of exponents and "checked" counts every triple that the
-evaluation and the degree argument together certify, as the Jacobi orbits
-already count rotations they do not evaluate.  ``CheckReport`` is the one
-outcome record of every identity sweep in the package, the star-product and
-pipeline checks included.
+is_zero and truth value are written once there.  A Gerstenhaber structure
+is its product and bracket, two frame rules of ``cartan._monomial_pairs``,
+and the checker accumulates each law residual, a flat dict, through that
+kernel.  Its extension over an odd square-zero parameter e is not a second
+element type: e is one more odd frame symbol of the multivectors, and the
+twisted product is one more cached frame rule.  The triple laws of the
+Gerstenhaber sweep are certified rather than evaluated on every triple:
+each law residual's coefficients are polynomials of low degree in the
+exponent entries, so the laws are evaluated on the principal lattice of
+exponents and "checked" counts every triple that the evaluation and the
+degree argument together certify, as the Jacobi orbits already count
+rotations they do not evaluate.  ``CheckReport`` is the one outcome record
+of every identity sweep in the package, the star-product and pipeline
+checks included.
 """
 
 from __future__ import annotations
@@ -295,59 +295,31 @@ def mc_residual(S, pi):
 
 
 class GerstenhaberData:
-    """Graded product and odd bracket, given as accumulating kernels.
+    """Multivectors in ``nvars`` variables with a graded product and an odd
+    bracket, given as frame rules of ``cartan._monomial_pairs`` (such as
+    ``cartan._wedge_rule`` and ``cartan._schouten_rule``).  ``delta`` is
+    None, or an odd operator of degree -1 whose second-order defect should
+    be the bracket (``epsilon_extend`` installs one)."""
 
-    ``mul_into(acc, x, y, sign)`` and ``bracket_into(acc, x, y, sign)`` add
-    sign * xy and sign * [x, y] to the flat coefficient dict ``acc``, as
-    ``cartan.wedge_into`` and ``cartan.schouten_into`` do, and
-    ``element(k, acc)`` is the degree-k element whose dict is ``acc``.
-    ``delta`` is None, or an odd operator of degree -1 whose second-order
-    defect should be the bracket (``epsilon_extend`` installs one).
-    ``rules`` is None, or (nvars, mul_rule, bracket_rule) when the kernels
-    are ``cartan._monomial_pairs`` over those frame rules (``from_rules``);
-    ``check_gerstenhaber`` reads their exponent degrees off the rules."""
-
-    delta = None
-    rules = None
-
-    def __init__(self, degree, mul_into, bracket_into, element, generators=()):
-        self.degree = degree
-        self.mul_into = mul_into
-        self.bracket_into = bracket_into
-        self.element = element
+    def __init__(self, nvars, mul_rule, bracket_rule, generators=(), delta=None):
+        self.nvars = nvars
+        self.mul_rule = mul_rule
+        self.bracket_rule = bracket_rule
         self.generators = list(generators)
-
-    @classmethod
-    def from_rules(cls, nvars, mul_rule, bracket_rule, generators=()):
-        """Multivectors in ``nvars`` variables whose product and bracket are
-        given as frame rules of ``cartan._monomial_pairs``, such as
-        ``cartan._wedge_rule`` and ``cartan._schouten_rule``."""
-
-        def mul_into(acc, x, y, sign):
-            _monomial_pairs(acc, x, y, mul_rule, sign)
-
-        def bracket_into(acc, x, y, sign):
-            _monomial_pairs(acc, x, y, bracket_rule, sign)
-
-        A = cls(
-            lambda a: a.k, mul_into, bracket_into, MultiVector.maker(nvars), generators
-        )
-        A.rules = (nvars, mul_rule, bracket_rule)
-        return A
+        self.delta = delta
 
     def delta_defect(self, x, y):
         """delta(xy) - delta(x) y - (-1)^|x| (x delta(y) + [x, y]) as a flat
         dict: empty exactly when the second-order defect of delta on (x, y)
         is the bracket."""
-        delta, mul = self.delta, self.mul_into
-        dx = self.degree(x)
+        delta, mul = self.delta, self.mul_rule
         xy = {}
-        mul(xy, x, y, 1)
-        r = delta(self.element(dx + self.degree(y), xy)).c
-        s = 1 if dx % 2 else -1
-        mul(r, delta(x), y, -1)
-        mul(r, x, delta(y), s)
-        self.bracket_into(r, x, y, s)
+        _monomial_pairs(xy, x, y, mul, 1)
+        r = delta(MultiVector.maker(self.nvars)(x.k + y.k, xy)).c
+        s = 1 if x.k % 2 else -1
+        _monomial_pairs(r, delta(x), y, mul, -1)
+        _monomial_pairs(r, x, delta(y), mul, s)
+        _monomial_pairs(r, x, y, self.bracket_rule, s)
         return r
 
 
@@ -400,9 +372,7 @@ def epsilon_extend(nvars, mul_rule, bracket_rule, generators=()):
             body[f, a + (0,)] = v
             tail[f + (n,), a + (0,)] = -v if len(f) % 2 else v
         gens += [(name, make(g.k, body)), ("e*" + name, make(g.k + 1, tail))]
-    E = GerstenhaberData.from_rules(n + 1, twisted, bracket, gens)
-    E.delta = delta
-    return E
+    return GerstenhaberData(n + 1, twisted, bracket, gens, delta)
 
 
 def _sign(e):
@@ -442,27 +412,25 @@ def _lattice(A):
     the coefficient of each is a polynomial in the exponent entries: of
     total degree 2 d_mul for associativity, d_mul + d_brk for
     bracket-Leibniz and 2 d_brk for Jacobi, where d is a kernel's
-    ``_exponent_degree``.  A derivative skipped on a zero exponent entry is
-    the polynomial's own zero, and a generator's coefficient only scales
-    the residual.  So a law that vanishes on the principal lattice of that
-    degree vanishes on every exponent triple of those frames.
+    ``_exponent_degree``, read off the same two rules the sweep evaluates.
+    A derivative skipped on a zero exponent entry is the polynomial's own
+    zero, and a generator's coefficient only scales the residual.  So a law
+    that vanishes on the principal lattice of that degree vanishes on every
+    exponent triple of those frames.
 
-    It applies when A's kernels are frame rules (``A.rules``), every
-    generator is a single term, and for each frame (and degree) the
-    generators hold every exponent e with |e| <= the largest law degree, so
-    every lattice point is a generator triple."""
-    if A.rules is None:
-        return None
-    nvars, mul_rule, bracket_rule = A.rules
-    dm = _exponent_degree(mul_rule, nvars)
-    db = _exponent_degree(bracket_rule, nvars)
+    It applies when every generator is a single term and, for each frame
+    (and degree), the generators hold every exponent e with |e| <= the
+    largest law degree, so every lattice point is a generator triple."""
+    nvars = A.nvars
+    dm = _exponent_degree(A.mul_rule, nvars)
+    db = _exponent_degree(A.bracket_rule, nvars)
     degrees = {"associativity": 2 * dm, "bracket-leibniz": dm + db, "jacobi": 2 * db}
     groups = {}  # (frame, degree) -> {exponent: its first generator's index}
     for idx, (_, g) in enumerate(A.generators):
         if len(g.c) != 1:
             return None
         ((frame, e),) = g.c
-        groups.setdefault((frame, A.degree(g)), {}).setdefault(e, idx)
+        groups.setdefault((frame, g.k), {}).setdefault(e, idx)
     cover = monomials_upto(nvars, max(degrees.values()))
     if not all(e in group for group in groups.values() for e in cover):
         return None
@@ -481,10 +449,10 @@ def check_gerstenhaber(A):
     delta when A has one.  Returns a CheckReport whose witnesses are
     (law, generator names, residual).
 
-    Each law residual is one flat dict, into which ``A.mul_into`` and
-    ``A.bracket_into`` add every signed term; an element
-    (``A.element``) is made only for a witness and for the N x N tables P
-    and B of pairwise products and brackets, which the triple laws read.
+    Each law residual is one flat dict, into which ``_monomial_pairs`` over
+    ``A.mul_rule`` and ``A.bracket_rule`` adds every signed term; a
+    multivector is made only for a witness and for the N x N tables P and B
+    of pairwise products and brackets, which the triple laws read.
 
     The triple laws are first evaluated on the lattice triples of
     ``_lattice`` when it applies.  If every one vanishes, all N^3 triples of
@@ -495,22 +463,21 @@ def check_gerstenhaber(A):
     of its rotations, so the full sweep computes it once per cyclic orbit,
     at the orbit's least rotation, which product order visits first; every
     rotation still counts as a check and reports its own witness."""
-    mul = A.mul_into
-    brk = A.bracket_into
-    element = A.element
+    mul, brk = A.mul_rule, A.bracket_rule
+    element = MultiVector.maker(A.nvars)
     delta = A.delta
     gens = A.generators
     names = [name for name, _ in gens]
     elems = [g for _, g in gens]
-    degs = [A.degree(g) for g in elems]
+    degs = [g.k for g in elems]
 
-    def table(op, shift):
+    def table(rule, shift):
         rows = []
         for x, dx in zip(elems, degs):
             row = []
             for y, dy in zip(elems, degs):
                 r = {}
-                op(r, x, y, 1)
+                _monomial_pairs(r, x, y, rule, 1)
                 # the bracket of two functions is a zero of degree 0
                 row.append(element(max(dx + dy + shift, 0), r))
             rows.append(row)
@@ -528,14 +495,14 @@ def check_gerstenhaber(A):
             ny, y, dy = names[j], elems[j], degs[j]
             checked += 1
             r = {}
-            mul(r, x, y, 1)
-            mul(r, y, x, -_sign(dx * dy))
+            _monomial_pairs(r, x, y, mul, 1)
+            _monomial_pairs(r, y, x, mul, -_sign(dx * dy))
             if r:
                 witnesses.append(("commutativity", (nx, ny), element(dx + dy, r)))
             checked += 1
             r = {}
-            brk(r, x, y, 1)
-            brk(r, y, x, _sign((dx - 1) * (dy - 1)))
+            _monomial_pairs(r, x, y, brk, 1)
+            _monomial_pairs(r, y, x, brk, _sign((dx - 1) * (dy - 1)))
             if r:
                 witnesses.append(("antisymmetry", (nx, ny), element(dx + dy - 1, r)))
             if delta is not None:
@@ -556,23 +523,23 @@ def check_gerstenhaber(A):
 
     def associativity(i, j, k):
         r = {}
-        mul(r, P[i][j], elems[k], 1)
-        mul(r, elems[i], P[j][k], -1)
+        _monomial_pairs(r, P[i][j], elems[k], mul, 1)
+        _monomial_pairs(r, elems[i], P[j][k], mul, -1)
         return r
 
     def leibniz(i, j, k):
         r = {}
-        brk(r, elems[i], P[j][k], 1)
-        mul(r, B[i][j], elems[k], -1)
-        mul(r, elems[j], B[i][k], -_sign((degs[i] - 1) * degs[j]))
+        _monomial_pairs(r, elems[i], P[j][k], brk, 1)
+        _monomial_pairs(r, B[i][j], elems[k], mul, -1)
+        _monomial_pairs(r, elems[j], B[i][k], mul, -_sign((degs[i] - 1) * degs[j]))
         return r
 
     def jacobi(i, j, k):
         di, dj, dk = degs[i] - 1, degs[j] - 1, degs[k] - 1
         r = {}
-        brk(r, B[i][j], elems[k], _sign(di * dk))
-        brk(r, B[j][k], elems[i], _sign(dj * di))
-        brk(r, B[k][i], elems[j], _sign(dk * dj))
+        _monomial_pairs(r, B[i][j], elems[k], brk, _sign(di * dk))
+        _monomial_pairs(r, B[j][k], elems[i], brk, _sign(dj * di))
+        _monomial_pairs(r, B[k][i], elems[j], brk, _sign(dk * dj))
         return r
 
     laws = {"associativity": associativity, "bracket-leibniz": leibniz, "jacobi": jacobi}

@@ -225,7 +225,10 @@ _PRESET_ALGEBRAS = {
     "matrix-2x2": mat2_unital,
 }
 _ALGEBRA = reference("algebra", _PRESET_ALGEBRAS)
-_PLANES = (integer(1, many=True), [1, 2])
+# At n planes the degree twist takes 1 to t^-n and the u regrading reaches
+# u^n; both series windows end at 4 (``ahat.TWIN`` and the u-window
+# [-4, 4]), so the transport of 5 planes leaves them and is refused at load.
+_PLANES = (integer(1, many=True, maximum=4), [1, 2])
 _NT_VALUES = [2, 3, 4]
 
 
@@ -829,7 +832,7 @@ def _gerstenhaber_suite(args):
         for g in _monomial_basis(ct.MultiVector, 2, 2, 3)
         for key, e in g.c  # the one term of g
     ]
-    plain = lf.GerstenhaberData.from_rules(2, ct._wedge_rule, ct._schouten_rule, gens3)
+    plain = lf.GerstenhaberData(2, ct._wedge_rule, ct._schouten_rule, gens3)
     rep = lf.check_gerstenhaber(plain)
     t.ok(
         rep.ok,

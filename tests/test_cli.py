@@ -10,15 +10,16 @@ import pytest
 from formality_lab import conventions
 from formality_lab.algebras import FunctionModel
 from formality_lab.cartan import MultiVector
-from formality_lab.cli import main
+from formality_lab.cli import _execute, main
 from formality_lab.manifest import (
+    Job,
     ManifestError,
     as_fraction,
     parse_manifest,
 )
 from formality_lab.poly import Poly
 from formality_lab.report import canonical
-from formality_lab.suites import OPS, _light_tuples, expand_suite
+from formality_lab.suites import OPS, _light_tuples, check_job_args, expand_suite
 
 
 # -- exact numbers in manifests ---------------------------------------------------
@@ -402,19 +403,26 @@ def test_trace_in_other_variables_is_refused_at_load(tmp_path, capsys):
     ) in err
 
 
-def test_series_window_overflow_fails_the_job(tmp_path, capsys):
-    # the flat transport's series window is fixed at (-4, 4), and on R^10 its
-    # degree twist takes 1 to t^-5; the overflow is a job failure, not a
-    # manifest error
-    text = (
-        "jobs:\n"
-        "  - {op: flat-transport, name: f5, planes: [5]}\n"
-    )
-    rc = main(["run", _write(tmp_path, text), "--format", "structured"])
-    doc = json.loads(capsys.readouterr().out)
-    assert rc == 1
-    assert [(j["name"], j["status"]) for j in doc["jobs"]] == [("f5", "fail")]
-    assert "window overflow" in doc["jobs"][0]["summary"]
+@pytest.mark.parametrize("op", ["flat-transport", "ahat-flat", "pipeline-chain-maps"])
+def test_transport_at_four_planes_loads(op):
+    # the most planes whose transport stays inside the series windows
+    mf = parse_manifest(f"jobs:\n  - {{op: {op}, planes: [4]}}\n", known_ops=OPS)
+    (job,) = mf.jobs
+    check_job_args(job, mf)
+    assert job.values["planes"] == [4]
+
+
+def test_series_window_overflow_fails_the_job():
+    # a job whose checked values would take the transport out of its window:
+    # the overflow is a job failure, not a manifest error
+    job = Job("f5", "flat-transport", {})
+    job.values = {"planes": [5]}
+    out = _execute(job, None)
+    assert out.status == "fail"
+    assert out.summary == "flat-transport: series window overflow"
+    (witness,) = out.witnesses
+    frame = r"formality_lab\.ahat\._add:\d+"
+    assert re.fullmatch(rf"WindowOverflow at {frame}: t\^-5 u\^0 left the window", witness)
 
 
 @pytest.mark.parametrize("weight", ["t", "t/u"])
@@ -449,6 +457,9 @@ def test_bad_weight_is_refused_before_the_first_job(tmp_path, capsys, monkeypatc
     assert rc == 2
     assert f"formality-lab: {path}: job 'q': unknown weight token 'q'" in capsys.readouterr().err
     assert ran == []
+
+
+PLANES_BOUND = "planes must be a list of integers >= 1 and <= 4"
 
 
 @pytest.mark.parametrize(
@@ -534,6 +545,11 @@ OBJECTS = (
             "max-n 6 takes weight 'u/t' to t^-5 u^5, outside the series window",
         ),
         ("{op: flat-transport, name: q, planes: []}", "planes must be a list of integers"),
+        # the series windows end at 4, and on R^10 the degree twist takes 1
+        # to t^-5 and the u regrading reaches u^5
+        ("{op: flat-transport, name: q, planes: [5]}", PLANES_BOUND),
+        ("{op: ahat-flat, name: q, planes: [5]}", PLANES_BOUND),
+        ("{op: pipeline-chain-maps, name: q, planes: [5]}", PLANES_BOUND),
         ("{op: ahat-flat, name: q, nt-values: [1]}", "nt-values must be a list of integers"),
         ("{op: degeneration-probe, name: q, multivector: v}", "'v' must have degree 2"),
         (

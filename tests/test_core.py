@@ -10,6 +10,7 @@ from formality_lab.core.signs import (
 )
 from formality_lab.core.basis import add_term, vec, vadd_into
 from formality_lab.core.linalg import betti, rank_kernel, solve
+from shared_tools import solve_rows
 
 
 # -- signs -------------------------------------------------------------------
@@ -106,15 +107,6 @@ def test_vec_helpers():
 
 # -- linear algebra -------------------------------------------------------------
 
-def _solve(rows, rhs, ncols):
-    """``solve`` on the system with these rows: column j is {row: entry}."""
-    columns = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            columns[j][i] = v
-    return solve(columns, dict(enumerate(rhs)))
-
-
 def test_rank_kernel_simple():
     rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]
     rank, _ = rank_kernel(rows, 2)
@@ -135,7 +127,7 @@ def test_rank_kernel_zero_map():
 def test_solve_consistent():
     rows = [{0: Fraction(2), 1: Fraction(1)}, {1: Fraction(3)}]
     rhs = [Fraction(5), Fraction(6)]
-    x = _solve(rows, rhs, 2)
+    x = solve_rows(rows, rhs, 2)
     assert x is not None
     for row, b in zip(rows, rhs):
         assert sum(c * x.get(i, Fraction(0)) for i, c in row.items()) == b
@@ -143,12 +135,12 @@ def test_solve_consistent():
 
 def test_solve_inconsistent():
     rows = [{0: Fraction(1)}, {0: Fraction(1)}]
-    assert _solve(rows, [Fraction(1), Fraction(2)], 1) is None
+    assert solve_rows(rows, [Fraction(1), Fraction(2)], 1) is None
 
 
 def test_solve_underdetermined():
     rows = [{0: Fraction(1), 1: Fraction(1)}]
-    x = _solve(rows, [Fraction(7)], 2)
+    x = solve_rows(rows, [Fraction(7)], 2)
     assert x is not None
     assert sum(x.get(i, Fraction(0)) for i in range(2)) == 7
 

@@ -22,27 +22,14 @@ from formality_lab.cartan import Form, MultiVector
 from formality_lab.poly import Poly
 
 import parent_exterior as parent
-
-
-def _frames(n):
-    return [key for k in range(n + 1) for key in combinations(range(n), k)]
-
-
-def _scalar(rng):
-    """An int, a Fraction or an integral Fraction(n, 1), zero included."""
-    r = rng.random()
-    if r < 0.4:
-        return rng.randint(-3, 3)
-    if r < 0.7:
-        return Fraction(rng.randint(-3, 3), rng.randint(2, 3))
-    return Fraction(rng.randint(-3, 3))
+from shared_tools import assert_same_ordered, random_scalar, unit_frames
 
 
 def _poly(rng, n, nterms=3):
     """A Poly written straight into its dict, so Fraction(n, 1) scalars stay."""
     p = Poly.zero(n)
     for _ in range(nterms):
-        v = _scalar(rng)
+        v = random_scalar(rng)
         if v:
             p.c[tuple(rng.randint(0, 2) for _ in range(n))] = v
     return p
@@ -53,21 +40,12 @@ def _element(rng, cls, n, k, nframes=3):
     return cls(n, k, {rng.choice(keys): _poly(rng, n) for _ in range(nframes)})
 
 
-def _assert_same(new, old):
-    """Same class and degree; the same keys in the same order, with the same
-    values of the same types."""
-    assert type(new) is type(old)
-    assert (new.nvars, new.k) == (old.nvars, old.k)
-    assert list(new.c.items()) == list(old.c.items())
-    assert [type(v) for v in new.c.values()] == [type(v) for v in old.c.values()]
-
-
 # -- contraction ------------------------------------------------------------------
 
 def test_contract_rule_matches_parent_on_every_frame_pair():
     for n in range(1, 5):
-        for kv in _frames(n):
-            for kf in _frames(n):
+        for kv in unit_frames(n):
+            for kf in unit_frames(n):
                 old = parent._contract_rule(kv, kf)
                 want = () if old is None else ((old[1], old[0], None, 0),)
                 assert cartan._contract_rule(kv, kf) == want, (kv, kf)
@@ -76,11 +54,11 @@ def test_contract_rule_matches_parent_on_every_frame_pair():
 def test_contract_matches_parent_on_every_frame_pair():
     rng = random.Random(20330)
     for n in range(1, 5):
-        for kv in _frames(n):
-            for kf in _frames(n):
+        for kv in unit_frames(n):
+            for kf in unit_frames(n):
                 mv = MultiVector(n, len(kv), {kv: _poly(rng, n) or Poly.const(n, 1)})
                 alpha = Form(n, len(kf), {kf: _poly(rng, n) or Poly.const(n, 1)})
-                _assert_same(cartan.contract(mv, alpha), parent.contract(mv, alpha))
+                assert_same_ordered(cartan.contract(mv, alpha), parent.contract(mv, alpha))
 
 
 def test_contract_matches_parent_on_seeded_elements():
@@ -94,7 +72,7 @@ def test_contract_matches_parent_on_seeded_elements():
             other = _element(rng, Form, n, kf)
             for form in (alpha, alpha + other, alpha - other):
                 new = cartan.contract(mv, form)
-                _assert_same(new, parent.contract(mv, form))
+                assert_same_ordered(new, parent.contract(mv, form))
                 nonzero += bool(new.c)
     assert nonzero > 100
 
@@ -108,10 +86,10 @@ def test_poly_multiple_matches_parent_on_seeded_elements():
             for _ in range(30):
                 x = _element(rng, cls, n, rng.randint(0, n))
                 f = _poly(rng, n, rng.randint(0, 4))
-                _assert_same(f * x, parent.poly_multiple(x, f))
+                assert_same_ordered(f * x, parent.poly_multiple(x, f))
                 # a function that cancels part of x's terms against another
                 y = _element(rng, cls, n, x.k)
-                _assert_same(f * (x + y), parent.poly_multiple(x + y, f))
+                assert_same_ordered(f * (x + y), parent.poly_multiple(x + y, f))
     with pytest.raises(ValueError, match="variable counts differ"):
         Poly.const(2, 1) * Form.function(Poly.const(3, 1))
 
@@ -121,9 +99,9 @@ def test_poly_multiple_matches_parent_on_seeded_elements():
 def test_star_matches_parent_on_every_frame():
     for n in (1, 2, 3):
         sd = ahat.SymplecticData(n)
-        for J in _frames(sd.nvars):
+        for J in unit_frames(sd.nvars):
             alpha = Form(sd.nvars, len(J), {J: Poly.const(sd.nvars, 1)})
-            _assert_same(ahat.symplectic_star(sd, alpha), parent.symplectic_star(sd, alpha))
+            assert_same_ordered(ahat.symplectic_star(sd, alpha), parent.symplectic_star(sd, alpha))
 
 
 def test_star_matches_parent_on_seeded_forms():
@@ -135,6 +113,6 @@ def test_star_matches_parent_on_seeded_forms():
             alpha = _element(rng, Form, sd.nvars, k, nframes=4)
             beta = alpha + _element(rng, Form, sd.nvars, k)
             for form in (alpha, beta, Fraction(1, 3) * beta):
-                _assert_same(ahat.symplectic_star(sd, form), parent.symplectic_star(sd, form))
+                assert_same_ordered(ahat.symplectic_star(sd, form), parent.symplectic_star(sd, form))
         above = Form(sd.nvars, sd.nvars + 1)
-        _assert_same(ahat.symplectic_star(sd, above), parent.symplectic_star(sd, above))
+        assert_same_ordered(ahat.symplectic_star(sd, above), parent.symplectic_star(sd, above))

@@ -13,33 +13,34 @@ They run on the element-valued structures they were written for:
 ``BuiltEpsilonElement`` arithmetic) and ``built_epsilon_extend`` are
 ``linfty``'s from before the accumulating kernels, verbatim apart from the
 names.  The current sweep runs on the same generators with the same product
-and bracket written as accumulating kernels (``cartan.wedge_into``,
-``cartan.schouten_into`` and the deliberately broken ``_*_into`` fixtures
-below), and adds every law term straight into one residual.  On passing and
-on broken structures, plain and extended over the odd parameter, it must
-count the same checks and report the same (law, generator names) in the
-same order, with every residual equal by value: type, degree and every
-coefficient with its scalar type.  Accumulating term by term stores the
-coefficients in another order than adding built elements does, so the order
-is not compared.
+and bracket written as frame rules of ``cartan._monomial_pairs``
+(``cartan._wedge_rule``, ``cartan._schouten_rule`` and the deliberately
+broken ``_*_rule`` fixtures below), and adds every law term straight into
+one residual.  On passing and on broken structures, plain and extended over
+the odd parameter, it must count the same checks and report the same (law,
+generator names) in the same order, with every residual equal by value:
+type, degree and every coefficient with its scalar type.  Accumulating term
+by term stores the coefficients in another order than adding built elements
+does, so the order is not compared.
 
 Extended over the odd parameter e, the current structure is
 ``linfty.epsilon_extend``: multivectors in one more variable, e being the
-odd frame symbol of index 2, with the product and bracket given as frame
-rules (``cartan._wedge_rule``, ``cartan._schouten_rule`` and the broken
-``_*_rule`` fixtures).  A reference residual body + e*tail is compared
-through ``_lift``; a broken rule is keyed on the body degree, the frame
-length not counting e, so that it breaks the same structure as its kernel
-does on bodies and tails.  The last section compares the extension with
-the accumulating (body, tail) extension it replaced, kept verbatim in
-``parent_epsilon``: on the sweep, and on every pairwise product, bracket
-and second-order defect of delta, and every delta.
+odd frame symbol of index 2.  A reference residual body + e*tail is
+compared through ``_lift``; a broken rule is keyed on the body degree, the
+frame length not counting e, so that it breaks the same structure as its
+element-valued function does on bodies and tails.  The last section
+compares the extension with the accumulating (body, tail) extension it
+replaced, kept verbatim in ``parent_epsilon`` with the same product and
+bracket as accumulating kernels (``cartan.wedge_into``,
+``cartan.schouten_into`` and the broken ``_*_into`` fixtures): on the
+sweep, and on every pairwise product, bracket and second-order defect of
+delta, and every delta.
 
-The certified sweep, which evaluates the triple laws of a structure given
-by frame rules on the principal lattice of exponents only, is compared with
-the full sweep of the same kernels passed as plain callables, on passing
-and broken rules.  The tests after it pin the mathematics it rests on, and
-the cases that must keep the full sweep.
+The certified sweep, which evaluates the triple laws on the principal
+lattice of exponents only, is compared with the full sweep of the same
+rules, run with the certificate switched off, on passing and broken rules.
+The tests after it pin the mathematics it rests on, and the cases that
+must keep the full sweep.
 """
 
 from collections import Counter
@@ -55,6 +56,7 @@ from formality_lab import linfty as lf
 from formality_lab.core.linalg import rank_kernel
 from formality_lab.linfty import CheckReport
 from formality_lab.poly import Poly, monomials_upto
+from shared_tools import unit_frames
 
 
 # -- reference: the previous body, verbatim -----------------------------------
@@ -440,8 +442,9 @@ def _monomial_generators(deg):
     ]
 
 
-# Each product or bracket twice: as the element-valued function the
-# references call, and as the accumulating kernel the current sweep calls.
+# Each product or bracket three times: as the element-valued function the
+# references call, as the accumulating kernel the parent extension calls,
+# and as the frame rule of the current structure.
 
 def _wedge(a, b):
     return a.wedge(b)
@@ -452,11 +455,6 @@ def _truncated(a, b):
     if a.k > 1 or b.k > 1:
         return ct.MultiVector.zero(2, max(a.k + b.k - 1, 0))
     return ct.schouten(a, b)
-
-
-def _truncated_into(acc, a, b, sign):
-    if a.k <= 1 and b.k <= 1:
-        ct.schouten_into(acc, a, b, sign)
 
 
 def _skewed(a, b):
@@ -490,6 +488,11 @@ def _body(frame):
 
 
 @cache
+def _truncated_rule(fa, fb):
+    return ct._schouten_rule(fa, fb) if _body(fa) <= 1 and _body(fb) <= 1 else ()
+
+
+@cache
 def _skewed_rule(fa, fb):
     w = 2 if _body(fa) > _body(fb) else 1
     return tuple((m, w * s, i, side) for m, s, i, side in ct._wedge_rule(fa, fb))
@@ -503,21 +506,21 @@ def _doubled_rule(fa, fb):
 
 WEDGE = (_wedge, ct.wedge_into, ct._wedge_rule)
 SCHOUTEN = (ct.schouten, ct.schouten_into, ct._schouten_rule)
-TRUNCATED = (_truncated, _truncated_into, None)
+TRUNCATED = (_truncated, None, _truncated_rule)
 SKEWED = (_skewed, _skewed_into, _skewed_rule)
 DOUBLED = (_doubled, _doubled_into, _doubled_rule)
 
 
 def _structures(extended, mul, brk, generators):
     """(the structure the current sweep checks, the reference structure)."""
-    (mul_elem, mul_into, mul_rule), (brk_elem, brk_into, brk_rule) = mul, brk
+    (mul_elem, _, mul_rule), (brk_elem, _, brk_rule) = mul, brk
     if extended:
         return (
             lf.epsilon_extend(E_INDEX, mul_rule, brk_rule, generators),
             built_epsilon_extend(_degree, mul_elem, brk_elem, generators),
         )
     return (
-        lf.GerstenhaberData(_degree, mul_into, brk_into, MAKE, generators),
+        lf.GerstenhaberData(2, mul_rule, brk_rule, generators),
         BuiltGerstenhaberData(_degree, mul_elem, brk_elem, generators),
     )
 
@@ -659,9 +662,9 @@ def test_extension_kernels_match_the_body_tail_kernels(case):
         else:
             assert not d  # the reference's zero has degree -1 on a function
         for (_, y), (_, y0) in pairs:
-            for ours, theirs in ((E.mul_into, ref.mul_into), (E.bracket_into, ref.bracket_into)):
+            for ours, theirs in ((E.mul_rule, ref.mul_into), (E.bracket_rule, ref.bracket_into)):
                 r, r0 = {}, parent_epsilon.BodyTail()
-                ours(r, x, y, 1)
+                ct._monomial_pairs(r, x, y, ours, 1)
                 theirs(r0, x0, y0, 1)
                 assert r == _lift(r0.body, r0.tail)
             r0 = ref.delta_defect(x0, y0)
@@ -696,32 +699,31 @@ GENERATOR_SETS = {
 }
 
 
-def _as_callables(A):
-    """A with the same kernels given as plain callables: the full sweep."""
-    full = lf.GerstenhaberData(A.degree, A.mul_into, A.bracket_into, A.element, A.generators)
-    full.delta = A.delta
-    return full
+def _full_sweep(monkeypatch, A):
+    """The report of A's sweep of every triple, the certificate switched
+    off."""
+    with monkeypatch.context() as m:
+        m.setattr(lf, "_lattice", lambda A: None)
+        return lf.check_gerstenhaber(A)
 
 
-def _from_rules(rules, generators):
-    return lf.GerstenhaberData.from_rules(2, *RULES[rules], generators)
+def _structure(rules, generators):
+    return lf.GerstenhaberData(2, *RULES[rules], generators)
 
 
 @pytest.mark.parametrize("gens", sorted(GENERATOR_SETS))
 @pytest.mark.parametrize("rules", sorted(RULES))
-def test_certified_sweep_matches_the_full_sweep(rules, gens):
-    A = _from_rules(rules, GENERATOR_SETS[gens]())
-    full = _as_callables(A)
-    assert lf._lattice(full) is None
+def test_certified_sweep_matches_the_full_sweep(monkeypatch, rules, gens):
+    A = _structure(rules, GENERATOR_SETS[gens]())
     # ``_generators()`` holds two-term generators
     assert (lf._lattice(A) is None) == (gens == "generators")
     new = lf.check_gerstenhaber(A)
-    _assert_same_report(new, lf.check_gerstenhaber(full))
+    _assert_same_report(new, _full_sweep(monkeypatch, A))
     assert new.ok == (rules == "passing")
 
 
 def test_the_suite_lattice_has_2304_triples():
-    A = _from_rules("passing", GENERATOR_SETS["suite"]())
+    A = _structure("passing", GENERATOR_SETS["suite"]())
     lattice = Counter(law for law, _, _, _ in lf._lattice(A))
     assert lattice == {
         "associativity": 64 * 1,
@@ -749,24 +751,20 @@ def test_the_principal_lattice_is_unisolvent(d):
     assert rank == len(monomials)
 
 
-def _frames(nvars):
-    return [f for k in range(nvars + 1) for f in combinations(range(nvars), k)]
-
-
 @pytest.mark.parametrize("nvars", [1, 2, 3])
 def test_rule_entries_take_at_most_one_derivative(nvars):
     """Every entry is (merged, w, i, side) with one derivative index i or
     none, so a kernel multiplies by at most one exponent entry per entry;
     the wedge takes none.  The twisted rule is that of the extension of
     multivectors in nvars - 1 variables."""
-    twisted = lf.epsilon_extend(nvars - 1, ct._wedge_rule, ct._schouten_rule).rules[1]
+    twisted = lf.epsilon_extend(nvars - 1, ct._wedge_rule, ct._schouten_rule).mul_rule
     degrees = {}
     for name, rule in (
         ("wedge", ct._wedge_rule), ("schouten", ct._schouten_rule), ("twisted", twisted)
     ):
         indices = set()
-        for fa in _frames(nvars):
-            for fb in _frames(nvars):
+        for fa in unit_frames(nvars):
+            for fb in unit_frames(nvars):
                 for entry in rule(fa, fb):
                     merged, _, i, side = entry
                     assert list(merged) == sorted(set(merged))
@@ -780,54 +778,29 @@ def test_rule_entries_take_at_most_one_derivative(nvars):
     assert degrees == {"wedge": 0, "schouten": 1, "twisted": int(nvars > 1)}
 
 
-# -- kernels and generators that keep the full sweep ---------------------------------
-
-def _weighted_into(acc, a, b, sign):
-    # Schouten times 1 + sum_i e_i (e_i - 1) of each left term's exponent e:
-    # the bracket itself wherever every left exponent entry is at most 1
-    for (f, e), c in a.c.items():
-        w = 1 + sum(m * (m - 1) for m in e)
-        ct.schouten_into(acc, MAKE(a.k, {(f, e): c}), b, w * sign)
-
-
-def test_a_callable_kernel_gets_the_full_sweep_and_fails_off_the_lattice():
-    A = lf.GerstenhaberData(_degree, ct.wedge_into, _weighted_into, MAKE, _monomial_generators(3))
-    assert lf._lattice(A) is None
-    rep = lf.check_gerstenhaber(A)
-    assert rep.checked == 193640
-    assert "jacobi" in {law for law, _, _ in rep.witnesses}
-    terms = {name: next(iter(g.c)) for name, g in A.generators}
-    by_frames = {}  # frame triple -> the |ea| + |eb| + |ec| of its Jacobi failures
-    for law, names, _ in rep.witnesses:
-        if law == "jacobi":
-            frames = tuple(terms[x][0] for x in names)
-            by_frames.setdefault(frames, []).append(sum(sum(terms[x][1]) for x in names))
-    # Jacobi's lattice has degree 2; on some frame triples every failure lies
-    # off it, where only the full sweep finds them
-    assert any(min(sizes) > 2 for sizes in by_frames.values())
-
+# -- generators that keep the full sweep -------------------------------------------
 
 @pytest.mark.parametrize("rules", ["passing", "doubled-bracket"])
-def test_sweeps_without_the_lattice_keep_the_full_sweep(rules):
+def test_sweeps_without_the_lattice_keep_the_full_sweep(monkeypatch, rules):
     """The extended sweep, whose every law has degree 2 on generators with
     |e| <= 1, and a plain sweep on those generators."""
     mul, brk = RULES[rules]
     E = lf.epsilon_extend(E_INDEX, mul, brk, _suite_generators())
-    plain = lf.GerstenhaberData.from_rules(2, mul, brk, _monomial_generators(1))
+    plain = lf.GerstenhaberData(2, mul, brk, _monomial_generators(1))
     for A in (E, plain):
         assert lf._lattice(A) is None
         new = lf.check_gerstenhaber(A)
-        _assert_same_report(new, lf.check_gerstenhaber(_as_callables(A)))
+        _assert_same_report(new, _full_sweep(monkeypatch, A))
         assert new.ok == (rules == "passing")
     assert lf.check_gerstenhaber(E).checked == 42396
 
 
 @pytest.mark.parametrize("rules", ["passing", "side0-doubled-bracket"])
-def test_a_generator_with_two_terms_falls_back_to_the_full_sweep(rules):
+def test_a_generator_with_two_terms_falls_back_to_the_full_sweep(monkeypatch, rules):
     gens = _monomial_generators(2)
-    assert lf._lattice(_from_rules(rules, gens)) is not None
-    A = _from_rules(rules, gens + [("Z", _mv(1, {(0,): X, (1,): -3 * Y}))])
+    assert lf._lattice(_structure(rules, gens)) is not None
+    A = _structure(rules, gens + [("Z", _mv(1, {(0,): X, (1,): -3 * Y}))])
     assert lf._lattice(A) is None
     new = lf.check_gerstenhaber(A)
-    _assert_same_report(new, lf.check_gerstenhaber(_as_callables(A)))
+    _assert_same_report(new, _full_sweep(monkeypatch, A))
     assert new.ok == (rules == "passing")

@@ -1,7 +1,9 @@
 """Guards: every def and class under ``src/formality_lab`` is reachable from
-the program itself, so no library code exists only for the tests; and no
+the program itself, so no library code exists only for the tests; no
 test function is a copy of a package function, so the tests import the
-builders they share with the program instead of restating them.
+builders they share with the program instead of restating them; and no test
+function is a copy of one in another test module, so a helper that several
+modules need is written once, in ``shared_tools``.
 
 A definition is unreachable when no identifier under the package refers to
 its name (a ``Name``, an ``Attribute``, an import alias, or a string constant
@@ -159,4 +161,27 @@ def test_tests_hold_no_copies_of_package_functions():
         f"{len(pairs)} test functions copy a package function (import the "
         "package's instead):\n  "
         + "\n  ".join(f"{copy} == {original}" for copy, original in pairs)
+    )
+
+
+def copied_test_definitions(tests_dir):
+    """The groups of module-level test functions that are AST-identical
+    across two or more test modules.  The ``parent_*`` modules are exempt,
+    as above."""
+    groups = {}
+    for name, key in _functions(tests_dir, top_level=True):
+        if not name.startswith("parent_"):
+            groups.setdefault(key, []).append(name)
+    return sorted(
+        names for names in groups.values()
+        if len({name.rsplit(".", 1)[0] for name in names}) > 1
+    )
+
+
+def test_tests_hold_no_copies_of_each_other():
+    groups = copied_test_definitions(TESTS)
+    assert not groups, (
+        f"{len(groups)} test functions have copies in other test modules (move "
+        "one copy into shared_tools and import it):\n  "
+        + "\n  ".join(" == ".join(names) for names in groups)
     )

@@ -129,20 +129,20 @@ def test_epsilon_accumulator_keeps_no_stored_zeros():
         [("X", FIELD), ("f", MultiVector.function(_poly())), ("Xf", _poly() * FIELD)],
     )
     (_, x), _, _, (_, tail), (_, xf), _ = E.generators
-    for op in (E.mul_into, E.bracket_into):
+    for rule in (E.mul_rule, E.bracket_rule):
         for y in (x, tail):
             r = {}
-            op(r, x, y, 1)
-            op(r, y, x, 1)
-            op(r, x, y, -1)
-            op(r, y, x, -1)
+            ct._monomial_pairs(r, x, y, rule, 1)
+            ct._monomial_pairs(r, y, x, rule, 1)
+            ct._monomial_pairs(r, x, y, rule, -1)
+            ct._monomial_pairs(r, y, x, rule, -1)
             assert r == {}
     r = {}
-    E.bracket_into(r, x, x, 1)  # [X, X] = 0 for a vector field
+    ct._monomial_pairs(r, x, x, E.bracket_rule, 1)  # [X, X] = 0 for a vector field
     assert r == {}
-    E.mul_into(r, x, tail, 1)  # X (e f) = (-1)^|X| e (X f)
+    ct._monomial_pairs(r, x, tail, E.mul_rule, 1)  # X (e f) = (-1)^|X| e (X f)
     assert r and all(2 in frame for frame, _ in r)
-    assert E.delta(E.element(2, r)) == -xf
+    assert E.delta(MultiVector.maker(3)(2, r)) == -xf
 
 
 # every way a float can reach a container: constructors and scalar factors

@@ -65,6 +65,7 @@ from formality_lab.poly import Poly
 from formality_lab.polydiff import PolyDiffOperator
 from parent_exterior import _remove_index
 from parent_vector_ops import _poly_check, patched
+from shared_tools import random_scalar, unit_frames
 
 NV = 3
 
@@ -718,14 +719,10 @@ def test_kernel_schouten_matches_poly_product_schouten():
 
 # -- the memoized frame rules ----------------------------------------------------
 
-def _frames(n):
-    return [key for k in range(n + 1) for key in combinations(range(n), k)]
-
-
 def test_frame_rules_equal_their_uncached_bodies():
     for n in range(1, 5):
-        for fa in _frames(n):
-            for fb in _frames(n):
+        for fa in unit_frames(n):
+            for fb in unit_frames(n):
                 for rule in (cartan._wedge_rule, cartan._schouten_rule):
                     got = rule(fa, fb)
                     assert type(got) is tuple
@@ -767,22 +764,12 @@ def test_kernel_gives_the_same_results_after_the_rule_caches_clear():
 # may be an int on one side and Fraction(n, 1) on the other; those compare
 # by value, with every scalar an int or a Fraction.
 
-def _scalar(rng):
-    """An int, a Fraction or an integral Fraction(n, 1), zero included."""
-    r = rng.random()
-    if r < 0.4:
-        return rng.randint(-3, 3)
-    if r < 0.7:
-        return Fraction(rng.randint(-3, 3), rng.randint(2, 3))
-    return Fraction(rng.randint(-3, 3))
-
-
 def _raw_poly(rng, n, nterms=3):
     """A Poly written straight into its dict, so Fraction(n, 1) scalars stay."""
     p = Poly.zero(n)
     for _ in range(nterms):
         e = tuple(rng.randint(0, 2) for _ in range(n))
-        v = _scalar(rng)
+        v = random_scalar(rng)
         if v:
             p.c[e] = v
         else:

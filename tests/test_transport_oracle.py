@@ -25,6 +25,7 @@ from formality_lab.cartan import Form, deRham_d
 from formality_lab.poly import Poly
 
 import parent_transport as parent
+from shared_tools import assert_same_ordered
 
 
 def _scalar(rng):
@@ -74,13 +75,6 @@ def _outcome(fn, *args):
         return e
 
 
-def _assert_same_form(new, old):
-    assert type(new) is type(old)
-    assert (new.nvars, new.k) == (old.nvars, old.k)
-    assert list(new.c.items()) == list(old.c.items())
-    assert [type(v) for v in new.c.values()] == [type(v) for v in old.c.values()]
-
-
 def _assert_same(new, old):
     """Both raised the same overflow, or: the same window, the same keys in
     the same order, and forms with the same keys, values and scalar types."""
@@ -91,7 +85,7 @@ def _assert_same(new, old):
     assert (new.nvars, new.twin) == (old.nvars, old.twin)
     assert list(new.c) == list(old.c)
     for key, form in new.c.items():
-        _assert_same_form(form, old.c[key])
+        assert_same_ordered(form, old.c[key])
 
 
 def _arrows():
@@ -158,12 +152,12 @@ def test_star_matches_parent_on_every_frame():
         for k in range(sd.nvars + 1):
             for J in combinations(range(sd.nvars), k):
                 alpha = Form(sd.nvars, k, {J: one})
-                _assert_same_form(ahat.symplectic_star(sd, alpha), parent.symplectic_star(sd, alpha))
+                assert_same_ordered(ahat.symplectic_star(sd, alpha), parent.symplectic_star(sd, alpha))
                 # a Fraction coefficient and a negated one keep their types
                 beta = Fraction(-2, 3) * alpha - Form(sd.nvars, k, {J: Poly.var(sd.nvars, 0)})
-                _assert_same_form(ahat.symplectic_star(sd, beta), parent.symplectic_star(sd, beta))
+                assert_same_ordered(ahat.symplectic_star(sd, beta), parent.symplectic_star(sd, beta))
         above = Form(sd.nvars, sd.nvars + 1)
-        _assert_same_form(ahat.symplectic_star(sd, above), parent.symplectic_star(sd, above))
+        assert_same_ordered(ahat.symplectic_star(sd, above), parent.symplectic_star(sd, above))
 
 
 def test_flat_expansion_matches_the_parent_composite():
