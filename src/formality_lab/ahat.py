@@ -78,13 +78,6 @@ class WindowOverflow(ValueError):
 TWIN = (-4, 4)  # the default t-window; the u-window is always [-4, 4]
 
 
-def window_refuses(twin, kt, ku):
-    """Whether a nonzero part at t^kt u^ku raises ``WindowOverflow`` in a
-    series with t-window ``twin``: kt above the top drops, so only kt below
-    the bottom or ku outside [-4, 4] is refused."""
-    return kt <= twin[1] and (kt < twin[0] or not -4 <= ku <= 4)
-
-
 class SeriesForm(Sparse):
     """c[(kt, ku, k)] = homogeneous degree-k form at weight t^kt u^ku.
 
@@ -119,10 +112,11 @@ class SeriesForm(Sparse):
     def _add(self, kt, ku, form):
         if not form:
             return
-        if window_refuses(self.twin, kt, ku):
+        if kt > self.twin[1]:
+            return
+        if kt < self.twin[0] or not -4 <= ku <= 4:
             raise WindowOverflow(f"t^{kt} u^{ku} left the window")
-        if kt <= self.twin[1]:
-            add_term(self.c, (kt, ku, form.k), form)
+        add_term(self.c, (kt, ku, form.k), form)
 
     def map_parts(self, pieces):
         """The one loop over the parts: ``pieces(form)`` yields (dt, du,

@@ -12,7 +12,6 @@ parse, or resolution errors.
 import argparse
 import sys
 
-from .ahat import WindowOverflow
 from .manifest import ManifestError, load_manifest
 from .report import Report, emit
 from .suites import OPS, JobOutcome, check_job_args, expand_suite, run_job
@@ -83,8 +82,6 @@ def _execute(job, mf):
     manifest loaded, so anything a job raises is a failure of that job."""
     try:
         return run_job(job, mf)
-    except WindowOverflow as e:
-        return _raised(e, f"{job.op}: series window overflow")
     except Exception as e:
         return _raised(e, f"{job.op}: {type(e).__name__}")
 

@@ -5,14 +5,15 @@ Everything here is deterministic.  Randomized sweeps draw from fixed seeds,
 iteration follows declaration or sorted order, and all arithmetic is exact,
 so a manifest always produces the same outcome objects.
 
-The built-in suite "core-identities" expands to the whole battery at the
-default caps; individual ops accept small overrides where noted.
+The built-in suite "core-identities" expands to the whole battery.  An op's
+sample counts, degrees and planes are module constants; its manifest
+arguments are the objects it checks, its expectations, and the sizes some
+manifest sets.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb
 from types import SimpleNamespace
 
 from . import ahat as ah
@@ -225,11 +226,9 @@ _PRESET_ALGEBRAS = {
     "matrix-2x2": mat2_unital,
 }
 _ALGEBRA = reference("algebra", _PRESET_ALGEBRAS)
-# At n planes the degree twist takes 1 to t^-n and the u regrading reaches
-# u^n; both series windows end at 4 (``ahat.TWIN`` and the u-window
-# [-4, 4]), so the transport of 5 planes leaves them and is refused at load.
-_PLANES = (integer(1, many=True, maximum=4), [1, 2])
-_NT_VALUES = [2, 3, 4]
+_PLANES = (1, 2)  # the transport ops run on R^(2n) for these n
+_COEFFICIENT_CAP = 2  # coefficient degree of the transport samples and the probe
+_NT_VALUES = [2, 3, 4]  # the series caps of the flat class and the probe
 
 
 def _bivector(v, where, key, manifest):
@@ -240,38 +239,19 @@ def _bivector(v, where, key, manifest):
     return label, piv
 
 
-def _weights(v, where, key, manifest):
-    if not isinstance(v, list) or not all(isinstance(w, str) for w in v):
-        raise ManifestError(f"{where}: weights must be a list of strings")
-    for z in v:
-        if z not in ah._Z_TOKENS:
-            raise ManifestError(f"{where}: unknown weight token {z!r}")
-    return v
-
-
 # ------------------------------------------------------------------ cochain laws
 
 _POOL = (1, 1, 2, 2, 3)  # arities of the seeded cochains the Jacobi triples draw
+_JACOBI_SAMPLES = 20  # the first 20 of the pool's C(7, 3) = 35 triples
 
 
-@_op(
-    "identity-suite",
-    {
-        "algebra": (_ALGEBRA, None),
-        "jacobi-samples": (integer(1, maximum=comb(len(_POOL) + 2, 3)), 20),
-    },
-)
+@_op("identity-suite")
 def _identity_suite(args):
     """Square-zero differential, graded Jacobi, product Leibniz, and closure
     of the normalized subcomplex, over small associative algebras."""
-    nsamp = args["jacobi-samples"]
-    if args["algebra"]:
-        algebras = [args["algebra"]]
-    else:
-        names = ("truncated-poly-3", "matrix-2x2")
-        algebras = [(name, _PRESET_ALGEBRAS[name]()) for name in names]
     t = _Tally()
-    for label, A in algebras:
+    for label in ("truncated-poly-3", "matrix-2x2"):
+        A = _PRESET_ALGEBRAS[label]()
         for ar in range(0, 4):
             for i, e in enumerate(hh.basis_cochains(A, ar)):
                 t.ok(
@@ -293,7 +273,7 @@ def _identity_suite(args):
         rng = random.Random(101)
         pool = [_rand_cochain(A, a, rng) for a in _POOL]
         triples = list(combinations_with_replacement(range(len(pool)), 3))
-        for idx in triples[:nsamp]:
+        for idx in triples[:_JACOBI_SAMPLES]:
             D, E, F = (pool[i] for i in idx)
             pa, pb, pc = D.lie_degree, E.lie_degree, F.lie_degree
             z = (
@@ -512,14 +492,16 @@ def _betti_agreement(args):
 
 # ------------------------------------------------------------------ multivectors
 
-@_op("hkr-suite", {"closed-samples": (integer(1), 20)})
+_CLOSED_SAMPLES = 20
+
+
+@_op("hkr-suite")
 def _hkr_suite(args):
     """The symbol-to-operator map lands in cocycles, and its failures to
     respect bracket and product are exact, with solved primitives."""
-    nclosed = args["closed-samples"]
     t = _Tally()
     rng = random.Random(303)
-    for i in range(nclosed):
+    for i in range(_CLOSED_SAMPLES):
         if i % 5 < 3:
             piv = _rand_mv(rng, 2, rng.choice([1, 2]), 2)
         else:
@@ -565,20 +547,21 @@ def _light_tuples(weights, length, budget):
             yield (i,) + tail
 
 
-# the suite's work about doubles with each degree: 8,330 checks at degree 6
-@_op("mu-suite", {"max-degree": (integer(1, maximum=6), 3)})
+_MU_DEGREE = 3  # the largest chain weight
+
+
+@_op("mu-suite")
 def _mu_suite(args):
     """The chain-to-form map kills boundaries and turns the cyclic
     operator into the exterior derivative, on monomial chains.  The jet
     algebra is cut off at the largest chain weight, so no product of a
     sampled chain is truncated."""
-    maxdeg = args["max-degree"]
-    model = FunctionModel(2, maxdeg)
-    A = jet_algebra(2, maxdeg)
+    model = FunctionModel(2, _MU_DEGREE)
+    A = jet_algebra(2, _MU_DEGREE)
     weights = [sum(e) for e in model.monomials]
     t = _Tally()
     for nn in range(0, 4):
-        for tup in _light_tuples(weights, nn + 1, maxdeg):
+        for tup in _light_tuples(weights, nn + 1, _MU_DEGREE):
             ch = hh.Chain.elementary(A, tup)
             t.ok(
                 ct.connes_mu_chain(model, hh.chain_b(ch)).is_zero(),
@@ -595,12 +578,14 @@ def _mu_suite(args):
     return t.outcome("chains-to-forms suite")
 
 
-@_op("schouten-suite", {"bivector-samples": (integer(1), 10)})
+_BIVECTOR_SAMPLES = 10
+
+
+@_op("schouten-suite")
 def _schouten_suite(args):
     """Bracket axioms on multivectors, the cyclic-sum identity for the
     induced bracket on functions, and the leading term of the constant
     exponential product."""
-    nbiv = args["bivector-samples"]
     t = _Tally()
     # shifted antisymmetry: exhaustive over the monomial basis, deep coefficients
     basis4 = _monomial_basis(ct.MultiVector, 3, 3, 2)
@@ -673,7 +658,7 @@ def _schouten_suite(args):
     triples = list(combinations_with_replacement(range(len(monos2)), 3))
     vols = [dfs[a].wedge(dfs[b]).wedge(dfs[c]) for a, b, c in triples]
     rng = random.Random(404)
-    for i in range(nbiv):
+    for i in range(_BIVECTOR_SAMPLES):
         piv = _rand_mv(rng, 3, 2, 2)
         jac = ct.jacobiator(piv)
         pb = [[ct.pairing(piv, da.wedge(db)) for db in dfs] for da in dfs]
@@ -868,19 +853,15 @@ def _gerstenhaber_suite(args):
 
 # ------------------------------------------------------------------ transport layer
 
-@_op(
-    "pipeline-chain-maps",
-    {"planes": _PLANES, "coefficient-cap": (integer(0), 2)},
-)
+@_op("pipeline-chain-maps")
 def _pipeline_chain_maps(args):
     """Every stage of the weighted-form composition commutes with its
     displayed differentials, on monomial form samples."""
-    planes, cap = args["planes"], args["coefficient-cap"]
     t = _Tally()
     total = 0
-    for n in planes:
+    for n in _PLANES:
         sd = ah.SymplecticData(n)
-        forms = _monomial_basis(ct.Form, sd.nvars, sd.nvars, cap)
+        forms = _monomial_basis(ct.Form, sd.nvars, sd.nvars, _COEFFICIENT_CAP)
         samples = [ah.SeriesForm.wrap(f) for f in forms]
         rep = ah.check_pipeline_chain_maps(sd, samples)
         total += rep.checked
@@ -893,33 +874,17 @@ def _pipeline_chain_maps(args):
     return t.outcome("pipeline chain-map suite", {"pairs-checked": total})
 
 
-def _exp_contract_window(values, where):
-    """The ``agree`` hook of ``exp-contract``: at n = max-n the identity
-    has a nonzero part at z^m for every m <= n, so refuse a weight z whose
-    part would leave the series window."""
-    n = values["max-n"]
-    for z in values["weights"]:
-        dt, du = ah._Z_TOKENS[z]
-        for m in range(n + 1):
-            if ah.window_refuses(ah.TWIN, m * dt, m * du):
-                raise ManifestError(
-                    f"{where}: max-n {n} takes weight {z!r} to t^{m * dt} u^{m * du},"
-                    f" outside the series window"
-                )
+_EXP_MAX_N = 4
+_WEIGHTS = ("t", "u", "t/u")
 
 
-@_op(
-    "exp-contract",
-    {"max-n": (integer(1), 4), "weights": (_weights, ["t", "u", "t/u"])},
-    _exp_contract_window,
-)
+@_op("exp-contract")
 def _exp_contract(args):
     """The exponential-contraction identity on volume powers, for each
     weight monomial."""
-    max_n, weights = args["max-n"], args["weights"]
     t = _Tally()
-    for n in range(1, max_n + 1):
-        for z in weights:
+    for n in range(1, _EXP_MAX_N + 1):
+        for z in _WEIGHTS:
             rep = ah.exp_contract_identity(n, z)
             t.ok(
                 rep.ok,
@@ -928,12 +893,12 @@ def _exp_contract(args):
     return t.outcome("exponential-contraction suite")
 
 
-@_op("flat-transport", {"planes": _PLANES})
+@_op("flat-transport")
 def _flat_transport(args):
     """The composite on the flat model is multiplication by its value at 1,
     and that value is the alternating volume-power series."""
     t = _Tally()
-    for n in args["planes"]:
+    for n in _PLANES:
         sd = ah.SymplecticData(n)
         one = ah.SeriesForm.wrap(ct.Form.function(Poly.const(sd.nvars, 1)))
         got = ah.nu0(sd, one)
@@ -958,14 +923,14 @@ def _flat_transport(args):
     return t.outcome("flat-transport suite")
 
 
-@_op("ahat-flat", {"planes": _PLANES, "nt-values": (integer(2, many=True), _NT_VALUES)})
+@_op("ahat-flat")
 def _ahat_flat(args):
     """The flat-model class expansion is the constant 1, with every
     positive-degree part certified exact, at each series cap."""
     t = _Tally()
     classes = {}
-    for n in args["planes"]:
-        for nt in args["nt-values"]:
+    for n in _PLANES:
+        for nt in _NT_VALUES:
             rep = ah.ahat_flat(n, nt)
             classes[f"n={n},nt={nt}"] = sorted(
                 (list(k), str(v)) for k, v in rep.klass.items()
@@ -984,8 +949,7 @@ def _ahat_flat(args):
     "degeneration-probe",
     {
         "multivector": (_bivector, None),
-        "coefficient-cap": (integer(0), 2),
-        "nt-values": (integer(1, many=True), _NT_VALUES),
+        "nt-values": (integer(1, many=True, maximum=max(_NT_VALUES)), _NT_VALUES),
         "expect-degenerate": (boolean, None),
     },
 )
@@ -996,12 +960,11 @@ def _degeneration_probe(args):
         "standard-plane",
         ct.MultiVector(2, 2, {(0, 1): Poly.const(2, 1)}),
     )
-    cap = args["coefficient-cap"]
     tables = {}
     flags = {}
     for nt in args["nt-values"]:
         try:
-            table = ah.spectral_degeneration_probe(piv, cap, nt)
+            table = ah.spectral_degeneration_probe(piv, _COEFFICIENT_CAP, nt)
         except ValueError as e:
             return JobOutcome(
                 "fail",
@@ -1034,14 +997,21 @@ def _series_text(val):
     return f"FormalSeries({terms})"
 
 
-def _same_variables(values, where):
+def _trace_fits_star(values, where):
     """A trace is evaluated on the star product's polynomials, so the two
-    must have one variable count."""
+    must have one variable count, and the monomials swept may not pass the
+    product's degree cap."""
     (tlabel, tau), (slabel, s) = values["trace"], values["star"]
     if tau.nvars != s.model.nvars:
         raise ManifestError(
             f"{where}: trace {tlabel!r} is in {tau.nvars} variables,"
             f" star product {slabel!r} in {s.model.nvars}"
+        )
+    degree = values["max-degree"]
+    if degree is not None and degree > s.model.cap:
+        raise ManifestError(
+            f"{where}: max-degree {degree} is above the degree cap"
+            f" {s.model.cap} of star product {slabel!r}"
         )
 
 
@@ -1053,7 +1023,7 @@ def _same_variables(values, where):
         "max-degree": (integer(0), None),
         "expect": (choice("zero", "nonzero"), None),
     },
-    _same_variables,
+    _trace_fits_star,
 )
 def _trace_defect(args):
     """Commutator defect of a candidate trace against a star product, plus
@@ -1125,18 +1095,10 @@ def expand_suite(args, model, name):
         ("core/linfty", "linfty-suite", {}),
         ("core/mc-star", "mc-star", {}),
         ("core/schouten", "schouten-suite", {}),
-        ("core/pipeline", "pipeline-chain-maps", {"planes": [1, 2]}),
-        ("core/exp-contract", "exp-contract", {"max-n": 4}),
-        ("core/flat-transport", "flat-transport", {"planes": [1, 2]}),
-        (
-            "core/ahat-flat",
-            "ahat-flat",
-            {"planes": [1, 2], "nt-values": [2, 3, 4]},
-        ),
-        (
-            "core/probe",
-            "degeneration-probe",
-            {"coefficient-cap": 2, "nt-values": [2, 3, 4], "expect-degenerate": True},
-        ),
+        ("core/pipeline", "pipeline-chain-maps", {}),
+        ("core/exp-contract", "exp-contract", {}),
+        ("core/flat-transport", "flat-transport", {}),
+        ("core/ahat-flat", "ahat-flat", {}),
+        ("core/probe", "degeneration-probe", {"expect-degenerate": True}),
         ("core/gerstenhaber", "gerstenhaber-suite", {}),
     ]

@@ -103,9 +103,9 @@ def test_criterion_08_multivector_bracket_suite():
 
 
 def test_criterion_09_transport_pipeline():
-    maps = _run("pipeline-chain-maps", {"planes": [1, 2]})
-    contract = _run("exp-contract", {"max-n": 4})
-    flat = _run("flat-transport", {"planes": [1, 2]})
+    maps = _run("pipeline-chain-maps")
+    contract = _run("exp-contract")
+    flat = _run("flat-transport")
     # the composite's value at 1, asserted directly as well
     direct = True
     for n in (1, 2):
@@ -128,7 +128,7 @@ def test_criterion_09_transport_pipeline():
 
 
 def test_criterion_10_flat_class_expansion():
-    out = _run("ahat-flat", {"planes": [1, 2], "nt-values": [2, 3, 4]})
+    out = _run("ahat-flat")
     rep = ah.ahat_flat(2, 3)
     _report(
         10,
@@ -143,10 +143,7 @@ def test_criterion_10_flat_class_expansion():
 def test_criterion_11_degeneration_probe():
     import test_ahat
 
-    out = _run(
-        "degeneration-probe",
-        {"coefficient-cap": 2, "nt-values": [2, 3, 4], "expect-degenerate": True},
-    )
+    out = _run("degeneration-probe", {"expect-degenerate": True})
     std = ct.MultiVector(2, 2, {(0, 1): Poly.const(2, 1)})
     oracle_ok = True
     stable = True

@@ -7,9 +7,10 @@ from itertools import product
 
 import pytest
 
-from formality_lab import conventions
+from formality_lab import ahat as ah
+from formality_lab import conventions, suites
 from formality_lab.algebras import FunctionModel
-from formality_lab.cartan import MultiVector
+from formality_lab.cartan import Form, MultiVector
 from formality_lab.cli import _execute, main
 from formality_lab.manifest import (
     Job,
@@ -19,7 +20,7 @@ from formality_lab.manifest import (
 )
 from formality_lab.poly import Poly
 from formality_lab.report import canonical
-from formality_lab.suites import OPS, _light_tuples, check_job_args, expand_suite
+from formality_lab.suites import OPS, _light_tuples, expand_suite
 
 
 # -- exact numbers in manifests ---------------------------------------------------
@@ -99,7 +100,10 @@ def test_duplicate_yaml_keys_rejected_at_the_repeat(tmp_path, capsys, text, key,
         ("jobs:\n  - {op: nope}\n", "jobs[0]: unknown op 'nope'"),
         ("jobs:\n  - {op: betti, name: x}\n  - {op: betti, name: x}\n", "duplicate job name 'x'"),
         ("jobs:\n  - {op: betti, name: j, top: -1}\n", "job 'j': 'top' must be an integer >= 0"),
-        ("jobs:\n  - {op: exp-contract, name: q, weights: [q]}\n", "job 'q': unknown weight token 'q'"),
+        (
+            "jobs:\n  - {op: exp-contract, name: q, weights: [q]}\n",
+            "job 'q': unknown exp-contract argument 'weights' (have none)",
+        ),
         ("model: {vars: 0}\n", "model: 'vars' must be an integer >= 1"),
         ("objects:\n  t: {kind: trace, coef: 1}\n", "objects.t: unknown trace field 'coef'"),
         ("jobs: {a: 1}\n", "jobs must be a list"),
@@ -192,7 +196,7 @@ FAST = (
     "jobs:\n"
     "  - {op: betti, name: a, algebra: dual-numbers, top: 2,"
     " expect: [2, 1, 1]}\n"
-    "  - {op: exp-contract, name: b, max-n: 2}\n"
+    "  - {op: exp-contract, name: b}\n"
     '  - {op: betti, name: c, algebra: matrix-2x2, top: 1, kind: cohomology}\n'
 )
 
@@ -318,15 +322,14 @@ def test_probe_job_refuses_a_non_poisson_bivector(tmp_path, capsys):
         "    degree: 2\n"
         '    terms: {"0,1": {"0,0,0": 1}, "1,2": {"0,1,0": 1}}\n'
         "jobs:\n"
-        "  - {op: degeneration-probe, name: j, multivector: p,"
-        " coefficient-cap: 1, nt-values: [2, 3]}\n"
+        "  - {op: degeneration-probe, name: j, multivector: p, nt-values: [2, 3]}\n"
     )
     rc = main(["run", _write(tmp_path, text), "--format", "structured"])
     (job,) = json.loads(capsys.readouterr().out)["jobs"]
     assert rc == 1
     assert (job["status"], job["summary"]) == ("fail", "probe of p refused at nt=3")
     assert job["witnesses"] == [
-        "d^2 != 0: the echelon row of d_2 at pivot column 0 times d_3 is -1 at column 12"
+        "d^2 != 0: the echelon row of d_2 at pivot column 1 times d_3 is -1 at column 31"
     ]
 
 
@@ -403,63 +406,38 @@ def test_trace_in_other_variables_is_refused_at_load(tmp_path, capsys):
     ) in err
 
 
-@pytest.mark.parametrize("op", ["flat-transport", "ahat-flat", "pipeline-chain-maps"])
-def test_transport_at_four_planes_loads(op):
-    # the most planes whose transport stays inside the series windows
-    mf = parse_manifest(f"jobs:\n  - {{op: {op}, planes: [4]}}\n", known_ops=OPS)
-    (job,) = mf.jobs
-    check_job_args(job, mf)
-    assert job.values["planes"] == [4]
+def test_series_window_overflow_fails_the_job(monkeypatch):
+    # a job that takes a series out of its window: the overflow is a job
+    # failure, not a manifest error
+    def overflow(values):
+        ah.SeriesForm.zero(2)._add(-5, 0, Form.function(Poly.const(2, 1)))
 
-
-def test_series_window_overflow_fails_the_job():
-    # a job whose checked values would take the transport out of its window:
-    # the overflow is a job failure, not a manifest error
-    job = Job("f5", "flat-transport", {})
-    job.values = {"planes": [5]}
+    monkeypatch.setattr(OPS["flat-transport"], "fn", overflow)
+    job = Job("f", "flat-transport", {})
+    job.values = {}
     out = _execute(job, None)
     assert out.status == "fail"
-    assert out.summary == "flat-transport: series window overflow"
+    assert out.summary == "flat-transport: WindowOverflow"
     (witness,) = out.witnesses
     frame = r"formality_lab\.ahat\._add:\d+"
     assert re.fullmatch(rf"WindowOverflow at {frame}: t\^-5 u\^0 left the window", witness)
 
 
 @pytest.mark.parametrize("weight", ["t", "t/u"])
-def test_exp_contract_parts_above_the_t_window_load_and_drop(tmp_path, capsys, weight):
+def test_exp_contract_parts_above_the_t_window_load_and_drop(
+    tmp_path, capsys, monkeypatch, weight
+):
     # z^5 with z = t or t/u lies above the t-window's top, so the ideal
     # drops it whatever its u-weight: no part raises, and the identity holds
-    text = f"jobs:\n  - {{op: exp-contract, name: e, max-n: 5, weights: [{weight}]}}\n"
+    monkeypatch.setattr(suites, "_EXP_MAX_N", 5)
+    monkeypatch.setattr(suites, "_WEIGHTS", (weight,))
+    text = "jobs:\n  - {op: exp-contract, name: e}\n"
     rc = main(["run", _write(tmp_path, text), "--format", "structured"])
     doc = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert [(j["name"], j["status"]) for j in doc["jobs"]] == [("e", "pass")]
-
-
-def test_unknown_weight_token_exits_two(tmp_path, capsys):
-    text = "jobs:\n  - {op: exp-contract, name: q, weights: [q]}\n"
-    rc = main(["run", _write(tmp_path, text)])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "unknown weight token 'q'" in err
-
-
-def test_bad_weight_is_refused_before_the_first_job(tmp_path, capsys, monkeypatch):
-    ran = []
-    monkeypatch.setattr(OPS["betti"], "fn", lambda *a: ran.append(a))
-    text = (
-        "jobs:\n"
-        "  - {op: betti, name: first, algebra: dual-numbers, top: 1}\n"
-        "  - {op: exp-contract, name: q, weights: [t, q]}\n"
-    )
-    path = _write(tmp_path, text)
-    rc = main(["run", path])
-    assert rc == 2
-    assert f"formality-lab: {path}: job 'q': unknown weight token 'q'" in capsys.readouterr().err
-    assert ran == []
-
-
-PLANES_BOUND = "planes must be a list of integers >= 1 and <= 4"
+    assert [(j["name"], j["status"], j["data"]["checked"]) for j in doc["jobs"]] == [
+        ("e", "pass", 5)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -512,19 +490,6 @@ OBJECTS = (
     "second, message",
     [
         (
-            "{op: identity-suite, name: q, jacobi-samples: 0}",
-            "'jacobi-samples' must be an integer >= 1",
-        ),
-        (
-            "{op: identity-suite, name: q, jacobi-samples: 36}",
-            "'jacobi-samples' must be an integer >= 1 and <= 35",
-        ),
-        ("{op: mu-suite, name: q, max-degree: 0}", "'max-degree' must be an integer >= 1"),
-        (
-            "{op: mu-suite, name: q, max-degree: 7}",
-            "'max-degree' must be an integer >= 1 and <= 6",
-        ),
-        (
             "{op: betti-agreement, name: q, algebra: matrix-2x2, top: 14}",
             "top 14 needs 4 x 4^15 chains of 'matrix-2x2' in degree 15, above the bound 65536",
         ),
@@ -537,32 +502,46 @@ OBJECTS = (
             "top 8 needs 4 x 3^9 chains of 'truncated-poly-3' in degree 9, above the bound 65536",
         ),
         (
-            "{op: exp-contract, name: q, max-n: 5}",
-            "max-n 5 takes weight 'u' to t^0 u^5, outside the series window",
+            "{op: degeneration-probe, name: q, nt-values: [2, 5]}",
+            "nt-values must be a list of integers >= 1 and <= 4",
         ),
-        (
-            "{op: exp-contract, name: q, max-n: 6, weights: [u/t]}",
-            "max-n 6 takes weight 'u/t' to t^-5 u^5, outside the series window",
-        ),
-        ("{op: flat-transport, name: q, planes: []}", "planes must be a list of integers"),
-        # the series windows end at 4, and on R^10 the degree twist takes 1
-        # to t^-5 and the u regrading reaches u^5
-        ("{op: flat-transport, name: q, planes: [5]}", PLANES_BOUND),
-        ("{op: ahat-flat, name: q, planes: [5]}", PLANES_BOUND),
-        ("{op: pipeline-chain-maps, name: q, planes: [5]}", PLANES_BOUND),
-        ("{op: ahat-flat, name: q, nt-values: [1]}", "nt-values must be a list of integers"),
         ("{op: degeneration-probe, name: q, multivector: v}", "'v' must have degree 2"),
         (
             "{op: degeneration-probe, name: q, expect-degenerate: 1}",
             "'expect-degenerate' must be true or false",
         ),
         ("{op: trace-defect, name: q, star: s}", "missing 'trace'"),
+        # the model's degree cap, 4, is the star product's
+        (
+            "{op: trace-defect, name: q, trace: t, star: s, max-degree: 5}",
+            "max-degree 5 is above the degree cap 4 of star product 's'",
+        ),
         (
             "{op: trace-defect, name: q, trace: t, star: s, expect: maybe}",
             "expect must be zero or nonzero",
         ),
         ("{op: mc-star, name: q, star: ghost}", "no object named 'ghost'"),
         ("{op: mc-star, name: q, star: t}", "'t' is a trace, expected a star-product"),
+        # arguments that became module constants: refused even at their
+        # old default
+        *(
+            (f"{{op: {op}, name: q, {key}: {value}}}", f"unknown {op} argument '{key}'")
+            for op, key, value in (
+                ("identity-suite", "algebra", "dual-numbers"),
+                ("identity-suite", "jacobi-samples", 20),
+                ("hkr-suite", "closed-samples", 20),
+                ("mu-suite", "max-degree", 3),
+                ("schouten-suite", "bivector-samples", 10),
+                ("pipeline-chain-maps", "planes", [1, 2]),
+                ("pipeline-chain-maps", "coefficient-cap", 2),
+                ("exp-contract", "max-n", 4),
+                ("exp-contract", "weights", "[t, u, t/u]"),
+                ("flat-transport", "planes", [1, 2]),
+                ("ahat-flat", "planes", [1, 2]),
+                ("ahat-flat", "nt-values", [2, 3, 4]),
+                ("degeneration-probe", "coefficient-cap", 2),
+            )
+        ),
     ],
 )
 def test_bad_value_of_any_op_is_refused_before_the_first_job(
@@ -580,6 +559,23 @@ def test_bad_value_of_any_op_is_refused_before_the_first_job(
     assert rc == 2
     assert f"formality-lab: {path}: job 'q': {message}" in capsys.readouterr().err
     assert ran == []
+
+
+@pytest.mark.parametrize(
+    "job, key, value",
+    [
+        # the probe's series caps end at 4, the largest nt the flat class uses
+        ("{op: degeneration-probe, name: q, nt-values: [4]}", "nt-values", [4]),
+        # the model's degree cap, 4, is the star product's
+        ("{op: trace-defect, name: q, trace: t, star: s, max-degree: 4}", "max-degree", 4),
+    ],
+)
+def test_work_size_at_its_maximum_loads(job, key, value):
+    from formality_lab.suites import check_job_args
+
+    mf = parse_manifest(OBJECTS + f"jobs:\n  - {job}\n", known_ops=OPS)
+    check_job_args(mf.jobs[0], mf)
+    assert mf.jobs[0].values[key] == value
 
 
 @pytest.mark.parametrize(
@@ -696,20 +692,16 @@ def test_top_maximum_admits_full_dual_numbers_at_the_size_bound():
         assert mf.jobs[0].values["top"] == 14
 
 
-def test_mu_suite_passes_above_the_default_degree(tmp_path, capsys):
-    # the jet algebra is cut off at max-degree, so no sampled chain's
-    # product is truncated into a false failure
-    text = (
-        "jobs:\n"
-        "  - {op: mu-suite, name: d4, max-degree: 4}\n"
-        "  - {op: mu-suite, name: d5, max-degree: 5}\n"
-    )
-    rc = main(["run", _write(tmp_path, text), "--format", "structured"])
-    jobs = json.loads(capsys.readouterr().out)["jobs"]
-    assert rc == 0
-    assert [(job["status"], job["data"]["checked"]) for job in jobs] == [
-        ("pass", 1580), ("pass", 3792)
-    ]
+def test_mu_suite_passes_above_the_default_degree(tmp_path, capsys, monkeypatch):
+    # the jet algebra is cut off at the suite's degree, so no sampled
+    # chain's product is truncated into a false failure
+    path = _write(tmp_path, "jobs:\n  - {op: mu-suite, name: d}\n")
+    for degree, checked in ((4, 1580), (5, 3792)):
+        monkeypatch.setattr(suites, "_MU_DEGREE", degree)
+        rc = main(["run", path, "--format", "structured"])
+        (job,) = json.loads(capsys.readouterr().out)["jobs"]
+        assert rc == 0
+        assert (job["status"], job["data"]["checked"]) == ("pass", checked)
 
 
 def test_mu_suite_walks_the_tuples_the_weight_filter_keeps():
