@@ -36,11 +36,12 @@ def _normalize_row(row):
     if not row:
         return row
     ints = row
-    # the type, not the denominator: Fraction(k, 1) must be rescaled to int
-    if not all(type(v) is int for v in row.values()):
+    try:
+        g = gcd(*row.values())
+    except TypeError:  # any Fraction, Fraction(k, 1) too, is rescaled to int
         den = lcm(*(v.denominator for v in row.values()))
         ints = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
-    g = gcd(*ints.values())
+        g = gcd(*ints.values())
     if ints[min(ints)] < 0:
         g = -g
     if g == 1:

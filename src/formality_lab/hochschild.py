@@ -389,27 +389,10 @@ def lie_action(D, ch):
 # key (t, k) is the chain (k,) + t of A* (x) A^(x)n.  These are the
 # lexicographic orders of the chains.  A face that acts on a block of
 # adjacent slots and carries the rest through is then the block
-# I_p (x) M (x) I_s on those indices (``_add_block``).  Its transpose is
-# I_p (x) M^T (x) I_s, so b's faces are the same blocks of the transposed
-# products (``_transpose``).
-
-
-def _add_block(rows, sign, p, m, ncols, s):
-    """rows[x][y] += sign * (I_p (x) m (x) I_s)[x, y], through ``add_term``.
-
-    ``m`` lists, for each of its rows, its (column, value) terms in order,
-    out of ``ncols`` columns.  Row (q, r, u) of the block is
-    rows[(q len(m) + r) s + u] and column (q, c, u) is (q ncols + c) s + u,
-    for q < p and u < s.  Each row gets its terms in the order of ``m``."""
-    nrows = len(m)
-    for q in range(p):
-        for r, terms in enumerate(m):
-            x = (q * nrows + r) * s
-            for c, v in terms:
-                y = (q * ncols + c) * s
-                v = sign * v
-                for u in range(s):
-                    add_term(rows[x + u], y + u, v)
+# I_p (x) M (x) I_s on those indices.  Its transpose is I_p (x) M^T (x) I_s,
+# so b's faces are the same blocks of the transposed products
+# (``_transpose``).  Faces 0..n-1 of b_(n+1) are those of b_n with one more
+# trailing slot, so each map's face rows are grown from the ones below.
 
 
 def _transpose(m, ncols):
@@ -457,12 +440,10 @@ def _betti(algebra, top, reduced, right, left, name):
     shift = 1 if name == "delta" else 0
 
     def maps():
+        faces = [dict(terms) for terms in m_head]  # b_1 has face 0 alone
         for n in range(1, top + 2):
-            rows = [{} for _ in range(dims[n - 1])]
-            _add_block(rows, 1, 1, m_head, dim * R, R ** (n - 1))
-            for i in range(1, n):
-                sign = -1 if i % 2 else 1
-                _add_block(rows, sign, dim * R ** (i - 1), m_bar, R * R, R ** (n - 1 - i))
+            # the next map grows from the faces: only the last takes its wrap in place
+            rows = faces if n == top + 1 else [dict(row) for row in faces]
             # wrap: (i_0, mid, i_n) -> (i_n i_0, mid), mid < R^(n-1)
             sign = -1 if n % 2 else 1
             mid = R ** (n - 1)
@@ -474,6 +455,18 @@ def _betti(algebra, top, reduced, right, left, name):
                         for u in range(mid):
                             add_term(rows[y + u], x + u * R, v)
             yield n - shift, rows
+            if n == top + 1:
+                break
+            # b_(n+1): row x R + w is row x of b_n with slot w appended, then
+            # face n, (-1)^n I (x) m^T on the last two slots (the wrap's sign)
+            grown = []
+            for x, face in enumerate(faces):
+                for w, terms in enumerate(m_bar):
+                    row = {y * R + w: v for y, v in face.items()}
+                    for c, v in terms:
+                        add_term(row, x * R * R + c, sign * v)
+                    grown.append(row)
+            faces = grown
 
     return betti(name, dims, maps())
 

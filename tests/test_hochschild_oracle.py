@@ -24,11 +24,16 @@ before, which ``_leading_columns`` finds by its own elimination.
 ``_old_homology_betti`` and ``_old_cohomology_betti`` are the Betti
 functions before clearing, verbatim: row-major, every nonzero row
 eliminated, nothing checked, and delta built from its closed form, on its
-own copy of the lookups it read then (``_old_delta_lookups``).  The tables
-must agree in all four flavors, also on algebras that are not symmetric,
-where a wrong dual bimodule changes the cochain table.
+own copy of the lookups it read then (``_old_delta_lookups``), adding
+their blocks through ``parent_betti._add_block``.  The tables must agree
+in all four flavors, also on algebras that are not symmetric, where a
+wrong dual bimodule changes the cochain table.
 ``delta`` must equal the bracket with the product cochain on seeded random
 cochains.
+
+Each map ``_betti`` yields grows its face rows from the map below; it must
+equal the map ``parent_betti.betti_maps`` builds face by face from scratch,
+key for key and in key order, for A and for A*.
 """
 
 import random
@@ -58,6 +63,7 @@ from formality_lab.hochschild import (
     homology_betti,
 )
 
+import parent_betti as parent
 from algebra_tools import mat2_elementary, mul, upper_triangular_2
 
 
@@ -224,10 +230,10 @@ def _old_homology_betti(algebra, top, reduced=True):
     ranks = [0] * (top + 2)
     for n in range(1, top + 2):
         rows = [{} for _ in range(dims[n])]
-        hh._add_block(rows, 1, 1, m_head, dim, R ** (n - 1))
+        parent._add_block(rows, 1, 1, m_head, dim, R ** (n - 1))
         for i in range(1, n):
             sign = -1 if i % 2 else 1
-            hh._add_block(rows, sign, dim * R ** (i - 1), m_bar, R, R ** (n - 1 - i))
+            parent._add_block(rows, sign, dim * R ** (i - 1), m_bar, R, R ** (n - 1 - i))
         # wrap: (i_0, mid, i_n) -> (m(i_n, i_0), mid), mid < R^(n-1)
         sign = -1 if n % 2 else 1
         mid = R ** (n - 1)
@@ -283,7 +289,7 @@ def _old_cohomology_betti(algebra, top, reduced=True):
     for n in range(top + 1):
         rows = [{} for _ in range(dims[n])]
         T = R**n
-        hh._add_block(rows, 1, T, L, R * dim, 1)
+        parent._add_block(rows, 1, T, L, R * dim, 1)
         sign = 1 if n % 2 else -1  # (-1)^(n-1)
         # right: (t, k) -> ((a,) + t, output), t < T
         for k in range(dim):
@@ -294,7 +300,7 @@ def _old_cohomology_betti(algebra, top, reduced=True):
                         add_term(rows[u * dim + k], y + u * dim, c)
         for j in range(n):
             s = sign if j % 2 else -sign  # outer (-1)^j, as in _delta_terms
-            hh._add_block(rows, s, R**j, P, R * R, R ** (n - 1 - j) * dim)
+            parent._add_block(rows, s, R**j, P, R * R, R ** (n - 1 - j) * dim)
         rank, _ = rank_kernel([row for row in rows if row], dims[n + 1])
         ranks[n] = rank
     return [dims[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in range(top + 1)]
@@ -454,6 +460,45 @@ def _tables(homology, cohomology, A, top, flavors):
         (reduced, homology(A, top, reduced=reduced), cohomology(A, top, reduced=reduced))
         for reduced in flavors
     ]
+
+
+def _grown_and_parent_maps(monkeypatch, fn, algebra, top, reduced):
+    """(got, want): the (n, rows) that ``_betti`` yields under ``fn``, all of
+    them drawn before any is read, and the parent's on the same arguments."""
+    calls, got = [], []
+    real = hh._betti
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    def record(name, dims, maps):
+        got.extend(maps)
+
+    with monkeypatch.context() as m:
+        m.setattr(hh, "_betti", spy)
+        m.setattr(hh, "betti", record)
+        fn(algebra, top, reduced=reduced)
+    (args,) = calls
+    return got, list(parent.betti_maps(*args))
+
+
+@pytest.mark.parametrize("name,make,top,flavors", CASES, ids=[c[0] for c in CASES])
+def test_grown_maps_equal_the_parent_maps_in_key_order(monkeypatch, name, make, top, flavors):
+    """Each map grown from the one below equals the parent's, built face by
+    face, key for key and in key order, for A (chains) and A* (cochains).
+    The maps are compared only once the last is built, so a map changed
+    after it was handed on fails too."""
+    A = make()
+    for reduced in flavors:
+        for fn in (homology_betti, cohomology_betti):
+            got, want = _grown_and_parent_maps(monkeypatch, fn, A, top, reduced)
+            assert len(got) == len(want) == top + 1
+            for (n, rows), (old_n, old_rows) in zip(got, want):
+                where = (name, reduced, fn.__name__, n)
+                assert n == old_n and len(rows) == len(old_rows), where
+                for row, old_row in zip(rows, old_rows):
+                    assert list(row.items()) == list(old_row.items()), where
 
 
 @pytest.mark.parametrize("name,make,top,flavors", CASES, ids=[c[0] for c in CASES])

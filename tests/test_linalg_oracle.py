@@ -18,6 +18,8 @@ the same systems the two must give the same rank and the same set of pivot
 columns, and ``solve`` must not depend on the order of the rows.  On rows
 holding explicit zeros all of this holds too, and pass 1 may copy a row
 only when it holds a zero: a zero-free primitive leader is its own pivot.
+``_normalize_row`` itself must equal ``_int_normalize_row`` on seeded int
+and mixed rows and return a primitive int row itself.
 """
 
 import random
@@ -499,6 +501,41 @@ def test_rows_mixing_int_integral_fraction_and_proper_fraction():
     rank, pivots = rank_kernel([{0: Fraction(-2, 1), 3: Fraction(4, 1)}], 4)
     assert rank == 1 and pivots == {0: {0: 1, 3: -2}}
     assert all(type(v) is int for v in pivots[0].values())
+
+
+def test_normalize_row_against_the_int_reference_on_seeded_rows():
+    """``linalg._normalize_row`` takes one ``gcd`` of an ``int`` row and
+    rescales any row that holds a ``Fraction``, ``Fraction(k, 1)`` too.  It
+    must equal ``_int_normalize_row`` by value and in key order on int rows
+    with a common factor and a negative lead, return a primitive int row
+    itself, and give plain ``int`` entries on mixed rows."""
+    rng = random.Random(20261022)
+    kinds = (
+        lambda: rng.choice([-6, -2, 1, 3, 4]),
+        lambda: Fraction(rng.choice([-4, -1, 2, 3]), 1),
+        lambda: Fraction(rng.choice([-5, 1, 3]), rng.choice([2, 3, 7])),
+    )
+    mixed = 0
+    for _ in range(400):
+        cols = rng.sample(range(12), rng.randint(1, 6))
+        lead = min(cols)
+        # a common factor and a negative lead
+        k = rng.choice([2, 3, 6])
+        row = {c: k * rng.choice([-3, -1, 1, 2, 5]) for c in cols}
+        row[lead] = -abs(row[lead])
+        got = linalg._normalize_row(row)
+        assert list(got.items()) == list(_int_normalize_row(row).items()), row
+        assert got is not row and got[lead] > 0
+        # a primitive row is its own normal form
+        primitive = _int_normalize_row(row)
+        assert linalg._normalize_row(primitive) is primitive
+        # int, Fraction(k, 1) and proper Fraction entries mixed
+        row = {c: rng.choice(kinds)() for c in cols}
+        mixed += len({type(v) for v in row.values()}) > 1
+        got = linalg._normalize_row(row)
+        assert list(got.items()) == list(_int_normalize_row(row).items()), row
+        assert all(type(v) is int for v in got.values()), row
+    assert mixed > 200
 
 
 # -- solve does not depend on the row order ----------------------------------------
